@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint ci bench bench-quick bench-paper bench-smoke bench-train bench-fusion bench-overload bench-shard bench-shard-transport bench-frontier bench-ablation checkpoint-smoke figures examples chaos clean
+.PHONY: install test lint ci bench bench-quick bench-paper bench-smoke bench-train bench-fusion bench-overload bench-shard bench-shard-transport bench-frontier bench-e2e checkpoint-smoke figures examples chaos clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -42,7 +42,7 @@ bench-smoke:  # engine micros vs. the committed baselines (2x gate)
 	$(PYTHON) benchmarks/check_baseline.py .benchmark-engine-micro.json \
 		--baseline benchmarks/baselines/engine_micro.json
 
-bench-train:  # event-train throughput: speedup gate + absolute baselines
+bench-train:  # firing loop vs. the per-event test oracle: >=1.5x gate + absolute baselines
 	$(PYTHON) -m pytest benchmarks/bench_train_throughput.py -q \
 		--benchmark-json=.benchmark-train.json
 	$(PYTHON) benchmarks/check_baseline.py .benchmark-train.json \
@@ -79,11 +79,8 @@ bench-frontier:  # frontier tracking: <=10% overhead + purity gate on in-order f
 	$(PYTHON) benchmarks/check_baseline.py .benchmark-frontier.json \
 		--baseline benchmarks/baselines/frontier.json
 
-bench-ablation:  # multicore SCWF ablation (slow; not part of ci)
-	$(PYTHON) -m pytest benchmarks/bench_ablation_multicore.py -q \
-		--benchmark-json=.benchmark-ablation.json
-	$(PYTHON) benchmarks/check_baseline.py .benchmark-ablation.json \
-		--baseline benchmarks/baselines/ablation_multicore.json
+bench-e2e:  # the BENCHMARK.json end-to-end + per-layer report (slow; not part of ci)
+	$(PYTHON) benchmarks/e2e/run.py --out .benchmark-e2e.json
 
 checkpoint-smoke:  # checkpoint tests + example + <10% overhead gate on fig-8
 	$(PYTHON) -m pytest tests/test_checkpoint.py -q
@@ -106,5 +103,5 @@ chaos:  # deterministic fault-injection suite (resilience + chaos runs)
 	$(PYTHON) -m pytest tests/test_resilience.py tests/test_chaos.py tests/test_window_forced.py
 
 clean:
-	rm -rf .pytest_cache .benchmarks src/repro.egg-info .benchmark-smoke.json .benchmark-checkpoint.json .benchmark-engine-micro.json .benchmark-train.json .benchmark-fusion.json .benchmark-overload.json .benchmark-shard.json .benchmark-shard-transport.json .benchmark-frontier.json .benchmark-ablation.json
+	rm -rf .pytest_cache .benchmarks src/repro.egg-info .benchmark-*.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -12,8 +12,9 @@ from repro.harness import default_cost_model
 from repro.linearroad import build_linear_road, LinearRoadWorkload
 from repro.linearroad.generator import WorkloadConfig
 from repro.linearroad.metrics import ResponseTimeSeries
+from repro.overload import BacklogShedder
 from repro.simulation import SimulationRuntime, VirtualClock
-from repro.stafilos import LoadShedder, QuantumPriorityScheduler, SCWFDirector
+from repro.stafilos import QuantumPriorityScheduler, SCWFDirector
 
 # ~1.2x overall capacity: the maintenance path overloads (the engine
 # thrashes without shedding) while the protected toll path still fits.
@@ -48,7 +49,7 @@ def test_ablation_load_shedding(once):
         lambda: (
             run(None),
             run(
-                LoadShedder(
+                BacklogShedder(
                     max_total_backlog=1_000, max_source_pending=200
                 )
             ),

@@ -12,9 +12,8 @@ compares two runs:
   through the SLO by an order of magnitude;
 * **controlled** (one declarative ``QoSPolicy`` with
   ``latency_slo_s=5``): the ``repro.overload`` loop observes p99 and
-  backlog slope once per control period and retunes admission, the
-  input-side shed bound and the event-train quantum until the toll path
-  drains between bursts.
+  backlog slope once per control period and retunes admission and the
+  input-side shed bound until the toll path drains between bursts.
 
 The control period deliberately matches the burst period: each tick
 then judges a full burst+quiet cycle, so the loop neither relaxes
@@ -53,7 +52,6 @@ QOS = QoSPolicy(
     max_source_pending=5_000,
     max_ready_backlog=2_000,
     admission_rate=WORKLOAD.peak_rate,
-    adapt_train_size=True,
 )
 
 

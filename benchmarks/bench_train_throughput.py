@@ -1,19 +1,20 @@
-"""Event-train throughput on the 3-actor relay micro-workload.
+"""Firing-loop throughput on the 3-actor relay micro-workload.
 
-The headline number of the event-train work: end-to-end events/second
-through the SCWF director at different firing quanta (``train_size``).
-Bit-identity means the knob may only change wall-clock time — each
-measured run also canonicalizes its sink output and the speedup gate
-asserts the train runs produced exactly what the per-event run did
-before comparing their timings.
+End-to-end events/second through the SCWF director's one firing loop
+(the shipped default: drain until the scheduler switches away) against
+the strictly per-event reference loop kept as a test fixture in
+``tests/per_event_director.py``.  Bit-identity means the two may differ
+only in wall-clock time — each measured run also canonicalizes its sink
+output, and the speedup gate asserts the shipped loop produced exactly
+what the reference did before comparing their timings.
 
 Gated two ways by ``make bench-train``:
 
 * absolute means vs. ``baselines/train.json`` (2x tolerance, like the
-  dispatch and checkpoint gates) so the batched path cannot silently
+  dispatch and checkpoint gates) so the shipped loop cannot silently
   regress to per-event cost;
-* a relative gate (``test_train_speedup_gate``) asserting
-  ``train_size=64`` is at least 1.5x faster than ``train_size=1`` on
+* a relative gate (``test_shipped_loop_speedup_gate``) asserting the
+  shipped default is at least 1.5x faster than the per-event oracle on
   this machine, whatever its absolute speed.
 """
 
@@ -25,14 +26,18 @@ from repro.core.actors import MapActor, SinkActor, SourceActor
 from repro.core.workflow import Workflow
 from repro.simulation import CostModel, SimulationRuntime, VirtualClock
 from repro.stafilos import RoundRobinScheduler, SCWFDirector
+from tests.per_event_director import PerEventSCWFDirector
 
 #: Enough arrivals that per-event overhead dominates setup cost.
 N_EVENTS = 5_000
 
-TRAIN_SIZES = {"train1": 1, "train64": 64, "drain_all": None}
+DIRECTORS = {
+    "per_event_oracle": PerEventSCWFDirector,
+    "shipped": SCWFDirector,
+}
 
 
-def run_relay(train_size):
+def run_relay(director_cls):
     """Source -> relay -> sink; returns the canonicalized sink trace."""
     workflow = Workflow("train-micro")
     source = SourceActor("src", arrivals=[(i, i) for i in range(N_EVENTS)])
@@ -43,12 +48,7 @@ def run_relay(train_size):
     workflow.connect(source, relay)
     workflow.connect(relay, sink)
     clock = VirtualClock()
-    director = SCWFDirector(
-        RoundRobinScheduler(10_000),
-        clock,
-        CostModel(),
-        train_size=train_size,
-    )
+    director = director_cls(RoundRobinScheduler(10_000), clock, CostModel())
     director.attach(workflow)
     SimulationRuntime(director, clock).run(10.0, drain=True)
     return [
@@ -57,11 +57,11 @@ def run_relay(train_size):
     ]
 
 
-@pytest.mark.parametrize("label", sorted(TRAIN_SIZES))
+@pytest.mark.parametrize("label", sorted(DIRECTORS))
 def test_train_relay_throughput(benchmark, label):
-    """Absolute relay cost per train size (gated vs. train.json)."""
+    """Absolute relay cost per loop (gated vs. train.json)."""
     trace = benchmark.pedantic(
-        run_relay, args=(TRAIN_SIZES[label],), rounds=3, iterations=1
+        run_relay, args=(DIRECTORS[label],), rounds=3, iterations=1
     )
     assert len(trace) == N_EVENTS
 
@@ -78,19 +78,19 @@ def _best_of(runs, fn, *args):
     return best, result
 
 
-def test_train_speedup_gate():
-    """train_size=64 must be >= 1.5x events/sec of train_size=1.
+def test_shipped_loop_speedup_gate():
+    """The shipped default must be >= 1.5x events/sec of the oracle.
 
     The committed baselines show ~2x on the reference machine; 1.5x is
     the portable floor (same spirit as check_baseline's 2x tolerance).
     Bit-identity is asserted first so a "speedup" can never come from
     doing different work.
     """
-    t1, trace1 = _best_of(3, run_relay, 1)
-    t64, trace64 = _best_of(3, run_relay, 64)
-    assert trace64 == trace1  # identical outputs, only wall-clock differs
-    speedup = t1 / t64
+    t_oracle, oracle_trace = _best_of(3, run_relay, PerEventSCWFDirector)
+    t_shipped, shipped_trace = _best_of(3, run_relay, SCWFDirector)
+    assert shipped_trace == oracle_trace  # only wall-clock differs
+    speedup = t_oracle / t_shipped
     assert speedup >= 1.5, (
-        f"train_size=64 speedup {speedup:.2f}x < 1.5x floor "
-        f"(t1={t1 * 1e3:.1f}ms t64={t64 * 1e3:.1f}ms)"
+        f"shipped loop speedup {speedup:.2f}x < 1.5x floor "
+        f"(oracle={t_oracle * 1e3:.1f}ms shipped={t_shipped * 1e3:.1f}ms)"
     )

@@ -55,8 +55,7 @@ def main() -> None:
     workflow.connect(parser, sink)
 
     # Two retries with backoff, then dead-letter; quarantine an actor
-    # after 10 consecutive exhausted failures.  The legacy strings
-    # error_policy="raise" / "drop" still work as aliases.
+    # after 10 consecutive exhausted failures.
     policy = FaultPolicy.resilient(max_retries=2, error_budget=10)
 
     clock = VirtualClock()

@@ -7,8 +7,9 @@ the elastic controller (``repro.overload.OverloadController``) pauses
 the source when queues cross the watermark and adaptively sheds just
 enough stale work to pull p99 response time back under the objective.
 
-The legacy interface (``scheduler.shedder = LoadShedder(...)``) still
-works but warns; ``QoSPolicy.from_legacy(...)`` maps it field for field.
+A bare static bound (``scheduler.shedder = BacklogShedder(...)``) is the
+shedding group alone; ``QoSPolicy.from_legacy(...)`` maps it field for
+field.
 
 Run:  python examples/overload_control.py
 """
@@ -74,7 +75,6 @@ def main() -> None:
         control_period_s=0.25,
         max_total_backlog=100_000,
         min_backlog_bound=16,
-        adapt_train_size=True,
     )
     director, clock, sink, controller = build_engine(qos=policy)
     SimulationRuntime(director, clock).run(6.0)

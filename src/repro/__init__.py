@@ -149,8 +149,6 @@ from .stafilos import (
     AdaptiveScheduler,
     EarliestDeadlineScheduler,
     FIFOScheduler,
-    LoadShedder,
-    MulticoreSCWFDirector,
     QuantumPriorityScheduler,
     RateBasedScheduler,
     RoundRobinScheduler,
@@ -236,8 +234,6 @@ __all__ = [
     "EarliestDeadlineScheduler",
     "EDFScheduler",
     "FIFOScheduler",
-    "LoadShedder",
-    "MulticoreSCWFDirector",
     "QBSScheduler",
     "QuantumPriorityScheduler",
     "RateBasedScheduler",

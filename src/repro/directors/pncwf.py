@@ -220,7 +220,7 @@ class PNCWFDirector(Director):
         self,
         time_scale: float = 1.0,
         poll_timeout_s: float = 0.05,
-        error_policy: "FaultPolicy | str" = FaultPolicy(),
+        error_policy: FaultPolicy = FaultPolicy(),
     ):
         super().__init__()
         try:
@@ -230,9 +230,9 @@ class PNCWFDirector(Director):
         self.time_scale = time_scale
         self._poll_timeout_s = poll_timeout_s
         #: Recovery configuration; a live continuous engine defaults to
-        #: ``"drop"`` (dead-letter poison events) because ``"raise"``
-        #: would silently kill the failing actor's thread instead of
-        #: surfacing the exception to the caller.
+        #: dead-lettering poison events because fail-stop
+        #: (``propagate=True``) would silently kill the failing actor's
+        #: thread instead of surfacing the exception to the caller.
         self.fault_policy = policy
         #: Per-actor failure state + the dead-letter queue (shared with
         #: the scheduled directors so poison events behave identically).
@@ -257,11 +257,6 @@ class PNCWFDirector(Director):
         self._pause_gate.set()
         self._inflight = 0
         self._inflight_cv = threading.Condition()
-
-    @property
-    def error_policy(self) -> str:
-        """Legacy string view of :attr:`fault_policy` (back-compat)."""
-        return self.fault_policy.alias
 
     @property
     def dead_letters(self):

@@ -49,33 +49,11 @@ from .experiment import run_experiment
 from .reporting import render_series_table, render_workload_figure
 
 
-def _parse_train_size(text: str):
-    """``--train-size`` values: a positive int, or none/all/max → drain-all."""
-    lowered = text.strip().lower()
-    if lowered in ("none", "all", "max"):
-        return None
-    try:
-        value = int(lowered)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid train size {text!r}: expected a positive integer "
-            "or 'none'/'all'/'max'"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"invalid train size {value}: must be >= 1 (1 = per-event)"
-        )
-    return value
-
-
 def _tune(config: ExperimentConfig, args) -> ExperimentConfig:
     config = config.scaled_duration(args.duration)
     config = config.with_seeds(tuple(range(1, args.seeds + 1)))
     if getattr(args, "inject_faults", None):
         config = replace(config, fault_spec=args.inject_faults)
-    train_size = getattr(args, "train_size", 1)
-    if train_size != config.train_size:
-        config = replace(config, train_size=train_size)
     if getattr(args, "fuse", False) and not config.fuse:
         config = replace(config, fuse=True)
     frontier = getattr(args, "out_of_order", None)
@@ -431,19 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeded runs to average (the paper used 3; default 1)",
     )
     parser.add_argument(
-        "--train-size",
-        type=_parse_train_size,
-        default=1,
-        metavar="N",
-        help=(
-            "event-train firing quantum for the SCWF director: how many "
-            "ready items one dispatch may drain (default 1 = per-event; "
-            "'none'/'all' = drain until the scheduler switches away). "
-            "Results are bit-identical for every value; only wall-clock "
-            "time changes."
-        ),
-    )
-    parser.add_argument(
         "--trace",
         metavar="PATH",
         default=None,
@@ -469,9 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "overload control (repro.overload.QoSPolicy), e.g. "
-            "'slo=5,pause=20000,admit=400,adapt-train=1' — keys: backlog, "
-            "strategy, protect, source-pending, admit, burst, pause, "
-            "resume, slo, period, adapt-train, adapt-quantum"
+            "'slo=5,pause=20000,admit=400,adapt-quantum=1' — keys: "
+            "backlog, strategy, protect, source-pending, admit, burst, "
+            "pause, resume, slo, period, adapt-quantum"
         ),
     )
     parser.add_argument(

@@ -98,12 +98,13 @@ class ExperimentConfig:
     checkpoint_every_s: Optional[float] = None
     #: How many snapshots the directory store retains (oldest pruned).
     checkpoint_retain: int = 3
-    #: Event-train firing quantum handed to the SCWF director
-    #: (``--train-size``): how many ready items a dispatched actor may
-    #: drain in one dispatch.  ``1`` is the classic per-event loop,
-    #: ``None`` drains until the scheduler switches away.  Results are
-    #: bit-identical across values; only wall-clock changes.
-    train_size: Optional[int] = 1
+    #: Loop bound handed to the SCWF director's firing loop: how many
+    #: ready items a dispatched actor may drain before the scheduler is
+    #: consulted afresh (``None`` = until it switches away).  Not a
+    #: tuning knob — results are bit-identical across values, so it has
+    #: no CLI flag and no manifest record; the benchmark harness and the
+    #: oracle tests pass it in.
+    train_size: Optional[int] = None
     #: Overload-control policy (``--qos``): when set, the harness builds
     #: an :class:`repro.overload.OverloadController` on the director with
     #: the toll-notification sink as the latency probe.  ``None`` runs

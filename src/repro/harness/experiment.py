@@ -10,7 +10,7 @@ its three runs.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 from ..checkpoint import (
@@ -138,7 +138,6 @@ def checkpoint_meta(config: ExperimentConfig, seed: int) -> dict:
         "fault_spec": config.fault_spec,
         "checkpoint_every_s": config.checkpoint_every_s,
         "checkpoint_retain": config.checkpoint_retain,
-        "train_size": config.train_size,
         "qos": None if config.qos is None else asdict(config.qos),
         "fuse": config.fuse,
         "frontier": config.frontier,
@@ -157,7 +156,21 @@ def config_from_meta(
     from ..overload import QoSPolicy
 
     try:
-        qos_raw = meta.get("qos")
+        # Older manifests predate QoS: default to uncontrolled.  Ones
+        # written while the firing loop still had a quantum knob carry
+        # two since-removed policy fields steering it (and a top-level
+        # ``train_size``); all three were output-invariant, so resume
+        # drops whatever the policy no longer declares.
+        qos = None
+        if meta.get("qos") is not None:
+            known = {f.name for f in fields(QoSPolicy)}
+            qos = QoSPolicy(
+                **{
+                    key: value
+                    for key, value in dict(meta["qos"]).items()
+                    if key in known
+                }
+            )
         workload_raw = dict(meta["workload"])
         # Older manifests predate out-of-order delivery: in order.
         workload_raw.setdefault("disorder_s", 0.0)
@@ -183,16 +196,7 @@ def config_from_meta(
             checkpoint_dir=checkpoint_dir,
             checkpoint_every_s=meta.get("checkpoint_every_s"),
             checkpoint_retain=int(meta.get("checkpoint_retain", 3)),
-            # Older manifests predate event trains: default to the
-            # classic per-event loop.  ``None`` (drain-all) is a valid
-            # stored value and must not be coerced.
-            train_size=(
-                None
-                if meta.get("train_size", 1) is None
-                else int(meta.get("train_size", 1))
-            ),
-            # Older manifests predate QoS: default to uncontrolled.
-            qos=None if qos_raw is None else QoSPolicy(**dict(qos_raw)),
+            qos=qos,
             # Older manifests predate fusion: default to unfused.
             fuse=bool(meta.get("fuse", False)),
             # Older manifests predate frontiers: default to untracked.

@@ -5,13 +5,12 @@ load-shedding discussion, ROADMAP open item 3).  The public surface is
 small and composable:
 
 * :class:`QoSPolicy` — one declarative config object subsuming every
-  overload knob (the legacy ``LoadShedder`` arguments, admission rates,
-  backpressure watermarks and the latency SLO target);
+  overload knob (the shedding bounds, admission rates, backpressure
+  watermarks and the latency SLO target);
 * :class:`OverloadController` — the closed feedback loop that enforces a
   policy at the scheduler's shedding hook points, deterministically in
   engine time;
-* :class:`BacklogShedder` — the drop mechanism (also the base of the
-  deprecated ``repro.stafilos.shedding.LoadShedder`` alias);
+* :class:`BacklogShedder` — the drop mechanism;
 * :class:`TokenBucket` — engine-time token buckets for per-source
   admission.
 

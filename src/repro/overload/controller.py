@@ -13,12 +13,12 @@ driven entirely by engine time:
   below the hysteresis watermark, so queues stay bounded without loss;
 * **adaptive shedding** — every control period the loop reads the
   latency probe's new samples (p99) and the backlog slope, then retunes
-  the :class:`~repro.overload.shedding.BacklogShedder` bounds, the
-  director's event-train quantum and the scheduler quantum (AIMD:
-  multiplicative tighten on SLO violation, additive relax when healthy).
+  the :class:`~repro.overload.shedding.BacklogShedder` bounds and the
+  scheduler quantum (AIMD: multiplicative tighten on SLO violation,
+  additive relax when healthy).
 
-The controller plugs into the exact hook points the legacy ``LoadShedder``
-used — it *is* a duck-typed shedder (``enforce``/``shed_sources`` plus
+The controller plugs into the exact hook points a bare
+``BacklogShedder`` uses — it *is* a duck-typed shedder (``enforce``/``shed_sources`` plus
 the ``dropped*`` counters) assigned to ``scheduler.shedder``, and
 additionally registers as the scheduler's ``admission_gate`` and the
 director's ``overload`` component.  Every decision is a pure function of
@@ -56,7 +56,7 @@ class OverloadController:
         controller.install(director)          # or director.apply_qos(policy)
 
     The controller then rides the scheduler's iteration-start hook (the
-    same place ``LoadShedder.shed_sources`` ran): it refreshes the
+    same place ``BacklogShedder.shed_sources`` runs): it refreshes the
     backpressure state, applies input-side shedding and, once per control
     period, evaluates the SLO loop.
     """
@@ -99,9 +99,7 @@ class OverloadController:
         self._probe_cursor = 0
         self._latency_probe: Optional[Callable[[], list]] = None
         # ---- wiring (set by install) ---------------------------------
-        self._director: Any = None
         self._scheduler: Any = None
-        self._base_train_size: Optional[int] = None
         self._base_quantum_us: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -121,13 +119,11 @@ class OverloadController:
                 "OverloadController requires a director with a STAFiLOS "
                 f"scheduler; {type(director).__name__} has none"
             )
-        self._director = director
         self._scheduler = scheduler
         scheduler.shedder = self
         scheduler.admission_gate = self
         director.overload = self
         director.invalidate_arrival_cache()
-        self._base_train_size = getattr(director, "train_size", None)
         self._base_quantum_us = self._read_quantum()
         return self
 
@@ -145,7 +141,7 @@ class OverloadController:
         return self
 
     # ------------------------------------------------------------------
-    # LoadShedder-compatible surface (duck-typed shedder protocol)
+    # BacklogShedder-compatible surface (duck-typed shedder protocol)
     # ------------------------------------------------------------------
     @property
     def dropped(self) -> int:
@@ -183,9 +179,9 @@ class OverloadController:
     def shed_sources(self, scheduler: Any, now: int) -> int:
         """Iteration-start hook: input shedding + the control tick.
 
-        Runs exactly where the legacy shedder ran, so with only the
+        Runs exactly where a bare shedder runs, so with only the
         shedding group configured the drop sequence is identical to a
-        ``LoadShedder`` with the same bounds.
+        ``BacklogShedder`` with the same bounds.
         """
         drops = 0
         if self._shedder is not None:
@@ -346,11 +342,8 @@ class OverloadController:
             shedder.max_source_pending = max(
                 policy.min_source_pending, shedder.max_source_pending // 2
             )
-        # Grow the event-train quantum (amortized dispatch) and shrink
-        # the scheduler quantum (faster switches to the output path).
-        if policy.adapt_train_size and self._base_train_size is not None:
-            train = self._director.train_size or policy.max_train_size
-            self._director.train_size = min(policy.max_train_size, train * 2)
+        # Shrink the scheduler quantum (faster switches to the output
+        # path).
         if policy.adapt_quantum:
             quantum = self._read_quantum()
             if quantum is not None:
@@ -381,12 +374,6 @@ class OverloadController:
                 policy.max_source_pending,
                 pending + max(policy.min_source_pending, pending // 4),
             )
-        if policy.adapt_train_size and self._base_train_size is not None:
-            train = self._director.train_size
-            if train is not None and train > self._base_train_size:
-                self._director.train_size = max(
-                    self._base_train_size, train // 2
-                )
         if policy.adapt_quantum and self._base_quantum_us is not None:
             quantum = self._read_quantum()
             if quantum is not None and quantum < self._base_quantum_us:
@@ -487,21 +474,17 @@ class OverloadController:
                     "dropped_by_actor": dict(shedder.dropped_by_actor),
                 }
             ),
-            "train_size": (
-                None
-                if self._director is None
-                else getattr(self._director, "train_size", None)
-            ),
             "quantum_us": self._read_quantum() if self._scheduler else None,
         }
 
     def state_restore(self, state: dict) -> None:
         """Re-apply a dump onto an installed controller.
 
-        Also re-applies the adaptive tunings the loop had reached (the
-        event-train quantum and the scheduler quantum), since those live
-        on the rebuilt director/scheduler, which restore from *their*
-        snapshots with the structural (pre-tuning) values.
+        Also re-applies the adaptive scheduler quantum the loop had
+        reached, since that lives on the rebuilt scheduler, which
+        restores from *its* snapshot with the structural (pre-tuning)
+        value.  (Dumps written before the firing loop lost its quantum
+        knob carry a ``train_size`` entry; it is ignored.)
         """
         self.paused = bool(state["paused"])
         self.pauses = int(state["pauses"])
@@ -528,9 +511,6 @@ class OverloadController:
             shedder.dropped = shedder_state["dropped"]
             shedder.dropped_at_sources = shedder_state["dropped_at_sources"]
             shedder.dropped_by_actor = dict(shedder_state["dropped_by_actor"])
-        if self._director is not None and state["train_size"] is not None:
-            if self.policy.adapt_train_size:
-                self._director.train_size = state["train_size"]
         if self._scheduler is not None and state["quantum_us"] is not None:
             if self.policy.adapt_quantum:
                 self._write_quantum(state["quantum_us"])

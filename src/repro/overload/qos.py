@@ -1,20 +1,20 @@
 """The unified QoS policy: one config object for all overload knobs.
 
 Before this package, overload control was a handful of scattered settings
-(``LoadShedder(max_total_backlog, strategy, protect_priority,
-max_source_pending)`` assigned by hand onto a scheduler, plus ad-hoc CLI
-flags).  :class:`QoSPolicy` subsumes them all in one declarative record
+(a shedder built from ``max_total_backlog, strategy, protect_priority,
+max_source_pending`` and assigned by hand onto a scheduler, plus ad-hoc
+CLI flags).  :class:`QoSPolicy` subsumes them all in one declarative record
 with three independent mechanism groups and one closed-loop target:
 
-* **shedding** — the classic backlog/source drop bounds (the legacy
-  ``LoadShedder`` surface, field for field);
+* **shedding** — the classic backlog/source drop bounds (the
+  ``BacklogShedder`` surface, field for field);
 * **admission** — per-source token buckets refilled in engine time, so
   bursts are smoothed at the door instead of queued;
 * **backpressure** — a total-backlog watermark that *pauses* source
   pumping (with hysteresis) instead of growing queues without bound;
 * **SLO targeting** — a latency objective the adaptive controller steers
-  toward by tuning the shedding bounds, the event-train quantum and the
-  scheduler quantum from observed p99 response times and backlog slope.
+  toward by tuning the shedding bounds and the scheduler quantum from
+  observed p99 response times and backlog slope.
 
 Leave a group's fields at ``None``/default and that mechanism is off; a
 policy with every group off is invalid (it would control nothing).
@@ -38,12 +38,12 @@ class QoSPolicy:
     """Declarative overload-control configuration (all knobs, one place).
 
     The four field groups are independent; any subset may be enabled.
-    ``from_legacy`` maps the historical ``LoadShedder`` constructor onto
+    ``from_legacy`` maps the bare ``BacklogShedder`` constructor onto
     the shedding group one-to-one, and ``parse`` builds a policy from the
     CLI's compact ``key=value,...`` spec string.
     """
 
-    # ---- shedding (the legacy LoadShedder surface) -------------------
+    # ---- shedding (the BacklogShedder surface) -----------------------
     #: Total ready-backlog bound; excess is dropped from the most
     #: backlogged unprotected actor.  ``None`` = no static bound (the
     #: adaptive loop may still impose a dynamic one).
@@ -82,10 +82,6 @@ class QoSPolicy:
     max_backlog_bound: int = 100_000
     #: Floor for the adaptively tightened source-pending bound.
     min_source_pending: int = 8
-    #: Let the controller grow the director's event-train quantum under
-    #: overload (amortizes dispatch overhead) and shrink it back after.
-    adapt_train_size: bool = False
-    max_train_size: int = 64
     #: Let the controller shrink the scheduler quantum under overload
     #: (faster switching toward the protected output path).
     adapt_quantum: bool = False
@@ -116,8 +112,6 @@ class QoSPolicy:
             )
         if self.min_source_pending < 1:
             raise SchedulerError("min_source_pending must be >= 1")
-        if self.max_train_size < 1:
-            raise SchedulerError("max_train_size must be >= 1")
         if self.min_quantum_us < 1:
             raise SchedulerError("min_quantum_us must be >= 1")
         if not self.enabled:
@@ -160,10 +154,10 @@ class QoSPolicy:
         protect_priority: int = 5,
         max_source_pending: Optional[int] = None,
     ) -> "QoSPolicy":
-        """Map the historical ``LoadShedder`` constructor, field for field.
+        """Map the ``BacklogShedder`` constructor, field for field.
 
         A controller built from this policy sheds identically to
-        ``scheduler.shedder = LoadShedder(...)`` with the same arguments
+        ``scheduler.shedder = BacklogShedder(...)`` with the same arguments
         (the equivalence test in ``tests/test_overload.py`` holds them
         bit-identical).
         """
@@ -187,7 +181,7 @@ class QoSPolicy:
         ``admit`` (admission_rate), ``burst`` (admission_burst),
         ``pause`` (max_ready_backlog), ``resume`` (resume_fraction),
         ``slo`` (latency_slo_s), ``period`` (control_period_s),
-        ``adapt-train`` and ``adapt-quantum`` (0/1 flags).
+        ``adapt-quantum`` (0/1 flag).
         """
         aliases = {
             "backlog": ("max_total_backlog", int),
@@ -201,8 +195,6 @@ class QoSPolicy:
             "resume": ("resume_fraction", float),
             "slo": ("latency_slo_s", float),
             "period": ("control_period_s", float),
-            "adapt-train": ("adapt_train_size", lambda v: v not in ("0", "false")),
-            "adapt_train": ("adapt_train_size", lambda v: v not in ("0", "false")),
             "adapt-quantum": ("adapt_quantum", lambda v: v not in ("0", "false")),
             "adapt_quantum": ("adapt_quantum", lambda v: v not in ("0", "false")),
         }

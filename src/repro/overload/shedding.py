@@ -19,8 +19,7 @@ Actors with designer priority <= ``protect_priority`` are exempt, so the
 workflow's output path keeps its QoS while best-effort maintenance work is
 shed first.
 
-The *policy* layer lives above: either the deprecated static alias
-(:class:`repro.stafilos.shedding.LoadShedder`) or the closed-loop
+The *policy* layer lives above: the closed-loop
 :class:`~repro.overload.controller.OverloadController`, which retunes the
 bounds here from observed latency.  Trace emission goes through the
 public :func:`repro.observability.tracer.current_tracer` hook, so custom

@@ -10,8 +10,7 @@ simulated):
   behaviour: retries with exponential backoff in *engine time*, a
   per-actor error budget (circuit breaker) that quarantines an actor
   after N consecutive exhausted failures, and a bounded dead-letter
-  queue.  Subsumes the SCWF director's legacy string ``error_policy``
-  (``"raise"``/``"drop"`` remain aliases);
+  queue;
 * :class:`~repro.resilience.supervisor.FaultSupervisor` — the stateful
   runtime every director delegates failures to: per-actor health,
   quarantine decisions, the dead-letter queue, and the resilience trace

@@ -15,24 +15,15 @@ PNCWF director) consult whenever an actor firing raises:
 * **dead-letter queue** — every exhausted failure captures the triggering
   item plus exception metadata in a bounded
   :class:`~repro.resilience.deadletter.DeadLetterQueue`.
-
-The policy subsumes the SCWF director's legacy string ``error_policy``:
-``"raise"`` and ``"drop"`` remain supported aliases via :meth:`coerce`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 from ..core.exceptions import ResilienceError
-
-#: Legacy string aliases that already emitted their DeprecationWarning —
-#: each alias warns once per process, not once per director construction.
-_WARNED_ALIASES: set = set()
-
 
 class FailureAction(Enum):
     """What a director should do with a failed firing."""
@@ -60,9 +51,9 @@ class FailureDecision:
 class FaultPolicy:
     """Recovery configuration shared by all continuous-workflow directors.
 
-    The default policy (``FaultPolicy()``) is the modern spelling of the
-    legacy ``error_policy="drop"``: no retries, no circuit breaker, every
-    failed firing consumed and captured in the dead-letter queue.
+    The default policy (``FaultPolicy()``): no retries, no circuit
+    breaker, every failed firing consumed and captured in the dead-letter
+    queue.
     """
 
     #: Replays of a failed firing before giving up (0 = no retries).
@@ -95,41 +86,12 @@ class FaultPolicy:
 
     # ------------------------------------------------------------------
     @classmethod
-    def coerce(cls, value: Union["FaultPolicy", str, None]) -> "FaultPolicy":
-        """Accept a :class:`FaultPolicy` or a legacy string alias.
-
-        ``"raise"`` maps to a propagating (fail-stop) policy and ``"drop"``
-        to the plain consume-and-dead-letter policy — the two values the
-        SCWF director's old ``error_policy`` parameter accepted.  The
-        string spellings are deprecated: each alias emits one
-        :class:`DeprecationWarning` per process pointing at the
-        :class:`FaultPolicy` replacement.
-        """
+    def coerce(cls, value: Optional["FaultPolicy"]) -> "FaultPolicy":
+        """*value* itself, or the default policy for ``None``."""
         if value is None:
             return cls()
         if isinstance(value, cls):
             return value
-        if isinstance(value, str):
-            replacements = {
-                "raise": "FaultPolicy(propagate=True)",
-                "drop": "FaultPolicy()",
-            }
-            if value in replacements and value not in _WARNED_ALIASES:
-                _WARNED_ALIASES.add(value)
-                warnings.warn(
-                    f"error_policy={value!r} is a deprecated legacy "
-                    f"alias; pass {replacements[value]} instead",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-            if value == "raise":
-                return cls(propagate=True)
-            if value == "drop":
-                return cls()
-            raise ResilienceError(
-                f"unknown error_policy {value!r} (expected 'raise', 'drop' "
-                "or a FaultPolicy)"
-            )
         raise ResilienceError(
             f"cannot coerce {type(value).__name__} into a FaultPolicy"
         )
@@ -153,8 +115,3 @@ class FaultPolicy:
             return 0
         delay = self.backoff_base_us * self.backoff_factor ** (attempt - 1)
         return int(min(delay, self.backoff_max_us))
-
-    @property
-    def alias(self) -> str:
-        """The closest legacy ``error_policy`` string for this policy."""
-        return "raise" if self.propagate else "drop"

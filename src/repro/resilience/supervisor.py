@@ -20,7 +20,7 @@ baseline and the live PNCWF thread-per-actor engine.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..core.exceptions import ActorQuarantinedError
 from ..observability import tracer as _obs
@@ -93,7 +93,7 @@ class FaultSupervisor:
 
     def __init__(
         self,
-        policy: Union[FaultPolicy, str, None] = None,
+        policy: Optional[FaultPolicy] = None,
         statistics: Optional["StatisticsRegistry"] = None,
     ):
         self.policy = FaultPolicy.coerce(policy)

@@ -68,7 +68,7 @@ class ThreadedCWFDirector(Director):
         clock: VirtualClock,
         cost_model: CostModel,
         os_slice_us: int = 4_000,
-        error_policy: "FaultPolicy | str" = FaultPolicy(propagate=True),
+        error_policy: FaultPolicy = FaultPolicy(propagate=True),
     ):
         super().__init__()
         try:
@@ -91,11 +91,6 @@ class ThreadedCWFDirector(Director):
         self._sync_charge = 0
         self.context_switches = 0
         self.total_internal_firings = 0
-
-    @property
-    def error_policy(self) -> str:
-        """Legacy string view of :attr:`fault_policy` (back-compat)."""
-        return self.fault_policy.alias
 
     @property
     def dead_letters(self):

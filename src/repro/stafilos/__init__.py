@@ -15,7 +15,6 @@ Policies live in :mod:`repro.stafilos.schedulers`.
 """
 
 from .abstract_scheduler import AbstractScheduler
-from .multicore import MulticoreSCWFDirector
 from .ready import ReadyItem, ReadyQueue
 from .schedulers import (
     AdaptiveScheduler,
@@ -27,7 +26,6 @@ from .schedulers import (
     RoundRobinScheduler,
 )
 from .scwf_director import SCWFDirector
-from .shedding import LoadShedder
 from .states import ActorState
 from .tm_receiver import TMWindowedReceiver
 
@@ -37,8 +35,6 @@ __all__ = [
     "AdaptiveScheduler",
     "EarliestDeadlineScheduler",
     "FIFOScheduler",
-    "LoadShedder",
-    "MulticoreSCWFDirector",
     "QuantumPriorityScheduler",
     "quantum_grant",
     "RateBasedScheduler",

@@ -43,7 +43,7 @@ from ..resilience import FailureAction, FaultPolicy, FaultSupervisor
 from .abstract_scheduler import AbstractScheduler
 from .tm_receiver import TMWindowedReceiver
 
-#: Sentinel returned by the train fire loop when the firing quantum ran out
+#: Sentinel returned by ``_fire_internal`` when the firing quantum ran out
 #: before a fresh scheduling decision was drawn: the caller must consult
 #: ``get_next_actor`` itself.  Distinct from ``None`` ("the scheduler was
 #: consulted and ended the iteration") — a drawn decision is consumed
@@ -67,8 +67,8 @@ class SCWFDirector(Director):
         clock,
         cost_model,
         max_firings_per_iteration: int = 5_000_000,
-        error_policy: "FaultPolicy | str" = FaultPolicy(propagate=True),
-        train_size: Optional[int] = 1,
+        error_policy: FaultPolicy = FaultPolicy(propagate=True),
+        train_size: Optional[int] = None,
     ):
         super().__init__()
         try:
@@ -81,12 +81,13 @@ class SCWFDirector(Director):
             raise DirectorError(
                 f"train_size must be a positive int or None, got {train_size!r}"
             )
-        #: Event-train firing quantum: how many staged ready items one
-        #: dispatch of a non-source actor may drain (``None`` = drain-all),
-        #: and the chunk size emission trains are flushed in.  1 (the
-        #: default) preserves the historical strictly-per-event path; every
-        #: value is bit-identical to 1 by construction (see
-        #: ``_fire_internal_train``), batching only the bookkeeping.
+        #: Loop bound of the firing loop: how many ready items one
+        #: dispatch of a non-source actor may drain before the scheduler
+        #: is consulted afresh, and the chunk size emission trains are
+        #: flushed in.  ``None`` (the default) drains until the scheduler
+        #: switches away.  Not a tuning knob: every value produces the
+        #: same outputs, clock and counters (see ``_fire_internal``); the
+        #: benchmark harness and the oracle tests pass it in.
         self.train_size = train_size
         self.scheduler = scheduler
         self.clock = clock
@@ -104,12 +105,12 @@ class SCWFDirector(Director):
         #: Lateness policy handed to timed receivers at creation.
         self.frontier_lateness = None
         self.max_firings_per_iteration = max_firings_per_iteration
-        #: The recovery configuration.  ``error_policy`` accepts a full
-        #: :class:`~repro.resilience.FaultPolicy` or the legacy string
-        #: aliases: ``"raise"`` propagates actor exceptions (fail-stop);
-        #: ``"drop"`` treats a failing firing as a fault barrier — the
-        #: triggering item is consumed, partial emissions are discarded,
-        #: the error counted and the item dead-lettered.
+        #: The recovery configuration (a
+        #: :class:`~repro.resilience.FaultPolicy`): ``propagate=True``
+        #: re-raises actor exceptions (fail-stop); otherwise a failing
+        #: firing is a fault barrier — the triggering item is consumed,
+        #: partial emissions are discarded, the error counted and the
+        #: item retried or dead-lettered.
         self.fault_policy = policy
         #: Per-actor failure state + the dead-letter queue.
         self.supervisor = FaultSupervisor(policy, self.statistics)
@@ -118,6 +119,9 @@ class SCWFDirector(Director):
         self.total_source_firings = 0
         self.total_events_admitted = 0
         self.actor_errors: dict[str, int] = {}
+        #: Per-actor firing plans (:meth:`_plan_for`), built on first
+        #: dispatch and dropped by ``initialize_all``.
+        self._plans: dict[Actor, tuple] = {}
         self._timed_receivers: list[TMWindowedReceiver] = []
         # ---- timed-window deadline heap -----------------------------
         #: Receivers whose spec declares a formation timeout, by slot.
@@ -134,11 +138,6 @@ class SCWFDirector(Director):
         #: Live (unbounded) sources can grow their arrival schedule from
         #: a background thread; caching is only safe without them.
         self._sources_static = False
-
-    @property
-    def error_policy(self) -> str:
-        """Legacy string view of :attr:`fault_policy` (back-compat)."""
-        return self.fault_policy.alias
 
     @property
     def dead_letters(self):
@@ -172,6 +171,7 @@ class SCWFDirector(Director):
     def initialize_all(self) -> None:
         super().initialize_all()
         workflow = self._require_attached()
+        self._plans.clear()
         self.scheduler.initialize(workflow, self.statistics)
         # Fused chains prebind the cost model and per-member statistics
         # records so per-hop attribution works from the first firing.
@@ -188,8 +188,7 @@ class SCWFDirector(Director):
 
     def make_context(self, actor: Actor, now: int) -> FiringContext:
         ctx = super().make_context(actor, now)
-        if self.train_size != 1:
-            ctx.enable_batch_emission(self.train_size, self.on_emit_batch)
+        ctx.enable_batch_emission(self.train_size, self.on_emit_batch)
         return ctx
 
     # ------------------------------------------------------------------
@@ -231,7 +230,7 @@ class SCWFDirector(Director):
         Returns ``(internal_firings, source_emissions)`` so the runtime can
         detect lack of progress and fast-forward the clock.
         """
-        workflow = self._require_attached()
+        self._require_attached()
         scheduler = self.scheduler
         self.iterations += 1
         iteration_start = self.clock.now_us
@@ -242,7 +241,9 @@ class SCWFDirector(Director):
         internal_firings = 0
         source_emissions = 0
         fired_total = 0
-        budget = self.train_size
+        limit = self.max_firings_per_iteration
+        # Drain-all is bounded only by the livelock guard below.
+        budget = self.train_size or limit + 1
         next_actor = scheduler.get_next_actor()
         while next_actor is not None:
             actor = next_actor
@@ -258,16 +259,11 @@ class SCWFDirector(Director):
                 source_emissions += self._fire_source(actor)
                 fired_total += 1
                 next_actor = scheduler.get_next_actor()
-            elif budget == 1:
-                if self._fire_internal(actor):
-                    internal_firings += 1
-                fired_total += 1
-                next_actor = scheduler.get_next_actor()
             else:
-                # Event-train execution: keep draining this actor while
-                # the scheduler keeps choosing it, up to ``budget`` items.
-                fired, items, carried = self._fire_internal_train(
-                    actor, budget
+                # Keep draining this actor while the scheduler keeps
+                # choosing it, up to ``budget`` items.
+                fired, items, carried = self._fire_internal(
+                    actor, min(budget, limit + 1 - fired_total)
                 )
                 internal_firings += fired
                 fired_total += items
@@ -276,10 +272,9 @@ class SCWFDirector(Director):
                     if carried is _CONSULT
                     else carried
                 )
-            if fired_total > self.max_firings_per_iteration:
+            if fired_total > limit:
                 raise DirectorError(
-                    "director iteration exceeded "
-                    f"{self.max_firings_per_iteration} firings; "
+                    f"director iteration exceeded {limit} firings; "
                     "scheduler livelock?"
                 )
         now = self.clock.now_us
@@ -368,127 +363,56 @@ class SCWFDirector(Director):
             )
         return emitted
 
-    def _fire_internal(self, actor: Actor) -> bool:
-        scheduler = self.scheduler
-        ready = scheduler.dequeue_item(actor)
-        if ready is None:
-            # The policy considered the actor runnable, but its queue is
-            # empty (e.g. state staleness); treat as a no-op dispatch.
-            scheduler.invalidate_state(actor)
-            return False
-        supervisor = self.supervisor
-        if supervisor.is_quarantined(actor.name):
-            # Open circuit: the item bypasses execution entirely.
-            now = self.clock.now_us
-            scheduler.on_actor_fire_start(actor, now)
-            supervisor.drop_quarantined(
-                actor, ready.port_name, ready.item, now
-            )
-            self.actor_errors[actor.name] = (
-                self.actor_errors.get(actor.name, 0) + 1
-            )
-            if self.frontier is not None:
-                self.frontier.retire_item(ready.item)
-            scheduler.on_actor_fire_end(actor, 0, now)
-            return False
-        now = self.clock.now_us
-        start = now
-        scheduler.on_actor_fire_start(actor, now)
-        port = actor.input(ready.port_name)
-        receiver = port.receiver
-        assert isinstance(receiver, TMWindowedReceiver)
-        fused_flush = getattr(actor, "flush_fused_charges", None)
-        fired = False
-        attempt = 0
-        while True:
-            receiver.stage(ready.item)
-            ctx = self.make_context(actor, self.clock.now_us)
-            ctx.stage(ready.port_name, receiver.get())
-            try:
-                if actor.prefire(ctx):
-                    actor.fire(ctx)
-                    actor.postfire(ctx)
-                    fired = True
-                ctx.close()
-                # Only a completed attempt records a full invocation.
-                if fused_flush is not None:
-                    # Fused chains accrue per-member charges internally;
-                    # advance by the sum, then let the chain attribute
-                    # costs/tokens per member and emit its finals.
-                    self.clock.advance(actor.take_pending_cost())
-                    fused_flush(self.clock.now_us)
-                else:
-                    cost = self.cost_model.invocation_cost(actor, ctx)
-                    self.clock.advance(cost)
-                    self.statistics.record_invocation(actor, cost)
-                supervisor.on_success(actor)
-                break
-            except Exception as error:
-                # Fault barrier: discard the failed firing's partial
-                # emissions, charge the (cheaper) failure cost, and let
-                # the supervisor decide: retry, dead-letter or propagate.
-                ctx.abort()
-                ctx.close()
-                if fused_flush is not None:
-                    actor.discard_fused_charges()
-                attempt += 1
-                decision = supervisor.on_failure(
-                    actor,
-                    ready.port_name,
-                    ready.item,
-                    error,
-                    attempt,
-                    self.clock.now_us,
-                )
-                if decision.action is FailureAction.PROPAGATE:
-                    raise
-                self.clock.advance(
-                    self.cost_model.failure_cost(actor, ctx)
-                )
-                if _obs.ENABLED:
-                    _obs._TRACER.instant(
-                        "actor.error",
-                        self.clock.now_us,
-                        actor.name,
-                        error=type(error).__name__,
-                        attempt=attempt,
-                    )
-                if decision.action is FailureAction.RETRY:
-                    # Exponential backoff charged in engine time.
-                    self.clock.advance(decision.backoff_us)
-                    continue
-                # Dead-lettered by the supervisor.
-                self.actor_errors[actor.name] = (
-                    self.actor_errors.get(actor.name, 0) + 1
-                )
-                fired = False
-                break
-        if self.frontier is not None:
-            # The item's token retires only after its firing settled —
-            # emissions flushed at ctx.close() re-upped the root first,
-            # so a live wave's count never transiently reaches zero.
-            self.frontier.retire_item(ready.item)
-        now = self.clock.now_us
-        elapsed = now - start
-        scheduler.on_actor_fire_end(actor, elapsed, now)
-        if _obs.ENABLED:
-            _obs._TRACER.span(
-                "actor.fire",
-                start,
-                elapsed,
-                actor.name,
-                fired=fired,
-                port=ready.port_name,
-                attempts=attempt + 1 if fired or attempt else 1,
-            )
-        return fired
+    def _plan_for(self, actor: Actor) -> tuple:
+        """Resolve, once per actor, what no dispatch of *actor* can change.
 
-    def _fire_internal_train(self, actor: Actor, budget: Optional[int]):
+        A one-item train (every dispatch under FIFO) then pays for none
+        of it.  Not planned: the scheduler's methods (the adaptive
+        meta-scheduler swaps its hosted policy between iterations) and
+        the actor's bound lifecycle methods (a fault injector shadows
+        ``fire`` on the instance, possibly mid-run).
+        """
+        kind = type(actor)
+        # The stateless ``fire_batch`` shortcut may replace the
+        # prefire/fire/postfire triple only when the class kept the
+        # trivial base-class lifecycle (both default to "always ready").
+        batchable = (
+            hasattr(kind, "fire_batch")
+            and kind.prefire is Actor.prefire
+            and kind.postfire is Actor.postfire
+        )
+        # Fused chains settle their own per-member charges; the generic
+        # cost path must not double-charge them.
+        fused_flush = getattr(actor, "flush_fused_charges", None)
+        # Deterministic cost fast path: when the model's charge is pure
+        # integer arithmetic (no jitter, unit scale), the loop inlines it.
+        # Duck typed, so custom cost models silently keep the full path.
+        fast_base_fn = getattr(self.cost_model, "fast_invocation_base", None)
+        fast_base = (
+            None
+            if fast_base_fn is None or fused_flush is not None
+            else fast_base_fn(actor)
+        )
+        plan = self._plans[actor] = (
+            # The firing context, recycled by ``reset`` per item.
+            self.make_context(actor, self.clock.now_us),
+            batchable,
+            fused_flush,
+            fast_base,
+            # The registry-level ``record_invocation`` is a pure
+            # delegation to this bound method.
+            self.statistics.register(actor).record_invocation,
+        )
+        return plan
+
+    def _fire_internal(self, actor: Actor, budget: int):
         """Drain up to *budget* ready items of *actor* in one dispatch.
 
-        Bit-identical to ``budget`` repetitions of the classic dispatch
-        loop (``get_next_actor`` → dispatch overhead → ``_fire_internal``)
-        for as long as the scheduler would keep choosing *actor*:
+        The director's one internal firing path.  Bit-identical to
+        ``budget`` rounds of the paper's Figure 3 loop
+        (``get_next_actor`` → dispatch overhead → fire one item; kept as
+        the reference oracle in ``tests/per_event_director.py``) for as
+        long as the scheduler would keep choosing *actor*:
 
         * the scheduler is consulted **between every item** — quantum
           exhaustion, a window landing on a higher-priority actor, or a
@@ -507,79 +431,46 @@ class SCWFDirector(Director):
         Returns ``(completed_firings, items_dispatched, carried)`` where
         ``carried`` is the next actor decision, ``None`` (iteration
         over), or :data:`_CONSULT` (budget exhausted with no decision
-        drawn).  Trains never outlive the call: there is no in-flight
-        train state for checkpoints to capture — ``checkpoint_barrier``
-        runs between director iterations, where every train has fully
-        drained.
+        drawn).  Trains never outlive the call, so checkpoints (taken
+        between director iterations) have no in-flight train to capture.
         """
+        ctx, batchable, fused_flush, fast_base, record_invocation = (
+            self._plans.get(actor) or self._plan_for(actor)
+        )
+        # An instance-level ``fire`` (a fault injector's guard) must
+        # run: the shortcut would bypass it.
+        fire_batch = (
+            actor.fire_batch
+            if batchable and "fire" not in actor.__dict__
+            else None
+        )
         scheduler = self.scheduler
         supervisor = self.supervisor
         cost_model = self.cost_model
         clock = self.clock
-        # Prebound hot-path methods (one dict lookup each per train
-        # instead of two attribute walks per item).
-        dequeue_item = scheduler.dequeue_item
-        get_next_actor = scheduler.get_next_actor
-        continue_train = scheduler.continue_train
         fire_start = scheduler.on_actor_fire_start
         fire_end = scheduler.on_actor_fire_end
         advance = clock.advance
-        invocation_cost = cost_model.invocation_cost
-        # Per-actor stats resolved once: the registry-level
-        # ``record_invocation`` is a pure delegation to this bound method.
-        record_invocation = self.statistics.register(actor).record_invocation
         # With tracing off, ``dequeue_item`` reduces to a queue pop plus a
         # state invalidation that the per-item ``fire_end`` hook (or the
         # explicit empty-dequeue branch below) performs anyway — pop the
         # queue directly.  With tracing on, keep the full call so the
         # ``sched.queue_depth`` counter fires per dequeue.
-        queue_pop = scheduler.ready[actor.name].pop
         obs_on = _obs.ENABLED
-        is_quarantined = supervisor.is_quarantined
-        on_success = supervisor.on_success
-        dispatch_overhead = cost_model.dispatch_overhead_us
-        actor_prefire = actor.prefire
-        actor_fire = actor.fire
-        actor_postfire = actor.postfire
-        # Stateless fast path: ``fire_batch`` may replace the
-        # prefire/fire/postfire triple only when the actor kept the
-        # trivial base-class lifecycle (both default to "always ready").
-        fire_batch = getattr(actor, "fire_batch", None)
-        if fire_batch is not None and (
-            type(actor).prefire is not Actor.prefire
-            or type(actor).postfire is not Actor.postfire
-        ):
-            fire_batch = None
-        # Fused chains settle their own per-member charges; the generic
-        # cost paths below must not double-charge them.
-        fused_flush = getattr(actor, "flush_fused_charges", None)
-        # Deterministic cost fast path: when the model's charge is pure
-        # integer arithmetic (no jitter, unit scale), inline it and skip
-        # two method calls per item.  ``fast_invocation_base`` is duck
-        # typed so custom cost models silently keep the full path.
-        fast_base_fn = getattr(cost_model, "fast_invocation_base", None)
-        fast_base = (
-            None
-            if fast_base_fn is None or fused_flush is not None
-            else fast_base_fn(actor)
-        )
-        if fast_base is not None:
-            per_input_us = cost_model.per_input_us
-            per_output_us = cost_model.per_output_us
+        queue_pop = scheduler.ready[actor.name].pop
         frontier = self.frontier
         train_start = clock.now_us
-        max_items = self.max_firings_per_iteration
         fired = 0
         items = 0
-        ctx: Optional[FiringContext] = None
         while True:
-            ready = dequeue_item(actor) if obs_on else queue_pop()
+            ready = scheduler.dequeue_item(actor) if obs_on else queue_pop()
             items += 1
             if ready is None:
-                # Runnable per a stale state but the queue is empty:
-                # no-op dispatch, exactly as ``_fire_internal``.
+                # The policy considered the actor runnable, but its queue
+                # is empty (e.g. state staleness): a no-op dispatch.
                 scheduler.invalidate_state(actor)
-            elif is_quarantined(actor.name):
+            elif supervisor.is_quarantined(actor.name):
+                # Open circuit: the item bypasses execution entirely.
                 now = clock.now_us
                 fire_start(actor, now)
                 supervisor.drop_quarantined(
@@ -594,10 +485,7 @@ class SCWFDirector(Director):
             else:
                 now = clock.now_us
                 fire_start(actor, now)
-                if ctx is None:
-                    ctx = self.make_context(actor, now)
-                else:
-                    ctx.reset(now)
+                ctx.reset(now)
                 ctx.stage(ready.port_name, ready.item)
                 fired_this = False
                 attempt = 0
@@ -606,30 +494,41 @@ class SCWFDirector(Director):
                         if fire_batch is not None:
                             fire_batch(ctx)
                             fired_this = True
-                        elif actor_prefire(ctx):
-                            actor_fire(ctx)
-                            actor_postfire(ctx)
+                        elif actor.prefire(ctx):
+                            actor.fire(ctx)
+                            actor.postfire(ctx)
                             fired_this = True
                         ctx.close()
+                        # Only a completed attempt records an invocation.
                         if fused_flush is not None:
+                            # Fused chains accrue per-member charges
+                            # internally; advance by the sum, then let
+                            # the chain attribute costs/tokens per member
+                            # and emit its finals.
                             advance(actor.take_pending_cost())
                             fused_flush(clock.now_us)
                         else:
                             if fast_base is not None:
                                 cost = (
                                     fast_base
-                                    + per_input_us * ctx.inputs_consumed
-                                    + per_output_us * ctx.outputs_produced
+                                    + cost_model.per_input_us
+                                    * ctx.inputs_consumed
+                                    + cost_model.per_output_us
+                                    * ctx.outputs_produced
                                 )
                                 if cost < 1:
                                     cost = 1
                             else:
-                                cost = invocation_cost(actor, ctx)
+                                cost = cost_model.invocation_cost(actor, ctx)
                             advance(cost)
                             record_invocation(cost)
-                        on_success(actor)
+                        supervisor.on_success(actor)
                         break
                     except Exception as error:
+                        # Fault barrier: discard the failed firing's
+                        # partial emissions, charge the (cheaper) failure
+                        # cost, and let the supervisor decide: retry,
+                        # dead-letter or propagate.
                         ctx.abort()
                         ctx.close()
                         if fused_flush is not None:
@@ -655,31 +554,32 @@ class SCWFDirector(Director):
                                 attempt=attempt,
                             )
                         if decision.action is FailureAction.RETRY:
+                            # Exponential backoff charged in engine time.
                             advance(decision.backoff_us)
                             ctx.reset(clock.now_us)
                             ctx.stage(ready.port_name, ready.item)
                             continue
+                        # Dead-lettered by the supervisor.
                         self.actor_errors[actor.name] = (
                             self.actor_errors.get(actor.name, 0) + 1
                         )
                         fired_this = False
                         break
                 if frontier is not None:
+                    # The item's token retires only after its firing
+                    # settled — emissions flushed at ctx.close() re-upped
+                    # the root first, so a live wave's count never
+                    # transiently reaches zero.
                     frontier.retire_item(ready.item)
                 end_now = clock.now_us
                 fire_end(actor, end_now - now, end_now)
                 if fired_this:
                     fired += 1
-            if items > max_items:
-                raise DirectorError(
-                    "director iteration exceeded "
-                    f"{max_items} firings; scheduler livelock?"
-                )
-            if budget is not None and items >= budget:
+            if items >= budget:
                 carried = _CONSULT
                 break
-            if not continue_train(actor):
-                chosen = get_next_actor()
+            if not scheduler.continue_train(actor):
+                chosen = scheduler.get_next_actor()
                 if chosen is not actor:
                     carried = chosen
                     break
@@ -689,7 +589,7 @@ class SCWFDirector(Director):
                 _obs._TRACER.instant(
                     "sched.dispatch", clock.now_us, actor.name, source=False
                 )
-            advance(dispatch_overhead)
+            advance(cost_model.dispatch_overhead_us)
         if _obs.ENABLED:
             now = clock.now_us
             _obs._TRACER.span(

@@ -10,10 +10,10 @@ Covers the acceptance criteria of the subsystem:
   and through a full resume;
 * store unit behaviour (atomic layout, retention, CRC verification);
 * dead-letter replay through the restored engine;
-* the ``DeprecationWarning`` on legacy ``error_policy`` string aliases.
+* manifests written before the firing loop lost its quantum knob still
+  resume bit-identically.
 """
 
-import warnings
 from dataclasses import replace
 
 import pytest
@@ -42,7 +42,6 @@ from repro.harness.experiment import (
 )
 from repro.observability import RecordingTracer, use_tracer
 from repro.resilience import FaultPolicy, replay_dead_letters
-from repro.resilience.policy import _WARNED_ALIASES
 from repro.simulation import CostModel, SimulationRuntime, VirtualClock
 from repro.stafilos import RoundRobinScheduler, SCWFDirector
 
@@ -374,6 +373,30 @@ class _CrashAfter(DirectoryCheckpointStore):
             raise KeyboardInterrupt("simulated crash")
 
 
+class _PR10EraStore(_CrashAfter):
+    """Publishes every snapshot the way PR 10 wrote it (extra keys)."""
+
+    def save(self, manifest, payload):
+        import zlib
+
+        snapshot = deserialize_snapshot(payload)
+        snapshot["overload"]["train_size"] = 64
+        payload = serialize_snapshot(snapshot)
+        meta = dict(manifest.meta, train_size=64)
+        meta["qos"] = dict(
+            meta["qos"], adapt_train_size=True, max_train_size=64
+        )
+        super().save(
+            replace(
+                manifest,
+                meta=meta,
+                payload_bytes=len(payload),
+                crc32=zlib.crc32(payload),
+            ),
+            payload,
+        )
+
+
 def _short_config(**overrides) -> ExperimentConfig:
     config = ExperimentConfig(
         scheduler=SchedulerSpec("RR", quantum_us=10_000), seeds=(7,)
@@ -411,40 +434,45 @@ class TestCrashResumeBitIdentical:
             resumed.internal_firings == reference_run.internal_firings
         )
 
-    def test_killed_train_run_resumes_bit_identical(
-        self, tmp_path, reference_run
-    ):
-        """Event trains leave nothing extra to checkpoint.
+    def test_pr10_era_manifest_resumes_bit_identical(self, tmp_path):
+        """Manifests written while the firing loop had a quantum knob.
 
-        A ``train_size=64`` run killed mid-stream and resumed from disk
-        must reproduce the *per-event* uninterrupted reference exactly:
-        snapshots happen at iteration boundaries where every train has
-        fully flushed, and bit-identity makes the train width invisible
-        to everything but the wall clock.
+        Such a manifest carries a top-level ``train_size``, the
+        ``adapt_train_size``/``max_train_size`` policy fields, and a
+        ``train_size`` entry in the controller dump.  All three were
+        output-invariant, so resume drops them — without touching the
+        director — and still reproduces the uninterrupted run exactly.
         """
+        from repro.harness.experiment import _execute_seed
+        from repro.overload import QoSPolicy
+
+        qos = QoSPolicy(
+            latency_slo_s=5.0, max_ready_backlog=5_000, admission_rate=300.0
+        )
+        reference = run_once(_short_config(qos=qos), 7)
         config = _short_config(
             checkpoint_dir=str(tmp_path),
             checkpoint_every_s=10.0,
+            qos=qos,
             train_size=64,
         )
-        store = _CrashAfter(tmp_path, crash_after=3)
-        from repro.harness.experiment import _execute_seed
-
         with pytest.raises(KeyboardInterrupt):
-            _execute_seed(config, 7, store=store)
+            _execute_seed(config, 7, store=_PR10EraStore(tmp_path, 3))
+
+        rebuilt, _ = config_from_meta(
+            DirectoryCheckpointStore(tmp_path).latest()[0].meta
+        )
+        assert rebuilt.qos == qos and rebuilt.train_size is None
 
         resumed, director, _, manifest = resume_run(str(tmp_path))
         assert manifest.checkpoint_id == 3
-        assert director.train_size == 64  # meta round-trip
-        assert resumed.series.times_s == reference_run.series.times_s
-        assert (
-            resumed.series.responses_s == reference_run.series.responses_s
-        )
-        assert resumed.tolls == reference_run.tolls
-        assert resumed.alerts == reference_run.alerts
-        assert (
-            resumed.internal_firings == reference_run.internal_firings
-        )
+        assert manifest.meta["train_size"] == 64  # really an old manifest
+        assert director.train_size is None
+        assert resumed.series.times_s == reference.series.times_s
+        assert resumed.series.responses_s == reference.series.responses_s
+        assert resumed.tolls == reference.tolls
+        assert resumed.alerts == reference.alerts
+        assert resumed.internal_firings == reference.internal_firings
 
     def test_resume_with_corrupted_latest_uses_previous(
         self, tmp_path, reference_run
@@ -672,39 +700,3 @@ class TestLivePNCWFBarrier:
         finally:
             director.stop()
         assert len(store.manifests()) >= 2
-
-
-# ----------------------------------------------------------------------
-# Legacy error_policy strings are deprecated
-# ----------------------------------------------------------------------
-class TestErrorPolicyDeprecation:
-    @pytest.fixture(autouse=True)
-    def _reset_warned(self):
-        saved = set(_WARNED_ALIASES)
-        _WARNED_ALIASES.clear()
-        yield
-        _WARNED_ALIASES.clear()
-        _WARNED_ALIASES.update(saved)
-
-    def test_raise_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="propagate=True"):
-            policy = FaultPolicy.coerce("raise")
-        assert policy.propagate
-
-    def test_drop_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="FaultPolicy()"):
-            policy = FaultPolicy.coerce("drop")
-        assert not policy.propagate
-
-    def test_warning_fires_once_per_alias(self):
-        with pytest.warns(DeprecationWarning):
-            FaultPolicy.coerce("raise")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            FaultPolicy.coerce("raise")  # second use stays silent
-
-    def test_policy_instances_never_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            FaultPolicy.coerce(FaultPolicy(max_retries=1))
-            FaultPolicy.coerce(None)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.cli import _tune, build_parser, main
+from repro.harness.cli import build_parser, main
 from repro.harness.configs import ExperimentConfig, SchedulerSpec
 from repro.harness.experiment import checkpoint_meta, config_from_meta
 
@@ -44,37 +44,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_train_size_option(self):
+    def test_train_size_flag_is_gone(self, capsys):
+        """The firing loop has no quantum knob: the flag is rejected."""
         parser = build_parser()
-        assert parser.parse_args(["fig5"]).train_size == 1  # default
-        assert (
-            parser.parse_args(["--train-size", "64", "fig5"]).train_size
-            == 64
-        )
-        for drain_all in ("none", "all", "max", "NONE"):
-            args = parser.parse_args(["--train-size", drain_all, "fig5"])
-            assert args.train_size is None
-        for bad in ("0", "-3", "many"):
-            with pytest.raises(SystemExit):
-                parser.parse_args(["--train-size", bad, "fig5"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--train-size=64", "fig5"])
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not hasattr(parser.parse_args(["fig5"]), "train_size")
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--help"])
+        assert "train-size" not in capsys.readouterr().out
 
-    def test_train_size_round_trips_through_config(self):
-        """--train-size -> ExperimentConfig -> checkpoint meta -> config."""
-        parser = build_parser()
-        base = ExperimentConfig(SchedulerSpec("RR", quantum_us=10_000))
-        for text, expected in (("64", 64), ("none", None), ("1", 1)):
-            args = parser.parse_args(
-                ["--train-size", text, "--duration", "60", "run", "rr"]
-            )
-            config = _tune(base, args)
-            assert config.train_size == expected
-            rebuilt, seed = config_from_meta(checkpoint_meta(config, 7))
-            assert seed == 7 and rebuilt.train_size == expected
-        # Manifests written before event trains default to per-event.
-        legacy = checkpoint_meta(base, 7)
-        legacy.pop("train_size")
-        rebuilt, _ = config_from_meta(legacy)
-        assert rebuilt.train_size == 1
+    def test_manifest_carries_no_train_size(self):
+        """The loop bound is output-invariant: resume needs no record."""
+        base = ExperimentConfig(
+            SchedulerSpec("RR", quantum_us=10_000), train_size=64
+        )
+        meta = checkpoint_meta(base, 7)
+        assert "train_size" not in meta
+        rebuilt, seed = config_from_meta(meta)
+        assert seed == 7 and rebuilt.train_size is None
 
 
 class TestExecution:

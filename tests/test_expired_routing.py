@@ -10,6 +10,7 @@ from repro.core import (
     Workflow,
     WorkflowError,
 )
+from repro.resilience import FaultPolicy
 from repro.simulation import CostModel, SimulationRuntime, VirtualClock
 from repro.stafilos import RoundRobinScheduler, SCWFDirector
 
@@ -117,12 +118,12 @@ class TestFaultBarrier:
         return director, clock, sink
 
     def test_default_policy_propagates(self):
-        director, clock, sink = self.build_flaky("raise")
+        director, clock, sink = self.build_flaky(FaultPolicy(propagate=True))
         with pytest.raises(ValueError):
             SimulationRuntime(director, clock).run(1.0, drain=True)
 
     def test_drop_policy_survives_and_counts(self):
-        director, clock, sink = self.build_flaky("drop")
+        director, clock, sink = self.build_flaky(FaultPolicy())
         SimulationRuntime(director, clock).run(1.0, drain=True)
         assert sink.values == [0, 2, 4]
         assert director.actor_errors == {"worker": 3}

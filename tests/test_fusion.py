@@ -45,6 +45,7 @@ from repro.stafilos.schedulers import (
     RoundRobinScheduler,
 )
 from repro.stafilos.scwf_director import SCWFDirector
+from tests.per_event_director import PerEventSCWFDirector
 
 TRAIN_SIZES = (1, 64, None)
 
@@ -105,10 +106,10 @@ def _build_relay(arrivals, fuse):
     return workflow, sink
 
 
-def _run(arrivals, scheduler_index, train_size, fuse):
+def _run(arrivals, scheduler_index, train_size, fuse, cls=SCWFDirector):
     workflow, sink = _build_relay(arrivals, fuse)
     clock = VirtualClock()
-    director = SCWFDirector(
+    director = cls(
         SCHEDULERS[scheduler_index](),
         clock,
         CostModel(),
@@ -253,7 +254,9 @@ class TestFusionOracle:
     @settings(max_examples=25, deadline=None)
     def test_fused_matches_unfused(self, offsets, scheduler_index):
         arrivals = [(ts, i) for i, ts in enumerate(sorted(offsets))]
-        canon, stats, _ = _run(arrivals, scheduler_index, 1, fuse=False)
+        canon, stats, _ = _run(
+            arrivals, scheduler_index, 1, fuse=False, cls=PerEventSCWFDirector
+        )
         for train_size in TRAIN_SIZES:
             fused_canon, fused_stats, _ = _run(
                 arrivals, scheduler_index, train_size, fuse=True
@@ -276,8 +279,10 @@ class TestFusionOracle:
         """Within the fused engine, train size is invisible even to the
         clock: one composed firing per consumed event either way."""
         arrivals = [(ts, i) for i, ts in enumerate(sorted(offsets))]
-        reference = _run(arrivals, scheduler_index, 1, fuse=True)
-        for train_size in TRAIN_SIZES[1:]:
+        reference = _run(
+            arrivals, scheduler_index, 1, fuse=True, cls=PerEventSCWFDirector
+        )
+        for train_size in TRAIN_SIZES:
             assert (
                 _run(arrivals, scheduler_index, train_size, fuse=True)
                 == reference

@@ -12,7 +12,7 @@ from repro.overload import (
     TokenBucket,
 )
 from repro.simulation import CostModel, SimulationRuntime, VirtualClock
-from repro.stafilos import LoadShedder, QuantumPriorityScheduler, SCWFDirector
+from repro.stafilos import QuantumPriorityScheduler, SCWFDirector
 
 
 def delivered(sink):
@@ -66,7 +66,7 @@ class TestQoSPolicy:
     def test_parse_round_trip(self):
         policy = QoSPolicy.parse(
             "slo=5,backlog=20000,source-pending=200,admit=400,burst=50,"
-            "pause=50000,resume=0.25,period=2.5,adapt-train=1"
+            "pause=50000,resume=0.25,period=2.5,adapt-quantum=1"
         )
         assert policy.latency_slo_s == 5.0
         assert policy.max_total_backlog == 20_000
@@ -76,13 +76,15 @@ class TestQoSPolicy:
         assert policy.max_ready_backlog == 50_000
         assert policy.resume_fraction == 0.25
         assert policy.control_period_s == 2.5
-        assert policy.adapt_train_size is True
+        assert policy.adapt_quantum is True
 
     def test_parse_rejects_unknown_keys(self):
         with pytest.raises(SchedulerError):
             QoSPolicy.parse("frobnicate=3")
         with pytest.raises(SchedulerError):
             QoSPolicy.parse("slo")
+        with pytest.raises(SchedulerError):
+            QoSPolicy.parse("slo=5,adapt-train=1")  # removed with the knob
 
     def test_burst_capacity_defaults_to_one_second(self):
         assert QoSPolicy(admission_rate=250.0).burst_capacity == 250.0
@@ -112,12 +114,12 @@ class TestTokenBucket:
 
 
 class TestLegacyEquivalence:
-    def test_qos_sheds_identically_to_legacy_loadshedder(self):
-        """from_legacy(...) drops the same events the old knob dropped."""
+    def test_qos_sheds_identically_to_bare_shedder(self):
+        """from_legacy(...) drops the same events a bare shedder drops."""
         outcomes = []
         for engine in (
             build_overloaded_engine(
-                legacy_shedder=LoadShedder(max_total_backlog=20)
+                legacy_shedder=BacklogShedder(max_total_backlog=20)
             ),
             build_overloaded_engine(qos=QoSPolicy.from_legacy(20)),
         ):
@@ -134,27 +136,13 @@ class TestLegacyEquivalence:
         assert delivered(qos_sink) == delivered(legacy_sink)
         assert qos_sink.response_times_us == legacy_sink.response_times_us
 
-    def test_legacy_constructor_warns_once(self):
-        from repro.stafilos import shedding as legacy_module
-
-        legacy_module._WARNED = False
-        with pytest.warns(DeprecationWarning, match="LoadShedder"):
-            LoadShedder(max_total_backlog=10)
-        import warnings
-
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            LoadShedder(max_total_backlog=10)
-        assert record == []
-
     def test_legacy_kwargs_still_work(self):
-        shedder = LoadShedder(
+        shedder = BacklogShedder(
             max_total_backlog=7,
             strategy="drop-newest",
             protect_priority=3,
             max_source_pending=9,
         )
-        assert isinstance(shedder, BacklogShedder)
         assert shedder.max_total_backlog == 7
         assert shedder.strategy == "drop-newest"
         assert shedder.protect_priority == 3
@@ -195,8 +183,6 @@ class TestAdaptiveControlLoop:
         control_period_s=0.25,
         max_total_backlog=100_000,
         min_backlog_bound=16,
-        adapt_train_size=True,
-        max_train_size=32,
         adapt_quantum=True,
         min_quantum_us=100,
     )
@@ -250,7 +236,7 @@ class TestCheckpointRoundTrip:
             max_total_backlog=5_000,
             admission_rate=800.0,
             max_ready_backlog=2_000,
-            adapt_train_size=True,
+            adapt_quantum=True,
         )
         director, scheduler, clock, sink, controller = (
             build_overloaded_engine(qos=qos, arrivals=2_000)
@@ -260,11 +246,11 @@ class TestCheckpointRoundTrip:
         assert dump["ticks"] == controller.ticks
         assert dump["buckets"]  # the source's bucket was materialized
 
-        fresh_director, _, _, _, fresh = build_overloaded_engine(qos=qos)
+        _, fresh_scheduler, _, _, fresh = build_overloaded_engine(qos=qos)
         fresh.state_restore(dump)
         assert fresh.state_dump() == dump
         # Adaptive tunings are re-applied onto the rebuilt engine.
-        assert fresh_director.train_size == dump["train_size"]
+        assert fresh_scheduler.basic_quantum_us == dump["quantum_us"]
 
     def test_snapshot_captures_the_overload_component(self):
         from repro.checkpoint.snapshot import capture_snapshot

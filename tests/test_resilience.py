@@ -51,16 +51,15 @@ def flaky_workflow(arrivals=None, fail_on=lambda v: v % 2):
 
 
 class TestFaultPolicy:
-    def test_aliases_coerce(self):
-        assert FaultPolicy.coerce("raise").propagate
-        assert not FaultPolicy.coerce("drop").propagate
+    def test_coerce(self):
         assert FaultPolicy.coerce(None) == FaultPolicy()
         policy = FaultPolicy(max_retries=3)
         assert FaultPolicy.coerce(policy) is policy
 
-    def test_unknown_alias_rejected(self):
-        with pytest.raises(ResilienceError):
-            FaultPolicy.coerce("retry")
+    def test_strings_rejected(self):
+        for legacy in ("raise", "drop", "retry"):
+            with pytest.raises(ResilienceError):
+                FaultPolicy.coerce(legacy)
 
     def test_validation(self):
         with pytest.raises(ResilienceError):
@@ -83,10 +82,6 @@ class TestFaultPolicy:
             350,
             350,
         ]
-
-    def test_alias_round_trip(self):
-        assert FaultPolicy.coerce("raise").alias == "raise"
-        assert FaultPolicy.coerce("drop").alias == "drop"
 
 
 class TestDeadLetterQueue:
@@ -254,7 +249,7 @@ class TestThreadedSimResilience:
         workflow, sink = flaky_workflow(fail_on=lambda v: v == 3)
         clock = VirtualClock()
         director = ThreadedCWFDirector(
-            clock, CostModel(), error_policy="drop"
+            clock, CostModel(), error_policy=FaultPolicy()
         )
         director.attach(workflow)
         SimulationRuntime(director, clock).run(1.0, drain=True)

@@ -5,9 +5,9 @@ import pytest
 from repro.core import MapActor, SinkActor, SourceActor, Workflow
 from repro.core.exceptions import SchedulerError
 from repro.core.statistics import StatisticsRegistry
+from repro.overload import BacklogShedder
 from repro.simulation import CostModel, SimulationRuntime, VirtualClock
 from repro.stafilos import (
-    LoadShedder,
     QuantumPriorityScheduler,
     RoundRobinScheduler,
     SCWFDirector,
@@ -29,7 +29,7 @@ def make_scheduler_with_backlog(protect_priority=5):
     workflow.connect(urgent, sink)
     workflow.connect(bulk, sink)
     scheduler = RoundRobinScheduler(10_000)
-    scheduler.shedder = LoadShedder(
+    scheduler.shedder = BacklogShedder(
         max_total_backlog=5, protect_priority=protect_priority
     )
     scheduler.initialize(workflow, StatisticsRegistry())
@@ -49,12 +49,12 @@ def enqueue(scheduler, actor, count, start_ts=0):
         )
 
 
-class TestLoadShedder:
+class TestBacklogShedder:
     def test_validation(self):
         with pytest.raises(SchedulerError):
-            LoadShedder(0)
+            BacklogShedder(0)
         with pytest.raises(SchedulerError):
-            LoadShedder(5, strategy="drop-random")
+            BacklogShedder(5, strategy="drop-random")
 
     def test_backlog_bounded(self):
         scheduler, urgent, bulk = make_scheduler_with_backlog()
@@ -80,7 +80,7 @@ class TestLoadShedder:
 
     def test_drop_newest_keeps_stale_items(self):
         scheduler, urgent, bulk = make_scheduler_with_backlog()
-        scheduler.shedder = LoadShedder(
+        scheduler.shedder = BacklogShedder(
             max_total_backlog=5, strategy="drop-newest"
         )
         enqueue(scheduler, bulk, 10)
@@ -120,7 +120,7 @@ class TestSheddingEndToEnd:
             return sink, scheduler, last_responses
 
         _, _, unshed_tail = run(None)
-        sink, scheduler, shed_tail = run(LoadShedder(max_total_backlog=20))
+        sink, scheduler, shed_tail = run(BacklogShedder(max_total_backlog=20))
         assert scheduler.shedder.dropped > 0
         # Shedding trades completeness for freshness.
         assert max(shed_tail) < max(unshed_tail)

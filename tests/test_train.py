@@ -1,11 +1,15 @@
-"""Event-train execution: the bit-identity oracle and its satellites.
+"""The firing loop: the bit-identity oracle and its satellites.
 
-The tentpole invariant: ``train_size`` is a pure wall-clock knob.  For
-every value, sink outputs, wave-tag assignment, window routing,
-scheduler decisions and ``snapshot()`` counters must equal the
-``train_size=1`` run.  The Hypothesis oracle sweeps the knob against
-random workflow shapes x schedulers; the Linear Road test pins the
-same invariant on the full benchmark byte-for-byte.
+The tentpole invariant: ``SCWFDirector`` has one internal firing path,
+and its loop bound (``train_size``) is invisible to everything except
+the wall clock.  For every bound, sink outputs, wave-tag assignment,
+window routing, the scheduler's dispatch sequence, ``snapshot()``
+counters and the final clock must equal the strictly per-event
+reference loop kept in :mod:`tests.per_event_director`.  The Hypothesis
+oracle sweeps the bound against random workflow shapes x schedulers; the
+Linear Road test pins the same invariant on the full benchmark
+byte-for-byte; the plan and fault-barrier classes cover what the loop
+resolves once per actor and every path a failing firing can take.
 """
 
 import json
@@ -16,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.actors import MapActor, SinkActor, SourceActor
 from repro.core.context import FiringContext
+from repro.core.exceptions import DirectorError
 from repro.core.waves import WaveGenerator, WaveTag
 from repro.core.windows import WindowSpec
 from repro.core.workflow import Workflow
@@ -31,8 +36,9 @@ from repro.stafilos.schedulers import (
     RoundRobinScheduler,
 )
 from repro.stafilos.scwf_director import SCWFDirector
+from tests.per_event_director import PerEventSCWFDirector
 
-TRAIN_SIZES = (1, 4, 64, None)
+TRAIN_SIZES = (1, 4, None)
 
 SCHEDULERS = (
     lambda: QuantumPriorityScheduler(500),
@@ -85,17 +91,25 @@ def _build(topology, arrivals):
     return workflow, sinks
 
 
-def _run(topology, arrivals, scheduler_index, train_size):
+def _run(
+    topology, arrivals, scheduler_index, train_size, cls=SCWFDirector
+):
     """Run one configuration to completion; return the full canon."""
     workflow, sinks = _build(topology, arrivals)
     clock = VirtualClock()
-    director = SCWFDirector(
-        SCHEDULERS[scheduler_index](),
-        clock,
-        CostModel(),
-        train_size=train_size,
-    )
+    scheduler = SCHEDULERS[scheduler_index]()
+    director = cls(scheduler, clock, CostModel(), train_size=train_size)
     director.attach(workflow)
+    # The decision log: which actor started firing, and when.  The hook
+    # runs once per dispatched item on both paths.
+    decisions = []
+    fire_start = scheduler.on_actor_fire_start
+
+    def log_fire_start(actor, now):
+        decisions.append((actor.name, now))
+        fire_start(actor, now)
+
+    scheduler.on_actor_fire_start = log_fire_start
     SimulationRuntime(director, clock).run(10.0, drain=True)
     canon = {
         sink.name: [
@@ -112,14 +126,21 @@ def _run(topology, arrivals, scheduler_index, train_size):
     }
     return (
         canon,
+        decisions,
         director.statistics.snapshot(),
         dict(director.statistics.engine_counters),
         clock.now_us,
     )
 
 
+def _reference(topology, arrivals, scheduler_index):
+    return _run(
+        topology, arrivals, scheduler_index, 1, cls=PerEventSCWFDirector
+    )
+
+
 class TestTrainOracle:
-    """train_size is invisible to everything except the wall clock."""
+    """The loop bound is invisible to everything except the wall clock."""
 
     @given(
         st.lists(
@@ -135,8 +156,8 @@ class TestTrainOracle:
         self, offsets, scheduler_index, topology
     ):
         arrivals = [(ts, i) for i, ts in enumerate(sorted(offsets))]
-        reference = _run(topology, arrivals, scheduler_index, 1)
-        for train_size in TRAIN_SIZES[1:]:
+        reference = _reference(topology, arrivals, scheduler_index)
+        for train_size in TRAIN_SIZES:
             assert (
                 _run(topology, arrivals, scheduler_index, train_size)
                 == reference
@@ -146,7 +167,8 @@ class TestTrainOracle:
     def test_drain_all_on_every_scheduler(self, scheduler_index):
         """Directed spot-check: a dense burst under drain-all trains."""
         arrivals = [(i * 97, i) for i in range(60)]
-        reference = _run("expand", arrivals, scheduler_index, 1)
+        reference = _reference("expand", arrivals, scheduler_index)
+        assert len(reference[1]) > 60  # sources and internals both logged
         assert _run("expand", arrivals, scheduler_index, None) == reference
 
 
@@ -179,10 +201,246 @@ def _lr_artifact(result) -> bytes:
 
 
 class TestLinearRoadTrainEquality:
-    def test_train64_matches_per_event_artifact(self):
+    def test_shipped_loop_matches_per_event_artifact(self, monkeypatch):
+        from repro.harness import experiment
+
+        shipped = _lr_artifact(run_once(_lr_config(None), 7))
+        bounded = _lr_artifact(run_once(_lr_config(4), 7))
+        monkeypatch.setattr(experiment, "SCWFDirector", PerEventSCWFDirector)
         reference = _lr_artifact(run_once(_lr_config(1), 7))
-        trained = _lr_artifact(run_once(_lr_config(64), 7))
-        assert trained == reference  # byte-for-byte
+        assert shipped == bounded == reference  # byte-for-byte
+
+
+# ----------------------------------------------------------------------
+# The per-actor firing plan: what it may cache, and when it is dropped
+# ----------------------------------------------------------------------
+class _CountingMap(MapActor):
+    """A MapActor that counts which entry point the director used."""
+
+    def __init__(self, name, fn):
+        super().__init__(name, fn)
+        self.calls = {"fire": 0, "fire_batch": 0, "prefire": 0}
+
+    def fire(self, ctx):
+        self.calls["fire"] += 1
+        super().fire(ctx)
+
+    def fire_batch(self, ctx):
+        self.calls["fire_batch"] += 1
+        super().fire_batch(ctx)
+
+
+class _GatedMap(_CountingMap):
+    """Overrides ``prefire``: the lifecycle triple must run in full."""
+
+    def prefire(self, ctx):
+        self.calls["prefire"] += 1
+        return super().prefire(ctx)
+
+
+def _relay_engine(workers, arrivals, **director_options):
+    workflow = Workflow("plan")
+    source = SourceActor("src", arrivals=arrivals)
+    source.add_output("out")
+    sink = SinkActor("sink")
+    chain = [source, *workers, sink]
+    workflow.add_all(chain)
+    for upstream, downstream in zip(chain, chain[1:]):
+        workflow.connect(upstream, downstream)
+    clock = VirtualClock()
+    director = SCWFDirector(
+        RoundRobinScheduler(10_000), clock, CostModel(), **director_options
+    )
+    director.attach(workflow)
+    return workflow, director, clock, sink
+
+
+class TestFiringPlan:
+    #: Two bursts of 20, so a run to 0.05 s settles exactly the first.
+    ARRIVALS = [(i * 50 + (100_000 if i >= 20 else 0), i) for i in range(40)]
+
+    def test_fire_batch_only_with_the_trivial_lifecycle(self):
+        plain = _CountingMap("plain", lambda v: v + 1)
+        gated = _GatedMap("gated", lambda v: v * 2)
+        _, director, clock, sink = _relay_engine(
+            [plain, gated], self.ARRIVALS
+        )
+        SimulationRuntime(director, clock).run(1.0, drain=True)
+        assert sink.values == [(i + 1) * 2 for i in range(40)]
+        assert plain.calls == {"fire": 0, "fire_batch": 40, "prefire": 0}
+        assert gated.calls == {"fire": 40, "fire_batch": 0, "prefire": 40}
+
+    def test_instance_level_fire_is_never_bypassed(self):
+        """A fault injector shadows ``fire`` on the instance — mid-run."""
+        from repro.resilience import FaultPolicy, install_faults
+
+        worker = _CountingMap("worker", lambda v: v)
+        workflow, director, clock, sink = _relay_engine(
+            [worker], self.ARRIVALS, error_policy=FaultPolicy()
+        )
+        SimulationRuntime(director, clock).run(0.05)
+        assert worker.calls["fire_batch"] == len(sink.values) == 20
+        (injector,) = install_faults(workflow, "worker:every=2")
+        SimulationRuntime(director, clock).run(1.0, drain=True)
+        assert injector.firings == 20 and injector.injected == 10
+        assert len(sink.values) == 30 and len(director.dead_letters) == 10
+
+    def test_refusing_and_reattaching_rebuilds_the_plan(self):
+        from repro.fusion import FusedChain, fuse_workflow
+
+        m1 = MapActor("m1", lambda v: v + 1)
+        m2 = MapActor("m2", lambda v: v * 2)
+        workflow, director, clock, sink = _relay_engine(
+            [m1, m2], self.ARRIVALS
+        )
+        SimulationRuntime(director, clock).run(0.05)
+        assert director.backlog() == 0 and len(sink.values) == 20
+        assert m1 in director._plans and m2 in director._plans
+        # Rewrite the graph under the initialized director: the chain
+        # takes the head's *name*, so a name-keyed or surviving plan
+        # would keep firing the spliced-out ``m1``.
+        assert fuse_workflow(workflow).chains == (("m1", "m2"),)
+        fused = workflow.actors["m1"]
+        assert isinstance(fused, FusedChain)
+        director.attach(workflow)
+        director.initialize_all()
+        assert director._plans == {}
+        SimulationRuntime(director, clock).run(1.0, drain=True)
+        assert set(director._plans) == {fused, sink}
+        assert director._plans[fused][2] is not None  # settles as a chain
+        assert sink.values == [(i + 1) * 2 for i in range(40)]
+        stats = director.statistics.snapshot()
+        assert stats["m1"]["invocations"] == stats["m2"]["invocations"] == 40
+
+
+# ----------------------------------------------------------------------
+# Fault barrier: every path a failing firing can take, through the loop
+# ----------------------------------------------------------------------
+def _run_faulty(cls, train_size, fuse=False, frontier=False):
+    """src -> a -> b -> sink where ``b`` fails three different ways.
+
+    ``v % 5 == 1`` fails on its first attempt only (retry with backoff
+    recovers it); 7 and 8 always fail (retries exhaust -> dead letter),
+    and being consecutive they spend the error budget, so 9.. are
+    quarantine-dropped without executing.
+    """
+    from repro.frontier import FrontierTracker
+    from repro.fusion import fuse_workflow
+    from repro.resilience import FaultPolicy
+
+    attempts = {}
+
+    def flaky(value):
+        attempts[value] = attempts.get(value, 0) + 1
+        if value in (7, 8) or (value % 5 == 1 and attempts[value] == 1):
+            raise ValueError(f"boom {value}")
+        return value
+
+    workflow = Workflow("faulty")
+    source = SourceActor("src", arrivals=[(i * 40, i) for i in range(14)])
+    source.add_output("out")
+    a = MapActor("a", lambda v: v)
+    b = MapActor("b", flaky)
+    sink = SinkActor("sink")
+    workflow.add_all([source, a, b, sink])
+    workflow.connect(source, a)
+    workflow.connect(a, b)
+    workflow.connect(b, sink)
+    if fuse:
+        fuse_workflow(workflow)
+    clock = VirtualClock()
+    director = cls(
+        RoundRobinScheduler(10_000),
+        clock,
+        CostModel(),
+        error_policy=FaultPolicy(
+            max_retries=1, backoff_base_us=300, error_budget=2
+        ),
+        train_size=train_size,
+    )
+    tracker = None
+    if frontier:
+        tracker = FrontierTracker()
+        director.enable_frontier(tracker)
+    director.attach(workflow)
+    SimulationRuntime(director, clock).run(1.0, drain=True)
+    failing = "a" if fuse else "b"  # the chain carries its head's name
+    health = director.supervisor.health(failing)
+    assert sink.values == [0, 1, 2, 3, 4, 5, 6]
+    assert health.retries == 4 and health.quarantined  # 1, 6, 7, 8
+    assert director.actor_errors == {failing: 2 + 5}  # dead + dropped
+    if tracker is not None:
+        assert tracker.outstanding_tokens() == 0  # every item retired
+    return (
+        [
+            (now, e.timestamp, tuple(e.wave.path), e.value, e.last_in_wave)
+            for now, e in sink.items
+        ],
+        [letter.describe() for letter in director.dead_letters],
+        director.statistics.snapshot(),
+        dict(director.statistics.engine_counters),
+        clock.now_us,
+    )
+
+
+class TestFaultBarrierThroughTheLoop:
+    """Retry/backoff, dead-letter, quarantine drop, fused discard and
+    frontier retirement all settle exactly as the per-event loop did."""
+
+    @pytest.mark.parametrize(
+        "fuse, frontier",
+        [(False, False), (True, False), (False, True), (True, True)],
+    )
+    def test_matches_per_event_reference(self, fuse, frontier):
+        reference = _run_faulty(PerEventSCWFDirector, 1, fuse, frontier)
+        assert len(reference[1]) == 7  # 2 exhausted + 5 quarantined
+        for train_size in (None, 4):
+            assert (
+                _run_faulty(SCWFDirector, train_size, fuse, frontier)
+                == reference
+            ), f"train_size={train_size}"
+
+    def test_fail_stop_propagates_out_of_the_loop(self):
+        workflow = Workflow("stop")
+        source = SourceActor("src", arrivals=[(0, 1)])
+        source.add_output("out")
+        worker = MapActor("worker", lambda v: 1 // 0)
+        sink = SinkActor("sink")
+        workflow.add_all([source, worker, sink])
+        workflow.connect(source, worker)
+        workflow.connect(worker, sink)
+        clock = VirtualClock()
+        director = SCWFDirector(FIFOScheduler(), clock, CostModel())
+        director.attach(workflow)
+        with pytest.raises(ZeroDivisionError):
+            SimulationRuntime(director, clock).run(1.0, drain=True)
+
+    def test_livelock_guard_cuts_a_drain_all_train(self):
+        """One guard for the whole iteration, trains included."""
+        workflow = Workflow("livelock")
+        source = SourceActor("src", arrivals=[(0, i) for i in range(50)])
+        source.add_output("out")
+        sink = SinkActor("sink")
+        workflow.add_all([source, sink])
+        workflow.connect(source, sink)
+        clock = VirtualClock()
+        director = SCWFDirector(
+            FIFOScheduler(), clock, CostModel(), max_firings_per_iteration=10
+        )
+        director.attach(workflow)
+        with pytest.raises(DirectorError, match="exceeded 10 firings"):
+            SimulationRuntime(director, clock).run(1.0, drain=True)
+        assert len(sink.items) == 10  # source + 10 sink items = 11 > 10
+
+    def test_non_policy_argument_rejected(self):
+        for bad in ("raise", "drop", 3):
+            with pytest.raises(DirectorError):
+                SCWFDirector(
+                    FIFOScheduler(),
+                    VirtualClock(),
+                    CostModel(),
+                    error_policy=bad,
+                )
 
 
 # ----------------------------------------------------------------------
