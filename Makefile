@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint ci bench bench-quick bench-paper bench-smoke bench-train bench-fusion bench-overload bench-shard bench-shard-transport bench-frontier bench-e2e checkpoint-smoke figures examples chaos clean
+.PHONY: install test lint ci bench bench-quick bench-paper bench-smoke bench-train bench-fusion bench-overload bench-shard bench-shard-transport bench-frontier bench-e2e bench-report bench-compare checkpoint-smoke figures examples chaos clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -81,6 +81,12 @@ bench-frontier:  # frontier tracking: <=10% overhead + purity gate on in-order f
 
 bench-e2e:  # the BENCHMARK.json end-to-end + per-layer report (slow; not part of ci)
 	$(PYTHON) benchmarks/e2e/run.py --out .benchmark-e2e.json
+
+bench-report:  # make bench-report OUT=BENCH_13.json  (a PR's committed trajectory point, repo root)
+	$(PYTHON) benchmarks/e2e/run.py --out $(OUT)
+
+bench-compare:  # make bench-compare A=BENCH_11.json B=BENCH_13.json
+	$(PYTHON) benchmarks/e2e/compare.py $(A) $(B)
 
 checkpoint-smoke:  # checkpoint tests + example + <10% overhead gate on fig-8
 	$(PYTHON) -m pytest tests/test_checkpoint.py -q

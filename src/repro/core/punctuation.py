@@ -49,3 +49,7 @@ class Watermark:
     def __post_init__(self) -> None:
         if self.up_to_us < 0:
             raise ValueError("watermark timestamps cannot be negative")
+
+
+#: The payload types windowed receivers consume as control items.
+CONTROL_ITEMS = (Punctuation, Watermark)

@@ -24,7 +24,8 @@ from typing import Any, Optional
 from ..observability import tracer as _obs
 from .events import CWEvent
 from .exceptions import ReceiverError
-from .windows import Window, WindowOperator, WindowSpec
+from .punctuation import CONTROL_ITEMS, Punctuation, Watermark
+from .windows import Measure, Window, WindowOperator, WindowSpec
 
 
 class Receiver(ABC):
@@ -132,26 +133,9 @@ class WindowedReceiver(Receiver):
 
     # ------------------------------------------------------------------
     def put(self, event: CWEvent) -> None:
-        from .punctuation import Punctuation, Watermark
-
-        value = event.value
-        if isinstance(value, Watermark):
-            # Frontier assertion: close complete time panes, remember
-            # the bound for lateness classification, consume the item.
-            self.close_on_frontier(value.up_to_us)
-            return
-        if isinstance(value, Punctuation):
-            # Control item: close every time window the assertion
-            # completes.  Count/wave windows are unaffected — their
-            # completeness does not depend on timestamps.
-            from .windows import Measure
-
-            if self.spec.measure is Measure.TIME:
-                for window in self.operator.force_timeout(
-                    now=value.up_to_us
-                ):
-                    self._deliver(window)
-                self._route_expired()
+        value = event.token.value
+        if isinstance(value, CONTROL_ITEMS):
+            self._put_control(value)
             return
         if (
             self.lateness is not None
@@ -164,9 +148,25 @@ class WindowedReceiver(Receiver):
             if disposition != "ontime":
                 self._dispose_late(event, disposition)
                 return
-        for window in self.operator.put(event):
+        operator = self.operator
+        for window in operator.put(event):
             self._deliver(window)
-        self._route_expired()
+        if operator.expired:
+            self._route_expired()
+
+    def _put_control(self, value: Punctuation | Watermark) -> None:
+        """Consume a control item travelling as an event payload."""
+        if isinstance(value, Watermark):
+            # Frontier assertion: close complete time panes, remember
+            # the bound for lateness classification, consume the item.
+            self.close_on_frontier(value.up_to_us)
+        elif self.spec.measure is Measure.TIME:
+            # Punctuation: close every time window the assertion
+            # completes.  Count/wave windows are unaffected — their
+            # completeness does not depend on timestamps.
+            for window in self.operator.force_timeout(now=value.up_to_us):
+                self._deliver(window)
+            self._route_expired()
 
     def put_batch(self, events: list[CWEvent]) -> None:
         """Insert a train of events through one operator call.
@@ -177,14 +177,12 @@ class WindowedReceiver(Receiver):
         insertions, so only the plain streaming case is amortized.
         Window production order is identical either way.
         """
-        from .punctuation import Punctuation, Watermark
-
         target = self.port.expired_to if self.port is not None else None
         if (
             target is not None
             or (self.lateness is not None and self._frontier_us >= 0)
             or any(
-                isinstance(event.value, (Punctuation, Watermark))
+                isinstance(event.token.value, CONTROL_ITEMS)
                 for event in events
             )
         ):

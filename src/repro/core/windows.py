@@ -30,6 +30,7 @@ calls :meth:`WindowOperator.force_timeout`.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
@@ -298,7 +299,9 @@ class _TokenGroupState:
 class _TimeGroupState:
     """Per-group formation state for time-based windows."""
 
-    __slots__ = ("queue", "window_start", "last_ts", "monotone")
+    __slots__ = (
+        "queue", "window_start", "last_ts", "monotone", "ordinal", "indexed"
+    )
 
     def __init__(self) -> None:
         self.queue: deque[CWEvent] = deque()
@@ -308,6 +311,11 @@ class _TimeGroupState:
         #: case, which unlocks O(consumed) popleft-based eviction.
         self.last_ts: Optional[int] = None
         self.monotone = True
+        #: Creation rank among the operator's groups and whether the
+        #: operator's pane-boundary heap holds an entry for this state.
+        #: Both are derived (rebuilt on restore), never pickled.
+        self.ordinal = 0
+        self.indexed = False
 
     def __reduce__(self):
         """Fast pickle path (see :meth:`_TokenGroupState.__reduce__`)."""
@@ -329,14 +337,15 @@ class _WaveGroupState:
 
     def __init__(self) -> None:
         self.events_by_root: "OrderedDict[int, list[CWEvent]]" = OrderedDict()
-        self.closed_roots: list[int] = []
+        #: Closed wave roots in closing order (an insertion-ordered set).
+        self.closed_roots: dict[int, None] = {}
         self.open_order: list[int] = []
 
     def __reduce__(self):
         """Fast pickle path (snapshots carry one state per group key)."""
         return (
             _revive_wave_group,
-            (self.events_by_root, self.closed_roots, self.open_order),
+            (self.events_by_root, list(self.closed_roots), self.open_order),
         )
 
 
@@ -355,6 +364,8 @@ def _revive_time_group(
     state.window_start = window_start
     state.last_ts = last_ts
     state.monotone = monotone
+    state.ordinal = 0
+    state.indexed = False
     return state
 
 
@@ -363,7 +374,7 @@ def _revive_wave_group(
 ) -> "_WaveGroupState":
     state = _WaveGroupState.__new__(_WaveGroupState)
     state.events_by_root = events_by_root
-    state.closed_roots = closed_roots
+    state.closed_roots = dict.fromkeys(closed_roots)
     state.open_order = open_order
     return state
 
@@ -379,6 +390,14 @@ class WindowOperator:
       director's timeout signal; returns the forced window, if any;
     * :meth:`next_deadline` — the earliest event-time boundary at which a
       time-based group could produce, so directors can register timeouts.
+
+    Time-measured operators keep a **pane-boundary index**: a min-heap of
+    ``(right boundary, group ordinal, key)`` with at most one entry per
+    group that holds events.  A group's boundary only ever moves forward,
+    so an entry may lag behind its group; it is repaired when it reaches
+    the top (see :meth:`_peek_boundary`).  Deadline queries are a heap
+    peek and timed closes pop only the due groups — the cost follows the
+    groups with work in flight, not every key ever seen.
     """
 
     def __init__(self, spec: WindowSpec):
@@ -389,25 +408,27 @@ class WindowOperator:
         self.expired: deque[CWEvent] = deque()
         self.total_events = 0
         self.total_windows = 0
+        # The measure's state class and insertion routine, bound once.
+        self._timed = spec.measure is Measure.TIME
+        if spec.measure is Measure.TOKENS:
+            self._state_cls, self._put_one = _TokenGroupState, self._put_tokens
+        elif self._timed:
+            self._state_cls, self._put_one = _TimeGroupState, self._put_time
+        else:
+            self._state_cls, self._put_one = _WaveGroupState, self._put_waves
+        #: Pane-boundary index (derived state, never dumped).
+        self._pane_heap: list[tuple[int, int, GroupKey]] = []
+        self._next_ordinal = 0
 
     # ------------------------------------------------------------------
     # Group management
     # ------------------------------------------------------------------
-    def _group_key(self, event: CWEvent) -> GroupKey:
-        if self._key_fn is None:
-            return None
-        return self._key_fn(event)
-
-    def _state(self, key: GroupKey):
-        state = self._groups.get(key)
-        if state is None:
-            if self.spec.measure is Measure.TOKENS:
-                state = _TokenGroupState()
-            elif self.spec.measure is Measure.TIME:
-                state = _TimeGroupState()
-            else:
-                state = _WaveGroupState()
-            self._groups[key] = state
+    def _new_group(self, key: GroupKey):
+        """Create and register the formation state of a first-seen key."""
+        state = self._groups[key] = self._state_cls()
+        if self._timed:
+            state.ordinal = self._next_ordinal
+            self._next_ordinal += 1
         return state
 
     @property
@@ -430,17 +451,15 @@ class WindowOperator:
     def put(self, event: CWEvent) -> list[Window]:
         """Insert *event* and return every window its arrival completed."""
         self.total_events += 1
-        key = self._group_key(event)
+        key_fn = self._key_fn
+        key = None if key_fn is None else key_fn(event)
         self._last_seen[key] = event.timestamp
-        state = self._state(key)
-        if self.spec.measure is Measure.TOKENS:
-            produced = self._put_tokens(state, key, event)
-        elif self.spec.measure is Measure.TIME:
-            produced = self._put_time(state, key, event)
-        else:
-            produced = self._put_waves(state, key, event)
-        self.total_windows += len(produced)
+        state = self._groups.get(key)
+        if state is None:
+            state = self._new_group(key)
+        produced = self._put_one(state, key, event)
         if produced:
+            self.total_windows += len(produced)
             if _obs.ENABLED:
                 for window in produced:
                     _obs._TRACER.instant(
@@ -457,41 +476,38 @@ class WindowOperator:
 
         Produces exactly what ``[w for e in events for w in self.put(e)]``
         would, but for ungrouped windows the per-event group lookup,
-        ``_last_seen`` stamping, measure dispatch and counter updates are
-        hoisted out of the loop and paid once per train.
+        ``_last_seen`` stamping and counter updates are hoisted out of the
+        loop and paid once per train.
         """
         if not events:
             return []
+        produced: list[Window] = []
         if self._key_fn is not None:
-            produced: list[Window] = []
             for event in events:
                 produced.extend(self.put(event))
             return produced
         # Ungrouped fast path: one shared group state for the whole train.
-        state = self._state(None)
-        if self.spec.measure is Measure.TOKENS:
-            put_one = self._put_tokens
-        elif self.spec.measure is Measure.TIME:
-            put_one = self._put_time
-        else:
-            put_one = self._put_waves
-        produced = []
+        state = self._groups.get(None)
+        if state is None:
+            state = self._new_group(None)
+        put_one = self._put_one
         for event in events:
             made = put_one(state, None, event)
             if made:
                 produced.extend(made)
         self.total_events += len(events)
         self._last_seen[None] = events[-1].timestamp
-        self.total_windows += len(produced)
-        if produced and _obs.ENABLED:
-            for window in produced:
-                _obs._TRACER.instant(
-                    "window.formed",
-                    window.timestamp,
-                    size=len(window),
-                    group=repr(window.group_key),
-                    measure=self.spec.measure.value,
-                )
+        if produced:
+            self.total_windows += len(produced)
+            if _obs.ENABLED:
+                for window in produced:
+                    _obs._TRACER.instant(
+                        "window.formed",
+                        window.timestamp,
+                        size=len(window),
+                        group=repr(window.group_key),
+                        measure=self.spec.measure.value,
+                    )
         return produced
 
     # -- tuple-based ----------------------------------------------------
@@ -529,17 +545,28 @@ class WindowOperator:
     def _put_time(
         self, state: _TimeGroupState, key: GroupKey, event: CWEvent
     ) -> list[Window]:
+        timestamp = event.timestamp
         if state.window_start is None:
-            state.window_start = event.timestamp
+            state.window_start = timestamp
         produced: list[Window] = []
-        size, step = self.spec.size, self.spec.step
+        size = self.spec.size
         # Close every window whose right boundary the new event has crossed.
-        while event.timestamp >= state.window_start + size:
+        while timestamp >= state.window_start + size:
+            if not state.queue:
+                # Only barren panes remain: land on the pane that holds
+                # the event in one step, on the same grid the per-pane
+                # loop would walk (a key back from a long idle gap).
+                behind = timestamp - state.window_start - size
+                step = self.spec.step
+                state.window_start += (behind // step + 1) * step
+                break
             produced.extend(self._close_time_window(state, key, forced=False))
-        if state.last_ts is not None and event.timestamp < state.last_ts:
+        if state.last_ts is not None and timestamp < state.last_ts:
             state.monotone = False
-        state.last_ts = event.timestamp
+        state.last_ts = timestamp
         state.queue.append(event)
+        if not state.indexed:
+            self._index_group(state, key)
         if self.spec.mode is ConsumptionMode.RECENT and len(produced) > 1:
             produced = [produced[-1]]
         return produced
@@ -604,12 +631,13 @@ class WindowOperator:
             state.events_by_root[root] = []
             state.open_order.append(root)
         state.events_by_root[root].append(event)
-        if event.last_in_wave and root not in state.closed_roots:
-            state.closed_roots.append(root)
+        closed = state.closed_roots
+        if event.last_in_wave:
+            closed[root] = None
         produced: list[Window] = []
         size, step = self.spec.size, self.spec.step
-        while len(state.closed_roots) >= size:
-            roots = state.closed_roots[:size]
+        while len(closed) >= size:
+            roots = list(itertools.islice(closed, size))
             window_events: list[CWEvent] = []
             for r in roots:
                 window_events.extend(state.events_by_root[r])
@@ -621,28 +649,94 @@ class WindowOperator:
                 if not self.spec.delete_used_events:
                     self.expired.extend(events)
                 state.open_order.remove(r)
-            state.closed_roots = [
-                r for r in state.closed_roots if r not in set(consumed)
-            ]
+                del closed[r]
         return produced
 
     # ------------------------------------------------------------------
-    # Timeouts
+    # Pane-boundary index and timeouts
     # ------------------------------------------------------------------
+    def _peek_boundary(self) -> Optional[int]:
+        """Earliest right boundary of a time group that holds events.
+
+        Repairs the heap top until it is exact: the entry of a drained
+        group is dropped, an entry whose group has advanced since it was
+        pushed is re-keyed to the group's current boundary.  Boundaries
+        only grow, so a lagging entry can only sit *above* its true
+        position and the exact top is the true minimum.  Every entry's
+        group exists: whatever removes or replaces group states rebuilds
+        the index.
+        """
+        heap = self._pane_heap
+        groups = self._groups
+        size = self.spec.size
+        while heap:
+            boundary, ordinal, key = heap[0]
+            state = groups[key]
+            if not state.queue:
+                heapq.heappop(heap)
+                state.indexed = False
+            elif state.window_start + size != boundary:
+                heapq.heapreplace(
+                    heap, (state.window_start + size, ordinal, key)
+                )
+            else:
+                return boundary
+        return None
+
+    def _index_group(self, state: _TimeGroupState, key: GroupKey) -> None:
+        """Enter a non-empty time group into the pane-boundary heap."""
+        state.indexed = True
+        heapq.heappush(
+            self._pane_heap,
+            (state.window_start + self.spec.size, state.ordinal, key),
+        )
+
+    def _rebuild_index(self) -> None:
+        """Re-derive ordinals and the heap from ``_groups`` in one pass."""
+        heap = self._pane_heap = []
+        if not self._timed:
+            return
+        size = self.spec.size
+        for ordinal, (key, state) in enumerate(self._groups.items()):
+            state.ordinal = ordinal
+            state.indexed = bool(state.queue)
+            if state.indexed:
+                heap.append((state.window_start + size, ordinal, key))
+        heapq.heapify(heap)
+        self._next_ordinal = len(self._groups)
+
+    def _close_due(self, up_to: int, forced: bool) -> list[Window]:
+        """Close every pane with a right boundary at or before *up_to*.
+
+        Pops only the due groups and closes them in group-creation
+        order, which is the order a pass over ``_groups`` visits them.
+        """
+        heap = self._pane_heap
+        due: list[tuple[int, GroupKey]] = []
+        while True:
+            boundary = self._peek_boundary()
+            if boundary is None or boundary > up_to:
+                break
+            _, ordinal, key = heapq.heappop(heap)
+            due.append((ordinal, key))
+        due.sort()
+        produced: list[Window] = []
+        size = self.spec.size
+        for _, key in due:
+            state = self._groups[key]
+            while state.queue and state.window_start + size <= up_to:
+                produced.extend(self._close_time_window(state, key, forced))
+            if state.queue:
+                self._index_group(state, key)
+            else:
+                state.indexed = False
+        return produced
+
     def next_deadline(self) -> Optional[int]:
         """Earliest event-time right boundary of any pending time window."""
-        if self.spec.measure is not Measure.TIME:
+        if not self._timed:
             return None
-        deadlines = [
-            state.window_start + self.spec.size
-            for state in self._groups.values()
-            if isinstance(state, _TimeGroupState)
-            and state.window_start is not None
-            and state.queue
-        ]
-        if not deadlines:
-            return None
-        return min(deadlines)
+        return self._peek_boundary()
 
     def force_timeout(self, now: Optional[int] = None) -> list[Window]:
         """Force-close pending windows (director-driven timeout).
@@ -654,18 +748,20 @@ class WindowOperator:
         drains windows at workflow shutdown.
         """
         produced: list[Window] = []
-        if self.spec.measure is Measure.TIME:
-            for key, state in self._groups.items():
-                if not isinstance(state, _TimeGroupState) or not state.queue:
-                    continue
-                while state.queue and (
-                    now is None or state.window_start + self.spec.size <= now
-                ):
-                    windows = self._close_time_window(state, key, forced=True)
-                    produced.extend(windows)
-                    if not windows and now is None:
-                        # Nothing left inside a boundary; stop flushing.
-                        break
+        if self._timed:
+            if now is not None:
+                produced = self._close_due(now, forced=True)
+            else:
+                # Shutdown flush: the one full pass over the groups.
+                for key, state in self._groups.items():
+                    while state.queue:
+                        windows = self._close_time_window(
+                            state, key, forced=True
+                        )
+                        produced.extend(windows)
+                        if not windows:
+                            # Nothing left inside a boundary; stop flushing.
+                            break
         elif self.spec.measure is Measure.TOKENS:
             for key, state in self._groups.items():
                 if state.queue:
@@ -734,16 +830,11 @@ class WindowOperator:
         window is fired and delivered before the downstream pane with a
         later boundary closes.
         """
-        if self.spec.measure is not Measure.TIME:
+        if not self._timed:
             return None
-        size = self.spec.size
-        boundary: Optional[int] = None
-        for state in self._groups.values():
-            if not isinstance(state, _TimeGroupState) or not state.queue:
-                continue
-            end = state.window_start + size
-            if end <= up_to_us and (boundary is None or end < boundary):
-                boundary = end
+        boundary = self._peek_boundary()
+        if boundary is None or boundary > up_to_us:
+            return None
         return boundary
 
     def close_on_frontier(self, up_to_us: int) -> list[Window]:
@@ -758,17 +849,9 @@ class WindowOperator:
         close by count/mark, never by the frontier; for those this is a
         no-op.
         """
-        if self.spec.measure is not Measure.TIME:
+        if not self._timed:
             return []
-        produced: list[Window] = []
-        size = self.spec.size
-        for key, state in self._groups.items():
-            if not isinstance(state, _TimeGroupState) or not state.queue:
-                continue
-            while state.queue and state.window_start + size <= up_to_us:
-                produced.extend(
-                    self._close_time_window(state, key, forced=False)
-                )
+        produced = self._close_due(up_to_us, forced=False)
         self.total_windows += len(produced)
         if produced and _obs.ENABLED:
             for window in produced:
@@ -809,6 +892,17 @@ class WindowOperator:
         self.expired = deque(state["expired"])
         self.total_events = int(state["total_events"])
         self.total_windows = int(state["total_windows"])
+        self._rebuild_index()
+
+    def __setstate__(self, state: dict) -> None:
+        """Copies and unpickled operators re-derive the index.
+
+        Group states travel without their ordinal (see
+        :meth:`_TimeGroupState.__reduce__`), so a heap carried over
+        verbatim would no longer match them.
+        """
+        self.__dict__.update(state)
+        self._rebuild_index()
 
     def drain_expired(self) -> list[CWEvent]:
         """Remove and return everything in the expired-items queue."""
@@ -849,6 +943,8 @@ class WindowOperator:
             del self._groups[key]
             self._last_seen.pop(key, None)
         if doomed:
+            # A drained group may still have its (lagging) heap entry.
+            self._rebuild_index()
             if _obs.ENABLED:
                 _obs._TRACER.instant(
                     "window.groups_evicted", before_ts, count=len(doomed)

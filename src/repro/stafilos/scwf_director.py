@@ -611,8 +611,9 @@ class SCWFDirector(Director):
         self._deadline_dirty.add(slot)
 
     def _flush_deadlines(self) -> None:
-        """Recompute the deadline of every dirty receiver (O(dirty·G))
-        and repair the lazy heap (O(dirty·log R))."""
+        """Re-read the deadline of every dirty receiver — a peek at its
+        operator's pane-boundary heap, O(1) amortized, whatever the
+        number of groups — and repair the lazy heap (O(dirty·log R))."""
         dirty = self._deadline_dirty
         if not dirty:
             return
@@ -646,7 +647,9 @@ class SCWFDirector(Director):
         A receiver participates only when its spec declares a
         ``window_formation_timeout``; the timeout fires that long after the
         window's event-time right boundary.  Served from a lazily repaired
-        min-heap: O(dirty·log R) amortized instead of an O(R) rescan.
+        min-heap over the receivers, each of which answers from its own
+        pane-boundary heap: O(dirty·log R) amortized, independent of how
+        many group keys the receivers have ever seen.
         """
         self._flush_deadlines()
         top = self._peek_deadline()

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..core.events import CWEvent
 from ..core.exceptions import ReceiverError
+from ..core.punctuation import CONTROL_ITEMS
 from ..core.receivers import WindowedReceiver
 from ..core.windows import Window, WindowSpec
 from ..observability import tracer as _obs
@@ -64,9 +65,7 @@ class TMWindowedReceiver(WindowedReceiver):
             # passthrough spec never pends, expires, or times out, so
             # the observable behaviour is bit-identical.  (The threaded
             # engine's receiver takes the same shortcut.)
-            from ..core.punctuation import Punctuation, Watermark
-
-            if isinstance(event.value, (Punctuation, Watermark)):
+            if isinstance(event.token.value, CONTROL_ITEMS):
                 return  # control items never become ready work here
             assert self.port is not None
             tracker = self._director.frontier
@@ -91,12 +90,10 @@ class TMWindowedReceiver(WindowedReceiver):
         idempotent, so marking per event was pure overhead.
         """
         if self._passthrough:
-            from ..core.punctuation import Punctuation, Watermark
-
             batch = [
                 event
                 for event in events
-                if not isinstance(event.value, (Punctuation, Watermark))
+                if not isinstance(event.token.value, CONTROL_ITEMS)
             ]
             if not batch:
                 return

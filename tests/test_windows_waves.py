@@ -82,3 +82,56 @@ class TestWaveWindows:
         event = CWEvent("solo", 5, WaveTag.root(9), last_in_wave=True)
         produced = op.put(event)
         assert [w.values for w in produced] == [["solo"]]
+
+    def test_sliding_multi_wave_windows_advance_by_step(self):
+        """size 3 / step 2: roots leave two at a time, in closing order."""
+        op = WindowOperator(
+            WindowSpec.waves(3, step=2, delete_used_events=False)
+        )
+        produced = []
+        for serial in (4, 2, 9, 7, 5, 1):  # closing order, not serial order
+            for event in wave_events(serial, 2):
+                produced.extend(op.put(event))
+        roots = [
+            sorted({int(value.split(".")[0]) for value in w.values})
+            for w in produced
+        ]
+        assert roots == [[2, 4, 9], [5, 7, 9]]
+        assert sorted(e.value for e in op.expired) == sorted(
+            f"{serial}.{i}" for serial in (4, 2, 9, 7) for i in (1, 2)
+        )
+        state = op._groups[None]
+        assert list(state.closed_roots) == [5, 1]
+        assert state.open_order == [5, 1]
+
+    def test_repeated_last_mark_closes_a_root_once(self):
+        op = WindowOperator(WindowSpec.waves(2))
+        root = WaveTag.root(3)
+        for index in (1, 2):
+            marked = CWEvent(f"3.{index}", 300, root.child(index))
+            marked.last_in_wave = True
+            assert op.put(marked) == []
+        assert list(op._groups[None].closed_roots) == [3]
+        produced = []
+        for event in wave_events(8, 1):
+            produced.extend(op.put(event))
+        assert [w.values for w in produced] == [["3.1", "3.2", "8.1"]]
+
+    def test_closed_roots_travel_as_a_list(self):
+        """The snapshot wire form predates the ordered-set representation."""
+        import pickle
+
+        op = WindowOperator(WindowSpec.waves(3))
+        for serial in (6, 4):
+            for event in wave_events(serial, 1):
+                op.put(event)
+        state = op._groups[None]
+        assert state.__reduce__()[1][1] == [6, 4]
+        revived = pickle.loads(pickle.dumps(state))
+        assert list(revived.closed_roots) == [6, 4]
+        restored = WindowOperator(WindowSpec.waves(3))
+        restored.state_restore(pickle.loads(pickle.dumps(op.state_dump())))
+        produced = []
+        for event in wave_events(5, 1):
+            produced.extend(restored.put(event))
+        assert [w.values for w in produced] == [["4.1", "5.1", "6.1"]]
