@@ -72,7 +72,7 @@ bench-shard-transport:  # data plane: >=30% per-chunk gate + absolute baselines
 	$(PYTHON) benchmarks/check_baseline.py .benchmark-shard-transport.json \
 		--baseline benchmarks/baselines/shard_transport.json
 
-bench-frontier:  # frontier tracking: <=10% overhead + purity gate on in-order fig-8
+bench-frontier:  # frontier tracking: cost-per-firing + purity gates on in-order fig-8
 	REPRO_BENCH_DURATION=120 $(PYTHON) -m pytest \
 		benchmarks/bench_frontier_overhead.py --benchmark-only -q \
 		--benchmark-json=.benchmark-frontier.json
@@ -88,7 +88,7 @@ bench-report:  # make bench-report OUT=BENCH_13.json  (a PR's committed trajecto
 bench-compare:  # make bench-compare A=BENCH_11.json B=BENCH_13.json
 	$(PYTHON) benchmarks/e2e/compare.py $(A) $(B)
 
-checkpoint-smoke:  # checkpoint tests + example + <10% overhead gate on fig-8
+checkpoint-smoke:  # checkpoint tests + example + cost-per-snapshot-MiB and purity gates on fig-8
 	$(PYTHON) -m pytest tests/test_checkpoint.py -q
 	$(PYTHON) examples/checkpoint_resume.py
 	REPRO_BENCH_DURATION=120 $(PYTHON) -m pytest \

@@ -13,7 +13,11 @@ from repro.core.events import CWEvent
 from repro.core.waves import WaveTag
 from repro.core.windows import WindowSpec
 from repro.core.workflow import Workflow
-from repro.linearroad.db import create_linear_road_database, TOLL_QUERY
+from repro.linearroad.db import (
+    ACCIDENT_AHEAD_QUERY,
+    create_linear_road_database,
+    TOLL_QUERY,
+)
 from repro.simulation import CostModel, SimulationRuntime, VirtualClock
 from repro.stafilos import RoundRobinScheduler, SCWFDirector
 
@@ -83,6 +87,18 @@ def test_toll_query_latency(benchmark):
 
     toll = benchmark(run)
     assert toll == 0  # fresh accident at segment 41's horizon
+
+
+def test_accident_ahead_query_empty_table(benchmark):
+    """The per-position-report accident lookup when there is no accident:
+    the prepared plan's floor (text lookup, key binding, one empty probe)."""
+    db = create_linear_road_database()
+    params = {"now": 520, "xway": 0, "segment": 41, "direction": 0}
+
+    def run():
+        return db.execute(ACCIDENT_AHEAD_QUERY, params).rows
+
+    assert benchmark(run) == []
 
 
 def test_sql_insert_or_replace_throughput(benchmark):

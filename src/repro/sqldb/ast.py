@@ -1,7 +1,7 @@
 """Abstract syntax tree for the SQL subset.
 
-Every node is a frozen dataclass; the evaluator in
-:mod:`repro.sqldb.expressions` and the executor in
+Every node is a frozen dataclass; the expression compiler in
+:mod:`repro.sqldb.expressions` and the statement preparers in
 :mod:`repro.sqldb.planner` dispatch on these types.
 """
 

@@ -1,20 +1,21 @@
-"""The database facade: parse-cached statement execution.
+"""The database facade: statements are prepared once and cached by text.
 
 The Linear Road workflow executes the same parameterized statements tens of
-thousands of times per run, so :meth:`Database.execute` caches parsed ASTs
-by statement text; parameters are supplied separately (``$name``/\
-``:name`` markers).
+thousands of times per run, so :meth:`Database.execute` keeps one
+:class:`~repro.sqldb.planner.Prepared` plan per statement text — parsed,
+name-resolved, access path chosen and every expression compiled to a
+closure on first use; parameters are supplied separately per call
+(``$name``/``:name`` markers).  A plan records the tables (and their index
+sets) it was compiled against and is rebuilt when the catalog has moved on.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Optional
 
-from . import ast
 from .errors import QueryError, SchemaError
-from .expressions import Evaluator, Scope, is_truthy
 from .parser import parse
-from .planner import Result, SelectExecutor
+from .planner import Prepared, Result, prepare
 from .table import Column, Table
 
 
@@ -24,8 +25,14 @@ class Database:
     def __init__(self, name: str = "main"):
         self.name = name
         self.tables: dict[str, Table] = {}
-        self._ast_cache: dict[str, ast.Statement] = {}
+        #: Prepared plans by statement text: derived state, never dumped.
+        self._plans: dict[str, Prepared] = {}
         self.statements_executed = 0
+
+    def __getstate__(self) -> dict:
+        """Copies and pickles drop the plans (closures do not pickle); the
+        copy prepares its own against its own tables on first use."""
+        return {**self.__dict__, "_plans": {}}
 
     # ------------------------------------------------------------------
     # Catalog
@@ -98,131 +105,38 @@ class Database:
     def execute(
         self, sql: str, params: Optional[dict[str, Any]] = None
     ) -> Result:
-        """Parse (with caching) and run one statement."""
-        statement = self._ast_cache.get(sql)
-        if statement is None:
-            statement = parse(sql)
-            self._ast_cache[sql] = statement
-        return self.execute_statement(statement, params or {})
+        """Run one statement, preparing it on first use."""
+        plan = self._plan(sql)
+        self.statements_executed += 1
+        frame = [None] * plan.frame_size
+        frame[0] = params or {}
+        return plan.run(frame)
+
+    def _plan(self, sql: str) -> Prepared:
+        """The cached plan of *sql*, (re)prepared if the catalog moved on."""
+        plan = self._plans.get(sql)
+        if plan is not None:
+            tables = self.tables
+            for name, table, version in plan.tables:
+                if (
+                    tables.get(name) is not table
+                    or table.schema_version != version
+                ):
+                    break
+            else:
+                return plan
+        plan = self._plans[sql] = prepare(self, parse(sql))
+        return plan
 
     def explain(
         self, sql: str, params: Optional[dict[str, Any]] = None
     ) -> list[str]:
-        """The access-path plan a SELECT would use (EXPLAIN-lite)."""
-        from .planner import explain_select
+        """The access path and join strategies of a SELECT (EXPLAIN-lite).
 
-        statement = self._ast_cache.get(sql)
-        if statement is None:
-            statement = parse(sql)
-            self._ast_cache[sql] = statement
-        if not isinstance(statement, ast.Select):
+        This prints the prepared plan :meth:`execute` runs; the plan does
+        not depend on parameter values, so *params* is accepted and unused.
+        """
+        lines = self._plan(sql).explain
+        if lines is None:
             raise QueryError("explain() supports SELECT statements only")
-        return explain_select(self, statement, params)
-
-    def execute_statement(
-        self, statement: ast.Statement, params: dict[str, Any]
-    ) -> Result:
-        self.statements_executed += 1
-        if isinstance(statement, ast.Select):
-            return self._execute_select(statement, params, None)
-        if isinstance(statement, ast.Insert):
-            return self._execute_insert(statement, params)
-        if isinstance(statement, ast.Update):
-            return self._execute_update(statement, params)
-        if isinstance(statement, ast.Delete):
-            return self._execute_delete(statement, params)
-        if isinstance(statement, ast.CreateTable):
-            return self._execute_create_table(statement)
-        if isinstance(statement, ast.DropTable):
-            self.drop_table(statement.name, statement.if_exists)
-            return Result()
-        if isinstance(statement, ast.CreateIndex):
-            self.table(statement.table).create_index(
-                statement.name, statement.columns
-            )
-            return Result()
-        raise QueryError(f"unsupported statement {type(statement).__name__}")
-
-    # ------------------------------------------------------------------
-    def _execute_select(
-        self,
-        select: ast.Select,
-        params: dict[str, Any],
-        outer_scope: Optional[Scope],
-        limit_hint: Optional[int] = None,
-    ) -> Result:
-        executor = SelectExecutor(
-            self, select, params, outer_scope, limit_hint
-        )
-        return executor.run()
-
-    def _execute_insert(
-        self, statement: ast.Insert, params: dict[str, Any]
-    ) -> Result:
-        table = self.table(statement.table)
-        evaluator = Evaluator(self, params)
-        columns = statement.columns or tuple(table.column_names)
-        if len(columns) != len(set(columns)):
-            raise QueryError("duplicate column in INSERT list")
-        count = 0
-        for row_exprs in statement.rows:
-            if len(row_exprs) != len(columns):
-                raise QueryError(
-                    f"INSERT expects {len(columns)} values, got "
-                    f"{len(row_exprs)}"
-                )
-            values = {
-                column: evaluator.eval(expr, Scope({}))
-                for column, expr in zip(columns, row_exprs)
-            }
-            table.insert(values, or_replace=statement.or_replace)
-            count += 1
-        return Result(rowcount=count)
-
-    def _execute_update(
-        self, statement: ast.Update, params: dict[str, Any]
-    ) -> Result:
-        table = self.table(statement.table)
-        evaluator = Evaluator(self, params)
-        touched: list[tuple[int, dict[str, Any]]] = []
-        for rowid, row in table.scan():
-            scope = Scope({statement.table: row})
-            if statement.where is None or is_truthy(
-                evaluator.eval(statement.where, scope)
-            ):
-                changes = {
-                    assign.column: evaluator.eval(assign.value, scope)
-                    for assign in statement.assignments
-                }
-                touched.append((rowid, changes))
-        for rowid, changes in touched:
-            table.update_row(rowid, changes)
-        return Result(rowcount=len(touched))
-
-    def _execute_delete(
-        self, statement: ast.Delete, params: dict[str, Any]
-    ) -> Result:
-        table = self.table(statement.table)
-        evaluator = Evaluator(self, params)
-        doomed = [
-            rowid
-            for rowid, row in table.scan()
-            if statement.where is None
-            or is_truthy(
-                evaluator.eval(statement.where, Scope({statement.table: row}))
-            )
-        ]
-        return Result(rowcount=table.delete_rowids(doomed))
-
-    def _execute_create_table(self, statement: ast.CreateTable) -> Result:
-        columns = [
-            Column(col.name, col.type_name, col.not_null)
-            for col in statement.columns
-        ]
-        self.create_table(
-            statement.name,
-            columns,
-            statement.primary_key,
-            statement.if_not_exists,
-        )
-        return Result()
+        return list(lines)

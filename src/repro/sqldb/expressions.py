@@ -1,275 +1,127 @@
-"""Expression evaluation with SQL-style three-valued logic.
+"""Expression compilation with SQL-style three-valued logic.
 
-The evaluator walks AST expression nodes against a :class:`Scope` — a chain
-of name bindings so correlated subqueries resolve outer columns naturally.
-Aggregate function nodes are *not* evaluated here: the planner pre-computes
-them per group and passes the results in ``scope.aggregates``, keyed by the
-AST node (dataclass equality makes syntactically identical aggregates
-share a slot, matching SQL semantics).
+:class:`ExpressionCompiler` turns an AST expression node into a Python
+closure once, when its statement is prepared.  A closure takes the
+execution *frame* — a list whose slot 0 is the call's parameter dict and
+whose other slots hold the current row of each table binding (or the
+current group's aggregate values) — and returns the SQL value, ``None``
+being NULL.  SQL's truth test (NULL filters the row out) is then plain
+Python truthiness of that value.
+
+Names are resolved at compile time against a :class:`Scope` chain, so a
+correlated subquery reads its outer row straight from the shared frame.  A
+reference that cannot be resolved compiles to a closure that raises: the
+error surfaces only if the expression is actually evaluated.  Aggregate
+function nodes are *not* computed here: the planner computes them per group
+into the frame slot their scope names, keyed by the AST node (dataclass
+equality makes syntactically identical aggregates share a position,
+matching SQL semantics).
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Callable, Collection, Optional
 
 from . import ast
 from .errors import QueryError
 from .functions import AGGREGATE_NAMES, call_scalar
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .database import Database
+Frame = list
+Compiled = Callable[[Frame], Any]
 
 
 class Scope:
-    """One level of name resolution: binding-name -> row dict."""
+    """One level of compile-time name resolution.
+
+    ``tables`` maps a binding name to ``(frame slot, column names)``;
+    ``aggregates`` maps the aggregate nodes visible at this level to their
+    position in the list stored at ``aggregate_slot``.
+    """
 
     def __init__(
         self,
-        bindings: dict[str, dict[str, Any]],
+        tables: dict[str, tuple[int, Collection[str]]],
         parent: Optional["Scope"] = None,
-        aggregates: Optional[dict[ast.Expression, Any]] = None,
-        aliases: Optional[dict[str, Any]] = None,
+        aggregates: Optional[dict[ast.Expression, int]] = None,
+        aggregate_slot: int = 0,
     ):
-        self.bindings = bindings
+        self.tables = tables
         self.parent = parent
-        #: Pre-computed aggregate values for the current group, by AST node.
         self.aggregates = aggregates or {}
-        #: Select-list aliases visible to HAVING / ORDER BY.
-        self.aliases = aliases or {}
+        self.aggregate_slot = aggregate_slot
 
-    def child(self, bindings: dict[str, dict[str, Any]]) -> "Scope":
-        return Scope(bindings, parent=self)
-
-    # ------------------------------------------------------------------
-    def resolve(self, ref: ast.ColumnRef) -> Any:
+    def resolve(self, ref: ast.ColumnRef) -> int:
+        """The frame slot holding the row *ref* reads (innermost first)."""
         scope: Optional[Scope] = self
         while scope is not None:
-            value = scope._resolve_local(ref)
-            if value is not _MISSING:
-                return value
+            slot = scope._resolve_local(ref)
+            if slot is not None:
+                return slot
             scope = scope.parent
         raise QueryError(f"unknown column {ref}")
 
-    def _resolve_local(self, ref: ast.ColumnRef) -> Any:
+    def _resolve_local(self, ref: ast.ColumnRef) -> Optional[int]:
         if ref.table is not None:
-            row = self.bindings.get(ref.table)
-            if row is None:
-                return _MISSING
-            if ref.name not in row:
+            entry = self.tables.get(ref.table)
+            if entry is None:
+                return None
+            if ref.name not in entry[1]:
                 raise QueryError(
                     f"table {ref.table!r} has no column {ref.name!r}"
                 )
-            return row[ref.name]
+            return entry[0]
         matches = [
-            row for row in self.bindings.values() if ref.name in row
+            slot
+            for slot, columns in self.tables.values()
+            if ref.name in columns
         ]
         if len(matches) > 1:
             raise QueryError(f"ambiguous column {ref.name!r}")
-        if matches:
-            return matches[0][ref.name]
-        if ref.name in self.aliases:
-            return self.aliases[ref.name]
-        return _MISSING
+        return matches[0] if matches else None
 
 
-class _Missing:
-    __slots__ = ()
+def raises(message: str) -> Compiled:
+    """A closure that fails with *message* when (and only when) called."""
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<missing>"
+    def fail(frame: Frame) -> Any:
+        raise QueryError(message)
 
-
-_MISSING = _Missing()
-
-
-def is_truthy(value: Any) -> bool:
-    """SQL WHERE semantics: NULL (None) filters the row out."""
-    return bool(value) and value is not None
+    return fail
 
 
-class Evaluator:
-    """Evaluates expression nodes; owns parameter values and the database
-    handle (needed to execute subqueries)."""
+def _divide(left: Any, right: Any) -> Any:
+    return None if right == 0 else left / right  # x / 0 is NULL, SQL-style
 
-    def __init__(self, database: "Database", params: dict[str, Any]):
-        self.database = database
-        self.params = params
 
-    # ------------------------------------------------------------------
-    def eval(self, expr: ast.Expression, scope: Scope) -> Any:
-        method = getattr(self, f"_eval_{type(expr).__name__}", None)
-        if method is None:
-            raise QueryError(f"cannot evaluate {type(expr).__name__}")
-        return method(expr, scope)
+def _modulo(left: Any, right: Any) -> Any:
+    return None if right == 0 else left % right
 
-    # ------------------------------------------------------------------
-    def _eval_Literal(self, expr: ast.Literal, scope: Scope) -> Any:
-        return expr.value
 
-    def _eval_ColumnRef(self, expr: ast.ColumnRef, scope: Scope) -> Any:
-        return scope.resolve(expr)
+_BINARY_OPERATORS: dict[str, Callable[[Any, Any], Any]] = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _divide,
+    "%": _modulo,
+    "||": lambda left, right: f"{left}{right}",
+}
+_UNARY_OPERATORS = {"NOT": operator.not_, "-": operator.neg, "+": operator.pos}
 
-    def _eval_Param(self, expr: ast.Param, scope: Scope) -> Any:
-        if expr.name not in self.params:
-            raise QueryError(f"missing parameter ${expr.name}")
-        return self.params[expr.name]
 
-    def _eval_Unary(self, expr: ast.Unary, scope: Scope) -> Any:
-        value = self.eval(expr.operand, scope)
-        if expr.op == "NOT":
-            if value is None:
-                return None
-            return not is_truthy(value)
-        if value is None:
-            return None
-        return -value if expr.op == "-" else +value
-
-    def _eval_Binary(self, expr: ast.Binary, scope: Scope) -> Any:
-        op = expr.op
-        if op == "AND":
-            left = self.eval(expr.left, scope)
-            if left is not None and not is_truthy(left):
-                return False
-            right = self.eval(expr.right, scope)
-            if right is not None and not is_truthy(right):
-                return False
-            if left is None or right is None:
-                return None
-            return True
-        if op == "OR":
-            left = self.eval(expr.left, scope)
-            if left is not None and is_truthy(left):
-                return True
-            right = self.eval(expr.right, scope)
-            if right is not None and is_truthy(right):
-                return True
-            if left is None or right is None:
-                return None
-            return False
-        left = self.eval(expr.left, scope)
-        right = self.eval(expr.right, scope)
-        if left is None or right is None:
-            return None
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                return None  # SQL-style: division by zero yields NULL
-            result = left / right
-            return result
-        if op == "%":
-            if right == 0:
-                return None
-            return left % right
-        if op == "||":
-            return f"{left}{right}"
-        raise QueryError(f"unknown operator {op!r}")
-
-    def _eval_FunctionCall(self, expr: ast.FunctionCall, scope: Scope) -> Any:
-        if expr.name in AGGREGATE_NAMES:
-            search: Optional[Scope] = scope
-            while search is not None:
-                if expr in search.aggregates:
-                    return search.aggregates[expr]
-                search = search.parent
-            raise QueryError(
-                f"aggregate {expr.name} used outside an aggregate query"
-            )
-        args = [self.eval(arg, scope) for arg in expr.args]
-        return call_scalar(expr.name, args)
-
-    def _eval_Case(self, expr: ast.Case, scope: Scope) -> Any:
-        if expr.operand is not None:
-            subject = self.eval(expr.operand, scope)
-            for condition, result in expr.whens:
-                if self.eval(condition, scope) == subject:
-                    return self.eval(result, scope)
-        else:
-            for condition, result in expr.whens:
-                if is_truthy(self.eval(condition, scope)):
-                    return self.eval(result, scope)
-        if expr.else_result is not None:
-            return self.eval(expr.else_result, scope)
+def _membership(value: Any, candidates: list, negated: bool) -> Any:
+    """``value [NOT] IN candidates``: a NULL candidate makes a miss NULL."""
+    found = value in [c for c in candidates if c is not None]
+    if not found and any(c is None for c in candidates):
         return None
-
-    def _eval_ScalarSubquery(self, expr: ast.ScalarSubquery, scope: Scope) -> Any:
-        result = self.database._execute_select(expr.select, self.params, scope)
-        if not result.rows:
-            return None
-        if len(result.rows) > 1:
-            raise QueryError("scalar subquery returned more than one row")
-        row = result.rows[0]
-        if len(row) != 1:
-            raise QueryError("scalar subquery must select a single column")
-        return row[0]
-
-    def _eval_ExistsSubquery(self, expr: ast.ExistsSubquery, scope: Scope) -> Any:
-        result = self.database._execute_select(
-            expr.select, self.params, scope, limit_hint=1
-        )
-        found = bool(result.rows)
-        return not found if expr.negated else found
-
-    def _eval_InList(self, expr: ast.InList, scope: Scope) -> Any:
-        value = self.eval(expr.operand, scope)
-        if value is None:
-            return None
-        candidates = [self.eval(item, scope) for item in expr.items]
-        found = value in [c for c in candidates if c is not None]
-        if not found and any(c is None for c in candidates):
-            return None
-        return not found if expr.negated else found
-
-    def _eval_InSubquery(self, expr: ast.InSubquery, scope: Scope) -> Any:
-        value = self.eval(expr.operand, scope)
-        if value is None:
-            return None
-        result = self.database._execute_select(expr.select, self.params, scope)
-        values = [row[0] for row in result.rows]
-        found = value in [v for v in values if v is not None]
-        if not found and any(v is None for v in values):
-            return None
-        return not found if expr.negated else found
-
-    def _eval_Between(self, expr: ast.Between, scope: Scope) -> Any:
-        value = self.eval(expr.operand, scope)
-        low = self.eval(expr.low, scope)
-        high = self.eval(expr.high, scope)
-        if value is None or low is None or high is None:
-            return None
-        inside = low <= value <= high
-        return not inside if expr.negated else inside
-
-    def _eval_IsNull(self, expr: ast.IsNull, scope: Scope) -> Any:
-        value = self.eval(expr.operand, scope)
-        result = value is None
-        return not result if expr.negated else result
-
-    def _eval_Like(self, expr: ast.Like, scope: Scope) -> Any:
-        value = self.eval(expr.operand, scope)
-        pattern = self.eval(expr.pattern, scope)
-        if value is None or pattern is None:
-            return None
-        regex = _like_to_regex(str(pattern))
-        matched = regex.fullmatch(str(value)) is not None
-        return not matched if expr.negated else matched
+    return found is not negated
 
 
 def _like_to_regex(pattern: str) -> "re.Pattern[str]":
@@ -282,3 +134,243 @@ def _like_to_regex(pattern: str) -> "re.Pattern[str]":
         else:
             pieces.append(re.escape(ch))
     return re.compile("".join(pieces), re.IGNORECASE)
+
+
+class ExpressionCompiler:
+    """Compiles expressions; the planner's ``Preparation`` supplies
+    :meth:`select` to compile a nested SELECT under an enclosing scope."""
+
+    def select(self, select: ast.Select, outer: Optional[Scope]) -> Any:
+        """A plan with ``rows(frame, limit_hint=None) -> list[tuple]``."""
+        raise NotImplementedError
+
+    def compile(
+        self, expr: Optional[ast.Expression], scope: Scope
+    ) -> Optional[Compiled]:
+        """The closure of *expr* under *scope* (None for an absent one)."""
+        if expr is None:
+            return None
+        return _COMPILERS[type(expr)](self, expr, scope)
+
+    def _literal(self, expr: ast.Literal, scope: Scope) -> Compiled:
+        value = expr.value
+        return lambda frame: value
+
+    def _column(self, expr: ast.ColumnRef, scope: Scope) -> Compiled:
+        try:
+            slot = scope.resolve(expr)
+        except QueryError as exc:
+            return raises(str(exc))
+        name = expr.name
+        return lambda frame: frame[slot][name]
+
+    def _param(self, expr: ast.Param, scope: Scope) -> Compiled:
+        name = expr.name
+
+        def param(frame: Frame) -> Any:
+            try:
+                return frame[0][name]
+            except KeyError:
+                raise QueryError(f"missing parameter ${name}") from None
+
+        return param
+
+    def _unary(self, expr: ast.Unary, scope: Scope) -> Compiled:
+        operand = self.compile(expr.operand, scope)
+        apply = _UNARY_OPERATORS[expr.op]
+
+        def unary(frame: Frame) -> Any:
+            value = operand(frame)
+            return None if value is None else apply(value)
+
+        return unary
+
+    def _binary(self, expr: ast.Binary, scope: Scope) -> Compiled:
+        op = expr.op
+        left = self.compile(expr.left, scope)
+        right = self.compile(expr.right, scope)
+        if op == "AND":
+
+            def conjunction(frame: Frame) -> Any:
+                first = left(frame)
+                if first is not None and not first:
+                    return False  # decided: the right side is not evaluated
+                second = right(frame)
+                if second is not None and not second:
+                    return False
+                return None if first is None or second is None else True
+
+            return conjunction
+        if op == "OR":
+
+            def disjunction(frame: Frame) -> Any:
+                first = left(frame)
+                if first:
+                    return True
+                second = right(frame)
+                if second:
+                    return True
+                return None if first is None or second is None else False
+
+            return disjunction
+        apply = _BINARY_OPERATORS[op]
+
+        def binary(frame: Frame) -> Any:
+            first = left(frame)
+            second = right(frame)  # evaluated (and may raise) even for NULL
+            if first is None or second is None:
+                return None
+            return apply(first, second)
+
+        return binary
+
+    def _between(self, expr: ast.Between, scope: Scope) -> Compiled:
+        operand = self.compile(expr.operand, scope)
+        low = self.compile(expr.low, scope)
+        high = self.compile(expr.high, scope)
+        negated = expr.negated
+
+        def between(frame: Frame) -> Any:
+            value, lower, upper = operand(frame), low(frame), high(frame)
+            if value is None or lower is None or upper is None:
+                return None
+            return (lower <= value <= upper) is not negated
+
+        return between
+
+    def _is_null(self, expr: ast.IsNull, scope: Scope) -> Compiled:
+        operand = self.compile(expr.operand, scope)
+        negated = expr.negated
+        return lambda frame: (operand(frame) is None) is not negated
+
+    def _like(self, expr: ast.Like, scope: Scope) -> Compiled:
+        operand = self.compile(expr.operand, scope)
+        pattern = self.compile(expr.pattern, scope)
+        negated = expr.negated
+
+        def like(frame: Frame) -> Any:
+            value, wildcard = operand(frame), pattern(frame)
+            if value is None or wildcard is None:
+                return None
+            matched = _like_to_regex(str(wildcard)).fullmatch(str(value))
+            return (matched is not None) is not negated
+
+        return like
+
+    def _function(self, expr: ast.FunctionCall, scope: Scope) -> Compiled:
+        name = expr.name
+        if name in AGGREGATE_NAMES:
+            search: Optional[Scope] = scope
+            while search is not None:
+                position = search.aggregates.get(expr)
+                if position is not None:
+                    slot = search.aggregate_slot
+                    return lambda frame: frame[slot][position]
+                search = search.parent
+            return raises(f"aggregate {name} used outside an aggregate query")
+        args = [self.compile(arg, scope) for arg in expr.args]
+        return lambda frame: call_scalar(name, [arg(frame) for arg in args])
+
+    def _case(self, expr: ast.Case, scope: Scope) -> Compiled:
+        whens = [
+            (self.compile(condition, scope), self.compile(result, scope))
+            for condition, result in expr.whens
+        ]
+        otherwise = self.compile(expr.else_result, scope) or (
+            lambda frame: None
+        )
+        if expr.operand is None:
+
+            def searched_case(frame: Frame) -> Any:
+                for condition, result in whens:
+                    if condition(frame):
+                        return result(frame)
+                return otherwise(frame)
+
+            return searched_case
+        operand = self.compile(expr.operand, scope)
+
+        def simple_case(frame: Frame) -> Any:
+            # ``operand = when`` under 3-valued logic: NULL matches nothing.
+            subject = operand(frame)
+            for condition, result in whens:
+                candidate = condition(frame)
+                if (
+                    subject is not None
+                    and candidate is not None
+                    and candidate == subject
+                ):
+                    return result(frame)
+            return otherwise(frame)
+
+        return simple_case
+
+    def _scalar_subquery(
+        self, expr: ast.ScalarSubquery, scope: Scope
+    ) -> Compiled:
+        plan = self.select(expr.select, scope)
+
+        def scalar(frame: Frame) -> Any:
+            rows = plan.rows(frame)
+            if not rows:
+                return None
+            if len(rows) > 1:
+                raise QueryError("scalar subquery returned more than one row")
+            if len(rows[0]) != 1:
+                raise QueryError("scalar subquery must select a single column")
+            return rows[0][0]
+
+        return scalar
+
+    def _exists_subquery(
+        self, expr: ast.ExistsSubquery, scope: Scope
+    ) -> Compiled:
+        plan = self.select(expr.select, scope)
+        negated = expr.negated
+        return lambda frame: bool(plan.rows(frame, 1)) is not negated
+
+    def _in_list(self, expr: ast.InList, scope: Scope) -> Compiled:
+        operand = self.compile(expr.operand, scope)
+        items = [self.compile(item, scope) for item in expr.items]
+        negated = expr.negated
+
+        def in_list(frame: Frame) -> Any:
+            value = operand(frame)
+            if value is None:
+                return None
+            return _membership(value, [item(frame) for item in items], negated)
+
+        return in_list
+
+    def _in_subquery(self, expr: ast.InSubquery, scope: Scope) -> Compiled:
+        operand = self.compile(expr.operand, scope)
+        plan = self.select(expr.select, scope)
+        negated = expr.negated
+
+        def in_subquery(frame: Frame) -> Any:
+            value = operand(frame)
+            if value is None:
+                return None
+            return _membership(
+                value, [row[0] for row in plan.rows(frame)], negated
+            )
+
+        return in_subquery
+
+
+_COMPILERS: dict[type, Callable[..., Compiled]] = {
+    ast.Literal: ExpressionCompiler._literal,
+    ast.ColumnRef: ExpressionCompiler._column,
+    ast.Param: ExpressionCompiler._param,
+    ast.Unary: ExpressionCompiler._unary,
+    ast.Binary: ExpressionCompiler._binary,
+    ast.FunctionCall: ExpressionCompiler._function,
+    ast.Case: ExpressionCompiler._case,
+    ast.ScalarSubquery: ExpressionCompiler._scalar_subquery,
+    ast.ExistsSubquery: ExpressionCompiler._exists_subquery,
+    ast.InList: ExpressionCompiler._in_list,
+    ast.InSubquery: ExpressionCompiler._in_subquery,
+    ast.Between: ExpressionCompiler._between,
+    ast.IsNull: ExpressionCompiler._is_null,
+    ast.Like: ExpressionCompiler._like,
+}

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Optional
+from typing import AbstractSet, Any, Iterable, Iterator, Optional
 
 from .errors import ConstraintError, SchemaError
+
+_NO_ROWIDS: AbstractSet[int] = frozenset()
 
 _COERCERS = {
     "INTEGER": int,
@@ -74,8 +76,11 @@ class HashIndex:
             if not bucket:
                 del self._buckets[key]
 
-    def lookup(self, key: tuple) -> set[int]:
-        return self._buckets.get(key, set())
+    def lookup(self, key: tuple) -> AbstractSet[int]:
+        return self._buckets.get(key, _NO_ROWIDS)
+
+    def clear(self) -> None:
+        self._buckets.clear()
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
@@ -110,6 +115,9 @@ class Table:
             HashIndex(f"pk_{name}", primary_key) if primary_key else None
         )
         self.indexes: dict[str, HashIndex] = {}
+        #: Bumped when the set of indexes changes; a prepared plan records
+        #: the value it chose its access path under.
+        self.schema_version = 0
 
     # ------------------------------------------------------------------
     # Schema
@@ -133,6 +141,7 @@ class Table:
         for rowid, row in self._rows.items():
             index.add(rowid, row)
         self.indexes[name] = index
+        self.schema_version += 1
         return index
 
     # ------------------------------------------------------------------
@@ -175,11 +184,15 @@ class Table:
 
     def lookup_index(
         self, index: HashIndex, key: tuple
-    ) -> Iterator[tuple[int, dict[str, Any]]]:
-        for rowid in sorted(index.lookup(key)):
-            row = self._rows.get(rowid)
-            if row is not None:
-                yield rowid, row
+    ) -> list[tuple[int, dict[str, Any]]]:
+        """The live (rowid, row) pairs under *key*, in insertion order."""
+        rowids = index.lookup(key)
+        if not rowids:
+            return []
+        rows = self._rows
+        return [
+            (rowid, rows[rowid]) for rowid in sorted(rowids) if rowid in rows
+        ]
 
     # ------------------------------------------------------------------
     # Mutation
@@ -265,12 +278,17 @@ class Table:
         for index in self.indexes.values():
             index.add(rowid, new)
 
+    def _all_indexes(self) -> list[HashIndex]:
+        indexes = list(self.indexes.values())
+        if self._pk_index is not None:
+            indexes.append(self._pk_index)
+        return indexes
+
     def clear(self) -> None:
         self._rows.clear()
-        if self._pk_index is not None:
-            self._pk_index = HashIndex(f"pk_{self.name}", self.primary_key)
-        for name, index in list(self.indexes.items()):
-            self.indexes[name] = HashIndex(name, index.columns)
+        # Emptied in place: prepared plans hold the index objects.
+        for index in self._all_indexes():
+            index.clear()
 
     # ------------------------------------------------------------------
     # Checkpointable protocol
@@ -293,14 +311,11 @@ class Table:
         """Re-apply dumped rows in place and rebuild every index."""
         self._rows = dict(state["rows"])
         self._rowids = itertools.count(int(state["next_rowid"]))
-        if self._pk_index is not None:
-            self._pk_index = HashIndex(f"pk_{self.name}", self.primary_key)
-        for name, index in list(self.indexes.items()):
-            self.indexes[name] = HashIndex(name, index.columns)
+        indexes = self._all_indexes()
+        for index in indexes:
+            index.clear()
         for rowid, row in self._rows.items():
-            if self._pk_index is not None:
-                self._pk_index.add(rowid, row)
-            for index in self.indexes.values():
+            for index in indexes:
                 index.add(rowid, row)
 
     def __repr__(self) -> str:

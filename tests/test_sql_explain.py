@@ -33,6 +33,22 @@ class TestExplain:
         plan = db.explain("SELECT * FROM acc WHERE xway = $x", {"x": 0})
         assert plan == ["INDEX acc USING acc_by_xway(xway)"]
 
+    def test_plan_does_not_depend_on_parameters(self, db):
+        # explain() prints the plan execute() runs, with or without params.
+        assert db.explain("SELECT lav FROM stats WHERE xway = $x AND "
+                          "seg = $s AND dir = $d") == [
+            "INDEX stats USING pk_stats(xway,seg,dir)"
+        ]
+        sql = "SELECT * FROM acc WHERE xway = $x"
+        assert db.explain(sql) == ["INDEX acc USING acc_by_xway(xway)"]
+        assert db.explain(sql, {}) == db.explain(sql, {"x": 0})
+
+    def test_unhashable_key_parameter_names_the_parameter(self, db):
+        with pytest.raises(QueryError, match=r"parameter \$x is not hashable"):
+            db.execute("SELECT * FROM acc WHERE xway = $x", {"x": [1]})
+        # Without an index on the column nothing is hashed.
+        assert db.execute("SELECT * FROM acc WHERE seg = $x", {"x": [1]}).rows == []
+
     def test_inequality_not_indexable(self, db):
         plan = db.explain("SELECT * FROM acc WHERE xway > 1")
         assert plan == ["SCAN acc"]

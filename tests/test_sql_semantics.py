@@ -80,6 +80,24 @@ class TestExpressionSemantics:
             db.execute("SELECT FROBNICATE(1)")
 
 
+    def test_simple_case_never_matches_null(self, db):
+        # CASE x WHEN y is ``x = y`` under 3-valued logic: UNKNOWN for NULL.
+        rows = db.execute(
+            "SELECT k, CASE v WHEN NULL THEN 'isnull' WHEN 10.0 THEN 'ten' "
+            "ELSE 'other' END FROM m ORDER BY k"
+        ).rows
+        assert rows == [
+            (1, "ten"), (2, "other"), (3, "other"), (4, "other"), (5, "other")
+        ]
+        assert db.execute(
+            "SELECT CASE NULL WHEN NULL THEN 1 END"
+        ).scalar() is None
+        assert db.execute(
+            "SELECT CASE $x WHEN $y THEN 'hit' ELSE 'miss' END",
+            {"x": None, "y": None},
+        ).scalar() == "miss"
+
+
 class TestGroupingSemantics:
     def test_group_by_expression(self, db):
         result = db.execute(
