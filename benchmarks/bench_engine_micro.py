@@ -49,6 +49,43 @@ def test_scheduler_dispatch_throughput(benchmark):
     assert processed == n_events
 
 
+def test_relay_hop_cost(benchmark):
+    """One hop — emit, route, receiver put, ready-queue admit, dispatch,
+    fire — through source -> 12 MapActors -> sink at the default
+    scheduler options; ``extra_info["us_per_hop"]`` is the mean per hop."""
+    n_events, maps = 2_000, 12
+
+    def setup():
+        workflow = Workflow("relay-hop")
+        source = SourceActor(
+            "src", arrivals=[(100 * i, i) for i in range(n_events)]
+        )
+        source.add_output("out")
+        chain = [
+            source,
+            *(MapActor(f"map{i}", lambda v: v + 1) for i in range(maps)),
+            SinkActor("sink"),
+        ]
+        workflow.add_all(chain)
+        for upstream, downstream in zip(chain, chain[1:]):
+            workflow.connect(upstream, downstream)
+        clock = VirtualClock()
+        director = SCWFDirector(RoundRobinScheduler(), clock, CostModel())
+        director.attach(workflow)
+        return (SimulationRuntime(director, clock), chain[-1]), {}
+
+    def run(runtime, sink):
+        runtime.run(1.0, drain=True)
+        return len(sink.items)
+
+    processed = benchmark.pedantic(run, setup=setup, rounds=5, iterations=1)
+    assert processed == n_events
+    hops = n_events * (maps + 1)  # every map's output plus the source's
+    benchmark.extra_info["us_per_hop"] = round(
+        benchmark.stats.stats.mean / hops * 1e6, 3
+    )
+
+
 def test_windowed_put_cost(benchmark):
     """Cost of one put through a grouped sliding window."""
     from repro.core.windows import WindowOperator

@@ -1,8 +1,8 @@
 """Operator-chain fusion throughput on a deep map-pipeline micro-workload.
 
 The headline number of the fusion work: end-to-end events/second through
-a 12-hop map chain, fused vs. unfused, both on top of the event-train
-fast path (``train_size=64``).  Fusion collapses the twelve per-hop
+a 12-hop map chain, fused vs. unfused, both at the director's shipped
+defaults.  Fusion collapses the twelve per-hop
 dispatches (decision, dequeue, context, receiver, re-enqueue) into one
 composed firing that traverses the whole chain with zero intermediate
 queue churn, so the win multiplies with chain depth — and it is pure
@@ -15,8 +15,8 @@ Gated two ways by ``make bench-fusion``:
   train and dispatch gates) so the composed path cannot silently regress
   to per-hop dispatch cost;
 * a relative gate (``test_fusion_speedup_gate``) asserting the fused
-  chain is at least 2x faster than the unfused ``train_size=64`` run on
-  this machine, whatever its absolute speed.
+  chain is at least 2x faster than the unfused run on this machine,
+  whatever its absolute speed.
 """
 
 import time
@@ -36,7 +36,7 @@ N_EVENTS = 4_000
 #: dominates the unfused run (a 1-map relay has nothing to fuse).
 CHAIN_DEPTH = 12
 
-VARIANTS = {"unfused_train64": False, "fused_train64": True}
+VARIANTS = {"unfused": False, "fused": True}
 
 
 def run_chain(fuse):
@@ -57,12 +57,7 @@ def run_chain(fuse):
         report = fuse_workflow(workflow)
         assert report.fused_actors == CHAIN_DEPTH
     clock = VirtualClock()
-    director = SCWFDirector(
-        RoundRobinScheduler(10_000),
-        clock,
-        CostModel(),
-        train_size=64,
-    )
+    director = SCWFDirector(RoundRobinScheduler(10_000), clock, CostModel())
     director.attach(workflow)
     SimulationRuntime(director, clock).run(30.0, drain=True)
     return [
@@ -95,9 +90,9 @@ def _best_of(runs, fn, *args):
 def test_fusion_speedup_gate():
     """The fused chain must be >= 2x events/sec of the unfused run.
 
-    Both sides ride ``train_size=64``, so the gate isolates what fusion
-    itself buys on top of event trains.  Bit-identity is asserted first
-    so a "speedup" can never come from doing different work.
+    Both sides run the engine as shipped, so the gate isolates what
+    fusion itself buys.  Bit-identity is asserted first so a "speedup"
+    can never come from doing different work.
     """
     t_unfused, trace_unfused = _best_of(3, run_chain, False)
     t_fused, trace_fused = _best_of(3, run_chain, True)

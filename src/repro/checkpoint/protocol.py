@@ -4,7 +4,7 @@ implements to participate in wave-aligned snapshots.
 A checkpoint of a continuous workflow cannot be a naive ``pickle`` of the
 engine: directors, workflows, ports and receivers are laced with lambdas
 (window ``group_by`` functions, :class:`~repro.core.actors.FunctionActor`
-bodies, ready-queue size listeners) and threading primitives, none of
+bodies) and threading primitives, none of
 which serialize.  Instead the engine splits *structure* from *data*:
 
 * **Structure** — the workflow graph, actor functions, window specs,

@@ -9,8 +9,8 @@ methods interact only with that context:
     pop the next staged item for the named input port (or ``None``);
 ``ctx.send(port, value)``
     emit a value on the named output port — the context wraps it into a
-    timestamped, wave-stamped :class:`~repro.core.events.CWEvent` and routes
-    it through the director's emission hook;
+    timestamped, wave-stamped :class:`~repro.core.events.CWEvent` and, at
+    ``close()``, hands it to the port's delivery *route*;
 ``ctx.now``
     the current engine time in microseconds (virtual or wall, depending on
     the runtime).
@@ -23,19 +23,73 @@ firing is marked ``last_in_wave`` when the context closes.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .events import CWEvent
 from .exceptions import ActorError
-from .tokens import as_token
-from .waves import WaveGenerator, WaveScope, WaveTag
+from .waves import WaveGenerator, WaveScope
 from .windows import Window
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .actors import Actor
+    from .ports import OutputPort
 
 EmitHook = Callable[["Actor", str, CWEvent], None]
 EmitBatchHook = Callable[["Actor", str, "list[CWEvent]"], None]
+
+
+class RouteTable(dict):
+    """``{port name: route}`` of one actor, each route built on first use.
+
+    A *route* is anything with ``deliver(event)`` and
+    ``deliver_train(events)``: where one output port's emissions go.
+    Directors hand every context of an actor the same table, so a port's
+    route is resolved once, not once per event.
+    """
+
+    __slots__ = ("_actor", "_build")
+
+    def __init__(self, actor: "Actor", build: Callable[["OutputPort"], Any]):
+        super().__init__()
+        self._actor = actor
+        self._build = build
+
+    def __missing__(self, port_name: str):
+        port = self._actor.output_ports.get(port_name)
+        if port is None:
+            raise ActorError(
+                f"{self._actor.name} has no output port {port_name!r}"
+            )
+        route = self[port_name] = self._build(port)
+        return route
+
+
+class HookRoute:
+    """The route protocol over ``(actor, port name, event)`` hooks.
+
+    *hooks* is the owning context's ``[emit hook, train hook or None]``
+    pair (shared, so a train hook set later is seen; not the context
+    itself, which would make every context a reference cycle).
+    """
+
+    __slots__ = ("_hooks", "_actor", "_port_name")
+
+    def __init__(self, hooks: list, port: "OutputPort"):
+        self._hooks = hooks
+        self._actor = port.actor
+        self._port_name = port.name
+
+    def deliver(self, event: CWEvent) -> None:
+        self._hooks[0](self._actor, self._port_name, event)
+
+    def deliver_train(self, events: "list[CWEvent]") -> None:
+        train_hook = self._hooks[1]
+        if train_hook is not None:
+            train_hook(self._actor, self._port_name, events)
+        else:
+            for event in events:
+                self.deliver(event)
 
 
 class FiringContext:
@@ -45,48 +99,65 @@ class FiringContext:
         self,
         actor: "Actor",
         now: int,
-        emit_hook: EmitHook,
+        emit_hook: Optional[EmitHook] = None,
         wave_generator: Optional[WaveGenerator] = None,
+        routes: Optional[RouteTable] = None,
     ):
         self.actor = actor
         self.now = now
-        self._emit_hook = emit_hook
+        self._hooks = [emit_hook, None]  # [emit hook, train hook]
+        #: Where each output port's emissions go.  A director passes the
+        #: actor's resolved *routes*; a context built around a bare
+        #: *emit_hook* (tests, embedders, directors overriding
+        #: ``on_emit``) adapts the hooks to the same protocol.
+        self._routes = (
+            routes
+            if routes is not None
+            else RouteTable(actor, partial(HookRoute, self._hooks))
+        )
         self._wave_generator = wave_generator
+        #: One deque per input port, kept (emptied) across ``reset``.
         self._staged: dict[str, deque] = {}
+        #: The open wave scope, or ``None`` before the first ``read``;
+        #: always the one recycled ``_spare_scope`` instance.
         self._scope: Optional[WaveScope] = None
+        self._spare_scope = WaveScope()
         self._trigger_timestamp: Optional[int] = None
-        #: Emissions buffered until ``close()``: the last event of a firing
-        #: must carry its ``last_in_wave`` mark *before* downstream
-        #: receivers see it, so nothing is broadcast mid-firing.
-        self._pending: list[tuple[str, CWEvent]] = []
-        #: Event-train emission: when a director enables batching, runs of
-        #: consecutive emissions on one port are flushed as a single train
-        #: through ``_emit_batch_hook`` (up to ``_emit_chunk`` events per
-        #: train; ``None`` = unbounded).  The default of 1 keeps the
-        #: historical one-call-per-event behaviour.
+        #: ``(route, event)`` emissions buffered until ``close()``: the
+        #: last event of a firing must carry its ``last_in_wave`` mark
+        #: *before* downstream receivers see it, so nothing is delivered
+        #: mid-firing.
+        self._pending: list[tuple[Any, CWEvent]] = []
+        #: Event-train emission: runs of consecutive emissions on one port
+        #: are delivered as a single train of up to ``_emit_chunk`` events
+        #: (``None`` = unbounded).  The default of 1 delivers per event.
         self._emit_chunk: Optional[int] = 1
-        self._emit_batch_hook: Optional[EmitBatchHook] = None
         #: Emission counters for the statistics module.
         self.inputs_consumed = 0
         self.outputs_produced = 0
 
     def enable_batch_emission(
-        self, chunk: Optional[int], hook: EmitBatchHook
+        self, chunk: Optional[int], hook: Optional[EmitBatchHook] = None
     ) -> None:
-        """Flush same-port emission runs as trains of up to *chunk* events."""
+        """Deliver same-port emission runs as trains of up to *chunk* events.
+
+        *hook* is the train form of the constructor's *emit_hook*; a
+        context that was given routes does not use it.
+        """
         self._emit_chunk = chunk
-        self._emit_batch_hook = hook
+        self._hooks[1] = hook
 
     def reset(self, now: int) -> None:
         """Recycle this context for the next firing of the same actor.
 
-        Equivalent to constructing a fresh context with the same hooks:
+        Equivalent to constructing a fresh context with the same routes:
         staged items, pending emissions, the wave scope and the counters
         are all cleared.  Used by the train fire loop to avoid one
         allocation per drained item.
         """
         self.now = now
-        self._staged.clear()
+        for queue in self._staged.values():
+            queue.clear()
         self._pending.clear()
         self._scope = None
         self._trigger_timestamp = None
@@ -98,7 +169,10 @@ class FiringContext:
     # ------------------------------------------------------------------
     def stage(self, port_name: str, item: Window | CWEvent) -> None:
         """Make *item* available to the actor's next ``read`` on the port."""
-        self._staged.setdefault(port_name, deque()).append(item)
+        queue = self._staged.get(port_name)
+        if queue is None:
+            queue = self._staged[port_name] = deque()
+        queue.append(item)
 
     def staged_count(self, port_name: str) -> int:
         return len(self._staged.get(port_name, ()))
@@ -113,12 +187,12 @@ class FiringContext:
     # ------------------------------------------------------------------
     def read(self, port_name: str) -> Window | CWEvent | None:
         """Pop the next staged window/event for *port_name*, or ``None``."""
-        if port_name not in self.actor.input_ports:
-            raise ActorError(
-                f"{self.actor.name} has no input port {port_name!r}"
-            )
         queue = self._staged.get(port_name)
         if not queue:
+            if port_name not in self.actor.input_ports:
+                raise ActorError(
+                    f"{self.actor.name} has no input port {port_name!r}"
+                )
             return None
         item = queue.popleft()
         self.inputs_consumed += 1
@@ -141,10 +215,13 @@ class FiringContext:
             wave, timestamp = newest.wave, newest.timestamp
         else:
             wave, timestamp = item.wave, item.timestamp
-        if self._scope is not None:
+        scope = self._scope
+        if scope is not None:
             # Reading a second item: the previous sub-wave is complete.
-            self._scope.close()
-        self._scope = WaveScope(wave)
+            scope.close()
+        else:
+            scope = self._scope = self._spare_scope
+        scope.open(wave)
         self._trigger_timestamp = timestamp
 
     # ------------------------------------------------------------------
@@ -157,68 +234,65 @@ class FiringContext:
         timestamp: Optional[int] = None,
     ) -> CWEvent:
         """Emit *value* on *port_name* as a wave-stamped CWEvent."""
-        if port_name not in self.actor.output_ports:
-            raise ActorError(
-                f"{self.actor.name} has no output port {port_name!r}"
-            )
-        event = self._make_event(value, timestamp)
-        self.outputs_produced += 1
-        self._pending.append((port_name, event))
-        return event
-
-    def _make_event(self, value: Any, timestamp: Optional[int]) -> CWEvent:
-        if self._scope is not None:
-            wave = self._scope.tag_for_output()
-            ts = timestamp if timestamp is not None else self._trigger_timestamp
-            event = CWEvent(as_token(value), ts, wave)
-            self._scope.note_event(event)
-            return event
-        # Source emission: a brand-new external event starts a new wave.
-        if self._wave_generator is None:
+        route = self._routes[port_name]  # ActorError on an unknown port
+        scope = self._scope
+        if scope is not None:
+            if timestamp is None:
+                timestamp = self._trigger_timestamp
+            event = CWEvent(value, timestamp, scope.tag_for_output())
+            scope._last_event = event
+        elif self._wave_generator is None:
             raise ActorError(
                 f"{self.actor.name} emitted without a consumed event and "
                 "without a wave generator (source actors need one)"
             )
-        wave = self._wave_generator.next_root()
-        ts = timestamp if timestamp is not None else self.now
-        event = CWEvent(as_token(value), ts, wave)
-        event.last_in_wave = True  # a root external event is its own wave head
+        else:
+            # Source emission: a brand-new external event starts a new
+            # wave, and a root event is its own wave head.
+            event = CWEvent(
+                value,
+                self.now if timestamp is None else timestamp,
+                self._wave_generator.next_root(),
+                True,
+            )
+        self.outputs_produced += 1
+        self._pending.append((route, event))
         return event
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """End of firing: mark the sub-wave's last event, then flush.
+        """End of firing: mark the sub-wave's last event, then deliver.
 
-        Emissions buffered during the firing are broadcast here, after the
-        wave marks are final, in production order.  A firing that raises
-        never flushes — its partial output is discarded, not half-applied.
+        Emissions buffered during the firing go down their routes here,
+        after the wave marks are final, in production order.  A firing
+        that raises never delivers — its partial output is discarded, not
+        half-applied.
         """
         if self._scope is not None:
             self._scope.close()
             self._scope = None
-        pending, self._pending = self._pending, []
+        pending = self._pending
         if not pending:
             return
+        self._pending = []
         chunk = self._emit_chunk
-        batch_hook = self._emit_batch_hook
-        if chunk == 1 or len(pending) == 1 or batch_hook is None:
-            for port_name, event in pending:
-                self._emit_hook(self.actor, port_name, event)
+        n = len(pending)
+        if chunk == 1 or n == 1:
+            for route, event in pending:
+                route.deliver(event)
             return
-        # Flush maximal same-port runs as trains of up to ``chunk`` events.
-        i, n = 0, len(pending)
+        # Maximal same-port runs travel as trains of up to ``chunk`` events.
+        i = 0
         while i < n:
-            port_name = pending[i][0]
+            route = pending[i][0]
             limit = n if chunk is None else min(n, i + chunk)
             j = i + 1
-            while j < limit and pending[j][0] == port_name:
+            while j < limit and pending[j][0] is route:
                 j += 1
             if j - i == 1:
-                self._emit_hook(self.actor, port_name, pending[i][1])
+                route.deliver(pending[i][1])
             else:
-                batch_hook(
-                    self.actor, port_name, [event for _, event in pending[i:j]]
-                )
+                route.deliver_train([event for _, event in pending[i:j]])
             i = j
 
     def abort(self) -> None:

@@ -18,19 +18,87 @@ under any other:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import Any, Optional
 
 from ..observability import tracer as _obs
 from .actors import Actor
-from .context import FiringContext
+from .context import FiringContext, RouteTable
 from .events import CWEvent
 from .exceptions import DirectorError
-from .ports import InputPort
+from .ports import InputPort, OutputPort
 from .receivers import FIFOReceiver, Receiver
 from .statistics import StatisticsRegistry
 from .tokens import as_token
 from .windows import Window
 from .workflow import Workflow
+
+
+class DeliveryRoute:
+    """One output port's hop to its consumers, resolved once.
+
+    Holds what no emission can change — the producer's statistics record
+    and the port's *live* channel list (a channel connected mid-run is
+    followed from the next emission on) — so an event reaches every
+    connected receiver without re-deriving who consumes it.  Derived
+    state: rebuilt after ``attach``/``initialize_all``, never dumped.
+    """
+
+    __slots__ = ("_port", "_outgoing", "_statistics", "_record_output")
+
+    def __init__(self, port: OutputPort, statistics: StatisticsRegistry):
+        self._port = port
+        self._outgoing = port.outgoing
+        self._statistics = statistics
+        self._record_output = statistics.register(port.actor).record_output
+
+    def deliver(self, event: CWEvent) -> None:
+        timestamp = event.timestamp
+        if _obs.ENABLED:
+            _obs._TRACER.instant(
+                "actor.emit",
+                timestamp,
+                self._port.actor.name,
+                port=self._port.name,
+                wave=str(event.wave),
+            )
+        for channel in self._outgoing:
+            channel.sink.receiver.put(event)
+        statistics = self._statistics
+        if timestamp > statistics._last_now_us:
+            statistics._last_now_us = timestamp
+        self._record_output(1, timestamp)
+
+    def deliver_train(self, events: "list[CWEvent]") -> None:
+        """``deliver`` per event, amortized: one receiver call per train
+        (``OutputPort.broadcast_batch`` keeps fan-out ports interleaving
+        event by event).  ``record_output`` is count-based; calls are
+        coalesced per run of equal timestamps so the per-timestamp rate
+        samples stay intact.
+        """
+        if _obs.ENABLED:
+            _obs._TRACER.instant(
+                "actor.emit_train",
+                events[0].timestamp,
+                self._port.actor.name,
+                port=self._port.name,
+                count=len(events),
+            )
+        self._port.broadcast_batch(events)
+        record_output = self._record_output
+        statistics = self._statistics
+        newest = statistics._last_now_us
+        i, n = 0, len(events)
+        while i < n:
+            timestamp = events[i].timestamp
+            j = i + 1
+            while j < n and events[j].timestamp == timestamp:
+                j += 1
+            if timestamp > newest:
+                newest = timestamp
+            record_output(j - i, timestamp)
+            i = j
+        statistics._last_now_us = newest
 
 
 class Director(ABC):
@@ -44,6 +112,17 @@ class Director(ABC):
         self.statistics = StatisticsRegistry()
         self._attached = False
         self._initialized = False
+        #: ``{actor: RouteTable}`` — every output port's delivery route.
+        #: Derived from the topology; dropped by ``attach`` and
+        #: ``initialize_all``, rebuilt on the next emission.
+        self._routes: dict[Actor, RouteTable] = {}
+        #: A subclass that overrides the emission hook keeps getting it:
+        #: its contexts adapt the hook instead of taking the routes.
+        cls = type(self)
+        self._emit_hooked = (
+            cls.on_emit is not Director.on_emit
+            or cls.on_emit_batch is not Director.on_emit_batch
+        )
 
     # ------------------------------------------------------------------
     # Binding
@@ -57,6 +136,7 @@ class Director(ABC):
         for actor in workflow.actors.values():
             for port in actor.input_ports.values():
                 port.attach_receiver(self.create_receiver(port))
+        self._routes.clear()
         self._attached = True
 
     def create_receiver(self, port: InputPort) -> Receiver:
@@ -73,6 +153,7 @@ class Director(ABC):
     # ------------------------------------------------------------------
     def initialize_all(self) -> None:
         workflow = self._require_attached()
+        self._routes.clear()
         for actor in workflow.actors.values():
             ctx = self.make_context(actor, now=0)
             actor.initialize(ctx)
@@ -110,51 +191,42 @@ class Director(ABC):
         return FiringContext(
             actor,
             now,
-            emit_hook=self.on_emit,
-            wave_generator=workflow.wave_generator,
+            self.on_emit,
+            workflow.wave_generator,
+            routes=None if self._emit_hooked else self._routes_for(actor),
         )
 
-    def on_emit(self, actor: Actor, port_name: str, event: CWEvent) -> None:
-        """Route a produced event to the connected receivers."""
-        if _obs.ENABLED:
-            _obs._TRACER.instant(
-                "actor.emit",
-                event.timestamp,
-                actor.name,
-                port=port_name,
-                wave=str(event.wave),
+    def _routes_for(self, actor: Actor) -> RouteTable:
+        routes = self._routes.get(actor)
+        if routes is None:
+            routes = self._routes[actor] = RouteTable(
+                actor, partial(DeliveryRoute, statistics=self.statistics)
             )
-        actor.output(port_name).broadcast(event)
-        self.statistics.record_output(actor, 1, event.timestamp)
+        return routes
+
+    def on_emit(self, actor: Actor, port_name: str, event: CWEvent) -> None:
+        """Route a produced event to the connected receivers.
+
+        The public entry point onto the port's route, and the override
+        point: firing contexts deliver through the route directly unless
+        a subclass overrides this hook.
+        """
+        self._routes_for(actor)[port_name].deliver(event)
 
     def on_emit_batch(
         self, actor: Actor, port_name: str, events: "list[CWEvent]"
     ) -> None:
-        """Route a train of same-port events in one broadcast chain.
+        """Route a train of same-port events down the port's route.
 
         Equivalent to ``for e in events: self.on_emit(actor, port_name,
-        e)``: the statistics land in the same counters (``record_output``
-        is count-based; calls are coalesced per run of equal timestamps so
-        the per-timestamp rate samples stay intact).
+        e)`` — literally so when a subclass overrides ``on_emit``, which
+        must see every event.
         """
-        if _obs.ENABLED:
-            _obs._TRACER.instant(
-                "actor.emit_train",
-                events[0].timestamp,
-                actor.name,
-                port=port_name,
-                count=len(events),
-            )
-        actor.output(port_name).broadcast_batch(events)
-        record_output = self.statistics.record_output
-        i, n = 0, len(events)
-        while i < n:
-            ts = events[i].timestamp
-            j = i + 1
-            while j < n and events[j].timestamp == ts:
-                j += 1
-            record_output(actor, j - i, ts)
-            i = j
+        if type(self).on_emit is not Director.on_emit:
+            for event in events:
+                self.on_emit(actor, port_name, event)
+            return
+        self._routes_for(actor)[port_name].deliver_train(events)
 
     @abstractmethod
     def current_time(self) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Optional
 
-from .tokens import Token, as_token
+from .tokens import Token
 from .waves import WaveTag
 
 _EVENT_SEQ = itertools.count(1)
@@ -44,7 +44,7 @@ class CWEvent:
         wave: WaveTag,
         last_in_wave: bool = False,
     ):
-        self.token = as_token(token)
+        self.token = token if isinstance(token, Token) else Token(token)
         self.timestamp = int(timestamp)
         self.wave = wave
         self.last_in_wave = last_in_wave
@@ -59,7 +59,7 @@ class CWEvent:
     @property
     def value(self) -> Any:
         """The raw payload carried by the event's token."""
-        return self.token.value
+        return self.token._value
 
     def field(self, name: str) -> Any:
         """Field access on the payload (used by group-by clauses)."""

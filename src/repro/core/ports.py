@@ -75,15 +75,6 @@ class InputPort(Port):
             )
         self.receiver.put(event)
 
-    def put_batch(self, events: list[CWEvent]) -> None:
-        """Deliver a train of events through one receiver call."""
-        if self.receiver is None:
-            raise PortError(
-                f"input port {self.full_name} has no receiver; "
-                "was the workflow initialized by a director?"
-            )
-        self.receiver.put_batch(events)
-
     def has_token(self) -> bool:
         return self.receiver is not None and self.receiver.has_token()
 
@@ -103,7 +94,7 @@ class OutputPort(Port):
     def broadcast(self, event: CWEvent) -> None:
         """Deliver *event* to the receiver of every connected input port."""
         for channel in self.outgoing:
-            channel.sink.put(event)
+            channel.sink.receiver.put(event)
 
     def broadcast_batch(self, events: list[CWEvent]) -> None:
         """Deliver a train of events, amortizing dispatch per channel.
@@ -117,11 +108,11 @@ class OutputPort(Port):
         """
         outgoing = self.outgoing
         if len(outgoing) == 1:
-            outgoing[0].sink.put_batch(events)
+            outgoing[0].sink.receiver.put_batch(events)
             return
         for event in events:
             for channel in outgoing:
-                channel.sink.put(event)
+                channel.sink.receiver.put(event)
 
     @property
     def destinations(self) -> list[InputPort]:

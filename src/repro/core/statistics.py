@@ -35,8 +35,10 @@ class ActorStats:
         "failures",
         "retries",
         "dead_letters",
-        "_input_times",
-        "_output_times",
+        "_input_at",
+        "_input_counts",
+        "_output_at",
+        "_output_counts",
         "_input_window",
         "_output_window",
     )
@@ -53,12 +55,16 @@ class ActorStats:
         self.retries = 0
         #: Items captured in the dead-letter queue for this actor.
         self.dead_letters = 0
-        #: Rate windows hold ``(timestamp_us, count)`` pairs — one entry
-        #: per recording call, *not* one per token, so a batch of 10 000
-        #: tokens costs a single append.  The running in-horizon token
-        #: totals live in ``_input_window``/``_output_window``.
-        self._input_times: deque[tuple[int, int]] = deque()
-        self._output_times: deque[tuple[int, int]] = deque()
+        #: Rate windows hold one ``(timestamp_us, count)`` sample per
+        #: recording call, *not* one per token, so a batch of 10 000
+        #: tokens costs a single sample — kept as two parallel deques of
+        #: ints, so recording allocates nothing the garbage collector
+        #: tracks.  The running in-horizon token totals live in
+        #: ``_input_window``/``_output_window``.
+        self._input_at: deque[int] = deque()
+        self._input_counts: deque[int] = deque()
+        self._output_at: deque[int] = deque()
+        self._output_counts: deque[int] = deque()
         self._input_window = 0
         self._output_window = 0
 
@@ -77,17 +83,24 @@ class ActorStats:
         if count <= 0:
             return
         self.inputs_total += count
-        self._input_times.append((now_us, count))
+        at = self._input_at
+        at.append(now_us)
+        self._input_counts.append(count)
         self._input_window += count
-        self._input_window -= self._trim(self._input_times, now_us)
+        # Trim only when the oldest sample actually left the horizon.
+        if at[0] < now_us - RATE_HORIZON_US:
+            self._input_window -= self._trim(at, self._input_counts, now_us)
 
     def record_output(self, count: int, now_us: int) -> None:
         if count <= 0:
             return
         self.outputs_total += count
-        self._output_times.append((now_us, count))
+        at = self._output_at
+        at.append(now_us)
+        self._output_counts.append(count)
         self._output_window += count
-        self._output_window -= self._trim(self._output_times, now_us)
+        if at[0] < now_us - RATE_HORIZON_US:
+            self._output_window -= self._trim(at, self._output_counts, now_us)
 
     def record_failure(self) -> None:
         """Count one failed firing attempt (the firing raised)."""
@@ -121,8 +134,8 @@ class ActorStats:
             "failures": self.failures,
             "retries": self.retries,
             "dead_letters": self.dead_letters,
-            "input_times": list(self._input_times),
-            "output_times": list(self._output_times),
+            "input_times": list(zip(self._input_at, self._input_counts)),
+            "output_times": list(zip(self._output_at, self._output_counts)),
             "input_window": self._input_window,
             "output_window": self._output_window,
         }
@@ -137,18 +150,21 @@ class ActorStats:
         self.failures = state["failures"]
         self.retries = state["retries"]
         self.dead_letters = state["dead_letters"]
-        self._input_times = deque(state["input_times"])
-        self._output_times = deque(state["output_times"])
+        self._input_at = deque(at for at, _ in state["input_times"])
+        self._input_counts = deque(n for _, n in state["input_times"])
+        self._output_at = deque(at for at, _ in state["output_times"])
+        self._output_counts = deque(n for _, n in state["output_times"])
         self._input_window = state["input_window"]
         self._output_window = state["output_window"]
 
     @staticmethod
-    def _trim(times: deque[tuple[int, int]], now_us: int) -> int:
-        """Evict pairs older than the horizon; returns evicted tokens."""
+    def _trim(at: deque[int], counts: deque[int], now_us: int) -> int:
+        """Evict samples older than the horizon; returns evicted tokens."""
         horizon = now_us - RATE_HORIZON_US
         evicted = 0
-        while times and times[0][0] < horizon:
-            evicted += times.popleft()[1]
+        while at and at[0] < horizon:
+            at.popleft()
+            evicted += counts.popleft()
         return evicted
 
     # ------------------------------------------------------------------
@@ -168,14 +184,18 @@ class ActorStats:
         return self.outputs_total / self.inputs_total
 
     def input_rate_per_s(self, now_us: int) -> float:
-        self._input_window -= self._trim(self._input_times, now_us)
+        self._input_window -= self._trim(
+            self._input_at, self._input_counts, now_us
+        )
         span = min(now_us, RATE_HORIZON_US)
         if span <= 0:
             return 0.0
         return self._input_window * 1_000_000 / span
 
     def output_rate_per_s(self, now_us: int) -> float:
-        self._output_window -= self._trim(self._output_times, now_us)
+        self._output_window -= self._trim(
+            self._output_at, self._output_counts, now_us
+        )
         span = min(now_us, RATE_HORIZON_US)
         if span <= 0:
             return 0.0

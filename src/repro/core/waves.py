@@ -55,7 +55,11 @@ class WaveTag:
         """The tag of the *index*-th (1-based) event produced from this one."""
         if index < 1:
             raise ValueError("wave child indices are 1-based")
-        return WaveTag(self.path + (index,))
+        # Skip the frozen-dataclass ``__init__`` (as ``_revive_wave_tag``
+        # does): a child path is never empty, so there is nothing to check.
+        tag = WaveTag.__new__(WaveTag)
+        object.__setattr__(tag, "path", self.path + (index,))
+        return tag
 
     # ------------------------------------------------------------------
     # Structure
@@ -178,10 +182,17 @@ class WaveScope:
     (or window) being consumed; every produced event asks the scope for its
     child tag.  When the firing ends, :meth:`close` marks the most recently
     produced event as the last of its sub-wave, which is what downstream
-    wave-windows key on.
+    wave-windows key on.  A firing context keeps one scope and
+    re-opens it (:meth:`open`) for every item it consumes.
     """
 
-    def __init__(self, consumed: WaveTag):
+    __slots__ = ("consumed", "_next_index", "_last_event")
+
+    def __init__(self, consumed: Optional[WaveTag] = None):
+        self.open(consumed)
+
+    def open(self, consumed: Optional[WaveTag]) -> None:
+        """(Re)start the scope on a newly consumed tag."""
         self.consumed = consumed
         self._next_index = 1
         self._last_event = None  # type: ignore[assignment]

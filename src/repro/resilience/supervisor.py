@@ -111,6 +111,13 @@ class FaultSupervisor:
             record = self._health[actor_name] = ActorHealth()
         return record
 
+    @property
+    def records(self) -> dict[str, ActorHealth]:
+        """The live ``{actor name: health record}`` map — empty until
+        some actor fails, so a firing loop can skip the per-item
+        quarantine and streak checks with one truth test."""
+        return self._health
+
     def is_quarantined(self, actor_name: str) -> bool:
         """True when the actor's circuit breaker is open."""
         record = self._health.get(actor_name)

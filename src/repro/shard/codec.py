@@ -156,14 +156,45 @@ def _encode_columnar(items: Sequence[tuple], arity: int) -> bytes:
     return b"".join(parts)
 
 
+def _need(view: memoryview, offset: int, size: int, what: str) -> None:
+    """Fail closed when *what* (*size* bytes at *offset*) is cut short."""
+    if offset + size > len(view):
+        raise SimulationError(
+            f"shard chunk blob truncated at byte {offset}: {what} needs "
+            f"{size} bytes, {len(view) - offset} left"
+        )
+
+
+def _read_uint(
+    view: memoryview, offset: int, fmt: struct.Struct, what: str
+) -> int:
+    _need(view, offset, fmt.size, what)
+    return fmt.unpack_from(view, offset)[0]
+
+
+def _unpickle(
+    view: memoryview, offset: int, size: int, what: str, buffers=()
+) -> Any:
+    _need(view, offset, size, what)
+    try:
+        return pickle.loads(view[offset:offset + size], buffers=buffers)
+    except Exception as error:  # noqa: BLE001 - garbage raises anything
+        raise SimulationError(
+            f"shard chunk blob corrupt at byte {offset}: {what} does not "
+            f"unpickle ({type(error).__name__}: {error})"
+        ) from None
+
+
 def _decode_columnar(
     view: memoryview, offset: int
 ) -> Tuple[ColumnarBatch, int]:
     """Rebuild a :class:`ColumnarBatch` from packed columns."""
     kind = view[offset]
     offset += 1
-    count = _U32.unpack_from(view, offset)[0]
+    count = _read_uint(view, offset, _U32, "columnar row count")
     offset += 4
+    width = 8 * (3 if kind == _GROUP_TRIPLES else 2) + 4 * len(_INT_FIELDS)
+    _need(view, offset, count * width, f"{count} columnar rows")
     unpack_i64 = struct.Struct("<%dq" % count)
     unpack_i32 = struct.Struct("<%di" % count)
     unpack_f64 = struct.Struct("<%dd" % count)
@@ -230,19 +261,19 @@ def _frame_pickle(obj: Any) -> bytes:
 
 def _read_framed_pickle(view: memoryview, offset: int) -> Tuple[Any, int]:
     """Decode one :func:`_frame_pickle` frame starting at *offset*."""
-    nbuffers = _U32.unpack_from(view, offset)[0]
+    nbuffers = _read_uint(view, offset, _U32, "pickle frame buffer count")
     offset += 4
     buffers = []
     for _ in range(nbuffers):
-        size = _U64.unpack_from(view, offset)[0]
+        size = _read_uint(view, offset, _U64, "out-of-band buffer length")
         offset += 8
+        _need(view, offset, size, "out-of-band buffer")
         buffers.append(view[offset:offset + size])
         offset += size
-    size = _U64.unpack_from(view, offset)[0]
+    size = _read_uint(view, offset, _U64, "pickle stream length")
     offset += 8
-    obj = pickle.loads(view[offset:offset + size], buffers=buffers)
-    offset += size
-    return obj, offset
+    obj = _unpickle(view, offset, size, "pickle stream", buffers)
+    return obj, offset + size
 
 
 def encode_chunk(
@@ -309,36 +340,77 @@ def decode_chunk(
 
     Columnar groups come back as :class:`ColumnarBatch`; pickled groups
     (and whole-pickle frames) come back as the original row lists.
+    Fails closed: a truncated, corrupt or over-long blob raises
+    :class:`SimulationError` naming the byte offset and what was being
+    read there — never another exception type, never a partial payload.
     """
     view = memoryview(blob)
     if bytes(view[:3]) != _MAGIC:
         raise SimulationError(
             "shard chunk blob is not SC1-framed (corrupt or foreign data)"
         )
+    _need(view, 3, 1, "frame kind")
     frame = view[3]
     offset = 4
     if frame == _FRAME_PICKLE:
-        slices, _ = _read_framed_pickle(view, offset)
+        slices, offset = _read_framed_pickle(view, offset)
+        if not isinstance(slices, dict):
+            raise SimulationError(
+                "shard chunk blob corrupt at byte 4: pickle frame holds a "
+                f"{type(slices).__name__}, not a group dict"
+            )
     elif frame == _FRAME_COLUMNAR:
-        ngroups = _U32.unpack_from(view, offset)[0]
+        ngroups = _read_uint(view, offset, _U32, "group count")
         offset += 4
         slices = {}
         for _ in range(ngroups):
-            key_len = _U32.unpack_from(view, offset)[0]
+            key_len = _read_uint(view, offset, _U32, "group key length")
             offset += 4
-            group = pickle.loads(view[offset:offset + key_len])
+            group = _unpickle(view, offset, key_len, "group key")
+            try:
+                hash(group)
+            except TypeError:
+                raise SimulationError(
+                    f"shard chunk blob corrupt at byte {offset}: group key "
+                    f"is an unhashable {type(group).__name__}"
+                ) from None
             offset += key_len
+            _need(view, offset, 1, "group kind")
             kind = view[offset]
             if kind == _GROUP_PICKLE:
-                offset += 1 + 8  # kind byte + framed length (redundant
-                # with the frame's own internal lengths, kept for skip)
-                slices[group], offset = _read_framed_pickle(view, offset)
-            else:
+                body_len = _read_uint(
+                    view, offset + 1, _U64, "pickled group length"
+                )
+                offset += 1 + 8
+                slices[group], end = _read_framed_pickle(view, offset)
+                if end - offset != body_len:
+                    raise SimulationError(
+                        f"shard chunk blob corrupt at byte {offset}: pickled "
+                        f"group spans {end - offset} bytes, header says "
+                        f"{body_len}"
+                    )
+                offset = end
+            elif kind in (_GROUP_PAIRS, _GROUP_TRIPLES):
                 slices[group], offset = _decode_columnar(view, offset)
+            else:
+                raise SimulationError(
+                    f"shard chunk blob corrupt at byte {offset}: unknown "
+                    f"group kind {kind}"
+                )
+        if len(slices) != ngroups:
+            raise SimulationError(
+                f"shard chunk blob corrupt: {ngroups} groups framed, "
+                f"{len(slices)} distinct keys"
+            )
     else:
         raise SimulationError(
             f"unknown shard chunk frame kind {frame} (blob of a newer "
             "codec version?)"
+        )
+    if offset != len(view):
+        raise SimulationError(
+            f"shard chunk blob has {len(view) - offset} trailing bytes "
+            f"after byte {offset} (group count overwritten?)"
         )
     if _obs.ENABLED:
         _obs._TRACER.instant(

@@ -423,11 +423,13 @@ def worker_main(conn: Any, spec: ShardWorkerSpec) -> None:
                     )
                 )
         except Exception as exc:  # noqa: BLE001 - reported to coordinator
+            # Name the chunk, so the coordinator reports which one was bad.
+            where = f"chunk @{message[1]} us: " if kind == "chunk" else ""
             conn.send(
                 (
                     "error",
                     spec.worker_id,
-                    f"{type(exc).__name__}: {exc}",
+                    f"{where}{type(exc).__name__}: {exc}",
                 )
             )
     conn.close()

@@ -23,38 +23,37 @@ class VirtualClock:
     """A monotone microsecond counter advanced explicitly by the runtime."""
 
     def __init__(self, start_us: int = 0):
-        self._now = int(start_us)
-
-    @property
-    def now_us(self) -> int:
-        return self._now
+        #: Current engine time.  A plain attribute (the engine reads it
+        #: several times per event); move it only through ``advance`` /
+        #: ``jump_to``.
+        self.now_us = int(start_us)
 
     def advance(self, delta_us: int) -> int:
         """Consume *delta_us* microseconds of engine time."""
         if delta_us < 0:
             raise SimulationError(f"cannot advance time by {delta_us}us")
-        self._now += int(delta_us)
-        return self._now
+        now = self.now_us = self.now_us + int(delta_us)
+        return now
 
     def jump_to(self, timestamp_us: int) -> int:
         """Fast-forward an idle engine; never moves backwards."""
-        if timestamp_us > self._now:
-            self._now = int(timestamp_us)
-        return self._now
+        if timestamp_us > self.now_us:
+            self.now_us = int(timestamp_us)
+        return self.now_us
 
     # ------------------------------------------------------------------
     # Checkpointable protocol
     # ------------------------------------------------------------------
     def state_dump(self) -> dict:
         """Snapshot the current virtual time (Checkpointable protocol)."""
-        return {"now_us": self._now}
+        return {"now_us": self.now_us}
 
     def state_restore(self, state: dict) -> None:
         """Re-apply a dumped virtual time (Checkpointable protocol)."""
-        self._now = int(state["now_us"])
+        self.now_us = int(state["now_us"])
 
     def __repr__(self) -> str:
-        return f"VirtualClock({self._now}us)"
+        return f"VirtualClock({self.now_us}us)"
 
 
 class WallClock:

@@ -14,8 +14,9 @@ def _null_guard(fn: Callable[..., Any]) -> Callable[..., Any]:
     """Scalar functions return NULL when any argument is NULL."""
 
     def wrapped(*args: Any) -> Any:
-        if any(arg is None for arg in args):
-            return None
+        for arg in args:  # a plain loop: no generator per scalar call
+            if arg is None:
+                return None
         return fn(*args)
 
     return wrapped

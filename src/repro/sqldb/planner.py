@@ -647,7 +647,7 @@ def _prepare_update_or_delete(
 
     def run(frame: Frame) -> Result:
         touched = []
-        for rowid, row in table.scan():
+        for rowid, row in table.scan(snapshot=True):
             frame[slot] = row
             if where is None or where(frame):
                 changes = {name: value(frame) for name, value in assignments}

@@ -150,9 +150,16 @@ class Table:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def scan(self) -> Iterator[tuple[int, dict[str, Any]]]:
-        """All (rowid, row) pairs in insertion order."""
-        return iter(list(self._rows.items()))
+    def scan(
+        self, snapshot: bool = False
+    ) -> Iterator[tuple[int, dict[str, Any]]]:
+        """All (rowid, row) pairs in insertion order.
+
+        A live view of the heap by default; a caller that inserts or
+        deletes while iterating (UPDATE/DELETE) asks for a *snapshot*.
+        """
+        items = self._rows.items()
+        return iter(list(items) if snapshot else items)
 
     def rows(self) -> list[dict[str, Any]]:
         return [dict(row) for row in self._rows.values()]

@@ -47,7 +47,7 @@ from ..core.statistics import StatisticsRegistry
 from ..core.windows import Window
 from ..observability import tracer as _obs
 from .dispatch_index import LazyHeapIndex
-from .ready import ReadyItem, ReadyQueue
+from .ready import BacklogTally, ReadyItem, ReadyQueue
 from .states import ActorState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -100,9 +100,8 @@ class AbstractScheduler(ABC):
         self._actor_order: dict[str, int] = {}
         self._actors_by_name: dict[str, Actor] = {}
         self._index = None
-        # ---- O(1) backlog accounting --------------------------------
-        self._backlog = 0
-        self._nonempty_internal = 0
+        #: O(1) backlog accounting, kept exact by the ready queues.
+        self._tally = BacklogTally()
 
     # ------------------------------------------------------------------
     # Initialization (invoked by the SCWF director)
@@ -118,11 +117,10 @@ class AbstractScheduler(ABC):
             actor.name: order for order, actor in enumerate(self.actors)
         }
         self._actors_by_name = {actor.name: actor for actor in self.actors}
-        self._backlog = 0
-        self._nonempty_internal = 0
+        self._tally = BacklogTally()
         for actor in self.actors:
             self.ready[actor.name] = ReadyQueue(
-                on_size_change=self._make_size_listener(actor)
+                self._tally, internal=not actor.is_source
             )
             self.states[actor.name] = ActorState.INACTIVE
             # Invalid until first queried: the policy's Table 2 rules
@@ -137,20 +135,6 @@ class AbstractScheduler(ABC):
     def _make_dispatch_index(self):
         """Policy hook: the index structure holding ACTIVE actors."""
         return LazyHeapIndex()
-
-    def _make_size_listener(self, actor: Actor):
-        """Per-queue closure maintaining the O(1) backlog counters."""
-        internal = not actor.is_source
-
-        def on_size_change(old_len: int, new_len: int) -> None:
-            self._backlog += new_len - old_len
-            if internal:
-                if old_len == 0 and new_len > 0:
-                    self._nonempty_internal += 1
-                elif old_len > 0 and new_len == 0:
-                    self._nonempty_internal -= 1
-
-        return on_size_change
 
     def register_source(self, source: SourceActor) -> None:
         """Sources are registered so policies can treat them specially."""
@@ -172,7 +156,9 @@ class AbstractScheduler(ABC):
                 f"event enqueued for unknown actor {actor.name!r}"
             )
         self.admit(actor, queue, port_name, item)
-        self.invalidate_state(actor)
+        # ``invalidate_state(actor)``, inline: this runs once per hop.
+        self.state_valid[actor.name] = False
+        self._index_dirty.add(actor.name)
         if _obs.ENABLED:
             _obs._TRACER.counter(
                 "sched.queue_depth", self._now, len(queue), actor.name
@@ -203,7 +189,8 @@ class AbstractScheduler(ABC):
                 f"event enqueued for unknown actor {actor.name!r}"
             )
         self.admit_batch(actor, queue, port_name, items)
-        self.invalidate_state(actor)
+        self.state_valid[actor.name] = False
+        self._index_dirty.add(actor.name)
         if _obs.ENABLED:
             _obs._TRACER.counter(
                 "sched.queue_depth", self._now, len(queue), actor.name
@@ -258,11 +245,11 @@ class AbstractScheduler(ABC):
 
     def total_backlog(self) -> int:
         """Ready items across every actor — O(1), incrementally counted."""
-        return self._backlog
+        return self._tally.items
 
     def nonempty_internal_count(self) -> int:
         """Distinct internal actors currently holding ready work — O(1)."""
-        return self._nonempty_internal
+        return self._tally.nonempty_internal
 
     # ------------------------------------------------------------------
     # State machine

@@ -8,21 +8,30 @@ event belongs to so the director can stage it correctly.
 
 Ready queues sit on the per-event enqueue path, so they stay lean: the
 sort key is read straight off the item (windows and events expose the same
-``timestamp`` attribute — no type dispatch needed), and an optional
-``on_size_change`` listener lets the owning scheduler keep O(1) aggregate
-backlog counters instead of re-summing every queue.
+``timestamp`` attribute — no type dispatch needed), and an optional shared
+:class:`BacklogTally` lets the owning scheduler keep O(1) aggregate backlog
+counters instead of re-summing every queue.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 _TIEBREAK = itertools.count()
 
-#: Listener signature: ``(old_len, new_len)`` after a push/pop/clear.
-SizeListener = Callable[[int, int], None]
+
+class BacklogTally:
+    """Aggregate counters over the ready queues that share this tally."""
+
+    __slots__ = ("items", "nonempty_internal")
+
+    def __init__(self):
+        #: Ready items across every sharing queue.
+        self.items = 0
+        #: Sharing queues flagged *internal* that hold at least one item.
+        self.nonempty_internal = 0
 
 
 class ReadyItem:
@@ -91,17 +100,32 @@ class ReadyQueue:
       whole list (``_head`` is 0), entered the moment an out-of-order
       push arrives (e.g. a late window behind queued events).
 
-    Mode switches never reorder pops and fire no listener calls, so the
+    Mode switches never reorder pops and never touch the tally, so the
     representation is invisible to schedulers and checkpoints.
     """
 
-    __slots__ = ("_heap", "_head", "_sorted", "_on_size_change")
+    __slots__ = ("_heap", "_head", "_sorted", "_tally", "_internal")
 
-    def __init__(self, on_size_change: Optional[SizeListener] = None):
+    def __init__(
+        self, tally: Optional[BacklogTally] = None, internal: bool = False
+    ):
         self._heap: list[ReadyItem] = []
         self._head = 0
         self._sorted = True
-        self._on_size_change = on_size_change
+        self._tally = tally
+        self._internal = internal
+
+    def _resized(self, old: int, new: int) -> None:
+        """Keep the shared tally exact across a size change."""
+        tally = self._tally
+        if tally is None:
+            return
+        tally.items += new - old
+        if self._internal:
+            if old == 0 and new > 0:
+                tally.nonempty_internal += 1
+            elif old > 0 and new == 0:
+                tally.nonempty_internal -= 1
 
     # ------------------------------------------------------------------
     def _enter_heap_mode(self) -> None:
@@ -129,12 +153,15 @@ class ReadyQueue:
                 heapq.heappush(self._heap, ready)
         else:
             heapq.heappush(heap, ready)
-        if self._on_size_change is not None:
-            self._on_size_change(old, old + 1)
+        tally = self._tally  # ``_resized(old, old + 1)``, inline
+        if tally is not None:
+            tally.items += 1
+            if old == 0 and self._internal:
+                tally.nonempty_internal += 1
         return ready
 
     def push_batch(self, port_name: str, items: list[Any]) -> None:
-        """Push a train of items, firing the size listener once.
+        """Push a train of items, updating the tally once.
 
         Tie-break serials are drawn in list order — exactly the draws a
         per-item :meth:`push` loop would make — so pop order is
@@ -169,8 +196,7 @@ class ReadyQueue:
             self._enter_heap_mode()
             for ready in ready_items:
                 heapq.heappush(self._heap, ready)
-        if self._on_size_change is not None:
-            self._on_size_change(old, old + len(ready_items))
+        self._resized(old, old + len(ready_items))
 
     def pop(self) -> Optional[ReadyItem]:
         heap = self._heap
@@ -192,9 +218,11 @@ class ReadyQueue:
                 self._head = head
         else:
             item = heapq.heappop(heap)
-        if self._on_size_change is not None:
-            old = n - head + 1 if self._sorted else n
-            self._on_size_change(old, old - 1)
+        tally = self._tally  # ``_resized(size, size - 1)``, inline
+        if tally is not None:
+            tally.items -= 1
+            if self._internal and self._head == len(heap):
+                tally.nonempty_internal -= 1
         return item
 
     def peek(self) -> Optional[ReadyItem]:
@@ -212,8 +240,7 @@ class ReadyQueue:
         self._heap.clear()
         self._head = 0
         self._sorted = True
-        if size and self._on_size_change is not None:
-            self._on_size_change(size, 0)
+        self._resized(size, 0)
 
     # ------------------------------------------------------------------
     # Checkpoint support
@@ -231,13 +258,13 @@ class ReadyQueue:
         return list(self._heap[self._head :])
 
     def restore_items(self, items: list[ReadyItem]) -> None:
-        """Replace the queue content, keeping the size listener honest.
+        """Replace the queue content, keeping the tally honest.
 
         The input must already be in heap order — :meth:`snapshot_items`
         output qualifies.  A fully ascending input re-enters sorted-run
         mode (pop order is the same in both modes; only the constant
-        factor differs).  Fires ``on_size_change`` with the real
-        transition so the scheduler's O(1) backlog counters stay exact.
+        factor differs).  The tally sees the real transition, so the
+        scheduler's O(1) backlog counters stay exact.
         """
         old = len(self._heap) - self._head
         self._heap = list(items)
@@ -246,5 +273,4 @@ class ReadyQueue:
             self._heap[i].sort_key <= self._heap[i + 1].sort_key
             for i in range(len(self._heap) - 1)
         )
-        if self._on_size_change is not None and old != len(self._heap):
-            self._on_size_change(old, len(self._heap))
+        self._resized(old, len(self._heap))

@@ -257,9 +257,9 @@ class AdaptiveScheduler:
         new = self._build_policy(kind, quantum)
         new.initialize(self._workflow, self._statistics)
         # Lossless queue migration: snapshot/restore keeps heap order
-        # (so pop sequences continue exactly) and fires the size
-        # listeners (so the new policy's O(1) backlog counters and
-        # dirty-index bookkeeping are exact from the first dispatch).
+        # (so pop sequences continue exactly) and updates the new
+        # policy's backlog tally (so its O(1) counters and dirty-index
+        # bookkeeping are exact from the first dispatch).
         for name, queue in old.ready.items():
             new.ready[name].restore_items(queue.snapshot_items())
         new._now = old._now

@@ -260,7 +260,8 @@ class RoundRobinScheduler(AbstractScheduler):
         else:
             self.internal_firings += 1
             self._internal_since_source += 1
-        self.invalidate_state(actor)
+        self.state_valid[name] = False
+        self._index_dirty.add(name)
 
     def on_iteration_end(self, now: int) -> None:
         """Period roll-over: fresh equal slices for everyone."""

@@ -28,7 +28,7 @@ in :mod:`repro.simulation`.
 from __future__ import annotations
 
 import heapq
-from typing import Optional
+from typing import Callable, Optional
 
 from ..core.actors import Actor, SourceActor
 from ..core.context import FiringContext
@@ -122,6 +122,9 @@ class SCWFDirector(Director):
         #: Per-actor firing plans (:meth:`_plan_for`), built on first
         #: dispatch and dropped by ``initialize_all``.
         self._plans: dict[Actor, tuple] = {}
+        #: Per-consumer bound ``ActorStats.record_input`` (the intake
+        #: half of a hop), resolved on first admission; same lifetime.
+        self._record_inputs: dict[Actor, Callable[[int, int], None]] = {}
         self._timed_receivers: list[TMWindowedReceiver] = []
         # ---- timed-window deadline heap -----------------------------
         #: Receivers whose spec declares a formation timeout, by slot.
@@ -172,6 +175,7 @@ class SCWFDirector(Director):
         super().initialize_all()
         workflow = self._require_attached()
         self._plans.clear()
+        self._record_inputs.clear()
         self.scheduler.initialize(workflow, self.statistics)
         # Fused chains prebind the cost model and per-member statistics
         # records so per-hop attribution works from the first firing.
@@ -198,8 +202,20 @@ class SCWFDirector(Director):
         self, actor: Actor, port_name: str, item: Window | CWEvent
     ) -> None:
         self.total_events_admitted += 1
-        self.statistics.record_input(actor, 1, self.clock.now_us)
+        # ``statistics.record_input(actor, 1, now)``, on the consumer's
+        # record directly instead of through the by-name registry walk.
+        now = self.clock.now_us
+        statistics = self.statistics
+        if now > statistics._last_now_us:
+            statistics._last_now_us = now
+        (self._record_inputs.get(actor) or self._intake_for(actor))(1, now)
         self.scheduler.enqueue(actor, port_name, item)
+
+    def _intake_for(self, actor: Actor) -> Callable[[int, int], None]:
+        record_input = self._record_inputs[actor] = (
+            self.statistics.register(actor).record_input
+        )
+        return record_input
 
     def schedule_ready_batch(
         self, actor: Actor, port_name: str, items: "list[Window | CWEvent]"
@@ -218,7 +234,11 @@ class SCWFDirector(Director):
             self.schedule_ready(actor, port_name, items[0])
             return
         self.total_events_admitted += count
-        self.statistics.record_input(actor, count, self.clock.now_us)
+        now = self.clock.now_us
+        statistics = self.statistics
+        if now > statistics._last_now_us:
+            statistics._last_now_us = now
+        (self._record_inputs.get(actor) or self._intake_for(actor))(count, now)
         self.scheduler.enqueue_batch(actor, port_name, items)
 
     # ------------------------------------------------------------------
@@ -446,6 +466,9 @@ class SCWFDirector(Director):
         )
         scheduler = self.scheduler
         supervisor = self.supervisor
+        # Empty until some actor fails: only then is there a circuit to
+        # find open or a failure streak to close.
+        health = supervisor.records
         cost_model = self.cost_model
         clock = self.clock
         fire_start = scheduler.on_actor_fire_start
@@ -469,7 +492,7 @@ class SCWFDirector(Director):
                 # The policy considered the actor runnable, but its queue
                 # is empty (e.g. state staleness): a no-op dispatch.
                 scheduler.invalidate_state(actor)
-            elif supervisor.is_quarantined(actor.name):
+            elif health and supervisor.is_quarantined(actor.name):
                 # Open circuit: the item bypasses execution entirely.
                 now = clock.now_us
                 fire_start(actor, now)
@@ -522,7 +545,8 @@ class SCWFDirector(Director):
                                 cost = cost_model.invocation_cost(actor, ctx)
                             advance(cost)
                             record_invocation(cost)
-                        supervisor.on_success(actor)
+                        if health:
+                            supervisor.on_success(actor)
                         break
                     except Exception as error:
                         # Fault barrier: discard the failed firing's

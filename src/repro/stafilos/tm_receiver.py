@@ -65,15 +65,13 @@ class TMWindowedReceiver(WindowedReceiver):
             # passthrough spec never pends, expires, or times out, so
             # the observable behaviour is bit-identical.  (The threaded
             # engine's receiver takes the same shortcut.)
-            if isinstance(event.token.value, CONTROL_ITEMS):
+            if isinstance(event.value, CONTROL_ITEMS):
                 return  # control items never become ready work here
-            assert self.port is not None
-            tracker = self._director.frontier
-            if tracker is not None:
-                tracker.observe(event)
-            self._director.schedule_ready(
-                self.port.actor, self.port.name, event
-            )
+            port = self.port
+            director = self._director
+            if director.frontier is not None:
+                director.frontier.observe(event)
+            director.schedule_ready(port.actor, port.name, event)
             return
         super().put(event)
         if self._deadline_slot is not None:
@@ -93,18 +91,16 @@ class TMWindowedReceiver(WindowedReceiver):
             batch = [
                 event
                 for event in events
-                if not isinstance(event.token.value, CONTROL_ITEMS)
+                if not isinstance(event.value, CONTROL_ITEMS)
             ]
             if not batch:
                 return
-            assert self.port is not None
+            port = self.port
             tracker = self._director.frontier
             if tracker is not None:
                 for event in batch:
                     tracker.observe(event)
-            self._director.schedule_ready_batch(
-                self.port.actor, self.port.name, batch
-            )
+            self._director.schedule_ready_batch(port.actor, port.name, batch)
             return
         super().put_batch(events)
         if self._deadline_slot is not None:

@@ -231,6 +231,145 @@ class TestCodecProperty:
             assert list(map(repr, decoded[group])) == list(map(repr, rows))
 
 
+def header_offsets(blob: bytes) -> list:
+    """Byte offsets of every structural header field of a valid blob.
+
+    Magic, frame kind, group / buffer counts, key and body lengths, group
+    kinds and row counts — everything ``decode_chunk`` steers by, as
+    opposed to the pickled or packed data those fields delimit.
+    """
+    offsets = list(range(8))  # magic, frame kind, u32 group/buffer count
+
+    def u(at, size):
+        offsets.extend(range(at, at + size))
+        return int.from_bytes(blob[at:at + size], "little")
+
+    def framed_pickle(at):
+        nbuffers = u(at, 4)
+        at += 4
+        for _ in range(nbuffers):
+            at += 8 + u(at, 8)
+        return at + 8 + u(at, 8)
+
+    if blob[3] == 0:  # whole-payload pickle frame
+        framed_pickle(4)
+        return sorted(set(offsets))
+    at = 8
+    for _ in range(int.from_bytes(blob[4:8], "little")):
+        at += 4 + u(at, 4)  # key length, key
+        offsets.append(at)  # group kind
+        if blob[at] == 0:
+            u(at + 1, 8)
+            at = framed_pickle(at + 9)
+        else:
+            count = u(at + 1, 4)
+            at += 5 + count * (52 if blob[at] == 2 else 44)
+    assert at == len(blob)
+    return sorted(set(offsets))
+
+
+class TestCodecFailsClosed:
+    """A malformed SC1 blob is a ``SimulationError``, nothing else."""
+
+    @staticmethod
+    def decode_or_error(blob):
+        try:
+            return normalize(decode_chunk(blob))
+        except SimulationError as error:
+            return error
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        payload=_payloads,
+        codec=st.sampled_from(["struct", "pickle"]),
+        data=st.data(),
+    )
+    def test_truncated_blob_never_decodes(self, payload, codec, data):
+        blob = encode_chunk(payload, codec)
+        cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
+        result = self.decode_or_error(blob[:cut])
+        assert isinstance(result, SimulationError), (cut, result)
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        payload=_payloads,
+        codec=st.sampled_from(["struct", "pickle"]),
+        data=st.data(),
+    )
+    def test_flipped_header_byte_is_caught_or_harmless(
+        self, payload, codec, data
+    ):
+        blob = encode_chunk(payload, codec)
+        at = data.draw(st.sampled_from(header_offsets(blob)))
+        flipped = bytearray(blob)
+        flipped[at] ^= data.draw(st.integers(min_value=1, max_value=255))
+        result = self.decode_or_error(bytes(flipped))
+        if not isinstance(result, SimulationError):
+            assert result == payload, (at, result)
+
+    def test_every_prefix_of_an_lr_chunk(self, config):
+        chunk = {
+            group: rows[:20] for group, rows in lr_chunk(config).items()
+        }
+        for codec in ("struct", "pickle"):
+            blob = encode_chunk(chunk, codec)
+            for cut in range(len(blob)):
+                with pytest.raises(SimulationError):
+                    decode_chunk(blob[:cut])
+
+    def test_error_names_offset_and_field(self, config):
+        blob = encode_chunk(lr_chunk(config, count=5), "struct")
+        with pytest.raises(SimulationError, match=r"byte 4: group count"):
+            decode_chunk(blob[:6])
+        with pytest.raises(SimulationError, match=r"byte \d+: .*rows"):
+            decode_chunk(blob[:-1])
+
+    def test_trailing_garbage_is_rejected(self, config):
+        chunk = lr_chunk(config, count=5)
+        for codec in ("struct", "pickle"):
+            with pytest.raises(SimulationError, match="trailing"):
+                decode_chunk(encode_chunk(chunk, codec) + b"\x00")
+
+    def test_overwritten_group_count_cannot_drop_a_group(self, config):
+        chunk = lr_chunk(config, count=5)
+        assert len(chunk) >= 2
+        blob = bytearray(encode_chunk(chunk, "struct"))
+        blob[4:8] = (1).to_bytes(4, "little")
+        with pytest.raises(SimulationError, match="trailing"):
+            decode_chunk(bytes(blob))
+
+    def test_unknown_group_kind_is_rejected(self, config):
+        report = lr_chunk(config, count=1)[0][0][1]
+        blob = bytearray(encode_chunk({0: [(1, report)]}, "struct"))
+        kind_at = 8 + 4 + int.from_bytes(blob[8:12], "little")
+        assert blob[kind_at] == 1
+        blob[kind_at] = 9
+        with pytest.raises(SimulationError, match="group kind 9"):
+            decode_chunk(bytes(blob))
+
+    def test_worker_error_reply_names_the_chunk(self, config):
+        coordinator = ShardCoordinator(config, seed=1, shards=2)
+        plan = ShardPlan(lr_chunk(config).keys(), 2)
+        coordinator.plan = plan
+        try:
+            coordinator._spawn(plan)
+            blob = encode_chunk(lr_chunk(config, count=5), "struct")
+            coordinator._conns[0].send(("chunk", 7_000_000, blob[:-3], None))
+            with pytest.raises(SimulationError) as excinfo:
+                coordinator._recv(0, "ack")
+            message = str(excinfo.value)
+            assert "worker 0" in message
+            assert "chunk @7000000" in message
+            assert "truncated at byte" in message
+        finally:
+            for conn in coordinator._conns:
+                conn.send(("stop",))
+            for process in coordinator._procs:
+                process.join(timeout=10)
+            for conn in coordinator._conns:
+                conn.close()
+
+
 # ---------------------------------------------------------------------------
 # Credit-based pipelining: output identity
 # ---------------------------------------------------------------------------

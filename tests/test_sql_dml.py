@@ -68,6 +68,29 @@ class TestDelete:
         db.execute("DELETE FROM t")
         assert db.execute("SELECT COUNT(*) FROM t").scalar() == 0
 
+    def test_delete_while_scanning_needs_the_snapshot(self, db):
+        db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'z')")
+        table = db.table("t")
+        # The default scan is a live view of the heap (no copy per heap
+        # scan): deleting under it is the caller's bug, and says so.
+        with pytest.raises(RuntimeError, match="changed size"):
+            for rowid, _ in table.scan():
+                table.delete_rowids([rowid])
+        assert len(table) == 2
+        # A mutating caller asks for the snapshot and visits every row.
+        visited = []
+        for rowid, row in table.scan(snapshot=True):
+            visited.append(row["a"])
+            table.delete_rowids([rowid])
+        assert visited == [2, 3] and len(table) == 0
+
+    def test_delete_that_empties_the_table_mid_statement(self, db):
+        """DELETE/UPDATE scan a snapshot: every row is judged once."""
+        db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'z')")
+        assert db.execute("UPDATE t SET a = a + 10").rowcount == 3
+        assert db.execute("DELETE FROM t WHERE a > 10").rowcount == 3
+        assert db.execute("SELECT COUNT(*) FROM t").scalar() == 0
+
 
 class TestDDL:
     def test_create_duplicate_rejected(self, db):

@@ -18,7 +18,13 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.actors import MapActor, SinkActor, SourceActor
+from repro.core.actors import (
+    Actor,
+    FunctionActor,
+    MapActor,
+    SinkActor,
+    SourceActor,
+)
 from repro.core.context import FiringContext
 from repro.core.exceptions import DirectorError
 from repro.core.waves import WaveGenerator, WaveTag
@@ -311,6 +317,287 @@ class TestFiringPlan:
         assert sink.values == [(i + 1) * 2 for i in range(40)]
         stats = director.statistics.snapshot()
         assert stats["m1"]["invocations"] == stats["m2"]["invocations"] == 40
+
+
+# ----------------------------------------------------------------------
+# Delivery routes: they follow the topology and never bypass a hook
+# ----------------------------------------------------------------------
+class _EmitSpy(SCWFDirector):
+    """Overrides the emission hook: it must see every single event."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen = []
+
+    def on_emit(self, actor, port_name, event):
+        self.seen.append((actor.name, port_name, event.value))
+        super().on_emit(actor, port_name, event)
+
+
+def _sink_canon(sink):
+    return [
+        (now, e.timestamp, tuple(e.wave.path), e.value, e.last_in_wave)
+        for now, e in sink.items
+    ]
+
+
+class TestDeliveryRoutes:
+    #: Two bursts of 20, so a run to 0.05 s settles exactly the first.
+    ARRIVALS = TestFiringPlan.ARRIVALS
+
+    def _tapped(self, cls):
+        """src -> relay -> sink; ``tap`` joins relay's port mid-run."""
+        workflow = Workflow("tapped")
+        source = SourceActor("src", arrivals=self.ARRIVALS)
+        source.add_output("out")
+        relay = MapActor("relay", _expand_fn)
+        sink, tap = SinkActor("sink"), SinkActor("tap")
+        idle = SourceActor("idle", arrivals=[])  # keeps ``tap`` attached
+        idle.add_output("out")
+        workflow.add_all([source, idle, relay, sink, tap])
+        workflow.connect(source, relay)
+        workflow.connect(relay, sink)
+        workflow.connect(idle, tap)
+        clock = VirtualClock()
+        director = cls(RoundRobinScheduler(10_000), clock, CostModel())
+        director.attach(workflow)
+        runtime = SimulationRuntime(director, clock)
+        runtime.run(0.05)
+        assert director.backlog() == 0 and sink.items and not tap.items
+        settled = len(sink.items)
+        workflow.connect(relay, tap)  # the port has already fired
+        runtime.run(1.0, drain=True)
+        assert _sink_canon(tap) and [v for v in tap.values] == (
+            sink.values[settled:]
+        )
+        return (
+            _sink_canon(sink),
+            _sink_canon(tap),
+            director.statistics.snapshot(),
+            clock.now_us,
+        )
+
+    def test_channel_connected_mid_run_is_followed(self):
+        assert self._tapped(SCWFDirector) == self._tapped(
+            PerEventSCWFDirector
+        )
+
+    def test_refusing_and_reattaching_rebuilds_the_routes(self):
+        from repro.fusion import fuse_workflow
+
+        m1 = MapActor("m1", lambda v: v + 1)
+        m2 = MapActor("m2", lambda v: v * 2)
+        workflow, director, clock, sink = _relay_engine(
+            [m1, m2], self.ARRIVALS
+        )
+        source = workflow.actors["src"]
+        SimulationRuntime(director, clock).run(0.05)
+        assert len(sink.values) == 20
+        assert director._routes[source] and director._routes[m1]
+        assert fuse_workflow(workflow).chains == (("m1", "m2"),)
+        fused = workflow.actors["m1"]
+        director.attach(workflow)
+        director.initialize_all()
+        # Derived state: every table starts over, empty, on the new graph.
+        assert set(director._routes) == {source, fused, sink}
+        assert not any(director._routes.values())
+
+        def unreachable(*_):
+            raise AssertionError("delivery to a spliced-out actor")
+
+        for stale in (m1.input("in").receiver, m2.input("in").receiver):
+            stale.put = stale.put_batch = unreachable
+        SimulationRuntime(director, clock).run(1.0, drain=True)
+        route = director._routes[source]["out"]
+        assert [c.sink.actor for c in route._outgoing] == [fused]
+        assert sink.values == [(i + 1) * 2 for i in range(40)]
+
+    def _doubled(self, cls):
+        """``relay.out`` feeds *both* input ports of one consumer."""
+        workflow = Workflow("doubled")
+        source = SourceActor(
+            "src", arrivals=[(i * 30, i) for i in range(25)]
+        )
+        source.add_output("out")
+        relay = MapActor("relay", _expand_fn)  # lists travel as trains
+        seen = []
+
+        def join(ctx):
+            for port in ("a", "b"):
+                item = ctx.read(port)
+                if item is not None:
+                    seen.append((port, item.value, tuple(item.wave.path)))
+                    ctx.send("out", item.value)
+
+        joiner = FunctionActor("join", join, inputs=("a", "b"))
+        sink = SinkActor("sink")
+        workflow.add_all([source, relay, joiner, sink])
+        workflow.connect(source, relay)
+        workflow.connect(relay, joiner, sink_port="a")
+        workflow.connect(relay, joiner, sink_port="b")
+        workflow.connect(joiner, sink)
+        clock = VirtualClock()
+        scheduler = RoundRobinScheduler(10_000)
+        director = cls(scheduler, clock, CostModel())
+        director.attach(workflow)
+        # Every admission into ``join``: its port, the ready queue's
+        # newest tie-break serial and the actor's RR rotation ticket.
+        admissions = []
+        stock_admit = scheduler.admit
+
+        def admit(actor, queue, port_name, item):
+            stock_admit(actor, queue, port_name, item)
+            if actor is joiner:
+                serial = max(r.sort_key[1] for r in queue.snapshot_items())
+                admissions.append(
+                    (port_name, serial, scheduler._order["join"])
+                )
+
+        scheduler.admit = admit
+        SimulationRuntime(director, clock).run(1.0, drain=True)
+        base = admissions[0][1]  # the serial counter is process-global
+        return (
+            seen,
+            [(port, serial - base, tick) for port, serial, tick in admissions],
+            _sink_canon(sink),
+            director.statistics.snapshot(),
+            clock.now_us,
+        )
+
+    def test_two_channels_into_one_consumer_interleave_per_event(self):
+        shipped = self._doubled(SCWFDirector)
+        seen = shipped[0]
+        # Event by event across the two channels, never channel by channel.
+        assert [port for port, _, _ in seen[:4]] == ["a", "b", "a", "b"]
+        assert shipped == self._doubled(PerEventSCWFDirector)
+
+    def test_tracer_entered_mid_run_takes_the_same_route(self):
+        from repro.observability import RecordingTracer, use_tracer
+
+        bursts = self.ARRIVALS + [(200_000 + i * 50, i) for i in range(5)]
+        worker = MapActor("worker", lambda v: v)
+        _, director, clock, sink = _relay_engine([worker], bursts)
+        runtime = SimulationRuntime(director, clock)
+        runtime.run(0.05)
+        with use_tracer(RecordingTracer()) as tracer:
+            runtime.run(0.15)
+            emits = [
+                record for record in tracer.records()
+                if record.name in ("actor.emit", "actor.emit_train")
+            ]
+        # The very next emission (the second burst's first pump) and every
+        # one after it, per hop: 20 from the source, 20 from the worker.
+        assert emits[0].actor == "src"
+        assert emits[0].ts == self.ARRIVALS[20][0]
+        counted = {"src": 0, "worker": 0}
+        for record in emits:
+            counted[record.actor] += (record.args or {}).get("count", 1)
+        assert counted == {"src": 20, "worker": 20}
+        recorded = tracer.emitted
+        runtime.run(1.0, drain=True)  # third burst, tracer gone
+        assert tracer.emitted == recorded and len(sink.values) == 45
+
+    def test_overridden_on_emit_sees_every_event(self):
+        arrivals = [(i * 40, i) for i in range(30)]
+        reference = _run("expand", arrivals, 1, None)
+        spied = _run("expand", arrivals, 1, None, cls=_EmitSpy)
+        assert spied == reference
+        workflow, sinks = _build("expand", arrivals)
+        clock = VirtualClock()
+        director = _EmitSpy(RoundRobinScheduler(10_000), clock, CostModel())
+        director.attach(workflow)
+        SimulationRuntime(director, clock).run(10.0, drain=True)
+        produced = sum(
+            stats["outputs_total"]
+            for stats in director.statistics.snapshot().values()
+        )
+        assert len(director.seen) == produced > 30
+        assert [v for name, _, v in director.seen if name == "relay"] == (
+            sinks[0].values
+        )
+
+    def _flaky(self, cls):
+        """A firing that fails before reading, and one mid-emission."""
+        from repro.resilience import FaultPolicy
+
+        log = []
+
+        class Flaky(Actor):
+            def __init__(self):
+                super().__init__("flaky")
+                self.add_input("in")
+                self.add_output("out")
+                self.attempts = {}
+
+            def fire(self, ctx):
+                staged = ctx.staged_count("in")
+                peek = ctx._staged["in"][0].value
+                attempt = self.attempts[peek] = self.attempts.get(peek, 0) + 1
+                if peek == 3 and attempt == 1:
+                    raise ValueError("before reading: the item stays staged")
+                item = ctx.read("in")
+                log.append((item.value, attempt, staged, ctx.read("in")))
+                ctx.send("out", item.value)
+                if item.value == 5 and attempt == 1:
+                    ctx.send("out", -1)
+                    raise ValueError("mid-emission")
+
+        workflow = Workflow("flaky")
+        source = SourceActor("src", arrivals=[(i * 40, i) for i in range(8)])
+        source.add_output("out")
+        flaky, sink = Flaky(), SinkActor("sink")
+        workflow.add_all([source, flaky, sink])
+        workflow.connect(source, flaky)
+        workflow.connect(flaky, sink)
+        clock = VirtualClock()
+        director = cls(
+            RoundRobinScheduler(10_000),
+            clock,
+            CostModel(),
+            error_policy=FaultPolicy(max_retries=1, backoff_base_us=100),
+        )
+        director.attach(workflow)
+        SimulationRuntime(director, clock).run(1.0, drain=True)
+        return log, _sink_canon(sink), director.statistics.snapshot(), clock.now_us
+
+    def test_failed_attempt_leaves_nothing_in_the_recycled_context(self):
+        log, sink, _, _ = shipped = self._flaky(SCWFDirector)
+        # Every completed read saw exactly its own item: one staged, and
+        # nothing left of a failed attempt behind it.
+        assert [(value, staged, extra) for value, _, staged, extra in log] == [
+            (v, 1, None) for v in (0, 1, 2, 3, 4, 5, 5, 6, 7)
+        ]
+        assert [attempt for value, attempt, _, _ in log if value in (3, 5)] == [
+            2, 1, 2
+        ]
+        # The attempt that raised mid-emission delivered nothing.
+        assert [value for _, _, _, value, _ in sink] == list(range(8))
+        assert shipped == self._flaky(PerEventSCWFDirector)
+
+    def test_last_recording_call_an_output_matches_the_oracle(self):
+        arrivals = [(i * 70, i) for i in range(30)]
+        records = {}
+        for cls in (SCWFDirector, PerEventSCWFDirector):
+            workflow, _ = _build("relay", arrivals)
+            clock = VirtualClock()
+            director = cls(RoundRobinScheduler(10_000), clock, CostModel())
+            director.attach(workflow)
+            SimulationRuntime(director, clock).run(10.0, drain=True)
+            statistics = director.statistics
+            snapshot = statistics.snapshot()
+            records[cls] = (
+                statistics._last_now_us,
+                {name: row["output_rate_per_s"] for name, row in snapshot.items()},
+                {name: row["input_rate_per_s"] for name, row in snapshot.items()},
+            )
+            # The sink's last firing records only an invocation, so the
+            # newest rate sample anywhere is the relay's last output —
+            # stamped with the event's time, older than its admission.
+            newest_output = statistics._stats["relay"]._output_at[-1]
+            newest_input = statistics._stats["sink"]._input_at[-1]
+            assert newest_output < newest_input == statistics._last_now_us
+        assert records[SCWFDirector] == records[PerEventSCWFDirector]
+        assert records[SCWFDirector][1]["relay"] > 0
 
 
 # ----------------------------------------------------------------------
