@@ -3,8 +3,8 @@
 The data-plane numbers of the pipelined transport work
 (``repro.shard.codec`` + the credit-window coordinator loop): time to
 encode, ship and ack a fixed stream of Linear Road chunks through a
-``multiprocessing`` pipe to an echo worker, under the two transport
-configurations the coordinator supports:
+``multiprocessing`` pipe to an echo worker, the way the coordinator
+ships them against the plane it replaced:
 
 ``lockstep-pickle``
     The historical plane: raw per-group dict payloads (default pickling
@@ -13,7 +13,7 @@ configurations the coordinator supports:
     decode.
 
 ``pipelined-codec``
-    The new plane: chunks packed by :func:`repro.shard.codec.encode_chunk`
+    The shipped plane: chunks packed by :func:`repro.shard.codec.encode_chunk`
     (columnar ``struct`` frames for the homogeneous report stream) with
     a credit window of 8, so encode and pipe I/O overlap the worker's
     decode of earlier chunks.
@@ -122,7 +122,7 @@ def _ship(mode: str, window: int, chunks: list) -> float:
             acked += ack[3]["rows"]
             outstanding -= 1
         if mode == "codec":
-            payload = encode_chunk(chunk, "struct")
+            payload = encode_chunk(chunk)
         else:
             payload = chunk
         parent.send(("chunk", watermark, payload, None))

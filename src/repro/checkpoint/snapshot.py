@@ -12,8 +12,9 @@ walking every engine component that implements the
 * every actor's user state (:meth:`~repro.core.actors.Actor.state_dump`),
   which transitively covers window operators, timekeepers and the shared
   in-memory SQL database;
-* every input-port receiver (FIFO queues, window panes, expired queues,
-  the time-triggered staging buffers);
+* every input-port receiver: FIFO queues, or a window operator's group
+  panes and counters plus whatever the receiver still owes a reader
+  (produced windows, caller-drained expired events);
 * the wave registry serial, the scheduler's ready queues + policy state,
   the fault supervisor (health records + dead letters), the statistics
   registry and the director's own counters;
@@ -47,8 +48,11 @@ from ..stafilos import ready as _ready_mod
 from .protocol import dump_component, restore_component
 
 #: Snapshot layout version; bumped whenever the dict shape changes so a
-#: stale payload fails loudly instead of restoring garbage.
-SNAPSHOT_FORMAT = 1
+#: stale payload fails loudly instead of restoring garbage.  Format 2
+#: dropped the fields nothing restored from: the window operators'
+#: ``last_seen`` stamps, the wave groups' ``open_order`` and the TM
+#: receivers' ``staged`` buffer (see :func:`_upgrade_format_1`).
+SNAPSHOT_FORMAT = 2
 
 #: Optional director-owned components, captured when present.  The SCWF
 #: director has the first four (plus ``overload`` when a QoS controller
@@ -198,8 +202,30 @@ def serialize_snapshot(snapshot: dict[str, Any]) -> bytes:
             gc.enable()
 
 
+def _upgrade_format_1(snapshot: dict[str, Any]) -> None:
+    """Rewrite a format-1 snapshot to format 2, in place.
+
+    Format 1 carried three write-only fields.  ``last_seen`` is
+    dropped; a wave group's ``open_order`` was already dropped while
+    unpickling (``_revive_wave_group``); ``staged`` held items between a
+    test-only ``stage``/``get`` pair and is empty in every snapshot an
+    engine wrote — a non-empty one would be work this engine has no
+    place for, so it is refused rather than lost.
+    """
+    for actor, ports in snapshot.get("receivers", {}).items():
+        for port, state in ports.items():
+            if state.pop("staged", None):
+                raise CheckpointError(
+                    f"format-1 snapshot holds staged items on receiver "
+                    f"{actor}.{port}; this engine stages on the firing "
+                    "context and cannot resume them"
+                )
+            state.get("operator", {}).pop("last_seen", None)
+    snapshot["format"] = SNAPSHOT_FORMAT
+
+
 def deserialize_snapshot(payload: bytes) -> dict[str, Any]:
-    """Unpickle a payload and validate its format version."""
+    """Unpickle a payload, upgrading format 1, and validate the version."""
     try:
         snapshot = pickle.loads(payload)
     except Exception as exc:  # noqa: BLE001 - corrupt payloads vary widely
@@ -208,6 +234,8 @@ def deserialize_snapshot(payload: bytes) -> dict[str, Any]:
         ) from exc
     if not isinstance(snapshot, dict) or "format" not in snapshot:
         raise CheckpointError("snapshot payload has no format marker")
+    if snapshot["format"] == 1:
+        _upgrade_format_1(snapshot)
     if snapshot["format"] != SNAPSHOT_FORMAT:
         raise CheckpointError(
             f"snapshot format {snapshot['format']!r} is not supported "

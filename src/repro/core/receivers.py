@@ -116,8 +116,12 @@ class WindowedReceiver(Receiver):
     ``put`` inserts the event into the appropriate group-by queue of the
     window operator and, within the same call, checks whether a new window
     is produced; produced windows are stored on the output queue returned by
-    ``get``.  Expired events accumulate on :attr:`expired` until drained
-    (optionally by a dedicated workflow activity).
+    ``get``.  Events that slide out of scope go to the port's ``expired_to``
+    handler when one is declared; an attached receiver without a handler
+    discards them (nothing will ever read them, and a continuous run would
+    hold every one forever).  Only a port-less receiver — a caller driving
+    it directly — accumulates them on :attr:`expired` until
+    :meth:`drain_expired`.
     """
 
     def __init__(self, spec: WindowSpec, port=None):
@@ -189,8 +193,11 @@ class WindowedReceiver(Receiver):
             for event in events:
                 self.put(event)
             return
-        for window in self.operator.put_batch(events):
+        operator = self.operator
+        for window in operator.put_batch(events):
             self._deliver(window)
+        if operator.expired:
+            self._route_expired()
 
     def _dispose_late(self, event: CWEvent, disposition: str) -> None:
         """Drop or side-output one event the lateness policy rejected."""
@@ -224,9 +231,15 @@ class WindowedReceiver(Receiver):
         self._windows.append(window)
 
     def _route_expired(self) -> None:
-        """Forward expired events to the declared handler port, if any."""
-        target = self.port.expired_to if self.port is not None else None
-        if target is None or not self.operator.expired:
+        """Hand expired events to the port's handler, or discard them.
+
+        A port-less receiver keeps them: its caller owns the queue.
+        """
+        if self.port is None or not self.operator.expired:
+            return
+        target = self.port.expired_to
+        if target is None:
+            self.operator.expired.clear()
             return
         for event in self.operator.drain_expired():
             target.put(event)

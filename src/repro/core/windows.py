@@ -333,19 +333,18 @@ class _TimeGroupState:
 class _WaveGroupState:
     """Per-group formation state for wave-based windows."""
 
-    __slots__ = ("events_by_root", "closed_roots", "open_order")
+    __slots__ = ("events_by_root", "closed_roots")
 
     def __init__(self) -> None:
         self.events_by_root: "OrderedDict[int, list[CWEvent]]" = OrderedDict()
         #: Closed wave roots in closing order (an insertion-ordered set).
         self.closed_roots: dict[int, None] = {}
-        self.open_order: list[int] = []
 
     def __reduce__(self):
         """Fast pickle path (snapshots carry one state per group key)."""
         return (
             _revive_wave_group,
-            (self.events_by_root, list(self.closed_roots), self.open_order),
+            (self.events_by_root, list(self.closed_roots)),
         )
 
 
@@ -370,12 +369,16 @@ def _revive_time_group(
 
 
 def _revive_wave_group(
-    events_by_root, closed_roots, open_order
+    events_by_root, closed_roots, open_order=None
 ) -> "_WaveGroupState":
+    """Rebuild a pickled wave group.
+
+    Snapshot format 1 pickled a third field, ``open_order``, that
+    nothing ever read; it is accepted and dropped.
+    """
     state = _WaveGroupState.__new__(_WaveGroupState)
     state.events_by_root = events_by_root
     state.closed_roots = dict.fromkeys(closed_roots)
-    state.open_order = open_order
     return state
 
 
@@ -404,7 +407,6 @@ class WindowOperator:
         self.spec = spec
         self._key_fn = spec.key_function()
         self._groups: "OrderedDict[GroupKey, Any]" = OrderedDict()
-        self._last_seen: dict[GroupKey, int] = {}
         self.expired: deque[CWEvent] = deque()
         self.total_events = 0
         self.total_windows = 0
@@ -453,7 +455,6 @@ class WindowOperator:
         self.total_events += 1
         key_fn = self._key_fn
         key = None if key_fn is None else key_fn(event)
-        self._last_seen[key] = event.timestamp
         state = self._groups.get(key)
         if state is None:
             state = self._new_group(key)
@@ -475,9 +476,8 @@ class WindowOperator:
         """Insert a train of events; returns all windows in production order.
 
         Produces exactly what ``[w for e in events for w in self.put(e)]``
-        would, but for ungrouped windows the per-event group lookup,
-        ``_last_seen`` stamping and counter updates are hoisted out of the
-        loop and paid once per train.
+        would, but for ungrouped windows the per-event group lookup and
+        counter updates are hoisted out of the loop and paid once per train.
         """
         if not events:
             return []
@@ -496,7 +496,6 @@ class WindowOperator:
             if made:
                 produced.extend(made)
         self.total_events += len(events)
-        self._last_seen[None] = events[-1].timestamp
         if produced:
             self.total_windows += len(produced)
             if _obs.ENABLED:
@@ -629,7 +628,6 @@ class WindowOperator:
         root = event.wave.serial
         if root not in state.events_by_root:
             state.events_by_root[root] = []
-            state.open_order.append(root)
         state.events_by_root[root].append(event)
         closed = state.closed_roots
         if event.last_in_wave:
@@ -648,7 +646,6 @@ class WindowOperator:
                 events = state.events_by_root.pop(r, [])
                 if not self.spec.delete_used_events:
                     self.expired.extend(events)
-                state.open_order.remove(r)
                 del closed[r]
         return produced
 
@@ -807,7 +804,6 @@ class WindowOperator:
                         self.expired.extend(leftovers)
                 state.events_by_root.clear()
                 state.closed_roots.clear()
-                state.open_order.clear()
         self.total_windows += len(produced)
         if produced:
             if _obs.ENABLED:
@@ -879,7 +875,6 @@ class WindowOperator:
         """
         return {
             "groups": self._groups,
-            "last_seen": self._last_seen,
             "expired": self.expired,
             "total_events": self.total_events,
             "total_windows": self.total_windows,
@@ -888,7 +883,6 @@ class WindowOperator:
     def state_restore(self, state: dict) -> None:
         """Re-apply dumped formation state (Checkpointable protocol)."""
         self._groups = OrderedDict(state["groups"])
-        self._last_seen = dict(state["last_seen"])
         self.expired = deque(state["expired"])
         self.total_events = int(state["total_events"])
         self.total_windows = int(state["total_windows"])
@@ -916,40 +910,6 @@ class WindowOperator:
                     count=len(items),
                 )
         return items
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-    def evict_idle_groups(self, before_ts: int) -> int:
-        """Drop *empty* group states last touched before *before_ts*.
-
-        Group-by clauses over unbounded key domains (e.g. car ids) would
-        otherwise grow forever: every key keeps a formation state even
-        after its events have all been consumed.  Only groups with no
-        buffered events are eligible — nothing observable changes, memory
-        is reclaimed.  Returns the number of groups evicted.
-        """
-        doomed = []
-        for key, state in self._groups.items():
-            if self._last_seen.get(key, 0) >= before_ts:
-                continue
-            if isinstance(state, _WaveGroupState):
-                busy = bool(state.events_by_root)
-            else:
-                busy = bool(state.queue)
-            if not busy:
-                doomed.append(key)
-        for key in doomed:
-            del self._groups[key]
-            self._last_seen.pop(key, None)
-        if doomed:
-            # A drained group may still have its (lagging) heap entry.
-            self._rebuild_index()
-            if _obs.ENABLED:
-                _obs._TRACER.instant(
-                    "window.groups_evicted", before_ts, count=len(doomed)
-                )
-        return len(doomed)
 
 
 def strip_window_timeouts(workflow: Any) -> int:

@@ -83,16 +83,6 @@ def _tune(config: ExperimentConfig, args) -> ExperimentConfig:
             config = replace(config, qos=QoSPolicy.parse(qos_spec))
         except SchedulerError as exc:
             raise SystemExit(f"--qos: {exc}") from None
-    inflight = getattr(args, "shard_inflight", None)
-    if inflight is not None:
-        if inflight < 1:
-            raise SystemExit("--shard-inflight: must be >= 1")
-        config = replace(config, shard_inflight=inflight)
-    codec = getattr(args, "shard_codec", None)
-    if codec is not None:
-        config = replace(config, shard_codec=codec)
-    if getattr(args, "shard_adaptive_chunk", False):
-        config = replace(config, shard_adaptive_chunk=True)
     return config
 
 
@@ -245,10 +235,9 @@ def _cmd_run_sharded(config: ExperimentConfig, args) -> int:
     if transport:
         print(
             f"transport: {int(transport.get('shard_chunks_sent', 0))} "
-            f"chunks / {int(transport.get('shard_bytes_sent', 0))} bytes "
-            f"({config.shard_codec}), peak "
-            f"{int(transport.get('shard_peak_inflight', 0))} in flight "
-            f"(window {config.shard_inflight}/worker), encode "
+            f"chunks / {int(transport.get('shard_bytes_sent', 0))} bytes, "
+            f"peak {int(transport.get('shard_peak_inflight', 0))} in flight "
+            f"(window {int(transport.get('shard_window', 0))}/worker), encode "
             f"{int(transport.get('shard_encode_us', 0))} us, decode "
             f"{int(transport.get('shard_decode_us', 0))} us"
         )
@@ -526,28 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "group-by key the workload is partitioned on: xway, "
             "direction or car_id (default xway)"
-        ),
-    )
-    run.add_argument(
-        "--shard-inflight", type=int, default=None, metavar="N",
-        help=(
-            "chunks the coordinator keeps outstanding per worker before "
-            "waiting for an ack (default 4; 1 = lockstep). Merged "
-            "output is bit-identical at any depth"
-        ),
-    )
-    run.add_argument(
-        "--shard-codec", default=None, choices=["struct", "pickle"],
-        help=(
-            "chunk wire codec: columnar struct packing with pickle "
-            "fallback (default) or whole-payload pickling"
-        ),
-    )
-    run.add_argument(
-        "--shard-adaptive-chunk", action="store_true",
-        help=(
-            "widen/narrow the chunk interval from acked backlog "
-            "telemetry (default: fixed 10 s grid); output-identical"
         ),
     )
     run.add_argument(

@@ -115,7 +115,10 @@ class ExperimentConfig:
     #: attaching the director, compiling linear map segments into single
     #: composed firings.  Sink outputs, wave tags and per-actor counters
     #: are bit-identical to the unfused run; only dispatch overhead (and
-    #: therefore the engine-time trajectory) changes.  SCWF only.
+    #: therefore the engine-time trajectory) changes — which is why it
+    #: stays the one deliberate output-visible speed knob while the
+    #: output-invariant ones (train size, shard transport) have no
+    #: field.  SCWF only.
     fuse: bool = False
     #: Frontier progress tracking (``--out-of-order``): ``None`` runs
     #: without a tracker (byte-identical to the pre-frontier engine),
@@ -128,21 +131,6 @@ class ExperimentConfig:
     #: or ``"grace:<us>"`` — how frontier-managed receivers treat events
     #: older than the applied frontier.  Requires ``frontier="close"``.
     lateness: Optional[str] = None
-    #: Shard data-plane credit window (``--shard-inflight``): chunks the
-    #: coordinator may keep outstanding per worker before waiting for an
-    #: ack.  ``1`` is the historical lockstep barrier; deeper windows
-    #: overlap encode + pipe I/O with worker compute.  Merged output is
-    #: bit-identical at any depth (frontier-close runs clamp to 1).
-    shard_inflight: int = 4
-    #: Shard chunk wire codec (``--shard-codec``): ``"struct"`` packs
-    #: homogeneous LR report chunks as fixed-width columns with a framed
-    #: pickle-5 fallback per group; ``"pickle"`` frames the whole
-    #: payload through protocol-5 pickling.  Output-identical.
-    shard_codec: str = "struct"
-    #: Adaptive chunk sizing (``--shard-adaptive-chunk``): widen/narrow
-    #: the chunk interval between bounds from acked backlog telemetry.
-    #: Off = the fixed grid.  Output-identical either way.
-    shard_adaptive_chunk: bool = False
 
     def with_seeds(self, seeds: tuple[int, ...]) -> "ExperimentConfig":
         return replace(self, seeds=seeds)

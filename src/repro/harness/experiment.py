@@ -142,9 +142,6 @@ def checkpoint_meta(config: ExperimentConfig, seed: int) -> dict:
         "fuse": config.fuse,
         "frontier": config.frontier,
         "lateness": config.lateness,
-        "shard_inflight": config.shard_inflight,
-        "shard_codec": config.shard_codec,
-        "shard_adaptive_chunk": config.shard_adaptive_chunk,
     }
 
 
@@ -202,14 +199,6 @@ def config_from_meta(
             # Older manifests predate frontiers: default to untracked.
             frontier=meta.get("frontier"),
             lateness=meta.get("lateness"),
-            # Older manifests predate the pipelined shard data plane:
-            # default to the current transport defaults (the knobs are
-            # output-invariant, so resume stays bit-identical).
-            shard_inflight=int(meta.get("shard_inflight", 4)),
-            shard_codec=str(meta.get("shard_codec", "struct")),
-            shard_adaptive_chunk=bool(
-                meta.get("shard_adaptive_chunk", False)
-            ),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
@@ -450,9 +439,6 @@ def run_sharded(
     shard_key: str = "xway",
     chunk_s: int = 10,
     migrations=(),
-    max_inflight=None,
-    codec=None,
-    adaptive_chunk=None,
 ):
     """One seed partitioned across *shards* worker processes.
 
@@ -461,10 +447,7 @@ def run_sharded(
     workload by *shard_key*, streams each logical shard's slice to a
     worker process over a credit-windowed pipe, and deterministically
     merges the sink outputs — bit-identical to :func:`run_once` on the
-    same config and seed.  Transport knobs left ``None`` default from
-    the config's ``shard_inflight`` / ``shard_codec`` /
-    ``shard_adaptive_chunk`` fields.  Returns a
-    :class:`repro.shard.ShardedRunResult`.
+    same config and seed.  Returns a :class:`repro.shard.ShardedRunResult`.
     """
     from ..shard import run_sharded as _run_sharded
 
@@ -475,9 +458,6 @@ def run_sharded(
         shard_key=shard_key,
         chunk_s=chunk_s,
         migrations=migrations,
-        max_inflight=max_inflight,
-        codec=codec,
-        adaptive_chunk=adaptive_chunk,
     )
 
 

@@ -18,20 +18,18 @@ Layout:
 * :mod:`repro.shard.worker` — the worker process: engines, the pipe
   message loop and the per-shard engine builder;
 * :mod:`repro.shard.coordinator` — the coordinator: credit-based
-  pipelined chunk streaming, backlog telemetry, adaptive chunk sizing,
-  migration orchestration and the merge;
+  pipelined chunk streaming, backlog telemetry, migration
+  orchestration and the merge;
 * :mod:`repro.shard.migration` — snapshot envelopes: the checkpoint
   layer as a migration primitive.
 """
 
 from .codec import (
-    CODECS,
     ColumnarBatch,
     decode_chunk,
     encode_chunk,
 )
 from .coordinator import (
-    AdaptiveChunker,
     run_sharded,
     run_single_canonical,
     ShardCoordinator,
@@ -63,8 +61,6 @@ __all__ = [
     "run_single_canonical",
     "shard_salt",
     "shard_seed",
-    "AdaptiveChunker",
-    "CODECS",
     "ColumnarBatch",
     "decode_chunk",
     "encode_chunk",

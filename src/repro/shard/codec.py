@@ -6,8 +6,8 @@ event_ts_us)`` disorder triples.  Default ``multiprocessing`` pickling
 serializes every row tuple and every payload object individually —
 per-object memo lookups, per-field dispatch, framing overhead on each
 :class:`~repro.linearroad.types.PositionReport`.  This module replaces
-it with two cooperating encodings chosen per group by data shape (so
-the two ends never need to negotiate):
+it with two cooperating encodings chosen per group by data shape and
+recorded in the frame (so the two ends never need to negotiate):
 
 * **struct-packed columnar** (``_GROUP_PAIRS``/``_GROUP_TRIPLES``) for
   homogeneous ``PositionReport`` chunks — the Linear Road fast path.
@@ -17,8 +17,8 @@ the two ends never need to negotiate):
   :class:`ColumnarBatch` of parallel columns so the source can ingest
   the chunk without materializing an intermediate tuple list.
 * **pickle protocol 5 with out-of-band buffer framing**
-  (``_GROUP_PICKLE`` / whole-payload ``_FRAME_PICKLE``) for everything
-  else: mixed-type chunks, non-LR payloads, ints too wide for int64.
+  (``_GROUP_PICKLE``) for everything else: mixed-type chunks, non-LR
+  payloads, ints too wide for int64.
   Buffers exported via ``buffer_callback`` are spliced into the wire
   blob verbatim and handed back to ``pickle.loads`` as zero-copy
   memoryview slices of the received blob.
@@ -39,17 +39,11 @@ from ..core.exceptions import SimulationError
 from ..linearroad.types import PositionReport
 from ..observability import tracer as _obs
 
-#: Codec names accepted by ``--shard-codec``.  ``"struct"`` enables the
-#: columnar fast path (with automatic pickle fallback per group);
-#: ``"pickle"`` frames the whole payload through protocol-5 pickling.
-CODECS = ("struct", "pickle")
-DEFAULT_CODEC = "struct"
-
 #: Wire-format magic + version; bump on any layout change.
 _MAGIC = b"SC1"
-#: Frame kinds (byte after the magic).
-_FRAME_PICKLE = 0  # whole payload: one framed pickle
-_FRAME_COLUMNAR = 1  # per-group container, one sub-encoding each
+#: The one frame kind (byte after the magic): a per-group container,
+#: one sub-encoding each.  Kind 0 was a whole-payload pickle frame.
+_FRAME_COLUMNAR = 1
 
 #: Per-group sub-encodings inside a columnar frame.
 _GROUP_PICKLE = 0  # framed pickle of the row list
@@ -277,56 +271,41 @@ def _read_framed_pickle(view: memoryview, offset: int) -> Tuple[Any, int]:
 
 
 def encode_chunk(
-    slices: Dict[Hashable, Sequence[tuple]],
-    codec: str = DEFAULT_CODEC,
-    now_us: int = 0,
+    slices: Dict[Hashable, Sequence[tuple]], now_us: int = 0
 ) -> bytes:
     """Encode one per-worker chunk payload ``{group: rows}`` to a blob.
 
-    With ``codec="struct"`` each group is packed columnar when its rows
-    are homogeneous ``PositionReport`` pairs/triples and falls back to
-    a framed pickle otherwise — a pure data-shape decision, recorded in
-    the frame, so :func:`decode_chunk` needs no codec argument.
-    ``codec="pickle"`` frames the whole payload through protocol-5
-    pickling (the historical representation, kept as a baseline and an
-    escape hatch).
+    Each group is packed columnar when its rows are homogeneous
+    ``PositionReport`` pairs/triples and falls back to a framed pickle
+    otherwise — a pure data-shape decision, recorded in the frame, so
+    :func:`decode_chunk` needs no hint.
     """
-    if codec == "pickle":
-        blob = b"".join(
-            (_MAGIC, bytes([_FRAME_PICKLE]), _frame_pickle(slices))
-        )
-    elif codec == "struct":
-        parts = [_MAGIC, bytes([_FRAME_COLUMNAR]), _U32.pack(len(slices))]
-        for group, items in slices.items():
-            key = pickle.dumps(group, protocol=5)
-            parts.append(_U32.pack(len(key)))
-            parts.append(key)
-            encoded = None
-            if items:
-                arity = _columnar_arity(items)
-                if arity is not None:
-                    try:
-                        encoded = _encode_columnar(items, arity)
-                    except struct.error:
-                        # An int column overflowed int64: this group
-                        # rides the pickle fallback instead.
-                        encoded = None
-            if encoded is None:
-                body = _frame_pickle(list(items))
-                encoded = b"".join(
-                    (bytes([_GROUP_PICKLE]), _U64.pack(len(body)), body)
-                )
-            parts.append(encoded)
-        blob = b"".join(parts)
-    else:
-        raise SimulationError(
-            f"unknown shard codec {codec!r} (choose from {CODECS})"
-        )
+    parts = [_MAGIC, bytes([_FRAME_COLUMNAR]), _U32.pack(len(slices))]
+    for group, items in slices.items():
+        key = pickle.dumps(group, protocol=5)
+        parts.append(_U32.pack(len(key)))
+        parts.append(key)
+        encoded = None
+        if items:
+            arity = _columnar_arity(items)
+            if arity is not None:
+                try:
+                    encoded = _encode_columnar(items, arity)
+                except struct.error:
+                    # An int column overflowed int64: this group
+                    # rides the pickle fallback instead.
+                    encoded = None
+        if encoded is None:
+            body = _frame_pickle(list(items))
+            encoded = b"".join(
+                (bytes([_GROUP_PICKLE]), _U64.pack(len(body)), body)
+            )
+        parts.append(encoded)
+    blob = b"".join(parts)
     if _obs.ENABLED:
         _obs._TRACER.instant(
             "shard.chunk.encode",
             now_us,
-            codec=codec,
             bytes=len(blob),
             groups=len(slices),
         )
@@ -339,7 +318,7 @@ def decode_chunk(
     """Decode a wire blob back into ``{group: rows-or-columns}``.
 
     Columnar groups come back as :class:`ColumnarBatch`; pickled groups
-    (and whole-pickle frames) come back as the original row lists.
+    come back as the original row lists.
     Fails closed: a truncated, corrupt or over-long blob raises
     :class:`SimulationError` naming the byte offset and what was being
     read there — never another exception type, never a partial payload.
@@ -352,14 +331,7 @@ def decode_chunk(
     _need(view, 3, 1, "frame kind")
     frame = view[3]
     offset = 4
-    if frame == _FRAME_PICKLE:
-        slices, offset = _read_framed_pickle(view, offset)
-        if not isinstance(slices, dict):
-            raise SimulationError(
-                "shard chunk blob corrupt at byte 4: pickle frame holds a "
-                f"{type(slices).__name__}, not a group dict"
-            )
-    elif frame == _FRAME_COLUMNAR:
+    if frame == _FRAME_COLUMNAR:
         ngroups = _read_uint(view, offset, _U32, "group count")
         offset += 4
         slices = {}

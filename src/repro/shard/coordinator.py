@@ -9,17 +9,17 @@ each hosting its assigned logical shards, and streams the per-shard
 slices over ``multiprocessing`` pipes in watermarked chunks.
 
 The data plane is a **credit-based pipelined stream**: each worker has
-a credit window of ``max_inflight`` chunks (``--shard-inflight``), and
-the coordinator keeps sending — encoding the next chunk through
+a credit window of ``max_inflight`` chunks (:data:`DEFAULT_INFLIGHT`),
+and the coordinator keeps sending — encoding the next chunk through
 :mod:`repro.shard.codec` while workers chew on earlier ones — blocking
 only when a window is full.  Acks return credits asynchronously and
 carry the per-shard backlog + frontier telemetry of their chunk;
 completed rounds are folded into the logs in watermark order, so the
-telemetry stream reads exactly like the historical lockstep one
+telemetry stream reads exactly like the lockstep one
 (``max_inflight=1``, which remains bit-identical by construction).
 Chunked delivery itself is placement- and pacing-independent — the
 simulation runtime admits arrivals at their stamped times — so *any*
-in-flight depth, codec and chunk grid produces the same merged output.
+in-flight depth and chunk grid produces the same merged output.
 
 Two consumers do need the pipeline quiesced:
 
@@ -32,14 +32,11 @@ Two consumers do need the pipeline quiesced:
   snapshot covers exactly the chunks sent so far.
 
 Every chunk acknowledgement carries the per-shard backlog of the worker,
-giving the coordinator the live load picture an elastic policy needs —
-and, opt-in (``--shard-adaptive-chunk``), driving
-:class:`AdaptiveChunker`, which widens the chunk interval while shards
-keep up and narrows it under backlog.  The scripted
-:class:`~repro.shard.migration.ShardMigration` hook moves a logical
-shard between workers mid-run by shipping a checkpoint snapshot — no
-replay, and the final merged output is byte-identical to an unmigrated
-run.
+giving the coordinator the live load picture an elastic policy needs.
+The scripted :class:`~repro.shard.migration.ShardMigration` hook moves a
+logical shard between workers mid-run by shipping a checkpoint snapshot —
+no replay, and the final merged output is byte-identical to an
+unmigrated run.
 
 When all arrivals are delivered the workers run their shards to the
 horizon and report canonical sink traces, which the coordinator merges
@@ -62,7 +59,7 @@ from ..core.timekeeper import US_PER_S
 from ..linearroad.generator import LinearRoadWorkload
 from ..linearroad.workflow import shard_key_fn
 from ..stafilos.scwf_director import _FAR_FUTURE
-from .codec import CODECS, DEFAULT_CODEC, encode_chunk
+from .codec import encode_chunk
 from .migration import ShardMigration
 from .routing import (
     CanonicalRecord,
@@ -72,64 +69,10 @@ from .routing import (
 )
 from .worker import ShardWorkerSpec, worker_main
 
-#: Default credit-window depth (``--shard-inflight``): how many chunks
-#: may be outstanding per worker before the coordinator waits for an
-#: ack.  ``1`` reproduces the historical lockstep barrier exactly.
+#: Credit-window depth: how many chunks may be outstanding per worker
+#: before the coordinator waits for an ack.  ``1`` is the lockstep
+#: barrier (what frontier-close runs clamp to, and the tests' oracle).
 DEFAULT_INFLIGHT = 4
-
-
-class AdaptiveChunker:
-    """Backlog-driven chunk sizing between bounds (opt-in).
-
-    Fed the peak per-shard backlog of each completed chunk round, it
-    widens the chunk interval while every shard keeps up (peak at or
-    below *low*) — fewer, bigger chunks amortize encode + ship + ack
-    overhead — and halves it once backlog builds past *high*, restoring
-    fine-grained telemetry and migration points.  Bounds default to
-    ``[max(1, base//4), base*4]`` seconds.
-
-    The chunk grid never touches outputs: chunked delivery is
-    equivalent to preloading the schedule, so adaptation trades
-    transport overhead against telemetry resolution only.
-    """
-
-    def __init__(
-        self,
-        base_s: int,
-        min_s: Optional[int] = None,
-        max_s: Optional[int] = None,
-        low: int = 0,
-        high: int = 256,
-    ):
-        self.min_s = max(1, base_s // 4) if min_s is None else min_s
-        self.max_s = base_s * 4 if max_s is None else max_s
-        if not self.min_s <= base_s <= self.max_s:
-            raise SimulationError(
-                f"adaptive chunk bounds [{self.min_s}, {self.max_s}] s "
-                f"must bracket the base interval {base_s} s"
-            )
-        if low >= high:
-            raise SimulationError(
-                "adaptive chunking needs low watermark < high watermark"
-            )
-        self.low = low
-        self.high = high
-        self.chunk_s = base_s
-        #: How many times the interval actually changed.
-        self.resizes = 0
-
-    def update(self, peak_backlog: int) -> int:
-        """Fold one completed round's peak backlog; return the new size."""
-        if peak_backlog > self.high:
-            size = max(self.min_s, self.chunk_s // 2)
-        elif peak_backlog <= self.low:
-            size = min(self.max_s, self.chunk_s * 2)
-        else:
-            size = self.chunk_s
-        if size != self.chunk_s:
-            self.chunk_s = size
-            self.resizes += 1
-        return self.chunk_s
 
 
 @dataclass
@@ -167,7 +110,8 @@ class ShardedRunResult:
     )
     #: Data-plane counters (``shard_bytes_sent``, ``shard_encode_us``,
     #: ``shard_peak_inflight``...) — a copy of the coordinator
-    #: registry's ``engine_counters`` at the end of the run.
+    #: registry's ``engine_counters`` at the end of the run — plus
+    #: ``shard_window``, the per-worker credit depth the run really used.
     transport: Dict[str, float] = field(default_factory=dict)
 
     def peak_backlog(self) -> int:
@@ -191,9 +135,7 @@ class ShardCoordinator:
         chunk_s: int = 10,
         migrations: Sequence[ShardMigration] = (),
         start_method: Optional[str] = None,
-        max_inflight: Optional[int] = None,
-        codec: Optional[str] = None,
-        adaptive_chunk: Optional[bool] = None,
+        max_inflight: int = DEFAULT_INFLIGHT,
     ):
         if config.scheduler.kind == "PNCWF":
             raise SimulationError(
@@ -203,29 +145,14 @@ class ShardCoordinator:
             raise SimulationError("--shards must be >= 1")
         if chunk_s < 1:
             raise SimulationError("the chunk interval must be >= 1 s")
-        # Transport knobs default from the experiment config (where the
-        # CLI and checkpoint manifests put them); explicit arguments
-        # win, so the coordinator stays usable with bare configs.
-        if max_inflight is None:
-            max_inflight = getattr(config, "shard_inflight", DEFAULT_INFLIGHT)
-        if codec is None:
-            codec = getattr(config, "shard_codec", DEFAULT_CODEC)
-        if adaptive_chunk is None:
-            adaptive_chunk = getattr(config, "shard_adaptive_chunk", False)
         if max_inflight < 1:
-            raise SimulationError("--shard-inflight must be >= 1")
-        if codec not in CODECS:
-            raise SimulationError(
-                f"unknown shard codec {codec!r} (choose from {CODECS})"
-            )
+            raise SimulationError("max_inflight must be >= 1")
         self.config = config
         self.seed = seed
         self.shards = shards
         self.shard_key = shard_key
         self.chunk_s = chunk_s
         self.max_inflight = max_inflight
-        self.codec = codec
-        self.adaptive_chunk = bool(adaptive_chunk)
         self.scripted_migrations = sorted(
             migrations, key=lambda m: m.at_s
         )
@@ -423,16 +350,11 @@ class ShardCoordinator:
         # so the credit window clamps to 1 and the grid stays fixed —
         # the lockstep barrier *is* the frontier protocol.
         inflight = 1 if frontier_close else self.max_inflight
-        chunker = (
-            AdaptiveChunker(self.chunk_s)
-            if self.adaptive_chunk and not frontier_close
-            else None
-        )
         counters = self.statistics.engine_counters
 
         def fold_completed_rounds() -> None:
             """Move fully-acked head rounds into the telemetry logs."""
-            nonlocal merged_frontier, chunk_us
+            nonlocal merged_frontier
             while self._round_order and not self._rounds[
                 self._round_order[0]
             ][0]:
@@ -459,9 +381,6 @@ class ShardCoordinator:
                     ):
                         merged_frontier = candidate
                     frontier_log.append((done, merged_frontier))
-                if chunker is not None:
-                    peak = max(backlogs.values(), default=0)
-                    chunk_us = chunker.update(peak) * US_PER_S
 
         try:
             self._spawn(plan)
@@ -499,7 +418,7 @@ class ShardCoordinator:
                         self._drain_one_ack(worker)
                     encode_start = perf_counter_ns()
                     blob = encode_chunk(
-                        per_worker[worker], self.codec, now_us=watermark
+                        per_worker[worker], now_us=watermark
                     )
                     counters["shard_encode_us"] += (
                         perf_counter_ns() - encode_start
@@ -518,8 +437,8 @@ class ShardCoordinator:
                     self._drain_all_acks()
                 else:
                     # Opportunistic: collect acks already queued, so
-                    # telemetry (and adaptive sizing) stays fresh
-                    # without ever stalling the send loop.
+                    # telemetry stays fresh without ever stalling the
+                    # send loop.
                     self._drain_ready_acks()
                 fold_completed_rounds()
                 while pending and pending[0].at_s * US_PER_S <= watermark:
@@ -595,7 +514,9 @@ class ShardCoordinator:
             backlog_log=backlog_log,
             frontier_log=frontier_log,
             migrations=list(self.migrations_done),
-            transport=dict(self.statistics.engine_counters),
+            transport=dict(
+                self.statistics.engine_counters, shard_window=inflight
+            ),
         )
 
 
@@ -606,19 +527,15 @@ def run_sharded(
     shard_key: str = "xway",
     chunk_s: int = 10,
     migrations: Sequence[ShardMigration] = (),
-    max_inflight: Optional[int] = None,
-    codec: Optional[str] = None,
-    adaptive_chunk: Optional[bool] = None,
+    max_inflight: int = DEFAULT_INFLIGHT,
 ) -> ShardedRunResult:
     """One seeded Linear Road run partitioned across worker processes.
 
     The convenience entry point behind ``repro run --shards N``: builds
-    a :class:`ShardCoordinator` and runs it.  Transport knobs left as
-    ``None`` default from the config's ``shard_inflight`` /
-    ``shard_codec`` / ``shard_adaptive_chunk`` fields.  The merged
-    canonical traces in the result are bit-identical to
+    a :class:`ShardCoordinator` and runs it.  The merged canonical
+    traces in the result are bit-identical to
     :func:`run_single_canonical` on the same config + seed, for any
-    shard count, in-flight depth, codec, chunk grid and any scripted
+    shard count, in-flight depth, chunk grid and any scripted
     migrations.
     """
     return ShardCoordinator(
@@ -629,8 +546,6 @@ def run_sharded(
         chunk_s=chunk_s,
         migrations=migrations,
         max_inflight=max_inflight,
-        codec=codec,
-        adaptive_chunk=adaptive_chunk,
     ).run()
 
 

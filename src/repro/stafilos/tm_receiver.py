@@ -6,8 +6,8 @@ broadcasts an event, ``put`` runs the window semantics on the group-by
 queue, and any produced window is **enqueued at the actor's ready queue at
 the SCWF director** (rather than buffered for a blocking reader).  When the
 director later decides to run the actor, it dequeues the window and stages
-it in the receiver's buffer, making it available to the next ``get`` call
-of the actor's ``fire``.
+it on the firing context the actor's ``fire`` reads from — the receiver
+itself buffers nothing.
 
 Ports without a declared window behave as plain event queues: every event
 is immediately ready work (a "window" of one event, delivered as the bare
@@ -16,11 +16,9 @@ event).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, Optional
 
 from ..core.events import CWEvent
-from ..core.exceptions import ReceiverError
 from ..core.punctuation import CONTROL_ITEMS
 from ..core.receivers import WindowedReceiver
 from ..core.windows import Window, WindowSpec
@@ -45,9 +43,10 @@ class TMWindowedReceiver(WindowedReceiver):
         )
         super().__init__(effective, port)
         self._director = director
-        self._buffer: deque = deque()
         #: Slot in the director's timed-deadline heap, or ``None`` when
-        #: this receiver has no formation timeout to watch.
+        #: this receiver has no formation timeout to watch.  Structural,
+        #: so not part of ``state_dump``: the director's restore re-marks
+        #: every slot dirty instead.
         self._deadline_slot: Optional[int] = None
 
     # ------------------------------------------------------------------
@@ -149,42 +148,3 @@ class TMWindowedReceiver(WindowedReceiver):
                 size=len(window),
             )
         self._director.schedule_ready(self.port.actor, self.port.name, item)
-
-    # ------------------------------------------------------------------
-    # Director-side staging and actor-side reads
-    # ------------------------------------------------------------------
-    def stage(self, item: Window | CWEvent) -> None:
-        """Director deposits the dequeued item for the upcoming firing."""
-        self._buffer.append(item)
-
-    def get(self) -> Window | CWEvent:
-        if not self._buffer:
-            raise ReceiverError(
-                f"get() on TM receiver of {self.port!r} with nothing staged"
-            )
-        return self._buffer.popleft()
-
-    def has_token(self) -> bool:
-        return bool(self._buffer)
-
-    def size(self) -> int:
-        return len(self._buffer)
-
-    # ------------------------------------------------------------------
-    # Checkpointable protocol
-    # ------------------------------------------------------------------
-    def state_dump(self) -> dict:
-        """Snapshot window state + director-staged items (Checkpointable).
-
-        ``_deadline_slot`` is structural (assigned when the director
-        builds its timed-deadline heap) and is not part of the dump; the
-        restore path re-marks every slot dirty instead.
-        """
-        state = super().state_dump()
-        state["staged"] = list(self._buffer)
-        return state
-
-    def state_restore(self, state: dict) -> None:
-        """Re-apply the dump on a rebuilt receiver (Checkpointable)."""
-        super().state_restore(state)
-        self._buffer = deque(state["staged"])

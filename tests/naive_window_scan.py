@@ -7,11 +7,10 @@ state on every call, and ``_put_time`` walks the barren panes of an idle
 gap one ``_close_time_window`` call at a time.  Nothing here reads or
 maintains the index.
 
-It exists solely as the oracle for ``test_property_windows.py`` and
-``test_group_eviction.py``: the indexed operator must produce the
-**identical** windows (events, key, bounds, ``forced``, order, ``seq``),
-expired queue and deadlines over random interleavings of every entry
-point.  Keep it byte-for-byte dumb, as ``naive_schedulers.py`` is; any
+It exists solely as the oracle for ``test_property_windows.py``: the
+indexed operator must produce the **identical** windows (events, key,
+bounds, ``forced``, order, ``seq``), expired queue and deadlines over
+random interleavings of every entry point.  Keep it byte-for-byte dumb, as ``naive_schedulers.py`` is; any
 cleverness here defeats the point of the oracle.
 """
 
@@ -127,7 +126,6 @@ class NaiveScanWindowOperator(WindowOperator):
                         self.expired.extend(leftovers)
                 state.events_by_root.clear()
                 state.closed_roots.clear()
-                state.open_order.clear()
         self.total_windows += len(produced)
         if produced:
             if _obs.ENABLED:

@@ -2,8 +2,8 @@
 
 ``SCWFDirector`` used to ship two internal firing paths: this strictly
 per-event one (the paper's Figure 3 read literally — one scheduling
-decision, one staged item, one fresh firing context, one receiver
-round-trip per event) beside the event-train loop that is now the
+decision, one staged item, one fresh firing context per event) beside
+the event-train loop that is now the
 director's only ``_fire_internal``.  The subclass below reproduces the
 historical path verbatim and exists solely as the oracle for
 ``test_train.py`` / ``test_fusion.py`` and as the slow side of
@@ -67,9 +67,8 @@ class PerEventSCWFDirector(SCWFDirector):
         fired = False
         attempt = 0
         while True:
-            receiver.stage(ready.item)
             ctx = self.make_context(actor, self.clock.now_us)
-            ctx.stage(ready.port_name, receiver.get())
+            ctx.stage(ready.port_name, ready.item)
             try:
                 if actor.prefire(ctx):
                     actor.fire(ctx)

@@ -10,10 +10,13 @@ Covers the acceptance criteria of the subsystem:
   and through a full resume;
 * store unit behaviour (atomic layout, retention, CRC verification);
 * dead-letter replay through the restored engine;
-* manifests written before the firing loop lost its quantum knob still
-  resume bit-identically.
+* manifests written before the firing loop lost its quantum knob, and
+  format-1 snapshots written before the receivers lost their write-only
+  fields, still resume bit-identically.
 """
 
+import io
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -30,7 +33,14 @@ from repro.checkpoint import (
     serialize_snapshot,
     structure_fingerprint,
 )
-from repro.core import MapActor, SinkActor, SourceActor, Workflow
+from repro.core import (
+    MapActor,
+    SinkActor,
+    SourceActor,
+    WindowSpec,
+    Workflow,
+)
+from repro.core import windows as windows_module
 from repro.core.exceptions import CheckpointError
 from repro.harness.configs import ExperimentConfig, SchedulerSpec
 from repro.harness.experiment import (
@@ -356,6 +366,147 @@ class TestEngineCheckpointer:
 
 
 # ----------------------------------------------------------------------
+# Snapshot formats: 2 is current, 1 upgrades
+# ----------------------------------------------------------------------
+class _Format1WaveGroup:
+    """Pickles a wave group the way format 1 did: with ``open_order``."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def __reduce__(self):
+        state = self.state
+        return (
+            windows_module._revive_wave_group,
+            (
+                state.events_by_root,
+                list(state.closed_roots),
+                list(state.events_by_root),
+            ),
+        )
+
+
+def _as_format_1(payload: bytes, staged=()) -> bytes:
+    """Rewrite a snapshot payload to what the PR 15 engine wrote."""
+    snapshot = deserialize_snapshot(payload)
+    snapshot["format"] = 1
+    for ports in snapshot["receivers"].values():
+        for state in ports.values():
+            if "operator" not in state:
+                continue  # a FIFO receiver: unchanged
+            state["staged"] = list(staged)
+            operator = state["operator"]
+            operator["last_seen"] = dict.fromkeys(operator["groups"], 0)
+            groups = operator["groups"]
+            for key, group in groups.items():
+                if isinstance(group, windows_module._WaveGroupState):
+                    groups[key] = _Format1WaveGroup(group)
+    return serialize_snapshot(snapshot)
+
+
+def _memoless_bytes(snapshot) -> bytes:
+    """Pickle bytes that do not depend on which equal strings are shared.
+
+    The pickle memo writes an object once per *identity*; whether two
+    equal actor-name keys are one object differs between a live engine
+    and a restored one, so byte comparisons switch the memo off.
+    """
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.fast = True
+    pickler.dump(snapshot)
+    return buffer.getvalue()
+
+
+def _wave_engine():
+    """source -> sliding 3-wave sum -> sink: wave groups mid-formation."""
+    workflow = Workflow("waves")
+    source = SourceActor(
+        "src", arrivals=[(i * 100_000, i) for i in range(20)]
+    )
+    source.add_output("out")
+    summed = MapActor(
+        "sum",
+        lambda values: sum(values),
+        window=WindowSpec.waves(3, step=1, delete_used_events=False),
+    )
+    sink = SinkActor("sink")
+    workflow.add_all([source, summed, sink])
+    workflow.connect(source, summed)
+    workflow.connect(summed, sink)
+    clock = VirtualClock()
+    director = SCWFDirector(
+        RoundRobinScheduler(10_000), clock, CostModel(seed=5)
+    )
+    director.attach(workflow)
+    return director, clock, sink
+
+
+class TestSnapshotFormats:
+    def test_dump_carries_no_write_only_field(self):
+        director, clock, _ = _wave_engine()
+        SimulationRuntime(director, clock).run(1.0)
+        snapshot = capture_snapshot(director)
+        assert snapshot["format"] == 2
+        windowed = snapshot["receivers"]["sum"]["in"]
+        assert set(windowed) == {"operator", "windows"}
+        assert set(windowed["operator"]) == {
+            "groups", "expired", "total_events", "total_windows"
+        }
+        assert not windowed["operator"]["expired"]  # no handler: discarded
+
+    def test_format_2_round_trip_is_byte_stable(self):
+        director, clock, _ = _wave_engine()
+        SimulationRuntime(director, clock).run(1.0)
+        snapshot = capture_snapshot(director)
+        fresh, _, _ = _wave_engine()
+        fresh.initialize_all()
+        restore_snapshot(
+            fresh, deserialize_snapshot(serialize_snapshot(snapshot))
+        )
+        assert _memoless_bytes(capture_snapshot(fresh)) == _memoless_bytes(
+            snapshot
+        )
+
+    def test_format_1_snapshot_upgrades_and_continues_identically(self):
+        director, clock, sink = _wave_engine()
+        runtime = SimulationRuntime(director, clock)
+        runtime.run(1.0)
+        payload = serialize_snapshot(capture_snapshot(director))
+        runtime.run(3.0)
+        assert len(sink.values) > 10
+
+        old = _as_format_1(payload)
+        assert old != payload and pickle.loads(old)["format"] == 1
+        upgraded = deserialize_snapshot(old)
+        assert upgraded["format"] == 2
+        assert _memoless_bytes(upgraded) == _memoless_bytes(
+            deserialize_snapshot(payload)
+        )
+        fresh, fresh_clock, fresh_sink = _wave_engine()
+        fresh.initialize_all()
+        restore_snapshot(fresh, upgraded)
+        SimulationRuntime(fresh, fresh_clock).run(3.0)
+        assert fresh_sink.values == sink.values
+        assert fresh.total_internal_firings == director.total_internal_firings
+
+    def test_format_1_snapshot_with_staged_items_is_refused(self):
+        director, clock, _ = _wave_engine()
+        SimulationRuntime(director, clock).run(1.0)
+        payload = serialize_snapshot(capture_snapshot(director))
+        with pytest.raises(CheckpointError, match="staged items on receiver"):
+            deserialize_snapshot(_as_format_1(payload, staged=["window"]))
+
+    def test_unknown_format_is_refused(self):
+        director, clock, _ = _wave_engine()
+        SimulationRuntime(director, clock).run(0.5)
+        snapshot = capture_snapshot(director)
+        snapshot["format"] = 3
+        with pytest.raises(CheckpointError, match="format 3"):
+            deserialize_snapshot(serialize_snapshot(snapshot))
+
+
+# ----------------------------------------------------------------------
 # Crash + resume on the Linear Road benchmark (acceptance criterion)
 # ----------------------------------------------------------------------
 class _CrashAfter(DirectoryCheckpointStore):
@@ -385,6 +536,35 @@ class _PR10EraStore(_CrashAfter):
         meta = dict(manifest.meta, train_size=64)
         meta["qos"] = dict(
             meta["qos"], adapt_train_size=True, max_train_size=64
+        )
+        super().save(
+            replace(
+                manifest,
+                meta=meta,
+                payload_bytes=len(payload),
+                crc32=zlib.crc32(payload),
+            ),
+            payload,
+        )
+
+
+class _PR15EraStore(_CrashAfter):
+    """Publishes every snapshot the way PR 15 wrote it: format 1.
+
+    ``last_seen`` stamps and an (empty) ``staged`` buffer in every TM
+    receiver dump, ``open_order`` in wave groups, and the three shard
+    transport knobs in the manifest metadata.
+    """
+
+    def save(self, manifest, payload):
+        import zlib
+
+        payload = _as_format_1(payload)
+        meta = dict(
+            manifest.meta,
+            shard_inflight=4,
+            shard_codec="struct",
+            shard_adaptive_chunk=False,
         )
         super().save(
             replace(
@@ -473,6 +653,44 @@ class TestCrashResumeBitIdentical:
         assert resumed.tolls == reference.tolls
         assert resumed.alerts == reference.alerts
         assert resumed.internal_firings == reference.internal_firings
+
+    def test_pr15_era_checkpoint_resumes_bit_identical(
+        self, tmp_path, reference_run
+    ):
+        """Format-1 payloads + manifests naming the removed shard knobs."""
+        from repro.harness.experiment import _execute_seed
+
+        config = _short_config(
+            checkpoint_dir=str(tmp_path), checkpoint_every_s=10.0
+        )
+        with pytest.raises(KeyboardInterrupt):
+            _execute_seed(config, 7, store=_PR15EraStore(tmp_path, 3))
+        manifest, payload = DirectoryCheckpointStore(tmp_path).latest()
+        assert manifest.meta["shard_codec"] == "struct"  # really old
+        old = pickle.loads(payload)
+        assert old["format"] == 1
+        dumps = [
+            state
+            for ports in old["receivers"].values()
+            for state in ports.values()
+            if "operator" in state
+        ]
+        assert dumps and all(
+            state["staged"] == [] and "last_seen" in state["operator"]
+            for state in dumps
+        )
+
+        resumed, _, _, manifest = resume_run(str(tmp_path))
+        assert manifest.checkpoint_id == 3
+        assert resumed.series.times_s == reference_run.series.times_s
+        assert (
+            resumed.series.responses_s == reference_run.series.responses_s
+        )
+        assert resumed.tolls == reference_run.tolls
+        assert resumed.alerts == reference_run.alerts
+        assert (
+            resumed.internal_firings == reference_run.internal_firings
+        )
 
     def test_resume_with_corrupted_latest_uses_previous(
         self, tmp_path, reference_run

@@ -10,6 +10,9 @@ from repro.core import (
     Workflow,
     WorkflowError,
 )
+from repro.harness.configs import ExperimentConfig, SchedulerSpec
+from repro.harness.experiment import _execute_seed
+from repro.linearroad.generator import WorkloadConfig
 from repro.resilience import FaultPolicy
 from repro.simulation import CostModel, SimulationRuntime, VirtualClock
 from repro.stafilos import RoundRobinScheduler, SCWFDirector
@@ -138,3 +141,41 @@ class TestFaultBarrier:
                 CostModel(),
                 error_policy="retry",
             )
+
+
+class TestHandlerlessPortsHoldNothing:
+    """No Linear Road port declares a handler: nothing slid-out is kept."""
+
+    @staticmethod
+    def receivers_after(duration_s):
+        config = ExperimentConfig(
+            scheduler=SchedulerSpec("RR", quantum_us=40_000),
+            workload=WorkloadConfig(duration_s=duration_s, peak_rate=40),
+            seeds=(1,),
+        )
+        _, director, _ = _execute_seed(config, 1)
+        return [
+            port.receiver
+            for actor in director.workflow.actors.values()
+            for port in actor.input_ports.values()
+            if port.window is not None
+        ]
+
+    def test_linear_road_run_leaves_every_expired_queue_empty(self):
+        seen = []
+        for duration_s in (80, 160):
+            receivers = self.receivers_after(duration_s)
+            assert receivers
+            assert all(r.port.expired_to is None for r in receivers)
+            assert all(not r.operator.expired for r in receivers)
+            admitted = sum(r.operator.total_events for r in receivers)
+            held = sum(
+                r.pending_events() + len(r.operator.expired)
+                for r in receivers
+            )
+            assert 0 < held < admitted  # windows did slide events out
+            seen.append((admitted, held))
+        # What a receiver holds follows what is pending, not what was
+        # ever admitted (the two were equal while ``expired`` leaked).
+        (admitted_t, held_t), (admitted_2t, held_2t) = seen
+        assert held_2t - held_t < (admitted_2t - admitted_t) // 2

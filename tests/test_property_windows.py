@@ -152,7 +152,6 @@ _steps = st.one_of(
     st.tuples(st.just("timeout"), _stamps),
     st.tuples(st.just("flush"), st.none()),
     st.tuples(st.just("frontier"), _stamps),
-    st.tuples(st.just("evict"), _stamps),
     st.tuples(st.just("restore"), st.none()),
 )
 
@@ -207,8 +206,6 @@ def _replay(operator_cls, spec, events, steps):
         elif name == "frontier":
             result = op.next_frontier_boundary(arg)
             produced = op.close_on_frontier(arg)
-        elif name == "evict":
-            result, produced = op.evict_idle_groups(arg), []
         else:  # the dump must pickle to the same bytes, then restore
             result, produced = pickle.dumps(op.state_dump()), []
             op = operator_cls(spec)

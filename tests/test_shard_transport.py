@@ -1,15 +1,14 @@
 """The pipelined shard data plane (``repro.shard.codec`` + coordinator).
 
-Covers the transport rebuild end to end: codec round-trips (columnar
-fast path, pickle-5 fallback, out-of-band buffers, a Hypothesis
+Covers the transport end to end: codec round-trips (columnar fast
+path, per-group pickle-5 fallback, out-of-band buffers, a Hypothesis
 property over arbitrary payloads), credit-based pipelining
 (lockstep-vs-pipelined merged-trace equality at several in-flight
-depths and codecs, frontier-close clamping, mid-run migration under a
-deep window), adaptive chunk sizing, the columnar source fast path
-(``SourceActor.feed_columns``), dead-worker error surfacing in
-``ShardCoordinator._recv``, transport telemetry (trace events,
-engine counters, Prometheus export) and the CLI/manifest plumbing of
-the three new knobs.
+depths, frontier-close clamping, mid-run migration under a deep
+window), the columnar source fast path (``SourceActor.feed_columns``),
+dead-worker error surfacing in ``ShardCoordinator._recv``, transport
+telemetry (trace events, engine counters, Prometheus export), the CLI
+summary line, and manifests written while the plane still had knobs.
 """
 
 import pickle
@@ -32,7 +31,6 @@ from repro.linearroad.types import PositionReport
 from repro.linearroad.workflow import shard_key_fn
 from repro.observability import export_prometheus, RecordingTracer, use_tracer
 from repro.shard import (
-    AdaptiveChunker,
     ColumnarBatch,
     decode_chunk,
     encode_chunk,
@@ -90,7 +88,7 @@ def normalize(decoded):
 class TestCodec:
     def test_struct_roundtrips_lr_chunk_columnar(self, config):
         chunk = lr_chunk(config)
-        decoded = decode_chunk(encode_chunk(chunk, "struct"))
+        decoded = decode_chunk(encode_chunk(chunk))
         # The homogeneous LR fast path decodes into columns, and the
         # round trip is repr-exact (the merge key compares repr).
         for group, rows in chunk.items():
@@ -103,19 +101,12 @@ class TestCodec:
 
     def test_struct_beats_pickle_on_lr_chunks(self, config):
         chunk = lr_chunk(config)
-        blob = encode_chunk(chunk, "struct")
+        blob = encode_chunk(chunk)
         assert len(blob) < len(pickle.dumps(chunk, protocol=5))
 
-    def test_pickle_codec_roundtrips(self, config):
-        chunk = lr_chunk(config, count=50)
-        assert decode_chunk(encode_chunk(chunk, "pickle")) == chunk
-
     def test_empty_payloads(self):
-        for codec in ("struct", "pickle"):
-            assert decode_chunk(encode_chunk({}, codec)) == {}
-            assert normalize(
-                decode_chunk(encode_chunk({0: []}, codec))
-            ) == {0: []}
+        assert decode_chunk(encode_chunk({})) == {}
+        assert normalize(decode_chunk(encode_chunk({0: []}))) == {0: []}
 
     def test_mixed_chunk_takes_fallback_per_group(self, config):
         report = lr_chunk(config, count=1)[0][0][1]
@@ -123,7 +114,7 @@ class TestCodec:
             0: [(1, report), (2, report)],  # homogeneous -> columnar
             1: [(3, "late"), (4, None)],  # mixed -> pickled rows
         }
-        decoded = decode_chunk(encode_chunk(payload, "struct"))
+        decoded = decode_chunk(encode_chunk(payload))
         assert isinstance(decoded[0], ColumnarBatch)
         assert isinstance(decoded[1], list)
         assert normalize(decoded) == payload
@@ -133,14 +124,14 @@ class TestCodec:
         triples = [
             (ts + 5, value, ts) for ts, value in rows
         ]
-        decoded = decode_chunk(encode_chunk({2: triples}, "struct"))
+        decoded = decode_chunk(encode_chunk({2: triples}))
         assert decoded[2].event_ts is not None
         assert decoded[2].rows() == triples
 
     def test_int64_overflow_falls_back_to_pickle(self, config):
         report = lr_chunk(config, count=1)[0][0][1]
         payload = {0: [(2 ** 70, report)]}
-        decoded = decode_chunk(encode_chunk(payload, "struct"))
+        decoded = decode_chunk(encode_chunk(payload))
         assert isinstance(decoded[0], list)
         assert decoded[0] == payload[0]
 
@@ -151,20 +142,21 @@ class TestCodec:
         )
         payload = {0: [(5, report)]}
         assert normalize(
-            decode_chunk(encode_chunk(payload, "struct"))
+            decode_chunk(encode_chunk(payload))
         ) == payload
 
     def test_rejects_unknown_codec_and_garbage(self):
-        with pytest.raises(SimulationError):
-            encode_chunk({}, "zstd")
+        # Frame kind 0 was the whole-payload pickle codec's.
+        blob = bytearray(encode_chunk({}))
+        blob[3] = 0
+        with pytest.raises(SimulationError, match="frame kind 0"):
+            decode_chunk(bytes(blob))
         with pytest.raises(SimulationError):
             decode_chunk(b"not a chunk blob")
 
     def test_out_of_band_buffers_are_framed(self):
         payload = {"blob": [(1, _BlobValue(b"\xab" * 4096))]}
-        for codec in ("struct", "pickle"):
-            decoded = normalize(decode_chunk(encode_chunk(payload, codec)))
-            assert decoded == payload
+        assert normalize(decode_chunk(encode_chunk(payload))) == payload
 
 
 class _BlobValue:
@@ -221,9 +213,9 @@ _payloads = st.dictionaries(
 
 class TestCodecProperty:
     @settings(max_examples=120, deadline=None)
-    @given(payload=_payloads, codec=st.sampled_from(["struct", "pickle"]))
-    def test_roundtrip_is_exact(self, payload, codec):
-        decoded = normalize(decode_chunk(encode_chunk(payload, codec)))
+    @given(payload=_payloads)
+    def test_roundtrip_is_exact(self, payload):
+        decoded = normalize(decode_chunk(encode_chunk(payload)))
         assert decoded == payload
         # repr-exactness, group by group: the deterministic merge key
         # is ``(ts, repr(payload))``, so value-equality is not enough.
@@ -238,7 +230,7 @@ def header_offsets(blob: bytes) -> list:
     kinds and row counts — everything ``decode_chunk`` steers by, as
     opposed to the pickled or packed data those fields delimit.
     """
-    offsets = list(range(8))  # magic, frame kind, u32 group/buffer count
+    offsets = list(range(8))  # magic, frame kind, u32 group count
 
     def u(at, size):
         offsets.extend(range(at, at + size))
@@ -251,9 +243,6 @@ def header_offsets(blob: bytes) -> list:
             at += 8 + u(at, 8)
         return at + 8 + u(at, 8)
 
-    if blob[3] == 0:  # whole-payload pickle frame
-        framed_pickle(4)
-        return sorted(set(offsets))
     at = 8
     for _ in range(int.from_bytes(blob[4:8], "little")):
         at += 4 + u(at, 4)  # key length, key
@@ -279,27 +268,17 @@ class TestCodecFailsClosed:
             return error
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        payload=_payloads,
-        codec=st.sampled_from(["struct", "pickle"]),
-        data=st.data(),
-    )
-    def test_truncated_blob_never_decodes(self, payload, codec, data):
-        blob = encode_chunk(payload, codec)
+    @given(payload=_payloads, data=st.data())
+    def test_truncated_blob_never_decodes(self, payload, data):
+        blob = encode_chunk(payload)
         cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 1))
         result = self.decode_or_error(blob[:cut])
         assert isinstance(result, SimulationError), (cut, result)
 
     @settings(max_examples=250, deadline=None)
-    @given(
-        payload=_payloads,
-        codec=st.sampled_from(["struct", "pickle"]),
-        data=st.data(),
-    )
-    def test_flipped_header_byte_is_caught_or_harmless(
-        self, payload, codec, data
-    ):
-        blob = encode_chunk(payload, codec)
+    @given(payload=_payloads, data=st.data())
+    def test_flipped_header_byte_is_caught_or_harmless(self, payload, data):
+        blob = encode_chunk(payload)
         at = data.draw(st.sampled_from(header_offsets(blob)))
         flipped = bytearray(blob)
         flipped[at] ^= data.draw(st.integers(min_value=1, max_value=255))
@@ -311,14 +290,13 @@ class TestCodecFailsClosed:
         chunk = {
             group: rows[:20] for group, rows in lr_chunk(config).items()
         }
-        for codec in ("struct", "pickle"):
-            blob = encode_chunk(chunk, codec)
-            for cut in range(len(blob)):
-                with pytest.raises(SimulationError):
-                    decode_chunk(blob[:cut])
+        blob = encode_chunk(chunk)
+        for cut in range(len(blob)):
+            with pytest.raises(SimulationError):
+                decode_chunk(blob[:cut])
 
     def test_error_names_offset_and_field(self, config):
-        blob = encode_chunk(lr_chunk(config, count=5), "struct")
+        blob = encode_chunk(lr_chunk(config, count=5))
         with pytest.raises(SimulationError, match=r"byte 4: group count"):
             decode_chunk(blob[:6])
         with pytest.raises(SimulationError, match=r"byte \d+: .*rows"):
@@ -326,21 +304,20 @@ class TestCodecFailsClosed:
 
     def test_trailing_garbage_is_rejected(self, config):
         chunk = lr_chunk(config, count=5)
-        for codec in ("struct", "pickle"):
-            with pytest.raises(SimulationError, match="trailing"):
-                decode_chunk(encode_chunk(chunk, codec) + b"\x00")
+        with pytest.raises(SimulationError, match="trailing"):
+            decode_chunk(encode_chunk(chunk) + b"\x00")
 
     def test_overwritten_group_count_cannot_drop_a_group(self, config):
         chunk = lr_chunk(config, count=5)
         assert len(chunk) >= 2
-        blob = bytearray(encode_chunk(chunk, "struct"))
+        blob = bytearray(encode_chunk(chunk))
         blob[4:8] = (1).to_bytes(4, "little")
         with pytest.raises(SimulationError, match="trailing"):
             decode_chunk(bytes(blob))
 
     def test_unknown_group_kind_is_rejected(self, config):
         report = lr_chunk(config, count=1)[0][0][1]
-        blob = bytearray(encode_chunk({0: [(1, report)]}, "struct"))
+        blob = bytearray(encode_chunk({0: [(1, report)]}))
         kind_at = 8 + 4 + int.from_bytes(blob[8:12], "little")
         assert blob[kind_at] == 1
         blob[kind_at] = 9
@@ -353,7 +330,7 @@ class TestCodecFailsClosed:
         coordinator.plan = plan
         try:
             coordinator._spawn(plan)
-            blob = encode_chunk(lr_chunk(config, count=5), "struct")
+            blob = encode_chunk(lr_chunk(config, count=5))
             coordinator._conns[0].send(("chunk", 7_000_000, blob[:-3], None))
             with pytest.raises(SimulationError) as excinfo:
                 coordinator._recv(0, "ack")
@@ -387,14 +364,9 @@ class TestPipelinedIdentity:
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("inflight", [1, 4])
-    @pytest.mark.parametrize("codec", ["pickle", "struct"])
-    def test_identity_matrix(self, config, single, workers, inflight, codec):
+    def test_identity_matrix(self, config, single, workers, inflight):
         result = run_sharded(
-            config,
-            seed=1,
-            shards=workers,
-            max_inflight=inflight,
-            codec=codec,
+            config, seed=1, shards=workers, max_inflight=inflight
         )
         assert result.toll_trace == single["toll"]
         assert result.accident_trace == single["accident"]
@@ -421,8 +393,6 @@ class TestPipelinedIdentity:
     def test_rejects_bad_transport_knobs(self, config):
         with pytest.raises(SimulationError):
             ShardCoordinator(config, max_inflight=0)
-        with pytest.raises(SimulationError):
-            ShardCoordinator(config, codec="zstd")
 
 
 class TestFrontierClosePipelining:
@@ -435,10 +405,9 @@ class TestFrontierClosePipelining:
             ),
         )
         oracle = run_sharded(config, seed=1, shards=1, max_inflight=1)
-        for inflight, codec in ((4, "struct"), (8, "pickle")):
+        for inflight in (4, 8):
             result = run_sharded(
-                config, seed=1, shards=2,
-                max_inflight=inflight, codec=codec,
+                config, seed=1, shards=2, max_inflight=inflight
             )
             assert result.toll_trace == oracle.toll_trace
             assert result.accident_trace == oracle.accident_trace
@@ -448,43 +417,8 @@ class TestFrontierClosePipelining:
             assert (
                 result.transport["shard_peak_inflight"] <= result.workers
             )
+            assert result.transport["shard_window"] == 1
             assert result.frontier_log == oracle.frontier_log
-
-
-# ---------------------------------------------------------------------------
-# Adaptive chunk sizing
-# ---------------------------------------------------------------------------
-class TestAdaptiveChunker:
-    def test_widens_when_keeping_up(self):
-        chunker = AdaptiveChunker(10)
-        assert chunker.update(0) == 20
-        assert chunker.update(0) == 40
-        assert chunker.update(0) == 40  # clamped at base*4
-        assert chunker.resizes == 2
-
-    def test_narrows_under_backlog(self):
-        chunker = AdaptiveChunker(10)
-        assert chunker.update(1000) == 5
-        assert chunker.update(1000) == 2
-        assert chunker.update(1000) == 2  # clamped at base//4
-        assert chunker.update(100) == 2  # between the watermarks: hold
-
-    def test_validates_bounds(self):
-        with pytest.raises(SimulationError):
-            AdaptiveChunker(10, min_s=20)
-        with pytest.raises(SimulationError):
-            AdaptiveChunker(10, low=5, high=5)
-
-    def test_adaptive_run_widens_grid_and_keeps_output(self, config, single):
-        fixed = run_sharded(config, seed=1, shards=2, max_inflight=1)
-        adaptive = run_sharded(
-            config, seed=1, shards=2, max_inflight=1, adaptive_chunk=True
-        )
-        assert adaptive.toll_trace == single["toll"]
-        assert adaptive.accident_trace == single["accident"]
-        # The un-backlogged workload lets the interval widen, so the
-        # run completes in fewer, bigger chunks than the fixed grid.
-        assert len(adaptive.backlog_log) < len(fixed.backlog_log)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +496,7 @@ class TestTransportTelemetry:
     def test_encode_decode_trace_events(self, config):
         chunk = lr_chunk(config, count=10)
         with use_tracer(RecordingTracer()) as tracer:
-            decode_chunk(encode_chunk(chunk, "struct", now_us=123))
+            decode_chunk(encode_chunk(chunk, now_us=123))
         names = [record.name for record in tracer.records()]
         assert "shard.chunk.encode" in names
         assert "shard.chunk.decode" in names
@@ -572,7 +506,6 @@ class TestTransportTelemetry:
         )
         assert encode.ts == 123
         assert encode.args["bytes"] > 0
-        assert encode.args["codec"] == "struct"
 
     def test_coordinator_emits_encode_events(self, config):
         coordinator = ShardCoordinator(config, seed=1, shards=2)
@@ -595,7 +528,7 @@ class TestTransportTelemetry:
         assert engine["shard_encode_us"] >= 0
         assert engine["shard_peak_inflight"] >= 2
         assert engine["shard_chunks_inflight"] == 0  # all drained
-        assert result.transport == engine
+        assert result.transport == {**engine, "shard_window": 4}
         text = export_prometheus(coordinator.statistics, now_us=0)
         assert "repro_engine_shard_bytes_sent" in text
         assert "repro_engine_shard_chunks_inflight" in text
@@ -603,49 +536,33 @@ class TestTransportTelemetry:
 
 
 # ---------------------------------------------------------------------------
-# CLI + checkpoint-manifest plumbing
+# CLI summary + manifests from before the knobs were removed
 # ---------------------------------------------------------------------------
 class TestPlumbing:
-    def test_manifest_roundtrips_transport_knobs(self):
-        config = small_config(
+    def test_manifests_carrying_the_removed_knobs_still_load(self):
+        config = small_config()
+        meta = checkpoint_meta(config, seed=1)
+        assert not any(key.startswith("shard_") for key in meta)
+        meta.update(
             shard_inflight=8, shard_codec="pickle", shard_adaptive_chunk=True
         )
-        meta = checkpoint_meta(config, seed=1)
         rebuilt, seed = config_from_meta(meta)
         assert seed == 1
-        assert rebuilt.shard_inflight == 8
-        assert rebuilt.shard_codec == "pickle"
-        assert rebuilt.shard_adaptive_chunk is True
+        assert rebuilt == config
 
-    def test_old_manifests_default_transport_knobs(self):
-        meta = checkpoint_meta(small_config(), seed=1)
-        for key in (
-            "shard_inflight", "shard_codec", "shard_adaptive_chunk"
-        ):
-            del meta[key]
-        rebuilt, _ = config_from_meta(meta)
-        assert rebuilt.shard_inflight == 4
-        assert rebuilt.shard_codec == "struct"
-        assert rebuilt.shard_adaptive_chunk is False
-
-    def test_cli_transport_flags(self, capsys):
+    @pytest.mark.parametrize(
+        "flags, window",
+        [([], 4), (["--out-of-order", "close"], 1)],
+        ids=["plain", "frontier-close"],
+    )
+    def test_cli_summary_prints_the_effective_window(
+        self, capsys, flags, window
+    ):
+        """Frontier-close runs clamp the credit window; say so."""
         code = main(
-            [
-                "--duration", "30", "--seeds", "1", "run", "fifo",
-                "--shards", "2", "--shard-inflight", "8",
-                "--shard-codec", "struct", "--shard-adaptive-chunk",
-            ]
+            ["--duration", "30", "--seeds", "1", *flags, "run", "fifo",
+             "--shards", "2"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "transport:" in out
-        assert "window 8/worker" in out
-
-    def test_cli_rejects_bad_inflight(self):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "--duration", "30", "--seeds", "1", "run", "fifo",
-                    "--shards", "2", "--shard-inflight", "0",
-                ]
-            )
+        assert f"(window {window}/worker)" in out

@@ -1,10 +1,7 @@
 """The TM Windowed Receiver: windows flow to the scheduler (Figure 4)."""
 
-import pytest
-
 from repro.core.actors import MapActor, SinkActor, SourceActor
 from repro.core.events import CWEvent
-from repro.core.exceptions import ReceiverError
 from repro.core.waves import WaveTag
 from repro.core.windows import WindowSpec
 from repro.core.workflow import Workflow
@@ -51,22 +48,6 @@ class TestEventFlow:
         assert scheduler.ready_count(actor) == 1
         ready = scheduler.dequeue_item(actor)
         assert isinstance(ready.item, CWEvent)
-
-    def test_stage_then_get(self):
-        director, scheduler, actor = build(WindowSpec.tokens(1, 1))
-        receiver = actor.input("in").receiver
-        receiver.put(event("a"))
-        ready = scheduler.dequeue_item(actor)
-        receiver.stage(ready.item)
-        assert receiver.has_token()
-        assert receiver.get() is ready.item
-        assert not receiver.has_token()
-
-    def test_get_without_staging_raises(self):
-        director, scheduler, actor = build(WindowSpec.tokens(1, 1))
-        receiver = actor.input("in").receiver
-        with pytest.raises(ReceiverError):
-            receiver.get()
 
     def test_admission_counts_and_statistics(self):
         director, scheduler, actor = build(window=None)

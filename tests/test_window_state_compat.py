@@ -1,24 +1,30 @@
-"""Window-operator snapshots stay on the wire format the parent wrote.
+"""Window-operator snapshots: one pinned wire format, older ones restore.
 
-``tests/data/pr12_window_state.pkl`` was written by the commit *before*
-the pane-boundary index landed, from :func:`phase_one` below (run this
-module as a script on that commit to regenerate it).  The index is derived
-state, so:
+Both fixtures under ``tests/data`` were written from :func:`phase_one`
+below (run this module as a script to regenerate the current one):
 
-* the same run on today's operator pickles to the **same bytes**;
-* the parent-era bytes restore — rebuilding the index in one pass — and
-  the resumed operators produce exactly what an uninterrupted run does.
+* ``pr17_window_state.pkl`` — today's format (snapshot format 2), written
+  by the commit that dropped the write-only ``last_seen`` stamps and the
+  wave groups' ``open_order``: the same run must pickle to the **same
+  bytes**;
+* ``pr12_window_state.pkl`` — format-1 bytes from the commit *before* the
+  pane-boundary index landed, still carrying both dead fields.
+
+Either restores — rebuilding the (derived) index in one pass — and the
+resumed operators produce exactly what an uninterrupted run does.
 """
 
 import copy
 import pickle
 from pathlib import Path
 
+from repro.core import windows as windows_module
 from repro.core.events import CWEvent
 from repro.core.waves import WaveTag
 from repro.core.windows import WindowOperator, WindowSpec
 
-FIXTURE = Path(__file__).parent / "data" / "pr12_window_state.pkl"
+FIXTURE = Path(__file__).parent / "data" / "pr17_window_state.pkl"
+FORMAT_1_FIXTURE = Path(__file__).parent / "data" / "pr12_window_state.pkl"
 #: Non-orderable group keys, as real group-by clauses produce them.
 KEYS = [None, 3, ("x", 1), "car", (None, 2)]
 
@@ -98,22 +104,46 @@ def test_dump_bytes_equal_the_parent_commits():
     )
 
 
+def test_dump_holds_only_what_restore_reads(monkeypatch):
+    wave_fields = []
+    revive = windows_module._revive_wave_group
+
+    def counting_revive(*fields):
+        wave_fields.append(len(fields))
+        return revive(*fields)
+
+    monkeypatch.setattr(windows_module, "_revive_wave_group", counting_revive)
+    for dump in pickle.loads(FIXTURE.read_bytes()).values():
+        assert set(dump) == {
+            "groups", "expired", "total_events", "total_windows"
+        }
+    assert set(wave_fields) == {2}
+    # ... and the format-1 fixture really is one.
+    del wave_fields[:]
+    old = pickle.loads(FORMAT_1_FIXTURE.read_bytes())
+    assert all("last_seen" in dump for dump in old.values())
+    assert set(wave_fields) == {3}
+
+
 def test_parent_era_snapshot_resumes_bit_identical():
     uninterrupted = operators()
     phase_one(uninterrupted)
     reference = phase_two(uninterrupted)
 
-    resumed = operators()
-    dumps = pickle.loads(FIXTURE.read_bytes())
-    for name, op in resumed.items():
-        op.state_restore(dumps[name])
-    assert phase_two(resumed) == reference
+    for fixture in (FORMAT_1_FIXTURE, FIXTURE):
+        resumed = operators()
+        dumps = pickle.loads(fixture.read_bytes())
+        for name, op in resumed.items():
+            op.state_restore(dumps[name])
+        assert phase_two(resumed) == reference, fixture.name
 
 
 def test_restore_rebuilds_the_index_in_one_pass():
     """Ordinals follow ``_groups`` order; only non-empty groups are heaped."""
     op = operators()["time_sliding"]
-    op.state_restore(pickle.loads(FIXTURE.read_bytes())["time_sliding"])
+    op.state_restore(
+        pickle.loads(FORMAT_1_FIXTURE.read_bytes())["time_sliding"]
+    )
     assert not op._groups["gone"].queue
     states = list(op._groups.values())
     assert [state.ordinal for state in states] == list(range(len(states)))

@@ -102,7 +102,7 @@ class TestWaveWindows:
         )
         state = op._groups[None]
         assert list(state.closed_roots) == [5, 1]
-        assert state.open_order == [5, 1]
+        assert list(state.events_by_root) == [5, 1]
 
     def test_repeated_last_mark_closes_a_root_once(self):
         op = WindowOperator(WindowSpec.waves(2))

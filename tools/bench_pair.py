@@ -1,0 +1,158 @@
+#!/usr/bin/env python
+"""Alternating parent/change pairs of one end-to-end workload.
+
+``make bench-pair BASE=<rev> W=<workload> N=10`` — the one comparison
+protocol that works on a box whose per-process speed flips between two
+modes ~30 % apart: N pairs, pair *i* on seed *i*, alternating which side
+runs first, each side one driver-form measurement of its *own* checkout::
+
+    python benchmarks/e2e/run.py --workload W --seed i --seconds 10 --trace 0
+
+The base revision is exported with ``git archive`` into a temporary
+directory (nothing is registered in ``.git``, so an interrupted run leaves
+nothing to prune); the change is the working tree this file sits in.
+
+Prints, per end-to-end metric of ``BENCHMARK.json``: both medians and
+quartiles, the change's win count (ties count for neither side) and on how
+many seeds the two sides read exactly equal — the virtual-clock
+``latency_p50_ms`` must, on every seed — plus per-seed sink-digest
+equality.  Exits non-zero when a median is worse than the parent's by more
+than the metric's ``bound``, or when either side reports failed operations.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import re
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
+SECONDS = DECLARED["run_seconds"]
+_DIGEST = re.compile(r" digest=(\w+)")
+
+
+def export_base(rev: str, target: Path) -> None:
+    """Unpack the committed files of *rev* under *target*."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+        check=True, capture_output=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(target)
+
+
+def measure(checkout: Path, workload: str, seed: int) -> dict:
+    """One driver-form measurement of *checkout*; metrics + digest."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [
+            sys.executable, str(checkout / "benchmarks" / "e2e" / "run.py"),
+            "--workload", workload, "--seed", str(seed),
+            "--seconds", str(SECONDS), "--trace", "0",
+        ],
+        cwd=checkout, env=env, capture_output=True, text=True,
+    )
+    if done.returncode != 0:
+        raise SystemExit(
+            f"{checkout}: run.py exited {done.returncode}\n{done.stderr}"
+        )
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    digest = _DIGEST.search(done.stdout)
+    return {
+        "metrics": {
+            name: entry["value"] for name, entry in report["metrics"].items()
+        },
+        "failed": report["failed"],
+        "correct": report["correct"],
+        "digest": digest.group(1) if digest else None,
+    }
+
+
+def quartiles(values: list) -> tuple:
+    """(q1, median, q3); a single value is all three."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="parent revision")
+    parser.add_argument(
+        "--workload", required=True,
+        choices=[entry["name"] for entry in DECLARED["workloads"]],
+    )
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+
+    base_runs, change_runs = [], []
+    with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
+        base = Path(tmp)
+        export_base(args.base, base)
+        for seed in range(1, args.pairs + 1):
+            order = ("base", "change") if seed % 2 else ("change", "base")
+            pair = {}
+            for side in order:
+                checkout = base if side == "base" else ROOT
+                pair[side] = measure(checkout, args.workload, seed)
+            base_runs.append(pair["base"])
+            change_runs.append(pair["change"])
+            print(
+                f"pair {seed} ({order[0]} first): " + "  ".join(
+                    f"{name} {pair['base']['metrics'][name]:.4g} -> "
+                    f"{pair['change']['metrics'][name]:.4g}"
+                    for name in pair["base"]["metrics"]
+                ),
+                flush=True,
+            )
+
+    status = 0
+    print(
+        f"\n{args.workload}: {args.pairs} alternating pairs, "
+        f"parent {args.base} -> change (seeds 1..{args.pairs})"
+    )
+    for entry in DECLARED["end_to_end"]:
+        name = entry["name"]
+        sign = 1 if entry["better"] == "higher" else -1
+        parent = [run["metrics"][name] for run in base_runs]
+        change = [run["metrics"][name] for run in change_runs]
+        p_q1, p_med, p_q3 = quartiles(parent)
+        c_q1, c_med, c_q3 = quartiles(change)
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        equal = sum(p == c for p, c in zip(parent, change))
+        worse_by = sign * (p_med - c_med) / p_med if p_med else 0.0
+        verdict = "ok"
+        if worse_by > entry["bound"]:
+            verdict = f"WORSE by {worse_by:.1%} (bound {entry['bound']:.0%})"
+            status = 1
+        print(
+            f"  {name:<15} {p_med:>11.4f} [{p_q1:.4f}, {p_q3:.4f}] -> "
+            f"{c_med:>11.4f} [{c_q1:.4f}, {c_q3:.4f}] {entry['unit']:<4} "
+            f"change wins {wins}/{args.pairs}, equal on {equal}  {verdict}"
+        )
+    same_digest = sum(
+        p["digest"] == c["digest"] for p, c in zip(base_runs, change_runs)
+    )
+    failed = sum(run["failed"] for run in base_runs + change_runs)
+    incorrect = sum(not run["correct"] for run in base_runs + change_runs)
+    print(
+        f"  sink digests equal on {same_digest}/{args.pairs} seeds; "
+        f"failed operations {failed}; incorrect runs {incorrect}"
+    )
+    if failed or incorrect:
+        status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
