@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint ci bench bench-quick bench-paper bench-smoke bench-train bench-fusion bench-overload bench-shard bench-shard-transport bench-frontier bench-e2e bench-report bench-compare bench-pair checkpoint-smoke figures examples chaos clean
+.PHONY: install test lint ci bench bench-quick bench-paper bench-smoke bench-train bench-fusion bench-overload bench-shard bench-shard-transport bench-frontier bench-e2e bench-report bench-compare bench-pair gc-profile checkpoint-smoke figures examples chaos clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -91,6 +91,9 @@ bench-compare:  # make bench-compare A=BENCH_11.json B=BENCH_13.json
 N ?= 10
 bench-pair:  # make bench-pair BASE=HEAD~1 W=lr_batch N=10  (alternating parent/change pairs, driver form)
 	$(PYTHON) tools/bench_pair.py --base $(BASE) --workload $(W) --pairs $(N)
+
+gc-profile:  # make gc-profile W=lr_batch  (collections and seconds per generation around one untraced run)
+	$(PYTHON) tools/gc_profile.py --workload $(W)
 
 checkpoint-smoke:  # checkpoint tests + example + cost-per-snapshot-MiB and purity gates on fig-8
 	$(PYTHON) -m pytest tests/test_checkpoint.py -q

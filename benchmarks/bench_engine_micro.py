@@ -6,12 +6,16 @@ cost in *this* Python implementation, which is the per-event overhead any
 wall-clock run of the engine would pay.
 """
 
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.actors import MapActor, SinkActor, SourceActor
 from repro.core.events import CWEvent
 from repro.core.waves import WaveTag
-from repro.core.windows import WindowSpec
+from repro.core.windows import WindowOperator, WindowSpec
 from repro.core.workflow import Workflow
 from repro.linearroad.db import (
     ACCIDENT_AHEAD_QUERY,
@@ -88,8 +92,6 @@ def test_relay_hop_cost(benchmark):
 
 def test_windowed_put_cost(benchmark):
     """Cost of one put through a grouped sliding window."""
-    from repro.core.windows import WindowOperator
-
     operator = WindowOperator(
         WindowSpec.tokens(4, 1, group_by=lambda e: e.value % 64)
     )
@@ -102,6 +104,41 @@ def test_windowed_put_cost(benchmark):
         return total
 
     benchmark.pedantic(run, rounds=3, iterations=1)
+
+
+def test_group_state_footprint(benchmark):
+    """Bytes an idle window group keeps, exact: its state object plus its
+    empty queue, for a token and a time window (Linear Road holds one of
+    each per car for the whole run).  The timed part opens and drains
+    10 000 groups; the gate is ``extra_info`` against the committed
+    bytes — a group that grows by one slot fails, whatever the wall time."""
+    committed = json.loads(
+        (Path(__file__).parent / "baselines" / "engine_micro.json").read_text()
+    )["benchmarks"]["test_group_state_footprint"]
+    specs = {
+        "bytes_per_idle_token_group": WindowSpec.tokens(4, 1, group_by="car"),
+        "bytes_per_idle_time_group": WindowSpec.time(60, group_by="car"),
+    }
+    events = [CWEvent({"car": i}, i, WaveTag.root(i + 1)) for i in range(10_000)]
+
+    def run():
+        operators = {name: WindowOperator(spec) for name, spec in specs.items()}
+        for operator in operators.values():
+            for event in events:
+                operator.put(event)
+            operator.force_timeout(None)
+        return operators
+
+    operators = benchmark.pedantic(run, rounds=3, iterations=1)
+    for name, operator in operators.items():
+        assert operator.pending_count() == 0 and len(operator._groups) == 10_000
+        sizes = {
+            sys.getsizeof(state) + sys.getsizeof(state.queue)
+            for state in operator._groups.values()
+        }
+        assert len(sizes) == 1, sizes
+        benchmark.extra_info[name] = sizes.pop()
+        assert benchmark.extra_info[name] == committed[name]
 
 
 def test_toll_query_latency(benchmark):

@@ -279,19 +279,20 @@ class _TokenGroupState:
     __slots__ = ("queue", "skip_debt")
 
     def __init__(self) -> None:
-        self.queue: deque[CWEvent] = deque()
+        #: A plain list, evicted by one ``del queue[:cut]`` per advance:
+        #: Linear Road holds one state per car with at most four reports,
+        #: and a block-allocated double-ended queue is 760 bytes empty.
+        self.queue: list[CWEvent] = []
         #: Events still owed to a past advance (only when step > size).
         self.skip_debt = 0
 
     def __reduce__(self):
         """Fast pickle path (snapshots carry one state per group key).
 
-        The queue is flattened to a tuple: ``deque`` pickling performs a
-        per-object ``copyreg._slotnames`` lookup (Linear Road creates one
-        group per car, so snapshots carry tens of thousands of deques)
-        while tuples serialize natively.  The queue is owned exclusively
-        by this state, so rebuilding a fresh deque cannot split any
-        shared reference.
+        The queue is flattened to a tuple, which serializes natively
+        and keeps the dump independent of the in-memory container.  The
+        queue is owned exclusively by this state, so rebuilding a fresh
+        list cannot split any shared reference.
         """
         return (_revive_token_group, (tuple(self.queue), self.skip_debt))
 
@@ -304,11 +305,11 @@ class _TimeGroupState:
     )
 
     def __init__(self) -> None:
-        self.queue: deque[CWEvent] = deque()
+        self.queue: list[CWEvent] = []
         self.window_start: Optional[int] = None
         #: Timestamp of the most recently appended event and whether the
         #: queue is still in non-decreasing timestamp order — the common
-        #: case, which unlocks O(consumed) popleft-based eviction.
+        #: case, where a pane is one slice between two cuts.
         self.last_ts: Optional[int] = None
         self.monotone = True
         #: Creation rank among the operator's groups and whether the
@@ -350,7 +351,7 @@ class _WaveGroupState:
 
 def _revive_token_group(queue: tuple, skip_debt: int) -> "_TokenGroupState":
     state = _TokenGroupState.__new__(_TokenGroupState)
-    state.queue = deque(queue)
+    state.queue = list(queue)
     state.skip_debt = skip_debt
     return state
 
@@ -359,7 +360,7 @@ def _revive_time_group(
     queue: tuple, window_start, last_ts, monotone
 ) -> "_TimeGroupState":
     state = _TimeGroupState.__new__(_TimeGroupState)
-    state.queue = deque(queue)
+    state.queue = list(queue)
     state.window_start = window_start
     state.last_ts = last_ts
     state.monotone = monotone
@@ -380,6 +381,16 @@ def _revive_wave_group(
     state.events_by_root = events_by_root
     state.closed_roots = dict.fromkeys(closed_roots)
     return state
+
+
+def _cut_before(queue: list, bound: int) -> int:
+    """Length of *queue*'s leading run of events stamped before *bound*."""
+    cut = 0
+    for event in queue:
+        if event.timestamp >= bound:
+            break
+        cut += 1
+    return cut
 
 
 class WindowOperator:
@@ -518,24 +529,24 @@ class WindowOperator:
             state.skip_debt -= 1
             self.expired.append(event)
             return []
-        state.queue.append(event)
+        queue = state.queue
+        queue.append(event)
         produced: list[Window] = []
         size, step = self.spec.size, self.spec.step
-        popleft = state.queue.popleft
-        while len(state.queue) >= size:
-            if self.spec.delete_used_events:
-                # Continuous consumption is always tumbling (the spec
-                # enforces step == size for tokens): drain the window in
-                # one popleft pass, O(size), instead of materializing an
-                # islice copy and then popping the same events again.
-                window_events = [popleft() for _ in range(size)]
-            else:
-                window_events = list(itertools.islice(state.queue, 0, size))
-                dropped = min(step, len(state.queue))
-                for _ in range(dropped):
-                    self.expired.append(popleft())
-                state.skip_debt += step - dropped
-            produced.append(Window(window_events, key))
+        # Find how far the queue advances, then evict that prefix in one
+        # slice: popping the head per event would shift the whole list
+        # each time.  Continuous consumption is always tumbling (the spec
+        # enforces step == size for tokens), so it never runs up a debt.
+        cut = 0
+        while len(queue) - cut >= size:
+            produced.append(Window(queue[cut:cut + size], key))
+            dropped = min(step, len(queue) - cut)
+            cut += dropped
+            state.skip_debt += step - dropped
+        if cut:
+            if not self.spec.delete_used_events:
+                self.expired.extend(queue[:cut])
+            del queue[:cut]
         if self.spec.mode is ConsumptionMode.RECENT and len(produced) > 1:
             produced = [produced[-1]]
         return produced
@@ -578,48 +589,31 @@ class WindowOperator:
         assert start is not None
         end = start + size
         queue = state.queue
-        produced = []
-        if self.spec.delete_used_events and state.monotone:
-            # Fast path (the common in-order stream): consumed events are
-            # a queue prefix, so eviction is popleft-based and O(consumed)
-            # — no id()-set, no full-deque rebuild.
-            window_events: list[CWEvent] = []
-            while queue and queue[0].timestamp < end:
-                head = queue.popleft()
-                if head.timestamp >= start:
-                    window_events.append(head)
-                else:  # pre-start straggler: expires, same as the sweep
-                    self.expired.append(head)
-            if window_events:
-                produced.append(Window(window_events, key, start, end, forced))
-        else:
-            if state.monotone:
-                # In-order sliding window: the in-range events are a
-                # prefix, so stop scanning at the right boundary.
-                window_events = []
-                for e in queue:
-                    if e.timestamp >= end:
-                        break
-                    if e.timestamp >= start:
-                        window_events.append(e)
-            else:
-                window_events = [
-                    e for e in queue if start <= e.timestamp < end
-                ]
-            if window_events:
-                produced.append(Window(window_events, key, start, end, forced))
+        if state.monotone:
+            # In-order stream (the common case): the pane is the slice
+            # between two cuts; anything before it is a pre-start
+            # straggler the trailing expiry below takes.
+            first, cut = _cut_before(queue, start), _cut_before(queue, end)
+            window_events = queue[first:cut]
             if self.spec.delete_used_events:
-                # Out-of-order continuous consumption: one-pass split into
-                # kept/consumed (the consumed set is exactly the in-range
-                # events, so no identity bookkeeping is needed).
-                queue = state.queue = deque(
+                del queue[first:cut]
+        else:
+            window_events = [e for e in queue if start <= e.timestamp < end]
+            if self.spec.delete_used_events:
+                # Out-of-order continuous consumption: the consumed set
+                # is exactly the in-range events.
+                queue[:] = [
                     e for e in queue if not start <= e.timestamp < end
-                )
+                ]
         state.window_start = start + step
         # Expire events that can no longer belong to any future window.
-        while queue and queue[0].timestamp < state.window_start:
-            self.expired.append(queue.popleft())
-        return produced
+        cut = _cut_before(queue, state.window_start)
+        if cut:
+            self.expired.extend(queue[:cut])
+            del queue[:cut]
+        if window_events:
+            return [Window(window_events, key, start, end, forced)]
+        return []
 
     # -- wave-based -----------------------------------------------------
     def _put_waves(

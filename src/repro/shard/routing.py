@@ -26,7 +26,9 @@ Three concerns live here:
 from __future__ import annotations
 
 import zlib
-from dataclasses import astuple, is_dataclass
+from collections.abc import Mapping
+from dataclasses import astuple, fields, is_dataclass
+from operator import attrgetter
 from typing import Any, Callable, Dict, Hashable, List, Sequence, Tuple
 
 from ..core.exceptions import SimulationError
@@ -140,12 +142,34 @@ def partition_arrivals(
     return slices
 
 
+#: Field values ``astuple`` would hand back as they are.
+_ATOMS = frozenset({int, float, str, bool, type(None), bytes})
+#: Per dataclass: one call that reads every field, in declaration order.
+_FIELD_GETTERS: Dict[type, Callable[[Any], tuple]] = {}
+
+
+def _field_values(value: Any) -> tuple:
+    """``astuple(value)`` without deep-copying a flat record."""
+    getter = _FIELD_GETTERS.get(type(value))
+    if getter is None:
+        names = [spec.name for spec in fields(value)]
+        # ``attrgetter`` answers a tuple only from two names up.
+        getter = attrgetter(*names) if len(names) > 1 else astuple
+        _FIELD_GETTERS[type(value)] = getter
+    flat = getter(value)
+    if _ATOMS.issuperset(map(type, flat)):
+        return flat
+    return astuple(value)  # a nested record, list or dict field
+
+
 def _canonical_payload(item: Any) -> Any:
     """A comparable, picklable image of one sink item's payload."""
     value = getattr(item, "value", item)
     if is_dataclass(value) and not isinstance(value, type):
-        return (type(value).__name__,) + astuple(value)
-    if hasattr(value, "values"):
+        return (type(value).__name__,) + _field_values(value)
+    if isinstance(value, Mapping):
+        return tuple(value.items())
+    if hasattr(value, "values"):  # a Window of events
         return tuple(value.values)
     return value
 

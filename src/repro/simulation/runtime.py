@@ -12,6 +12,7 @@ The runtime is duck-typed over the director: it needs ``run_iteration()``,
 
 from __future__ import annotations
 
+import gc
 from typing import Optional
 
 from ..core.exceptions import SimulationError
@@ -50,62 +51,73 @@ class SimulationRuntime:
         director = self.director
         if not getattr(director, "_initialized", False):
             director.initialize_all()
+        # What exists by now (arrival schedule, tables, plans) lives as
+        # long as the run: freeze it so full collections walk only what
+        # the run itself allocates.  A caller's own freeze is not ours
+        # to undo.
+        frozen_here = gc.get_freeze_count() == 0
+        if frozen_here:
+            gc.freeze()
         iterations = 0
-        while True:
-            if iterations >= max_iterations:
-                raise SimulationError(
-                    f"simulation exceeded {max_iterations} iterations "
-                    "before the horizon; runaway workload?"
-                )
-            now = self.clock.now_us
-            if now >= horizon_us and not drain:
-                break
-            # Fire any timed-window timeouts that are due before working.
-            deadline = director.next_window_deadline()
-            if deadline is not None and deadline <= now:
-                director.fire_window_timeouts(now)
-            internal, emitted = director.run_iteration()
-            iterations += 1
-            if internal or emitted:
-                # Snapshot only after *productive* iterations: the engine
-                # sits at a quiescent wave boundary here, and skipping
-                # idle iterations keeps a checkpointing run's iteration
-                # sequence identical to an uncheckpointed one.
-                if self.checkpointer is not None:
-                    self.checkpointer.maybe_checkpoint(self.clock.now_us)
-                continue
-            # Idle: let the frontier close any passed panes first — a
-            # closure is productive work the next iteration dispatches.
-            consult = getattr(director, "consult_frontier", None)
-            if consult is not None and consult():
-                continue
-            # Fast-forward to whatever happens next.
-            next_times = []
-            arrival = director.next_arrival_time()
-            if arrival is not None:
-                next_times.append(arrival)
-            deadline = director.next_window_deadline()
-            if deadline is not None:
-                next_times.append(deadline)
-            if not next_times:
-                break  # fully drained: no arrivals, no pending windows
-            next_time = min(next_times)
-            if next_time >= horizon_us and not drain:
-                self.clock.jump_to(horizon_us)
-                break
-            if next_time <= self.clock.now_us:
-                # A due timeout produced nothing schedulable; nudge forward
-                # to guarantee progress.
-                self.clock.advance(1)
-            else:
-                if _obs.ENABLED:
-                    _obs._TRACER.instant(
-                        "runtime.idle_jump",
-                        now,
-                        to_us=next_time,
-                        slept_us=next_time - now,
+        try:
+            while True:
+                if iterations >= max_iterations:
+                    raise SimulationError(
+                        f"simulation exceeded {max_iterations} iterations "
+                        "before the horizon; runaway workload?"
                     )
-                self.clock.jump_to(next_time)
+                now = self.clock.now_us
+                if now >= horizon_us and not drain:
+                    break
+                # Fire any timed-window timeouts that are due before working.
+                deadline = director.next_window_deadline()
+                if deadline is not None and deadline <= now:
+                    director.fire_window_timeouts(now)
+                internal, emitted = director.run_iteration()
+                iterations += 1
+                if internal or emitted:
+                    # Snapshot only after *productive* iterations: the engine
+                    # sits at a quiescent wave boundary here, and skipping
+                    # idle iterations keeps a checkpointing run's iteration
+                    # sequence identical to an uncheckpointed one.
+                    if self.checkpointer is not None:
+                        self.checkpointer.maybe_checkpoint(self.clock.now_us)
+                    continue
+                # Idle: let the frontier close any passed panes first — a
+                # closure is productive work the next iteration dispatches.
+                consult = getattr(director, "consult_frontier", None)
+                if consult is not None and consult():
+                    continue
+                # Fast-forward to whatever happens next.
+                next_times = []
+                arrival = director.next_arrival_time()
+                if arrival is not None:
+                    next_times.append(arrival)
+                deadline = director.next_window_deadline()
+                if deadline is not None:
+                    next_times.append(deadline)
+                if not next_times:
+                    break  # fully drained: no arrivals, no pending windows
+                next_time = min(next_times)
+                if next_time >= horizon_us and not drain:
+                    self.clock.jump_to(horizon_us)
+                    break
+                if next_time <= self.clock.now_us:
+                    # A due timeout produced nothing schedulable; nudge forward
+                    # to guarantee progress.
+                    self.clock.advance(1)
+                else:
+                    if _obs.ENABLED:
+                        _obs._TRACER.instant(
+                            "runtime.idle_jump",
+                            now,
+                            to_us=next_time,
+                            slept_us=next_time - now,
+                        )
+                    self.clock.jump_to(next_time)
+        finally:
+            if frozen_here:
+                gc.unfreeze()
         self.iterations_run += iterations
         return iterations
 

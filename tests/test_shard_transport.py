@@ -11,14 +11,19 @@ telemetry (trace events, engine counters, Prometheus export), the CLI
 summary line, and manifests written while the plane still had knobs.
 """
 
+import gc
 import pickle
-from dataclasses import replace
+from dataclasses import astuple, dataclass, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.actors import SourceActor
+from repro.core.actors import SinkActor, SourceActor
+from repro.core.events import CWEvent
 from repro.core.exceptions import ActorError, SimulationError
+from repro.core.tokens import RecordToken
+from repro.core.waves import WaveTag
+from repro.core.windows import Window
 from repro.harness.cli import main
 from repro.harness.configs import ExperimentConfig, SchedulerSpec
 from repro.harness.experiment import checkpoint_meta, config_from_meta
@@ -27,10 +32,19 @@ from repro.linearroad.generator import (
     US_PER_S,
     WorkloadConfig,
 )
-from repro.linearroad.types import PositionReport
+from repro.linearroad.types import (
+    Accident,
+    AccidentAlert,
+    PositionReport,
+    SegmentCrossing,
+    SegmentStat,
+    StoppedCar,
+    TollNotification,
+)
 from repro.linearroad.workflow import shard_key_fn
 from repro.observability import export_prometheus, RecordingTracer, use_tracer
 from repro.shard import (
+    canonical_trace,
     ColumnarBatch,
     decode_chunk,
     encode_chunk,
@@ -41,6 +55,8 @@ from repro.shard import (
     ShardMigration,
     ShardPlan,
 )
+from repro.shard.routing import _canonical_payload
+from repro.shard.worker import build_shard_engine
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -451,6 +467,89 @@ class TestFeedColumns:
         source = SourceActor("src")
         source.feed_columns((), ())
         assert source._pending == []
+
+
+class TestWorkerRunTo:
+    def test_chunk_by_chunk_run_to_leaves_the_heap_thawed(self, config):
+        # Every ``run_to`` is one ``SimulationRuntime.run``: its freeze
+        # must not outlive the chunk, or the next chunk (seeing a freeze
+        # it takes for the caller's) would never thaw it.
+        rows = lr_chunk(config, count=1_200)[0]
+        engine = build_shard_engine(config, 1, "xway", 0)
+        for at in range(0, len(rows), 300):
+            chunk = rows[at:at + 300]
+            engine.feed(chunk)
+            engine.run_to(chunk[-1][0])
+            assert gc.get_freeze_count() == 0
+        engine.drain(config.workload.duration_s * US_PER_S)
+        assert gc.get_freeze_count() == 0
+        assert engine.director.total_internal_firings > 0
+
+
+# ---------------------------------------------------------------------------
+# Canonical sink payloads
+# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Leg:
+    segment: int
+    miles: float
+
+
+@dataclass(frozen=True)
+class _Trip:
+    car_id: int
+    legs: list
+    last: _Leg
+
+
+@dataclass(frozen=True)
+class _Lone:
+    only: int
+
+
+class TestCanonicalPayload:
+    def test_mapping_payloads_canonicalise_as_their_items(self):
+        # A dict has a ``values`` *method*: the Window branch used to
+        # take it and raise "'builtin_function_or_method' object is not
+        # iterable" for any sink that receives records.
+        sink = SinkActor("sink")
+        sink.items.append((130, CWEvent({"car": 1, "toll": 2.5}, 10, WaveTag.root(1))))
+        sink.items.append((140, RecordToken(car=2, toll=0.0)))
+        records = canonical_trace(sink)
+        assert records == [
+            (10, (("car", 1), ("toll", 2.5))),
+            (0, (("car", 2), ("toll", 0.0))),
+        ]
+        assert pickle.loads(pickle.dumps(records)) == records
+
+    def test_a_window_payload_is_still_its_values(self):
+        window = Window(
+            [CWEvent(value, 5, WaveTag.root(n)) for n, value in enumerate("ab")],
+            "k",
+        )
+        assert _canonical_payload(window) == ("a", "b")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            PositionReport(3, 7, 55.0, 0, 1, 0, 4, 21_500),
+            StoppedCar(PositionReport(3, 7, 0.0, 0, 1, 0, 4, 21_500), 93),
+            Accident(0, 1, 4, 21_500, 93, (7, 9)),
+            SegmentCrossing(PositionReport(33, 7, 61.5, 0, 1, 0, 5, 26_400), 4),
+            TollNotification(7, 33, 4.5, 0, 1, 5, 38.25, 51),
+            TollNotification(7, 33, 0.0, 0, 1, 5),
+            AccidentAlert(7, 33, 0, 1, 8),
+            SegmentStat(0, 1, 5, 2, 38.25),
+            _Trip(7, [_Leg(4, 1.0), _Leg(5, 0.5)], _Leg(5, 0.5)),
+            _Lone(4),
+        ],
+        ids=lambda payload: type(payload).__name__,
+    )
+    def test_dataclass_payloads_equal_astuple(self, payload):
+        item = CWEvent(payload, 5, WaveTag.root(1))  # as a sink holds it
+        expected = (type(payload).__name__,) + astuple(payload)
+        for _ in range(2):  # the second call reads the cached getter
+            assert _canonical_payload(item) == expected
 
 
 # ---------------------------------------------------------------------------

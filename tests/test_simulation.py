@@ -1,5 +1,7 @@
 """Virtual clock, cost model and simulation runtime."""
 
+import gc
+
 import pytest
 
 from repro.core.actors import MapActor, SinkActor, SourceActor
@@ -95,12 +97,12 @@ class TestCostModel:
         assert model.default_cost_us == 100
 
 
-class TestSimulationRuntime:
-    def build(self, arrivals):
+class RuntimeFixture:
+    def build(self, arrivals, relay=lambda v: v):
         workflow = Workflow("w")
         source = SourceActor("src", arrivals=arrivals)
         source.add_output("out")
-        relay = MapActor("relay", lambda v: v)
+        relay = MapActor("relay", relay)
         sink = SinkActor("sink")
         workflow.add_all([source, relay, sink])
         workflow.connect(source, relay)
@@ -112,6 +114,8 @@ class TestSimulationRuntime:
         director.attach(workflow)
         return SimulationRuntime(director, clock), clock, sink
 
+
+class TestSimulationRuntime(RuntimeFixture):
     def test_idle_engine_jumps_to_next_arrival(self):
         runtime, clock, sink = self.build([(5_000_000, "x")])
         runtime.run(10.0)
@@ -138,3 +142,36 @@ class TestSimulationRuntime:
         runtime, clock, sink = self.build([(0, "x")])
         with pytest.raises(SimulationError):
             runtime.run(10.0, max_iterations=0)
+
+
+class TestRunScopedFreeze(RuntimeFixture):
+    """``run`` freezes the pre-run heap for as long as it loops, no longer."""
+
+    def test_frozen_while_running_and_thawed_on_return(self):
+        runtime, _, sink = self.build(
+            [(1_000, "a")], relay=lambda v: gc.get_freeze_count() > 0
+        )
+        assert gc.get_freeze_count() == 0
+        runtime.run(1.0, drain=True)
+        assert sink.values == [True]
+        assert gc.get_freeze_count() == 0
+
+    def test_thawed_when_the_run_raises(self):
+        runtime, _, _ = self.build([(0, "a"), (5_000_000, "b")])
+        with pytest.raises(SimulationError):
+            runtime.run(10.0, max_iterations=1)
+        assert runtime.director.total_internal_firings > 0  # it did loop
+        assert gc.get_freeze_count() == 0
+
+    def test_a_callers_freeze_is_left_alone(self):
+        runtime, _, sink = self.build([(1_000, "a")])
+        gc.freeze()
+        try:
+            held = gc.get_freeze_count()
+            runtime.run(1.0, drain=True)
+            assert sink.values == ["a"]
+            # Neither thawed nor topped up with the run's own objects
+            # (frozen objects the run released leave the count).
+            assert 0 < gc.get_freeze_count() <= held
+        finally:
+            gc.unfreeze()
