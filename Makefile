@@ -66,7 +66,7 @@ bench-shard:  # sharded execution: identity gate + absolute baselines
 	$(PYTHON) benchmarks/check_baseline.py .benchmark-shard.json \
 		--baseline benchmarks/baselines/shard.json
 
-bench-shard-transport:  # data plane: >=30% per-chunk gate + absolute baselines
+bench-shard-transport:  # data plane: absolute per-chunk baseline
 	$(PYTHON) -m pytest benchmarks/bench_shard_transport.py -q \
 		--benchmark-json=.benchmark-shard-transport.json
 	$(PYTHON) benchmarks/check_baseline.py .benchmark-shard-transport.json \
@@ -89,7 +89,7 @@ bench-compare:  # make bench-compare A=BENCH_11.json B=BENCH_13.json
 	$(PYTHON) benchmarks/e2e/compare.py $(A) $(B)
 
 N ?= 10
-bench-pair:  # make bench-pair BASE=HEAD~1 W=lr_batch N=10  (alternating parent/change pairs, driver form)
+bench-pair:  # make bench-pair BASE=HEAD~1 W=lr_batch N=10  (alternating parent/change pairs, driver form; W=all or W="a b" loops workloads)
 	$(PYTHON) tools/bench_pair.py --base $(BASE) --workload $(W) --pairs $(N)
 
 gc-profile:  # make gc-profile W=lr_batch  (collections and seconds per generation around one untraced run)

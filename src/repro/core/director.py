@@ -116,6 +116,9 @@ class Director(ABC):
         #: Derived from the topology; dropped by ``attach`` and
         #: ``initialize_all``, rebuilt on the next emission.
         self._routes: dict[Actor, RouteTable] = {}
+        #: Receivers whose window spec declares a formation timeout, in
+        #: registration order (a director's ``create_receiver`` fills it).
+        self._deadline_watch: list = []
         #: A subclass that overrides the emission hook keeps getting it:
         #: its contexts adapt the hook instead of taking the routes.
         cls = type(self)
@@ -231,6 +234,51 @@ class Director(ABC):
     @abstractmethod
     def current_time(self) -> int:
         """Engine time in microseconds."""
+
+    # ------------------------------------------------------------------
+    # Window timeout events
+    # ------------------------------------------------------------------
+    def _window_deadlines(self) -> list:
+        """``(receiver, engine-time deadline)`` per watched receiver that
+        holds a pending window.
+
+        A timeout fires ``window_formation_timeout`` after the event-time
+        right boundary of the receiver's earliest pending window, which
+        the receiver answers with a peek at its operator's pane-boundary
+        heap — one O(1) peek per watched receiver, whatever the number
+        of group keys.
+        """
+        return [
+            (receiver, boundary + receiver.spec.timeout)
+            for receiver in self._deadline_watch
+            if (boundary := receiver.next_deadline()) is not None
+        ]
+
+    def next_window_deadline(self) -> Optional[int]:
+        """Earliest engine time a timed-window timeout must fire."""
+        return min(
+            (deadline for _, deadline in self._window_deadlines()),
+            default=None,
+        )
+
+    def fire_window_timeouts(self, now: int) -> int:
+        """Force-produce every timed window whose timeout passed by *now*.
+
+        The due set is fixed before any receiver is forced — forcing one
+        may route expired events into another, which must not make that
+        one fire in the same call — and fires in registration order.
+        """
+        due = [
+            receiver
+            for receiver, deadline in self._window_deadlines()
+            if deadline <= now
+        ]
+        produced = 0
+        for receiver in due:
+            produced += receiver.force_timeout(now - receiver.spec.timeout)
+        if produced and _obs.ENABLED:
+            _obs._TRACER.instant("window.timeout_fired", now, produced=produced)
+        return produced
 
     # ------------------------------------------------------------------
     # Composite-boundary protocol

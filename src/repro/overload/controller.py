@@ -123,7 +123,6 @@ class OverloadController:
         scheduler.shedder = self
         scheduler.admission_gate = self
         director.overload = self
-        director.invalidate_arrival_cache()
         self._base_quantum_us = self._read_quantum()
         return self
 

@@ -134,7 +134,6 @@ class ShardEngine:
             )
         else:
             self.system.source.feed(arrivals)
-        self.director.invalidate_arrival_cache()
 
     def run_to(self, watermark_us: int) -> None:
         """Advance the shard's virtual clock to the watermark."""
@@ -350,14 +349,14 @@ def worker_main(conn: Any, spec: ShardWorkerSpec) -> None:
         try:
             if kind == "chunk":
                 _, watermark_us, payload, frontier_us = message
-                if isinstance(payload, (bytes, bytearray, memoryview)):
-                    decode_start = perf_counter_ns()
-                    slices = decode_chunk(payload, now_us=watermark_us)
-                    decode_us = (
-                        perf_counter_ns() - decode_start
-                    ) // 1000
-                else:  # raw dict: direct callers and old tooling
-                    slices, decode_us = payload, 0
+                if not isinstance(payload, (bytes, bytearray, memoryview)):
+                    raise SimulationError(
+                        f"chunk payload is a {type(payload).__name__}, "
+                        "not an SC1 blob"
+                    )
+                decode_start = perf_counter_ns()
+                slices = decode_chunk(payload, now_us=watermark_us)
+                decode_us = (perf_counter_ns() - decode_start) // 1000
                 backlogs: Dict[Hashable, int] = {}
                 frontiers: Dict[Hashable, Optional[int]] = {}
                 for group in sorted(engines):

@@ -87,7 +87,6 @@ class ThreadedCWFDirector(Director):
         #: name -> deque of (port_name, item) ready for consumption.
         self._ready: dict[str, deque] = {}
         self._rotation: deque[str] = deque()
-        self._timed_receivers: list[_SimReadyReceiver] = []
         self._sync_charge = 0
         self.context_switches = 0
         self.total_internal_firings = 0
@@ -100,8 +99,12 @@ class ThreadedCWFDirector(Director):
     # ------------------------------------------------------------------
     def create_receiver(self, port: InputPort) -> Receiver:
         receiver = _SimReadyReceiver(port.window, self, port)
-        if port.window is not None and port.window.measure.value == "time":
-            self._timed_receivers.append(receiver)
+        if (
+            port.window is not None
+            and port.window.measure.value == "time"
+            and port.window.timeout is not None
+        ):
+            self._deadline_watch.append(receiver)
         return receiver
 
     def initialize_all(self) -> None:
@@ -268,27 +271,6 @@ class ThreadedCWFDirector(Director):
             if (arrival := source.next_arrival_time()) is not None
         ]
         return min(times, default=None)
-
-    def next_window_deadline(self) -> Optional[int]:
-        deadlines = []
-        for receiver in self._timed_receivers:
-            if receiver.spec.timeout is None:
-                continue
-            boundary = receiver.next_deadline()
-            if boundary is not None:
-                deadlines.append(boundary + receiver.spec.timeout)
-        return min(deadlines, default=None)
-
-    def fire_window_timeouts(self, now: int) -> int:
-        produced = 0
-        for receiver in self._timed_receivers:
-            timeout = receiver.spec.timeout
-            if timeout is None:
-                continue
-            boundary = receiver.next_deadline()
-            if boundary is not None and boundary + timeout <= now:
-                produced += receiver.force_timeout(now - timeout)
-        return produced
 
     def backlog(self) -> int:
         return sum(len(queue) for queue in self._ready.values())

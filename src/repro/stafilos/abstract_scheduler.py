@@ -23,10 +23,10 @@ naive rescan an O(A) ``min()`` would be.  Every state-transition point
 ``invalidate_state``) adds the touched actor to a **dirty set** (O(1));
 ``get_next_actor`` first *flushes* the dirty set — re-evaluating only the
 touched actors and repairing their index entries — and then selects the
-minimum in O(1)/O(log A) from the policy's
-:mod:`~repro.stafilos.dispatch_index` (a Linux-style priority-bucket
-array + occupancy bitmap for QBS, a rotating ready-ring for RR,
-lazy-deletion min-heaps for EDF/RB/FIFO).  Selection is bit-identical to
+minimum in O(log A) from the one
+:mod:`~repro.stafilos.dispatch_index` every policy shares (a
+lazy-deletion min-heap keyed by the policy's comparator; under RR's
+rotation tickets it is a rotating ready-ring).  Selection is bit-identical to
 the historical scan — ``min`` over the actor list equals the
 ``(comparator_key, actor_order)`` minimum — which the oracle property
 test in ``tests/test_dispatch_index.py`` enforces.  The scan-based
@@ -119,22 +119,16 @@ class AbstractScheduler(ABC):
         self._actors_by_name = {actor.name: actor for actor in self.actors}
         self._tally = BacklogTally()
         for actor in self.actors:
-            self.ready[actor.name] = ReadyQueue(
-                self._tally, internal=not actor.is_source
-            )
+            self.ready[actor.name] = ReadyQueue(self._tally)
             self.states[actor.name] = ActorState.INACTIVE
             # Invalid until first queried: the policy's Table 2 rules
             # decide the real initial state once quanta etc. exist.
             self.state_valid[actor.name] = False
         for source in workflow.sources:
             self.register_source(source)
-        self._index = self._make_dispatch_index()
+        self._index = LazyHeapIndex()
         self._index_dirty = set(self._actor_order)
         self.on_initialize()
-
-    def _make_dispatch_index(self):
-        """Policy hook: the index structure holding ACTIVE actors."""
-        return LazyHeapIndex()
 
     def register_source(self, source: SourceActor) -> None:
         """Sources are registered so policies can treat them specially."""
@@ -246,10 +240,6 @@ class AbstractScheduler(ABC):
     def total_backlog(self) -> int:
         """Ready items across every actor — O(1), incrementally counted."""
         return self._tally.items
-
-    def nonempty_internal_count(self) -> int:
-        """Distinct internal actors currently holding ready work — O(1)."""
-        return self._tally.nonempty_internal
 
     # ------------------------------------------------------------------
     # State machine
@@ -371,7 +361,7 @@ class AbstractScheduler(ABC):
         """The next actor to fire, or ``None`` to end the iteration.
 
         Default: the minimum-comparator-key ACTIVE actor, served from the
-        dispatch index in O(1)/O(log A).  Policies override or extend this
+        dispatch index in O(log A).  Policies override or extend this
         (QBS injects regular source firings, RR rotates).
         """
         actor = self._peek_indexed()
@@ -449,7 +439,7 @@ class AbstractScheduler(ABC):
     def state_dump(self) -> dict:
         """Snapshot the scheduler (Checkpointable protocol).
 
-        Captures the per-actor ready heaps, the cached state machine
+        Captures the per-actor ready queues, the cached state machine
         (states + validity flags — preserving them keeps lazy
         re-evaluation order, and therefore dispatch decisions, exactly
         as they would have been without a checkpoint), the engine-time
@@ -494,7 +484,7 @@ class AbstractScheduler(ABC):
         self.policy_state_restore(state["policy"])
         # The index holds derived entries only: rebuild it empty and let
         # the next flush repopulate it from the restored states/keys.
-        self._index = self._make_dispatch_index()
+        self._index = LazyHeapIndex()
         self._index_dirty = set(self._actor_order)
 
     # ------------------------------------------------------------------

@@ -1,30 +1,22 @@
-"""Incrementally maintained dispatch indexes for STAFiLOS schedulers.
+"""The incrementally maintained dispatch index of STAFiLOS schedulers.
 
-The paper models QBS on the Linux **O(1)** process scheduler, and this
-module is where the reproduction finally earns that name: instead of
-rescanning every actor with an ``O(A)`` ``min()`` on each dispatch, the
-abstract scheduler keeps an *index* of ACTIVE actors that is repaired
-incrementally at the existing state-transition points (enqueue, dequeue,
-fire-end, re-quantification).  Two index flavours are provided:
+Instead of rescanning every actor with an ``O(A)`` ``min()`` on each
+dispatch, the abstract scheduler keeps an *index* of ACTIVE actors that
+is repaired incrementally at the existing state-transition points
+(enqueue, dequeue, fire-end, re-quantification):
 
 :class:`LazyHeapIndex`
-    A lazy-deletion min-heap keyed by the policy comparator.  Used by
-    RR (where the key is the rotation ticket, making the heap a rotating
-    *ready-ring*), EDF, RB and FIFO.  ``insert``/``invalidate`` are
-    ``O(log A)``/``O(1)``; ``peek`` is amortized ``O(log A)``.
+    A lazy-deletion min-heap keyed by the policy comparator — the one
+    index every policy uses.  Under RR the key is the rotation ticket,
+    making the heap a rotating *ready-ring*; under QBS it is ``(priority,
+    head-event time)``, the paper's "ascending priority order, FIFO
+    within a class".  ``insert``/``invalidate`` are ``O(log A)``/``O(1)``;
+    ``peek`` is amortized ``O(log A)``.
 
-:class:`PriorityBucketIndex`
-    The Linux-style structure for QBS: an array of priority buckets plus
-    an occupancy **bitmap**; finding the most urgent non-empty class is a
-    single find-first-set (``occ & -occ``) on an int.  Within a class,
-    actors are FIFO by their head-event timestamp (a small lazy heap per
-    bucket), matching the paper's "ascending priority order, FIFO within
-    a class".
-
-Both use *lazy deletion*: invalidating an actor is a version bump
-(``O(1)``), and stale heap entries are discarded when they surface at the
-top.  A compaction pass rebuilds a heap when stale entries outnumber live
-ones by 4x, bounding memory to ``O(A)`` amortized.
+*Lazy deletion*: invalidating an actor is a version bump (``O(1)``), and
+stale heap entries are discarded when they surface at the top.  A
+compaction pass rebuilds the heap when stale entries outnumber live ones
+by 4x, bounding memory to ``O(A)`` amortized.
 
 Determinism: every entry carries the actor's position in the scheduler's
 actor list as the final tie-break, so the index reproduces the historical
@@ -119,154 +111,4 @@ class LazyHeapIndex:
     def clear(self) -> None:
         self._heap.clear()
         self._version.clear()
-        self._live.clear()
-
-
-class PriorityBucketIndex:
-    """Linux-O(1)-style bucket array + occupancy bitmap for QBS.
-
-    Keys are ``(priority, head_time)``: the priority selects a bucket
-    (one per distinct designer priority, ascending), and within a bucket a
-    small lazy heap orders actors by ``(head_time, order)``.  Bucket
-    occupancy is tracked in an int bitmap so ``peek`` finds the most
-    urgent non-empty class with one find-first-set.
-    """
-
-    __slots__ = (
-        "_levels",
-        "_level_of_priority",
-        "_heaps",
-        "_live_counts",
-        "_occupancy",
-        "_version",
-        "_level_of_actor",
-        "_live",
-    )
-
-    def __init__(self, priorities: Optional[list[int]] = None) -> None:
-        #: Ascending distinct priorities; bit ``i`` of the occupancy map
-        #: corresponds to ``self._levels[i]``.
-        self._levels: list[int] = sorted(set(priorities or []))
-        self._level_of_priority: dict[int, int] = {
-            priority: level for level, priority in enumerate(self._levels)
-        }
-        self._heaps: list[list[tuple[Any, int, int, str]]] = [
-            [] for _ in self._levels
-        ]
-        self._live_counts: list[int] = [0] * len(self._levels)
-        self._occupancy = 0
-        self._version: dict[str, int] = {}
-        self._level_of_actor: dict[str, int] = {}
-        self._live: set[str] = set()
-
-    # ------------------------------------------------------------------
-    def _add_level(self, priority: int) -> int:
-        """Grow the bucket array for a priority first seen after init.
-
-        Designer priorities are static in practice; this is a rare-path
-        remap that keeps the bitmap consistent (bits above the insertion
-        point shift left by one).
-        """
-        import bisect
-
-        position = bisect.bisect_left(self._levels, priority)
-        self._levels.insert(position, priority)
-        self._heaps.insert(position, [])
-        self._live_counts.insert(position, 0)
-        self._level_of_priority = {
-            p: level for level, p in enumerate(self._levels)
-        }
-        # Re-derive the bitmap and per-actor levels from live counts.
-        self._occupancy = 0
-        for level, count in enumerate(self._live_counts):
-            if count:
-                self._occupancy |= 1 << level
-        for name in self._level_of_actor:
-            old = self._level_of_actor[name]
-            if old >= position:
-                self._level_of_actor[name] = old + 1
-        return position
-
-    # ------------------------------------------------------------------
-    def invalidate(self, name: str) -> None:
-        self._version[name] = self._version.get(name, 0) + 1
-        if name in self._live:
-            self._live.discard(name)
-            level = self._level_of_actor[name]
-            self._live_counts[level] -= 1
-            if self._live_counts[level] == 0:
-                self._occupancy &= ~(1 << level)
-
-    def insert(self, name: str, key: Any, order: int) -> None:
-        priority, head_time = key
-        level = self._level_of_priority.get(priority)
-        if level is None:
-            level = self._add_level(priority)
-        version = self._version.get(name, 0) + 1
-        self._version[name] = version
-        self._live.add(name)
-        self._level_of_actor[name] = level
-        heap = self._heaps[level]
-        heapq.heappush(heap, (head_time, order, version, name))
-        self._live_counts[level] += 1
-        self._occupancy |= 1 << level
-        if (
-            len(heap) >= _COMPACT_MIN
-            and len(heap) > _COMPACT_FACTOR * max(1, self._live_counts[level])
-        ):
-            self._compact(level)
-
-    def peek(self) -> Optional[str]:
-        occupancy = self._occupancy
-        version = self._version
-        while occupancy:
-            level = (occupancy & -occupancy).bit_length() - 1
-            heap = self._heaps[level]
-            while heap:
-                _, _, entry_version, name = heap[0]
-                if (
-                    entry_version == version.get(name, 0)
-                    and name in self._live
-                    and self._level_of_actor.get(name) == level
-                ):
-                    return name
-                heapq.heappop(heap)
-            # All entries in the bucket were stale: the live count must be
-            # zero (live actors always have a matching entry); clear the bit.
-            occupancy &= occupancy - 1
-            if self._live_counts[level] == 0:
-                self._occupancy &= ~(1 << level)
-        return None
-
-    # ------------------------------------------------------------------
-    def _compact(self, level: int) -> None:
-        version = self._version
-        live = self._live
-        self._heaps[level] = [
-            entry
-            for entry in self._heaps[level]
-            if entry[2] == version.get(entry[3], 0) and entry[3] in live
-        ]
-        heapq.heapify(self._heaps[level])
-
-    def __len__(self) -> int:
-        return len(self._live)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._live
-
-    def heap_size(self) -> int:
-        return sum(len(heap) for heap in self._heaps)
-
-    def occupancy_bitmap(self) -> int:
-        """The raw occupancy bitmap (introspection/tests)."""
-        return self._occupancy
-
-    def clear(self) -> None:
-        for heap in self._heaps:
-            heap.clear()
-        self._live_counts = [0] * len(self._levels)
-        self._occupancy = 0
-        self._version.clear()
-        self._level_of_actor.clear()
         self._live.clear()

@@ -125,18 +125,32 @@ class GlobalScheduler:
     ) -> int:
         director = instance.director
         clock: VirtualClock = director.clock
-        deadline = clock.now_us + share_us
+        grant_end = clock.now_us + share_us
         fired = 0
-        while clock.now_us < deadline:
+        while clock.now_us < grant_end:
+            # The single-workflow runtime's idle rule, capped at the
+            # grant: fire due window timeouts before working, and when
+            # idle wake for the next arrival or window deadline.
+            director.fire_window_timeouts(clock.now_us)
             internal, emitted = director.run_iteration()
             instance.iterations += 1
             fired += internal
             if internal == 0 and emitted == 0:
-                arrival = director.next_arrival_time()
-                if arrival is None or arrival > deadline:
-                    clock.jump_to(deadline)
+                wakeups = [
+                    time_us
+                    for time_us in (
+                        director.next_arrival_time(),
+                        director.next_window_deadline(),
+                    )
+                    if time_us is not None
+                ]
+                next_time = min(wakeups, default=grant_end)
+                if next_time > grant_end:
+                    clock.jump_to(grant_end)
                     break
-                clock.jump_to(arrival)
+                # A due timeout that produced nothing schedulable must
+                # not stall the clock.
+                clock.jump_to(max(next_time, clock.now_us + 1))
         instance.virtual_time_used_us = clock.now_us
         return fired
 

@@ -256,9 +256,9 @@ class AdaptiveScheduler:
         old = self._policy
         new = self._build_policy(kind, quantum)
         new.initialize(self._workflow, self._statistics)
-        # Lossless queue migration: snapshot/restore keeps heap order
+        # Lossless queue migration: snapshot/restore keeps key order
         # (so pop sequences continue exactly) and updates the new
-        # policy's backlog tally (so its O(1) counters and dirty-index
+        # policy's backlog tally (so its O(1) counter and dirty-index
         # bookkeeping are exact from the first dispatch).
         for name, queue in old.ready.items():
             new.ready[name].restore_items(queue.snapshot_items())

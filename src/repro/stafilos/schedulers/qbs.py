@@ -30,7 +30,7 @@ from typing import Any, Optional
 from ...core.actors import Actor, SourceActor
 from ...observability import tracer as _obs
 from ..abstract_scheduler import AbstractScheduler
-from ..dispatch_index import INF_TIME, PriorityBucketIndex
+from ..dispatch_index import INF_TIME
 from ..states import ActorState
 
 
@@ -47,7 +47,7 @@ class QuantumPriorityScheduler(AbstractScheduler):
     policy_name = "QBS"
 
     #: Sources are interval-regulated through their own rotation; only
-    #: internal actors live in the priority-bucket index.
+    #: internal actors live in the dispatch index.
     index_includes_sources = False
 
     #: Mutable policy state captured by the checkpoint subsystem:
@@ -79,14 +79,6 @@ class QuantumPriorityScheduler(AbstractScheduler):
             self.quantum[actor.name] = quantum_grant(
                 actor.priority, self.basic_quantum_us
             )
-
-    def _make_dispatch_index(self):
-        """Linux-O(1)-style bucket array + occupancy bitmap (the paper's
-        own inspiration): one bucket per designer priority, FIFO within
-        a class by head-event timestamp."""
-        return PriorityBucketIndex(
-            [actor.priority for actor in self.actors if not actor.is_source]
-        )
 
     # ------------------------------------------------------------------
     # Table 2: state conditions under QBS

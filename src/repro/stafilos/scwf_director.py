@@ -27,7 +27,6 @@ in :mod:`repro.simulation`.
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Optional
 
 from ..core.actors import Actor, SourceActor
@@ -126,21 +125,6 @@ class SCWFDirector(Director):
         #: half of a hop), resolved on first admission; same lifetime.
         self._record_inputs: dict[Actor, Callable[[int, int], None]] = {}
         self._timed_receivers: list[TMWindowedReceiver] = []
-        # ---- timed-window deadline heap -----------------------------
-        #: Receivers whose spec declares a formation timeout, by slot.
-        self._deadline_watch: list[TMWindowedReceiver] = []
-        #: Lazy min-heap of ``(deadline_us, slot)``; an entry is live iff
-        #: it equals ``_deadline_cache[slot]``.
-        self._deadline_heap: list[tuple[int, int]] = []
-        self._deadline_cache: list[Optional[int]] = []
-        #: Slots whose window operator changed since the last flush.
-        self._deadline_dirty: set[int] = set()
-        # ---- next-arrival cache -------------------------------------
-        self._arrival_cache: Optional[int] = None
-        self._arrival_cache_valid = False
-        #: Live (unbounded) sources can grow their arrival schedule from
-        #: a background thread; caching is only safe without them.
-        self._sources_static = False
 
     @property
     def dead_letters(self):
@@ -164,11 +148,7 @@ class SCWFDirector(Director):
             # formation-timeout watch would race it non-deterministically
             # across placements, so it is not registered.
             if port.window.timeout is not None and not frontier_closes:
-                slot = len(self._deadline_watch)
                 self._deadline_watch.append(receiver)
-                self._deadline_cache.append(None)
-                self._deadline_dirty.add(slot)
-                receiver.watch_deadline(slot)
         return receiver
 
     def initialize_all(self) -> None:
@@ -183,9 +163,6 @@ class SCWFDirector(Director):
             bind = getattr(actor, "bind_runtime", None)
             if bind is not None:
                 bind(self)
-        self._sources_static = all(
-            not source.unbounded for source in workflow.sources
-        )
 
     def current_time(self) -> int:
         return self.clock.now_us
@@ -254,9 +231,6 @@ class SCWFDirector(Director):
         scheduler = self.scheduler
         self.iterations += 1
         iteration_start = self.clock.now_us
-        if scheduler.shedder is not None:
-            # Input-side shedding may advance source cursors.
-            self._arrival_cache_valid = False
         scheduler.on_iteration_start(iteration_start)
         internal_firings = 0
         source_emissions = 0
@@ -370,9 +344,6 @@ class SCWFDirector(Director):
             self.overload.note_pumped(source, emitted)
         source.postfire(ctx)
         ctx.close()
-        # Once per pump train — not per emitted event: the cache only
-        # depends on the source cursors, which move inside ``pump``.
-        self.invalidate_arrival_cache()
         cost = self.cost_model.source_cost(source, emitted)
         now = self.clock.advance(cost)
         self.statistics.record_invocation(source, cost)
@@ -627,88 +598,6 @@ class SCWFDirector(Director):
         return fired, items, carried
 
     # ------------------------------------------------------------------
-    # Window timeout events
-    # ------------------------------------------------------------------
-    def _mark_deadline_dirty(self, slot: int) -> None:
-        """A timed receiver's window operator changed; its deadline is
-        stale.  O(1) — recomputation is deferred to the next flush."""
-        self._deadline_dirty.add(slot)
-
-    def _flush_deadlines(self) -> None:
-        """Re-read the deadline of every dirty receiver — a peek at its
-        operator's pane-boundary heap, O(1) amortized, whatever the
-        number of groups — and repair the lazy heap (O(dirty·log R))."""
-        dirty = self._deadline_dirty
-        if not dirty:
-            return
-        heap = self._deadline_heap
-        cache = self._deadline_cache
-        for slot in dirty:
-            receiver = self._deadline_watch[slot]
-            boundary = receiver.next_deadline()
-            deadline = (
-                None if boundary is None else boundary + receiver.spec.timeout
-            )
-            cache[slot] = deadline
-            if deadline is not None:
-                heapq.heappush(heap, (deadline, slot))
-        dirty.clear()
-
-    def _peek_deadline(self) -> Optional[tuple[int, int]]:
-        """The earliest live ``(deadline, slot)``, discarding stale tops."""
-        heap = self._deadline_heap
-        cache = self._deadline_cache
-        while heap:
-            deadline, slot = heap[0]
-            if cache[slot] == deadline:
-                return heap[0]
-            heapq.heappop(heap)
-        return None
-
-    def next_window_deadline(self) -> Optional[int]:
-        """Earliest engine time a timed-window timeout must fire.
-
-        A receiver participates only when its spec declares a
-        ``window_formation_timeout``; the timeout fires that long after the
-        window's event-time right boundary.  Served from a lazily repaired
-        min-heap over the receivers, each of which answers from its own
-        pane-boundary heap: O(dirty·log R) amortized, independent of how
-        many group keys the receivers have ever seen.
-        """
-        self._flush_deadlines()
-        top = self._peek_deadline()
-        return top[0] if top is not None else None
-
-    def fire_window_timeouts(self, now: int) -> int:
-        """Force-produce every timed window whose timeout passed by *now*.
-
-        Only *due* receivers are popped from the deadline heap
-        (O(due·log R)); the historical full rescan of ``_timed_receivers``
-        is gone.  Due receivers fire in registration order, matching the
-        rescan's firing order exactly.
-        """
-        self._flush_deadlines()
-        due: list[int] = []
-        while True:
-            top = self._peek_deadline()
-            if top is None or top[0] > now:
-                break
-            _, slot = heapq.heappop(self._deadline_heap)
-            self._deadline_cache[slot] = None
-            due.append(slot)
-        produced = 0
-        for slot in sorted(due):
-            receiver = self._deadline_watch[slot]
-            produced += receiver.force_timeout(now - receiver.spec.timeout)
-            # force_timeout marks the slot dirty via the receiver hook;
-            # ensure it is re-examined even when nothing was produced.
-            self._deadline_dirty.add(slot)
-        if produced:
-            if _obs.ENABLED:
-                _obs._TRACER.instant("window.timeout_fired", now, produced=produced)
-        return produced
-
-    # ------------------------------------------------------------------
     # Frontier progress (repro.frontier)
     # ------------------------------------------------------------------
     def enable_frontier(self, tracker, lateness=None) -> None:
@@ -717,7 +606,7 @@ class SCWFDirector(Director):
         Receiver creation consults the tracker's mode — ``"close"``
         replaces the engine-time formation-timeout watch with
         event-time frontier closure — so enabling after attachment
-        would leave the deadline heap armed.
+        would leave the deadline watch armed.
         """
         if self._attached:
             raise DirectorError(
@@ -814,44 +703,24 @@ class SCWFDirector(Director):
     # ------------------------------------------------------------------
     # Idle bookkeeping for the runtime
     # ------------------------------------------------------------------
-    def invalidate_arrival_cache(self) -> None:
-        """Forget the cached earliest arrival (source cursors moved)."""
-        self._arrival_cache_valid = False
-
     def next_arrival_time(self) -> Optional[int]:
         """Earliest undelivered external arrival across all sources.
 
-        Cached between source firings when every source is static (live
-        push sources can grow their schedule asynchronously, so caching
-        is disabled the moment one is attached).  An exhausted schedule
-        (``None``) is never cached: a late ``load()`` must be seen.
+        Under an overload controller, the earliest *admissible* instant
+        per source instead: admission tokens can defer an arrival past
+        its schedule time, and jumping to the raw arrival would leave
+        the source gated and crawl the clock 1 µs at a time.
         """
-        if self._arrival_cache_valid:
-            return self._arrival_cache
         workflow = self._require_attached()
         overload = self.overload
-        if overload is not None:
-            # Admission tokens can defer an arrival past its schedule
-            # time; jumping to the raw arrival would leave the source
-            # gated and crawl the clock 1 µs at a time.  Ask the
-            # controller for the earliest *admissible* instant per
-            # source.  Never cached: token state moves with the clock.
-            times = [
-                overload.earliest_admission(source, arrival)
-                for source in workflow.sources
-                if (arrival := source.next_arrival_time()) is not None
-            ]
-            return min(times, default=None)
         times = [
             arrival
+            if overload is None
+            else overload.earliest_admission(source, arrival)
             for source in workflow.sources
             if (arrival := source.next_arrival_time()) is not None
         ]
-        value = min(times, default=None)
-        if self._sources_static and value is not None:
-            self._arrival_cache = value
-            self._arrival_cache_valid = True
-        return value
+        return min(times, default=None)
 
     def backlog(self) -> int:
         return self.scheduler.total_backlog()
@@ -893,9 +762,7 @@ class SCWFDirector(Director):
 
         Scheduler, receivers, supervisor, statistics, clock and cost
         model are separate checkpoint components — the orchestrator in
-        :mod:`repro.checkpoint.snapshot` walks them individually.  The
-        timed-deadline heap and the next-arrival cache are *derived*
-        state and are rebuilt lazily on restore instead of serialized.
+        :mod:`repro.checkpoint.snapshot` walks them individually.
         """
         return {
             "iterations": self.iterations,
@@ -906,21 +773,9 @@ class SCWFDirector(Director):
         }
 
     def state_restore(self, state: dict) -> None:
-        """Re-apply director counters and invalidate the derived caches.
-
-        Marking every deadline slot dirty and dropping the arrival cache
-        forces the next ``next_window_deadline`` / ``next_arrival_time``
-        call to recompute from the (already restored) receivers and
-        source cursors — the lazy repair machinery then behaves exactly
-        as in an uninterrupted run.
-        """
+        """Re-apply the director counters."""
         self.iterations = int(state["iterations"])
         self.total_internal_firings = int(state["total_internal_firings"])
         self.total_source_firings = int(state["total_source_firings"])
         self.total_events_admitted = int(state["total_events_admitted"])
         self.actor_errors = dict(state["actor_errors"])
-        self._deadline_heap.clear()
-        self._deadline_cache = [None] * len(self._deadline_watch)
-        self._deadline_dirty = set(range(len(self._deadline_watch)))
-        self._arrival_cache = None
-        self._arrival_cache_valid = False

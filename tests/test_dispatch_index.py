@@ -18,11 +18,7 @@ from repro.core.workflow import Workflow
 from repro.simulation.clock import VirtualClock
 from repro.simulation.cost_model import CostModel
 from repro.simulation.runtime import SimulationRuntime
-from repro.stafilos.dispatch_index import (
-    INF_TIME,
-    LazyHeapIndex,
-    PriorityBucketIndex,
-)
+from repro.stafilos.dispatch_index import INF_TIME, LazyHeapIndex
 from repro.stafilos.schedulers.qbs import QuantumPriorityScheduler
 from repro.stafilos.scwf_director import SCWFDirector
 
@@ -67,41 +63,6 @@ class TestLazyHeapIndex:
         index.insert("a", (1,), 0)
         index.invalidate("a")
         assert index.peek() is None
-
-
-class TestPriorityBucketIndex:
-    def test_lowest_occupied_priority_wins(self):
-        index = PriorityBucketIndex([10, 20, 30])
-        index.insert("low", (30, 7), 2)
-        index.insert("mid", (20, 3), 1)
-        assert index.peek() == "mid"
-        index.insert("hot", (10, 99), 0)
-        assert index.peek() == "hot"
-
-    def test_fifo_within_class(self):
-        index = PriorityBucketIndex([20, 20])
-        index.insert("young", (20, 500), 0)
-        index.insert("old", (20, 100), 1)
-        # Same priority class: the older head event wins despite the
-        # other actor's lower list position.
-        assert index.peek() == "old"
-
-    def test_occupancy_bitmap_tracks_levels(self):
-        index = PriorityBucketIndex([10, 20])
-        assert index.occupancy_bitmap() == 0
-        index.insert("a", (20, 0), 0)
-        assert index.occupancy_bitmap() != 0
-        index.invalidate("a")
-        assert index.peek() is None
-        assert index.occupancy_bitmap() == 0
-
-    def test_unknown_priority_adds_level(self):
-        index = PriorityBucketIndex([20])
-        index.insert("a", (20, 5), 0)
-        # A priority never seen at construction (RB-style re-keying or a
-        # dynamically added actor) must still be accepted and ordered.
-        index.insert("b", (5, 9), 1)
-        assert index.peek() == "b"
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +128,6 @@ class TestIncrementalCounters:
         assert seq  # the run actually dispatched something
         assert scheduler.total_backlog() == sum(
             len(q) for q in scheduler.ready.values()
-        )
-        assert scheduler.nonempty_internal_count() == sum(
-            1
-            for actor in scheduler.actors
-            if not actor.is_source and len(scheduler.ready[actor.name]) > 0
         )
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.actors import MapActor, SinkActor, SourceActor
 from repro.core.exceptions import SchedulerError
+from repro.core.windows import WindowSpec
 from repro.core.workflow import Workflow
 from repro.simulation.clock import VirtualClock
 from repro.simulation.cost_model import CostModel
@@ -44,6 +45,32 @@ class TestGlobalScheduler:
         scheduler.run(until_s=1.0)
         assert len(sink_a.values) == 20
         assert len(sink_b.values) == 20
+
+    def test_quiet_window_is_forced_by_its_timeout(self):
+        """An idle instance wakes for a window deadline, not only for an
+        arrival: the same stream yields the same window under the
+        single-workflow runtime."""
+        workflow = Workflow("timed")
+        source = SourceActor("src", arrivals=[(0, 1), (100_000, 2)])
+        source.add_output("out")
+        total = MapActor(
+            "sum",
+            lambda values: sum(values),
+            window=WindowSpec.time(1_000_000, timeout=1_000_000),
+        )
+        sink = SinkActor("sink")
+        workflow.add_all([source, total, sink])
+        workflow.connect(source, total)
+        workflow.connect(total, sink)
+        director = SCWFDirector(
+            RoundRobinScheduler(10_000), VirtualClock(), CostModel()
+        )
+        director.attach(workflow)
+        scheduler = GlobalScheduler(round_quantum_us=300_000)
+        scheduler.add(WorkflowInstance("timed", director))
+        scheduler.run(until_s=10.0)
+        assert sink.values == [3]
+        assert director.next_window_deadline() is None
 
     def test_duplicate_names_rejected(self):
         scheduler = GlobalScheduler()

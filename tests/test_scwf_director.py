@@ -5,6 +5,7 @@ import pytest
 from repro.core.actors import Actor, MapActor, SinkActor, SourceActor
 from repro.core.windows import WindowSpec
 from repro.core.workflow import Workflow
+from repro.frontier import FrontierTracker
 from repro.simulation.clock import VirtualClock
 from repro.simulation.cost_model import CostModel
 from repro.simulation.runtime import SimulationRuntime
@@ -70,7 +71,7 @@ class TestDirectorCycle:
 
 
 class TestWindowTimeouts:
-    def build_timed(self):
+    def build_timed(self, frontier=None):
         workflow = Workflow("timed")
         source = SourceActor("src", arrivals=[(0, 1), (100_000, 2)])
         source.add_output("out")
@@ -89,6 +90,8 @@ class TestWindowTimeouts:
         director = SCWFDirector(
             RoundRobinScheduler(10_000), clock, CostModel()
         )
+        if frontier is not None:
+            director.enable_frontier(frontier)
         director.attach(workflow)
         return workflow, director, clock, sink
 
@@ -105,6 +108,84 @@ class TestWindowTimeouts:
         director.run_iteration()
         deadline = director.next_window_deadline()
         assert deadline == 1_000_000 + 500_000
+
+
+    def build_two_watched(self, first_timeout, second_timeout, chained):
+        """Two timed receivers, ``first`` registered before ``second``.
+
+        *chained*: ``second`` is ``first``'s expired-items handler;
+        otherwise both read the source directly.
+        """
+        workflow = Workflow("two")
+        source = SourceActor("src", arrivals=[(0, 1), (100_000, 2)])
+        source.add_output("out")
+        first = MapActor(
+            "first",
+            sum,
+            window=WindowSpec.time(1_000_000, timeout=first_timeout),
+        )
+        second = MapActor(
+            "second",
+            sum,
+            window=WindowSpec.time(1_000_000, timeout=second_timeout),
+        )
+        sink = SinkActor("sink")
+        workflow.add_all([source, first, second, sink])
+        workflow.connect(source, first)
+        workflow.connect(first, sink)
+        workflow.connect(second, sink)
+        if chained:
+            workflow.connect_expired(first, second)
+        else:
+            workflow.connect(source, second)
+        director = SCWFDirector(
+            RoundRobinScheduler(10_000), VirtualClock(), CostModel()
+        )
+        director.attach(workflow)
+        director.initialize_all()
+        director.run_iteration()
+        forced = []
+        for receiver in director._deadline_watch:
+            def spy(now, receiver=receiver, force=receiver.force_timeout):
+                forced.append(receiver.port.actor.name)
+                return force(now)
+
+            receiver.force_timeout = spy
+        return director, forced
+
+    def test_due_set_is_fixed_before_any_receiver_is_forced(self):
+        """Forcing ``first`` routes its expired events into ``second``,
+        whose 1 us timeout is then already past — it still waits for the
+        next call, as it did when the due set was popped off a heap."""
+        director, forced = self.build_two_watched(
+            1_000_000, 1, chained=True
+        )
+        first, second = director._deadline_watch
+        assert second.next_deadline() is None
+        assert director.fire_window_timeouts(5_000_000) == 1
+        assert forced == ["first"]
+        assert second.next_deadline() == 1_000_000
+        assert director.next_window_deadline() == 1_000_001
+        assert director.fire_window_timeouts(5_000_000) == 1
+        assert forced == ["first", "second"]
+        assert director.next_window_deadline() is None
+
+    def test_due_receivers_fire_in_registration_order(self):
+        director, forced = self.build_two_watched(
+            2_000_000, 1_000_000, chained=False
+        )
+        # ``second`` holds the earlier deadline; ``first`` registered first.
+        assert director.next_window_deadline() == 2_000_000
+        assert director.fire_window_timeouts(3_000_000) == 2
+        assert forced == ["first", "second"]
+
+    def test_frontier_closure_registers_no_watch(self):
+        """Under ``frontier="close"`` panes close on event time; the
+        engine-time timeout would race it, so nothing is watched."""
+        _, director, _, _ = self.build_timed(FrontierTracker(mode="close"))
+        assert len(director._timed_receivers) == 1
+        assert director._deadline_watch == []
+        assert director.next_window_deadline() is None
 
 
 class TestCompositeEntry:

@@ -354,6 +354,16 @@ class TestCodecFailsClosed:
             assert "worker 0" in message
             assert "chunk @7000000" in message
             assert "truncated at byte" in message
+            # The wire carries SC1 blobs only: a decoded mapping is as
+            # malformed as a torn frame, and is refused the same way.
+            coordinator._conns[0].send(
+                ("chunk", 8_000_000, lr_chunk(config, count=5), None)
+            )
+            with pytest.raises(SimulationError) as excinfo:
+                coordinator._recv(0, "ack")
+            message = str(excinfo.value)
+            assert "chunk @8000000" in message
+            assert "not an SC1 blob" in message
         finally:
             for conn in coordinator._conns:
                 conn.send(("stop",))

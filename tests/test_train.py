@@ -781,42 +781,6 @@ class TestPumpTrainInteraction:
         assert emitted == 5
         assert len(singles) == 5 and not batches
 
-    def test_arrival_cache_invalidated_once_per_train(self):
-        """One cache invalidation per pump, however many events it emits."""
-        workflow = Workflow("cache")
-        source = SourceActor("src", arrivals=[(0, i) for i in range(50)])
-        source.add_output("out")
-        sink = SinkActor("sink")
-        workflow.add_all([source, sink])
-        workflow.connect(source, sink)
-        clock = VirtualClock()
-        director = SCWFDirector(
-            RoundRobinScheduler(10_000),
-            clock,
-            CostModel(),
-            train_size=None,
-        )
-        counts = {"invalidate": 0, "pump": 0}
-        original_invalidate = director.invalidate_arrival_cache
-
-        def spy_invalidate():
-            counts["invalidate"] += 1
-            original_invalidate()
-
-        director.invalidate_arrival_cache = spy_invalidate
-        original_pump = source.pump
-
-        def spy_pump(ctx):
-            counts["pump"] += 1
-            return original_pump(ctx)
-
-        source.pump = spy_pump
-        director.attach(workflow)
-        SimulationRuntime(director, clock).run(10.0, drain=True)
-        assert len(sink.items) == 50
-        assert counts["invalidate"] == counts["pump"]
-        assert counts["pump"] < 50  # the burst pumped as trains
-
 
 # ----------------------------------------------------------------------
 # Satellite: WaveTag slots / root interning / __reduce__ round-trip

@@ -1,7 +1,9 @@
 #!/usr/bin/env python
-"""Alternating parent/change pairs of one end-to-end workload.
+"""Alternating parent/change pairs of the end-to-end workloads.
 
-``make bench-pair BASE=<rev> W=<workload> N=10`` — the one comparison
+``make bench-pair BASE=<rev> W=<workload> N=10`` (``W=all``, or a
+space-separated list, loops the workloads of ``BENCHMARK.json``: one
+table each and a final worst-case line) — the one comparison
 protocol that works on a box whose per-process speed flips between two
 modes ~30 % apart: N pairs, pair *i* on seed *i*, alternating which side
 runs first, each side one driver-form measurement of its *own* checkout::
@@ -85,41 +87,35 @@ def quartiles(values: list) -> tuple:
     return q1, median, q3
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", required=True, help="parent revision")
-    parser.add_argument(
-        "--workload", required=True,
-        choices=[entry["name"] for entry in DECLARED["workloads"]],
-    )
-    parser.add_argument("--pairs", type=int, default=10)
-    args = parser.parse_args(argv)
+def compare(base: Path, rev: str, workload: str, pairs: int) -> tuple:
+    """Run and tabulate one workload; ``(exit status, worst row)``.
 
+    The worst row is ``(share of its bound used, worse_by, workload,
+    metric)`` for the metric whose median moved furthest the wrong way.
+    """
     base_runs, change_runs = [], []
-    with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
-        base = Path(tmp)
-        export_base(args.base, base)
-        for seed in range(1, args.pairs + 1):
-            order = ("base", "change") if seed % 2 else ("change", "base")
-            pair = {}
-            for side in order:
-                checkout = base if side == "base" else ROOT
-                pair[side] = measure(checkout, args.workload, seed)
-            base_runs.append(pair["base"])
-            change_runs.append(pair["change"])
-            print(
-                f"pair {seed} ({order[0]} first): " + "  ".join(
-                    f"{name} {pair['base']['metrics'][name]:.4g} -> "
-                    f"{pair['change']['metrics'][name]:.4g}"
-                    for name in pair["base"]["metrics"]
-                ),
-                flush=True,
-            )
+    for seed in range(1, pairs + 1):
+        order = ("base", "change") if seed % 2 else ("change", "base")
+        pair = {}
+        for side in order:
+            checkout = base if side == "base" else ROOT
+            pair[side] = measure(checkout, workload, seed)
+        base_runs.append(pair["base"])
+        change_runs.append(pair["change"])
+        print(
+            f"pair {seed} ({order[0]} first): " + "  ".join(
+                f"{name} {pair['base']['metrics'][name]:.4g} -> "
+                f"{pair['change']['metrics'][name]:.4g}"
+                for name in pair["base"]["metrics"]
+            ),
+            flush=True,
+        )
 
     status = 0
+    rows = []
     print(
-        f"\n{args.workload}: {args.pairs} alternating pairs, "
-        f"parent {args.base} -> change (seeds 1..{args.pairs})"
+        f"\n{workload}: {pairs} alternating pairs, "
+        f"parent {rev} -> change (seeds 1..{pairs})"
     )
     for entry in DECLARED["end_to_end"]:
         name = entry["name"]
@@ -135,10 +131,11 @@ def main(argv=None) -> int:
         if worse_by > entry["bound"]:
             verdict = f"WORSE by {worse_by:.1%} (bound {entry['bound']:.0%})"
             status = 1
+        rows.append((worse_by / entry["bound"], worse_by, workload, name))
         print(
             f"  {name:<15} {p_med:>11.4f} [{p_q1:.4f}, {p_q3:.4f}] -> "
             f"{c_med:>11.4f} [{c_q1:.4f}, {c_q3:.4f}] {entry['unit']:<4} "
-            f"change wins {wins}/{args.pairs}, equal on {equal}  {verdict}"
+            f"change wins {wins}/{pairs}, equal on {equal}  {verdict}"
         )
     same_digest = sum(
         p["digest"] == c["digest"] for p, c in zip(base_runs, change_runs)
@@ -146,11 +143,41 @@ def main(argv=None) -> int:
     failed = sum(run["failed"] for run in base_runs + change_runs)
     incorrect = sum(not run["correct"] for run in base_runs + change_runs)
     print(
-        f"  sink digests equal on {same_digest}/{args.pairs} seeds; "
-        f"failed operations {failed}; incorrect runs {incorrect}"
+        f"  sink digests equal on {same_digest}/{pairs} seeds; "
+        f"failed operations {failed}; incorrect runs {incorrect}\n"
     )
     if failed or incorrect:
         status = 1
+    return status, max(rows)
+
+
+def main(argv=None) -> int:
+    declared = [entry["name"] for entry in DECLARED["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="parent revision")
+    parser.add_argument(
+        "--workload", required=True, nargs="+", choices=declared + ["all"],
+        help="one or more workloads of BENCHMARK.json, or 'all'",
+    )
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    workloads = declared if "all" in args.workload else args.workload
+
+    status = 0
+    worst = []
+    with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
+        base = Path(tmp)
+        export_base(args.base, base)
+        for workload in workloads:
+            failed, row = compare(base, args.base, workload, args.pairs)
+            status |= failed
+            worst.append(row)
+    _, worse_by, workload, name = max(worst)
+    print(
+        f"worst case over {len(workloads)} workload(s): {workload} {name} "
+        f"median {-worse_by:+.1%} in its better direction "
+        f"-> exit {status}"
+    )
     return status
 
 
