@@ -89,8 +89,8 @@ bench-compare:  # make bench-compare A=BENCH_11.json B=BENCH_13.json
 	$(PYTHON) benchmarks/e2e/compare.py $(A) $(B)
 
 N ?= 10
-bench-pair:  # make bench-pair BASE=HEAD~1 W=lr_batch N=10  (alternating parent/change pairs, driver form; W=all or W="a b" loops workloads)
-	$(PYTHON) tools/bench_pair.py --base $(BASE) --workload $(W) --pairs $(N)
+bench-pair:  # make bench-pair BASE=HEAD~1 W=lr_batch N=10 [CLAIM=events_per_s]  (alternating parent/change pairs, driver form; W=all or W="a b" loops workloads; CLAIM prints MET / NOT MET)
+	$(PYTHON) tools/bench_pair.py --base $(BASE) --workload $(W) --pairs $(N) $(if $(CLAIM),--claim $(CLAIM))
 
 gc-profile:  # make gc-profile W=lr_batch  (collections and seconds per generation around one untraced run)
 	$(PYTHON) tools/gc_profile.py --workload $(W)

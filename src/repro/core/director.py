@@ -70,11 +70,14 @@ class DeliveryRoute:
         self._record_output(1, timestamp)
 
     def deliver_train(self, events: "list[CWEvent]") -> None:
-        """``deliver`` per event, amortized: one receiver call per train
-        (``OutputPort.broadcast_batch`` keeps fan-out ports interleaving
-        event by event).  ``record_output`` is count-based; calls are
-        coalesced per run of equal timestamps so the per-timestamp rate
-        samples stay intact.
+        """``deliver`` per event, amortized: one receiver call per channel
+        per train.  A fan-out port stages the train in every consumer
+        and then admits the consumers in the order per-event delivery
+        would first have reached them, falling back to per-event
+        delivery where the interleaving itself is observable — the rule
+        and the fallback list are ``OutputPort.broadcast_batch``'s.
+        ``record_output`` is count-based; calls are coalesced per run of
+        equal timestamps so the per-timestamp rate samples stay intact.
         """
         if _obs.ENABLED:
             _obs._TRACER.instant(

@@ -10,10 +10,13 @@ the "active queue on the input of the activity" picture of the paper.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Optional
 
+from ..observability import tracer as _obs
 from .events import CWEvent
 from .exceptions import PortError
+from .punctuation import CONTROL_ITEMS
 from .receivers import Receiver
 from .windows import WindowSpec
 
@@ -97,22 +100,52 @@ class OutputPort(Port):
             channel.sink.receiver.put(event)
 
     def broadcast_batch(self, events: list[CWEvent]) -> None:
-        """Deliver a train of events, amortizing dispatch per channel.
+        """Deliver a train of events: once per channel, not once per event.
 
-        With a single outgoing channel (the overwhelmingly common case)
-        the whole train moves through one ``put_batch`` chain.  Fan-out
-        ports fall back to per-event delivery: interleaving event-by-event
-        across channels is what ``broadcast`` does today, and preserving
-        that admission order is required for bit-identical tie-breaking
-        when two channels feed the same downstream actor.
+        With a single outgoing channel the whole train moves through one
+        ``put_batch`` chain.  A fan-out port delivers **column-wise**:
+        every consumer's receiver takes the whole train in one staged
+        ``put_batch`` (see :meth:`Receiver.can_stage
+        <repro.core.receivers.Receiver.can_stage>`), then each consumer
+        is admitted once with everything the train produced for it —
+        consumers ordered by the position in the train of the event that
+        produced their first item, channel order among equals.  That is
+        the order in which per-event delivery first reaches each
+        consumer, and first activation is all of the cross-consumer
+        order a scheduler observes (round-robin draws a rotation ticket
+        when a ready queue turns non-empty).
+
+        Per-event delivery (``broadcast`` per event) stays as the
+        fallback wherever the interleaving itself is observable: the
+        engine tracer is recording, two channels lead into the same
+        consumer actor, a receiver declines to stage, or the train
+        carries a control item.
         """
         outgoing = self.outgoing
         if len(outgoing) == 1:
             outgoing[0].sink.receiver.put_batch(events)
             return
-        for event in events:
-            for channel in outgoing:
-                channel.sink.receiver.put(event)
+        receivers = [channel.sink.receiver for channel in outgoing]
+        if (
+            _obs.ENABLED
+            or len({channel.sink.actor for channel in outgoing})
+            < len(outgoing)
+            or not all(receiver.can_stage() for receiver in receivers)
+            or any(
+                isinstance(event.token.value, CONTROL_ITEMS)
+                for event in events
+            )
+        ):
+            for event in events:
+                for receiver in receivers:
+                    receiver.put(event)
+            return
+        staged: list[tuple] = []
+        for receiver in receivers:
+            receiver.put_batch(events, staged)
+        staged.sort(key=itemgetter(0))  # stable: channel order among equals
+        for _, receiver, items in staged:
+            receiver.admit_staged(items)
 
     @property
     def destinations(self) -> list[InputPort]:

@@ -48,6 +48,19 @@ class Receiver(ABC):
         for event in events:
             self.put(event)
 
+    def can_stage(self) -> bool:
+        """May a fan-out port deliver its trains to this receiver staged?
+
+        Staged, ``put_batch(events, staged)`` takes the whole train in
+        but hands nothing on: it appends ``(position in the train of the
+        event that produced its first item, self, items)`` to *staged*,
+        and the port calls ``admit_staged(items)`` once every consumer
+        has the train (:meth:`OutputPort.broadcast_batch
+        <repro.core.ports.OutputPort.broadcast_batch>`).  Answered per
+        train; only receivers that feed a scheduler implement it.
+        """
+        return False
+
     @abstractmethod
     def get(self) -> Any:
         """Return the next readable item (event or window)."""

@@ -471,54 +471,72 @@ class WindowOperator:
             state = self._new_group(key)
         produced = self._put_one(state, key, event)
         if produced:
-            self.total_windows += len(produced)
-            if _obs.ENABLED:
-                for window in produced:
-                    _obs._TRACER.instant(
-                        "window.formed",
-                        window.timestamp,
-                        size=len(window),
-                        group=repr(window.group_key),
-                        measure=self.spec.measure.value,
-                    )
+            self._note_formed(produced)
         return produced
 
-    def put_batch(self, events: list[CWEvent]) -> list[Window]:
+    def put_batch(
+        self, events: list[CWEvent], indices: Optional[list[int]] = None
+    ) -> list[Window]:
         """Insert a train of events; returns all windows in production order.
 
         Produces exactly what ``[w for e in events for w in self.put(e)]``
-        would, but for ungrouped windows the per-event group lookup and
-        counter updates are hoisted out of the loop and paid once per train.
+        would, in one loop for grouped and ungrouped specs: an event that
+        cannot complete a window — its token group stays short of
+        ``size``, or it lands in order inside its group's open pane — is
+        appended inline, anything else goes through the measure's
+        insertion routine.  *indices*, when given, receives for each
+        returned window the position in *events* of its producing event.
         """
         if not events:
             return []
         produced: list[Window] = []
-        if self._key_fn is not None:
-            for event in events:
-                produced.extend(self.put(event))
-            return produced
-        # Ungrouped fast path: one shared group state for the whole train.
-        state = self._groups.get(None)
-        if state is None:
-            state = self._new_group(None)
+        key_fn = self._key_fn
+        groups = self._groups
         put_one = self._put_one
-        for event in events:
-            made = put_one(state, None, event)
+        size = self.spec.size
+        tokens = self.spec.measure is Measure.TOKENS
+        timed = self._timed
+        key = None
+        for index, event in enumerate(events):
+            if key_fn is not None:
+                key = key_fn(event)
+            state = groups.get(key)
+            if state is None:
+                state = self._new_group(key)
+            if tokens:
+                queue = state.queue
+                if not state.skip_debt and len(queue) + 1 < size:
+                    queue.append(event)
+                    continue
+            elif timed and state.indexed:
+                # Indexed: the group holds events, so both marks are set.
+                timestamp = event.timestamp
+                if state.last_ts <= timestamp < state.window_start + size:
+                    state.last_ts = timestamp
+                    state.queue.append(event)
+                    continue
+            made = put_one(state, key, event)
             if made:
                 produced.extend(made)
+                if indices is not None:
+                    indices.extend([index] * len(made))
         self.total_events += len(events)
         if produced:
-            self.total_windows += len(produced)
-            if _obs.ENABLED:
-                for window in produced:
-                    _obs._TRACER.instant(
-                        "window.formed",
-                        window.timestamp,
-                        size=len(window),
-                        group=repr(window.group_key),
-                        measure=self.spec.measure.value,
-                    )
+            self._note_formed(produced)
         return produced
+
+    def _note_formed(self, produced: list[Window]) -> None:
+        """Count and trace the windows one ``put``/``put_batch`` formed."""
+        self.total_windows += len(produced)
+        if _obs.ENABLED:
+            for window in produced:
+                _obs._TRACER.instant(
+                    "window.formed",
+                    window.timestamp,
+                    size=len(window),
+                    group=repr(window.group_key),
+                    measure=self.spec.measure.value,
+                )
 
     # -- tuple-based ----------------------------------------------------
     def _put_tokens(

@@ -62,14 +62,28 @@ class TMWindowedReceiver(WindowedReceiver):
             return
         super().put(event)
 
-    def put_batch(self, events: list[CWEvent]) -> None:
+    def put_batch(
+        self, events: list[CWEvent], staged: Optional[list] = None
+    ) -> None:
         """Train intake: one scheduler call for a windowless port's train.
 
         Passthrough ports hand the whole event train to the scheduler in
         a single ``schedule_ready_batch`` — the per-event path's dominant
         cost.  Windowed ports run the (possibly amortized) operator batch
-        insert.
+        insert.  With *staged* (a fan-out port's delivery, granted by
+        :meth:`can_stage`) the items the train produced are appended to
+        it instead of scheduled; :meth:`admit_staged` follows.
         """
+        if staged is not None:
+            if self._passthrough:
+                staged.append((0, self, events))
+                return
+            produced_by: list[int] = []
+            windows = self.operator.put_batch(events, produced_by)
+            if windows:
+                staged.append((produced_by[0], self, windows))
+            self._route_expired()
+            return
         if self._passthrough:
             batch = [
                 event
@@ -86,6 +100,25 @@ class TMWindowedReceiver(WindowedReceiver):
             self._director.schedule_ready_batch(port.actor, port.name, batch)
             return
         super().put_batch(events)
+
+    def can_stage(self) -> bool:
+        """Staging defers every side effect of a delivery but the insert,
+        so it is granted only while nothing watches single deliveries:
+        no frontier tracker, load shedder, ``expired_to`` handler or
+        armed lateness policy.
+        """
+        director = self._director
+        return (
+            director.frontier is None
+            and director.scheduler.shedder is None
+            and self.port.expired_to is None
+            and (self.lateness is None or self._frontier_us < 0)
+        )
+
+    def admit_staged(self, items: list) -> None:
+        """Schedule what a staged ``put_batch`` produced, in one call."""
+        port = self.port
+        self._director.schedule_ready_batch(port.actor, port.name, items)
 
     def _note_late(self, event: CWEvent) -> None:
         tracker = self._director.frontier

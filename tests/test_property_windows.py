@@ -303,3 +303,74 @@ class TestPaneIndexMatchesFullScan:
         assert op._groups[1].window_start == gap
         assert op.next_deadline() == gap + pane_us
         assert [e.timestamp for e in op.expired] == [0]  # slid out
+
+
+# ----------------------------------------------------------------------
+# The train insert vs. one ``put`` per event, every measure
+# ----------------------------------------------------------------------
+@st.composite
+def _any_specs(draw):
+    measure = draw(st.sampled_from(list(windows_module.Measure)))
+    size = draw(st.integers(min_value=1, max_value=6))
+    consumed = draw(st.booleans())
+    timed = measure is windows_module.Measure.TIME
+    step = (
+        size
+        if consumed and not timed
+        else draw(st.sampled_from([1, size, size + 2]))  # size + 2: skip debt
+    )
+    return WindowSpec(
+        size * (7 if timed else 1),
+        step * (7 if timed else 1),
+        measure,
+        group_by=draw(st.sampled_from([None, lambda e: e.value % 3])),
+        delete_used_events=consumed,
+        mode=None if consumed else draw(
+            st.sampled_from([None, ConsumptionMode.RECENT])
+        ),
+    )
+
+
+class TestTrainInsertMatchesPerEventPut:
+    @given(
+        _any_specs(),
+        st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 9), st.integers(0, 12), st.booleans()),
+                max_size=9,
+            ),
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_windows_state_and_production_indices(self, spec, trains):
+        """``put_batch(train, indices)`` is ``put`` per event, and
+        ``indices`` names the event of the train that formed each window."""
+        batched, single = WindowOperator(spec), WindowOperator(spec)
+        clock = 0
+        for train in trains:
+            events = []
+            for value, advance, last in train:
+                clock += advance - 2  # mostly forward, sometimes late
+                events.append(event(value, max(clock, 0)))
+                events[-1].last_in_wave = last
+            indices = []
+            produced = batched.put_batch(events, indices)
+            expected, expected_indices = [], []
+            for index, item in enumerate(events):
+                made = single.put(item)
+                expected.extend(made)
+                expected_indices.extend([index] * len(made))
+            assert indices == expected_indices
+            assert [
+                (w.events, w.group_key, w.start, w.end, w.forced)
+                for w in produced
+            ] == [
+                (w.events, w.group_key, w.start, w.end, w.forced)
+                for w in expected
+            ]
+            assert list(batched.expired) == list(single.expired)
+            assert pickle.dumps(batched.state_dump()) == pickle.dumps(
+                single.state_dump()
+            )
+            assert batched.next_deadline() == single.next_deadline()

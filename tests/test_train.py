@@ -27,6 +27,7 @@ from repro.core.actors import (
 )
 from repro.core.context import FiringContext
 from repro.core.exceptions import DirectorError
+from repro.core.punctuation import Punctuation, Watermark
 from repro.core.waves import WaveGenerator, WaveTag
 from repro.core.windows import WindowSpec
 from repro.core.workflow import Workflow
@@ -53,7 +54,14 @@ SCHEDULERS = (
     lambda: FIFOScheduler(),
 )
 
-TOPOLOGIES = ("relay", "tumbling_window", "grouped_window", "fanout", "expand")
+TOPOLOGIES = (
+    "relay",
+    "tumbling_window",
+    "grouped_window",
+    "fanout",
+    "expand",
+    "source_fanout",
+)
 
 
 def _expand_fn(value):
@@ -65,11 +73,46 @@ def _expand_fn(value):
     return value
 
 
+def _build_source_fanout(workflow, source):
+    """``src.out`` broadcast to five consumers, Linear Road's shape.
+
+    Channel order is deliberately not first-production order: the
+    tumbling consumer (first item from the train's third event) is
+    connected first, the passthrough one (first item from its first
+    event) last.
+    """
+    consumers = [
+        MapActor("tumble", lambda vs: sum(vs), window=WindowSpec.tokens(3, 3)),
+        MapActor(
+            "slide",
+            lambda vs: sum(vs),
+            window=WindowSpec.tokens(2, 1, group_by=lambda e: e.value % 3),
+        ),
+        MapActor(
+            "timed",
+            lambda vs: len(vs),
+            window=WindowSpec.time(
+                40_000, group_by=lambda e: e.value % 2, timeout=25_000
+            ),
+        ),
+        MapActor("pane", lambda vs: max(vs), window=WindowSpec.time(25_000)),
+        MapActor("pass", lambda v: v),
+    ]
+    sinks = [SinkActor(f"sink-{actor.name}") for actor in consumers]
+    workflow.add_all([source] + consumers + sinks)
+    for consumer, sink in zip(consumers, sinks):
+        workflow.connect(source, consumer)
+        workflow.connect(consumer, sink)
+    return workflow, sinks
+
+
 def _build(topology, arrivals):
     """One workflow of the given shape; returns (workflow, sinks)."""
     workflow = Workflow(f"oracle-{topology}")
     source = SourceActor("src", arrivals=arrivals)
     source.add_output("out")
+    if topology == "source_fanout":
+        return _build_source_fanout(workflow, source)
     sinks = [SinkActor("sink")]
     if topology == "relay":
         relay = MapActor("relay", lambda v: v)
@@ -176,6 +219,30 @@ class TestTrainOracle:
         reference = _reference("expand", arrivals, scheduler_index)
         assert len(reference[1]) > 60  # sources and internals both logged
         assert _run("expand", arrivals, scheduler_index, None) == reference
+
+    @pytest.mark.parametrize("scheduler_index", range(len(SCHEDULERS)))
+    def test_source_fanout_on_every_scheduler(self, scheduler_index):
+        """A source train crosses each consumer once, admitted in the
+        order per-event delivery first reaches them.
+
+        Eight arrivals share each timestamp, so whichever pump reaches a
+        burst carries all of it as one train.  Admitting the consumers
+        in channel order instead of first-production order must fail
+        this under RR: ``tumble`` would draw its rotation ticket ahead
+        of ``pass`` and the decision log diverges.
+        """
+        arrivals = [
+            (burst * 30_000, burst * 8 + slot)
+            for burst in range(12)
+            for slot in range(8)
+        ]
+        reference = _reference("source_fanout", arrivals, scheduler_index)
+        assert all(reference[0].values())  # every consumer produced
+        for train_size in TRAIN_SIZES:
+            assert (
+                _run("source_fanout", arrivals, scheduler_index, train_size)
+                == reference
+            ), f"train_size={train_size}"
 
 
 # ----------------------------------------------------------------------
@@ -598,6 +665,188 @@ class TestDeliveryRoutes:
             assert newest_output < newest_input == statistics._last_now_us
         assert records[SCWFDirector] == records[PerEventSCWFDirector]
         assert records[SCWFDirector][1]["relay"] > 0
+
+
+# ----------------------------------------------------------------------
+# Fan-out trains: when they stage, what that saves, when they must not
+# ----------------------------------------------------------------------
+#: Bursts of eight same-stamp arrivals: a pump carries a whole burst.
+_BURSTS = [
+    (burst * 30_000, burst * 8 + slot)
+    for burst in range(12)
+    for slot in range(8)
+]
+
+
+def _with_control(kind):
+    """The bursts, a control item travelling inside every one of them."""
+    arrivals = list(_BURSTS)
+    for burst in range(12):
+        stamp = burst * 30_000
+        arrivals.insert(burst * 9 + 4, (stamp, kind(stamp)))
+    return arrivals
+
+
+def _expired_handler(workflow, director):
+    handler = SinkActor("handler")
+    workflow.add(handler)
+    workflow.connect_expired(workflow.actors["slide"], handler)
+
+
+def _second_channel(workflow, director):
+    """``src.out`` reaches ``join`` over two channels."""
+
+    def join(ctx):
+        for port in ("a", "b"):
+            item = ctx.read(port)
+            if item is not None:
+                ctx.send("out", (port, item.value))
+
+    joiner = FunctionActor("join", join, inputs=("a", "b"))
+    sink = SinkActor("sink-join")
+    workflow.add_all([joiner, sink])
+    workflow.connect(workflow.actors["src"], joiner, sink_port="a")
+    workflow.connect(workflow.actors["src"], joiner, sink_port="b")
+    workflow.connect(joiner, sink)
+
+
+def _frontier(mode):
+    def enable(workflow, director):
+        from repro.frontier import FrontierTracker
+
+        director.enable_frontier(FrontierTracker(mode))
+
+    return enable
+
+
+def _shedder(workflow, director):
+    from repro.overload import BacklogShedder
+
+    director.scheduler.shedder = BacklogShedder(max_total_backlog=12)
+
+
+#: name -> (arrivals, set-up before ``attach``, tracer entered mid-run)
+_INTERLEAVE_CONDITIONS = {
+    "two-channels-one-consumer": (_BURSTS, _second_channel, False),
+    "expired-to-handler": (_BURSTS, _expired_handler, False),
+    "punctuation-in-train": (_with_control(Punctuation), None, False),
+    "watermark-in-train": (_with_control(Watermark), None, False),
+    "frontier-track": (_BURSTS, _frontier("track"), False),
+    "frontier-close": (_BURSTS, _frontier("close"), False),
+    "shedder-installed": (_BURSTS, _shedder, False),
+    "tracer-entered-mid-run": (_BURSTS, None, True),
+}
+
+
+def _run_fanout(cls, arrivals, setup=None, trace_late=False):
+    """The source fan-out under one condition; canon + staged admissions.
+
+    Two phases (to 0.1 s, then drained); the second under a
+    ``RecordingTracer`` when *trace_late*.  Staged admissions are
+    counted per phase.
+    """
+    from contextlib import nullcontext
+
+    from repro.observability import RecordingTracer, use_tracer
+    from repro.stafilos.tm_receiver import TMWindowedReceiver
+
+    workflow, _ = _build("source_fanout", arrivals)
+    clock = VirtualClock()
+    director = cls(RoundRobinScheduler(10_000), clock, CostModel())
+    if setup is not None:
+        setup(workflow, director)
+    director.attach(workflow)
+    staged = [0, 0]
+    phase = 0
+    stock = TMWindowedReceiver.admit_staged
+
+    def counting(receiver, items):
+        staged[phase] += 1
+        stock(receiver, items)
+
+    TMWindowedReceiver.admit_staged = counting
+    try:
+        runtime = SimulationRuntime(director, clock)
+        runtime.run(0.1)
+        phase = 1
+        with use_tracer(RecordingTracer()) if trace_late else nullcontext():
+            runtime.run(10.0, drain=True)
+    finally:
+        TMWindowedReceiver.admit_staged = stock
+    sinks = [
+        actor for actor in workflow.actors.values()
+        if isinstance(actor, SinkActor)
+    ]
+    assert all(sink.items for sink in sinks if sink.name != "handler")
+    canon = (
+        {sink.name: _sink_canon(sink) for sink in sinks},
+        director.statistics.snapshot(),
+        dict(director.statistics.engine_counters),
+        getattr(director.scheduler.shedder, "dropped", 0),
+        clock.now_us,
+    )
+    return canon, staged
+
+
+class TestFanoutTrains:
+    def test_a_plain_fan_out_stages_every_train(self):
+        canon, staged = _run_fanout(SCWFDirector, _BURSTS)
+        assert staged[0] > 0 and staged[1] > 0
+        reference, unstaged = _run_fanout(PerEventSCWFDirector, _BURSTS)
+        assert canon == reference and unstaged == [0, 0]
+
+    @pytest.mark.parametrize("condition", sorted(_INTERLEAVE_CONDITIONS))
+    def test_an_observable_interleave_keeps_per_event_delivery(
+        self, condition
+    ):
+        """Each fallback condition: nothing is staged, oracle equality."""
+        arrivals, setup, trace_late = _INTERLEAVE_CONDITIONS[condition]
+        canon, staged = _run_fanout(SCWFDirector, arrivals, setup, trace_late)
+        assert staged[1] == 0
+        assert trace_late or staged[0] == 0
+        reference, _ = _run_fanout(
+            PerEventSCWFDirector, arrivals, setup, trace_late
+        )
+        assert canon == reference
+
+    def test_one_pump_admits_each_consumer_at_most_once(self):
+        """N events into a 5-way fan-out: the director's intake is entered
+        once per consumer, not once per produced window."""
+        count = 600
+        workflow, _ = _build(
+            "source_fanout", [(i * 100, i) for i in range(count)]
+        )
+        clock = VirtualClock()
+        clock.jump_to(count * 100)  # every arrival is due: one pump
+        director = SCWFDirector(RoundRobinScheduler(10_000), clock, CostModel())
+        director.attach(workflow)
+        director.initialize_all()
+        entries, admitted = {}, {}
+        depth = [0]
+
+        def counted(intake):
+            def enter(actor, port_name, payload):
+                if depth[0] == 0:  # a one-item batch re-enters as a single
+                    entries[actor.name] = entries.get(actor.name, 0) + 1
+                    admitted[actor.name] = admitted.get(actor.name, 0) + (
+                        len(payload) if isinstance(payload, list) else 1
+                    )
+                depth[0] += 1
+                try:
+                    intake(actor, port_name, payload)
+                finally:
+                    depth[0] -= 1
+
+            return enter
+
+        director.schedule_ready = counted(director.schedule_ready)
+        director.schedule_ready_batch = counted(director.schedule_ready_batch)
+        assert director._fire_source(workflow.actors["src"]) == count
+        consumers = ("tumble", "slide", "timed", "pane", "pass")
+        assert entries == {name: 1 for name in consumers}
+        assert all(admitted[name] > 1 for name in consumers)
+        assert admitted["tumble"] == count // 3 and admitted["pass"] == count
+        assert sum(admitted.values()) == director.total_events_admitted
 
 
 # ----------------------------------------------------------------------

@@ -16,10 +16,19 @@ nothing to prune); the change is the working tree this file sits in.
 
 Prints, per end-to-end metric of ``BENCHMARK.json``: both medians and
 quartiles, the change's win count (ties count for neither side) and on how
-many seeds the two sides read exactly equal — the virtual-clock
-``latency_p50_ms`` must, on every seed — plus per-seed sink-digest
+many seeds the two sides read exactly equal, plus per-seed sink-digest
 equality.  Exits non-zero when a median is worse than the parent's by more
-than the metric's ``bound``, or when either side reports failed operations.
+than the metric's ``bound``, when either side reports failed operations,
+when the sink digests differ on a seed, or when ``latency_p50_ms`` differs
+on a seed of a workload that reads it off the virtual clock (every one
+except ``lr_live``).
+
+``--claim METRIC`` (``make bench-pair ... CLAIM=events_per_s``) also
+prints MET or NOT MET for a claimed gain, by the written rule — the change
+wins at least nine tenths of the pairs, ties counting for neither side,
+and the medians differ, in the metric's better direction, by more than
+the distance between the quartiles of the parent's runs — and exits
+non-zero on NOT MET.
 """
 
 from __future__ import annotations
@@ -40,6 +49,9 @@ ROOT = Path(__file__).resolve().parents[1]
 DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
 SECONDS = DECLARED["run_seconds"]
 _DIGEST = re.compile(r" digest=(\w+)")
+#: Workloads whose ``latency_p50_ms`` is wall time; everywhere else it is
+#: read off the virtual clock and a seed fixes it exactly.
+WALL_LATENCY = {"lr_live"}
 
 
 def export_base(rev: str, target: Path) -> None:
@@ -87,12 +99,8 @@ def quartiles(values: list) -> tuple:
     return q1, median, q3
 
 
-def compare(base: Path, rev: str, workload: str, pairs: int) -> tuple:
-    """Run and tabulate one workload; ``(exit status, worst row)``.
-
-    The worst row is ``(share of its bound used, worse_by, workload,
-    metric)`` for the metric whose median moved furthest the wrong way.
-    """
+def run_pairs(base: Path, workload: str, pairs: int) -> tuple:
+    """Measure *pairs* alternating pairs; ``(base runs, change runs)``."""
     base_runs, change_runs = [], []
     for seed in range(1, pairs + 1):
         order = ("base", "change") if seed % 2 else ("change", "base")
@@ -110,7 +118,19 @@ def compare(base: Path, rev: str, workload: str, pairs: int) -> tuple:
             ),
             flush=True,
         )
+    return base_runs, change_runs
 
+
+def tabulate(
+    workload: str, rev: str, base_runs: list, change_runs: list,
+    claim: str | None = None,
+) -> tuple:
+    """Print one workload's table; ``(exit status, worst row)``.
+
+    The worst row is ``(share of its bound used, worse_by, workload,
+    metric)`` for the metric whose median moved furthest the wrong way.
+    """
+    pairs = len(base_runs)
     status = 0
     rows = []
     print(
@@ -131,12 +151,31 @@ def compare(base: Path, rev: str, workload: str, pairs: int) -> tuple:
         if worse_by > entry["bound"]:
             verdict = f"WORSE by {worse_by:.1%} (bound {entry['bound']:.0%})"
             status = 1
+        if (
+            name == "latency_p50_ms"
+            and workload not in WALL_LATENCY
+            and equal < pairs
+        ):
+            verdict += f"; VIRTUAL CLOCK DIFFERS on {pairs - equal} seed(s)"
+            status = 1
         rows.append((worse_by / entry["bound"], worse_by, workload, name))
         print(
             f"  {name:<15} {p_med:>11.4f} [{p_q1:.4f}, {p_q3:.4f}] -> "
             f"{c_med:>11.4f} [{c_q1:.4f}, {c_q3:.4f}] {entry['unit']:<4} "
             f"change wins {wins}/{pairs}, equal on {equal}  {verdict}"
         )
+        if name == claim:
+            gain = sign * (c_med - p_med)
+            met = 10 * wins >= 9 * pairs and gain > p_q3 - p_q1
+            print(
+                f"  claim {name}: {'MET' if met else 'NOT MET'} — change "
+                f"wins {wins}/{pairs} (needs nine tenths), median "
+                f"{gain / p_med if p_med else 0.0:+.1%} = {gain:.4f} "
+                f"{entry['unit']} against a parent inter-quartile "
+                f"distance of {p_q3 - p_q1:.4f}"
+            )
+            if not met:
+                status = 1
     same_digest = sum(
         p["digest"] == c["digest"] for p, c in zip(base_runs, change_runs)
     )
@@ -146,7 +185,7 @@ def compare(base: Path, rev: str, workload: str, pairs: int) -> tuple:
         f"  sink digests equal on {same_digest}/{pairs} seeds; "
         f"failed operations {failed}; incorrect runs {incorrect}\n"
     )
-    if failed or incorrect:
+    if failed or incorrect or same_digest < pairs:
         status = 1
     return status, max(rows)
 
@@ -160,6 +199,11 @@ def main(argv=None) -> int:
         help="one or more workloads of BENCHMARK.json, or 'all'",
     )
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument(
+        "--claim", metavar="METRIC",
+        choices=[entry["name"] for entry in DECLARED["end_to_end"]],
+        help="end-to-end metric claimed to improve: print MET / NOT MET",
+    )
     args = parser.parse_args(argv)
     workloads = declared if "all" in args.workload else args.workload
 
@@ -169,7 +213,8 @@ def main(argv=None) -> int:
         base = Path(tmp)
         export_base(args.base, base)
         for workload in workloads:
-            failed, row = compare(base, args.base, workload, args.pairs)
+            runs = run_pairs(base, workload, args.pairs)
+            failed, row = tabulate(workload, args.base, *runs, args.claim)
             status |= failed
             worst.append(row)
     _, worse_by, workload, name = max(worst)
