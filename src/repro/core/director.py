@@ -13,6 +13,12 @@ under any other:
 * ``inject(actor, port, item, now)`` — push a boundary item into the graph;
 * ``run_to_quiescence(now)`` — fire enabled actors until nothing can fire
   (what a composite actor invokes when the outer director fires it).
+
+The continuous-workflow directors (SCWF, simulated and live PNCWF) share
+more: fault supervision (:meth:`Director.supervise`, ``dead_letters``,
+``actor_errors``), the formation-timeout watch and the idle bookkeeping
+a :class:`~repro.simulation.runtime.SimulationRuntime` reads — each
+written once, here.
 """
 
 from __future__ import annotations
@@ -25,12 +31,12 @@ from ..observability import tracer as _obs
 from .actors import Actor
 from .context import FiringContext, RouteTable
 from .events import CWEvent
-from .exceptions import DirectorError
+from .exceptions import DirectorError, ResilienceError
 from .ports import InputPort, OutputPort
 from .receivers import FIFOReceiver, Receiver
 from .statistics import StatisticsRegistry
 from .tokens import as_token
-from .windows import Window
+from .windows import Measure, Window
 from .workflow import Workflow
 
 
@@ -122,6 +128,14 @@ class Director(ABC):
         #: Receivers whose window spec declares a formation timeout, in
         #: registration order (a director's ``create_receiver`` fills it).
         self._deadline_watch: list = []
+        #: Recovery configuration and per-actor failure state + the
+        #: dead-letter queue, installed by :meth:`supervise`; ``None``
+        #: under the classic models of computation, which fail-stop.
+        self.fault_policy = None
+        self.supervisor = None
+        #: Optional closed-loop overload controller (``repro.overload``;
+        #: only the SCWF director's ``apply_qos`` installs one).
+        self.overload = None
         #: A subclass that overrides the emission hook keeps getting it:
         #: its contexts adapt the hook instead of taking the routes.
         cls = type(self)
@@ -148,6 +162,47 @@ class Director(ABC):
     def create_receiver(self, port: InputPort) -> Receiver:
         """Receiver factory; the default model ignores window declarations."""
         return FIFOReceiver(port)
+
+    def _watch_deadline(self, port: InputPort, receiver: Receiver) -> None:
+        """Register *receiver* for the formation-timeout scan when its
+        port declares a timed window with a timeout."""
+        spec = port.window
+        if (
+            spec is not None
+            and spec.measure is Measure.TIME
+            and spec.timeout is not None
+        ):
+            self._deadline_watch.append(receiver)
+
+    # ------------------------------------------------------------------
+    # Fault supervision
+    # ------------------------------------------------------------------
+    def supervise(self, error_policy) -> None:
+        """Install the recovery configuration (a
+        :class:`~repro.resilience.FaultPolicy`): ``propagate=True``
+        re-raises actor exceptions (fail-stop); otherwise a failing
+        firing is a fault barrier — the triggering item is consumed,
+        partial emissions are discarded, the error counted and the item
+        retried or dead-lettered by the supervisor.
+        """
+        from ..resilience import FaultPolicy, FaultSupervisor
+
+        try:
+            self.fault_policy = FaultPolicy.coerce(error_policy)
+        except ResilienceError as error:
+            raise DirectorError(str(error)) from None
+        self.supervisor = FaultSupervisor(self.fault_policy, self.statistics)
+
+    @property
+    def dead_letters(self):
+        """The supervisor's dead-letter queue (convenience alias)."""
+        return self.supervisor.dead_letters
+
+    @property
+    def actor_errors(self) -> dict[str, int]:
+        """``{actor name: items dead-lettered}`` for actors that lost any
+        (a read-only view of the supervisor's health records)."""
+        return self.supervisor.dead_letter_counts()
 
     def _require_attached(self) -> Workflow:
         if self.workflow is None:
@@ -308,6 +363,39 @@ class Director(ABC):
                             .wave_generator.next_root())
         port.put(event)
 
-    @abstractmethod
     def run_to_quiescence(self, now: int) -> int:
-        """Fire enabled actors until none can fire; returns firing count."""
+        """Fire enabled actors until none can fire; returns firing count.
+
+        The default serves the iterative directors (a ``clock`` plus
+        ``run_iteration() -> (internal firings, source emissions)``):
+        jump to *now*, then iterate until an iteration makes no progress.
+        """
+        self.clock.jump_to(now)
+        total = 0
+        while True:
+            internal, emitted = self.run_iteration()
+            total += internal
+            if internal == 0 and emitted == 0:
+                return total
+
+    # ------------------------------------------------------------------
+    # Idle bookkeeping for the runtime
+    # ------------------------------------------------------------------
+    def next_arrival_time(self) -> Optional[int]:
+        """Earliest undelivered external arrival across all sources.
+
+        Under an overload controller, the earliest *admissible* instant
+        per source instead: admission tokens can defer an arrival past
+        its schedule time, and jumping to the raw arrival would leave
+        the source gated and crawl the clock 1 µs at a time.
+        """
+        workflow = self._require_attached()
+        overload = self.overload
+        times = [
+            arrival
+            if overload is None
+            else overload.earliest_admission(source, arrival)
+            for source in workflow.sources
+            if (arrival := source.next_arrival_time()) is not None
+        ]
+        return min(times, default=None)

@@ -137,8 +137,14 @@ class WindowedReceiver(Receiver):
     :meth:`drain_expired`.
     """
 
-    def __init__(self, spec: WindowSpec, port=None):
+    def __init__(self, spec: Optional[WindowSpec], port=None):
         super().__init__(port)
+        #: A port without a declared window behaves as a 1-token window —
+        #: a plain event queue; a director's receiver then hands on the
+        #: bare event instead of the singleton window around it.
+        self._passthrough = spec is None
+        if spec is None:
+            spec = WindowSpec.tokens(1, 1, delete_used_events=True)
         self.spec = spec
         self.operator = WindowOperator(spec)
         self._windows: deque[Window] = deque()

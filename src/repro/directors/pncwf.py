@@ -25,28 +25,22 @@ from typing import Iterator, Optional
 from ..core.actors import Actor, SourceActor
 from ..core.director import Director
 from ..core.events import CWEvent
-from ..core.exceptions import DirectorError, ResilienceError
+from ..core.exceptions import DirectorError
 from ..core.ports import InputPort
 from ..core.receivers import Receiver, WindowedReceiver
 from ..core.timekeeper import US_PER_S
 from ..core.windows import Window, WindowSpec
-from ..resilience import FailureAction, FaultPolicy, FaultSupervisor
+from ..resilience import FailureAction, FaultPolicy
 
 
 class BlockingWindowedReceiver(WindowedReceiver):
     """Thread-safe windowed receiver with blocking, timeout-forcing reads."""
 
     def __init__(self, spec: Optional[WindowSpec], port=None):
-        # A port without a declared window behaves as a 1-token window,
-        # i.e. a plain event queue with blocking semantics.
-        effective = spec if spec is not None else WindowSpec.tokens(
-            1, 1, delete_used_events=True
-        )
-        super().__init__(effective, port)
+        super().__init__(spec, port)
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
         self._closed = False
-        self._passthrough = spec is None
 
     def put(self, event: CWEvent) -> None:
         with self._available:
@@ -223,21 +217,13 @@ class PNCWFDirector(Director):
         error_policy: FaultPolicy = FaultPolicy(),
     ):
         super().__init__()
-        try:
-            policy = FaultPolicy.coerce(error_policy)
-        except ResilienceError as error:
-            raise DirectorError(str(error)) from None
+        # A live continuous engine defaults to dead-lettering poison
+        # events because fail-stop (``propagate=True``) would silently
+        # kill the failing actor's thread instead of surfacing the
+        # exception to the caller.
+        self.supervise(error_policy)
         self.time_scale = time_scale
         self._poll_timeout_s = poll_timeout_s
-        #: Recovery configuration; a live continuous engine defaults to
-        #: dead-lettering poison events because fail-stop
-        #: (``propagate=True``) would silently kill the failing actor's
-        #: thread instead of surfacing the exception to the caller.
-        self.fault_policy = policy
-        #: Per-actor failure state + the dead-letter queue (shared with
-        #: the scheduled directors so poison events behave identically).
-        self.supervisor = FaultSupervisor(policy, self.statistics)
-        self.actor_errors: dict[str, int] = {}
         #: ``(actor_name, error_repr)`` for every thread that retired due
         #: to the fail-stop policy; folded into the :meth:`stop` report.
         self._lost_threads: list[tuple[str, str]] = []
@@ -257,11 +243,6 @@ class PNCWFDirector(Director):
         self._pause_gate.set()
         self._inflight = 0
         self._inflight_cv = threading.Condition()
-
-    @property
-    def dead_letters(self):
-        """The supervisor's dead-letter queue (convenience alias)."""
-        return self.supervisor.dead_letters
 
     def create_receiver(self, port: InputPort) -> Receiver:
         return BlockingWindowedReceiver(port.window, port)
@@ -343,7 +324,6 @@ class PNCWFDirector(Director):
         """
         with self._lost_lock:
             return {
-                "actor_errors": dict(self.actor_errors),
                 "lost_threads": list(self._lost_threads),
                 "resume_offset_us": self.current_time(),
             }
@@ -351,7 +331,6 @@ class PNCWFDirector(Director):
     def state_restore(self, state: dict) -> None:
         """Re-apply a dump; must run before :meth:`start` (epoch unset)."""
         with self._lost_lock:
-            self.actor_errors = dict(state["actor_errors"])
             self._lost_threads = [
                 tuple(item) for item in state["lost_threads"]
             ]
@@ -377,7 +356,6 @@ class PNCWFDirector(Director):
             supervisor.drop_quarantined(
                 actor, ports[0].name, window, self.current_time()
             )
-            self._count_error(actor)
             return False
         # Drain the secondary ports up-front so a retried firing re-stages
         # exactly the items the failed attempt consumed.
@@ -425,14 +403,7 @@ class PNCWFDirector(Director):
                         return None
                     continue
                 # Dead-lettered by the supervisor.
-                self._count_error(actor)
                 return False
-
-    def _count_error(self, actor: Actor) -> None:
-        with self._lost_lock:
-            self.actor_errors[actor.name] = (
-                self.actor_errors.get(actor.name, 0) + 1
-            )
 
     def _record_lost_thread(self, actor: Actor, error: BaseException) -> None:
         with self._lost_lock:

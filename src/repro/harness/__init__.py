@@ -4,6 +4,7 @@ Each evaluation artifact of the paper maps to one bench module under
 ``benchmarks/``; the logic those benches share lives here.
 """
 
+from ..shard import run_sharded  # ``repro run --shards N``
 from .configs import (
     default_cost_model,
     DEFAULT_SEEDS,
@@ -18,8 +19,10 @@ from .configs import (
     SchedulerSpec,
 )
 from .experiment import (
+    build_engine,
     checkpoint_meta,
     config_from_meta,
+    Engine,
     ExperimentResult,
     make_scheduler,
     restore_engine,
@@ -27,7 +30,6 @@ from .experiment import (
     resume_run,
     run_experiment,
     run_once,
-    run_sharded,
     RunResult,
     save_results,
 )
@@ -42,10 +44,12 @@ from .reporting import (
 )
 
 __all__ = [
+    "build_engine",
     "checkpoint_meta",
     "config_from_meta",
     "default_cost_model",
     "DEFAULT_SEEDS",
+    "Engine",
     "EXPERIMENT_DURATION_S",
     "ExperimentConfig",
     "ExperimentResult",

@@ -25,6 +25,7 @@ import argparse
 from dataclasses import replace
 from typing import Optional, Sequence
 
+from ..core.exceptions import SimulationError
 from ..directors.taxonomy import render_table
 from ..linearroad.generator import LinearRoadWorkload, WorkloadConfig
 from ..linearroad.workflow import SHARD_KEYS
@@ -49,41 +50,49 @@ from .experiment import run_experiment
 from .reporting import render_series_table, render_workload_figure
 
 
+def _checked(config: ExperimentConfig, sharded: bool = False):
+    """*config*, or a one-line exit saying why no engine runs it."""
+    try:
+        config.validate(sharded=sharded)
+    except SimulationError as exc:
+        raise SystemExit(str(exc)) from None
+    return config
+
+
 def _tune(config: ExperimentConfig, args) -> ExperimentConfig:
+    """Fold the global flags (every subcommand has them) into *config*."""
     config = config.scaled_duration(args.duration)
     config = config.with_seeds(tuple(range(1, args.seeds + 1)))
-    if getattr(args, "inject_faults", None):
+    if args.inject_faults:
         config = replace(config, fault_spec=args.inject_faults)
-    if getattr(args, "fuse", False) and not config.fuse:
+    if args.fuse:
         config = replace(config, fuse=True)
-    frontier = getattr(args, "out_of_order", None)
-    if frontier is not None:
-        config = replace(config, frontier=frontier)
-    lateness = getattr(args, "lateness", None)
-    if lateness is not None:
+    if args.out_of_order is not None:
+        config = replace(config, frontier=args.out_of_order)
+    if args.lateness is not None:
         from ..frontier import LatenessPolicy
 
         try:
-            LatenessPolicy.parse(lateness)
+            LatenessPolicy.parse(args.lateness)
         except ValueError as exc:
             raise SystemExit(f"--lateness: {exc}") from None
-        config = replace(config, lateness=lateness)
-    disorder_s = getattr(args, "watermark_disorder", 0.0)
-    if disorder_s:
+        config = replace(config, lateness=args.lateness)
+    if args.watermark_disorder:
         config = replace(
             config,
-            workload=replace(config.workload, disorder_s=float(disorder_s)),
+            workload=replace(
+                config.workload, disorder_s=args.watermark_disorder
+            ),
         )
-    qos_spec = getattr(args, "qos", None)
-    if qos_spec is not None:
+    if args.qos is not None:
         from ..core.exceptions import SchedulerError
         from ..overload import QoSPolicy
 
         try:
-            config = replace(config, qos=QoSPolicy.parse(qos_spec))
+            config = replace(config, qos=QoSPolicy.parse(args.qos))
         except SchedulerError as exc:
             raise SystemExit(f"--qos: {exc}") from None
-    return config
+    return _checked(config)
 
 
 def _print_fault_summary(results) -> None:
@@ -122,53 +131,53 @@ def _cmd_fig5(args) -> int:
     return 0
 
 
-def _run_family(configs, title: str, args) -> int:
-    results = [run_experiment(_tune(config, args)) for config in configs]
+#: The figure commands: name -> (configs, table title, help line).
+_FIGURES = {
+    "fig6": (
+        figure6_configs,
+        "Figure 6: Response Time at TollNotification (RR)",
+        "RR sensitivity",
+    ),
+    "fig7": (
+        figure7_configs,
+        "Figure 7: Response Time at TollNotification (QBS)",
+        "QBS sensitivity",
+    ),
+    "fig8": (
+        figure8_configs,
+        "Figure 8: Response Time at TollNotification (all schedulers)",
+        "all schedulers",
+    ),
+}
+
+
+def _cmd_figure(args) -> int:
+    configs, title, _ = _FIGURES[args.command]
+    results = [run_experiment(_tune(config, args)) for config in configs()]
     print(render_series_table(results, title))
     _print_fault_summary(results)
     return 0
 
 
-def _cmd_fig6(args) -> int:
-    return _run_family(
-        figure6_configs(),
-        "Figure 6: Response Time at TollNotification (RR)",
-        args,
-    )
-
-
-def _cmd_fig7(args) -> int:
-    return _run_family(
-        figure7_configs(),
-        "Figure 7: Response Time at TollNotification (QBS)",
-        args,
-    )
-
-
-def _cmd_fig8(args) -> int:
-    return _run_family(
-        figure8_configs(),
-        "Figure 8: Response Time at TollNotification (all schedulers)",
-        args,
-    )
-
-
 def _cmd_dot(args) -> int:
-    from ..linearroad.generator import LinearRoadWorkload
-    from ..linearroad.workflow import build_linear_road
+    from .experiment import build_engine
 
-    system = build_linear_road(
-        LinearRoadWorkload(
-            WorkloadConfig(duration_s=1, peak_rate=1)
-        ).arrivals()
+    config = ExperimentConfig(
+        SchedulerSpec("FIFO"),
+        workload=WorkloadConfig(duration_s=1, peak_rate=1),
     )
-    print(system.workflow.to_dot())
+    print(build_engine(config, 1).system.workflow.to_dot())
     return 0
 
 
 def _apply_checkpoint_flags(config: ExperimentConfig, args):
     """Fold ``--checkpoint-dir/--checkpoint-every/--checkpoint-retain`` in."""
-    if getattr(args, "checkpoint_dir", None) is None:
+    if args.checkpoint_dir is None:
+        if args.checkpoint_every is not None:
+            raise SystemExit(
+                "--checkpoint-every requires --checkpoint-dir: without a "
+                "directory nothing would be checkpointed"
+            )
         return config
     if len(config.seeds) > 1:
         raise SystemExit(
@@ -183,15 +192,27 @@ def _apply_checkpoint_flags(config: ExperimentConfig, args):
     )
 
 
-def _scheduler_kind(name: str) -> str:
-    """CLI spelling -> SchedulerSpec kind ("adaptive" is kind ADAPT)."""
-    kind = name.upper()
-    return "ADAPT" if kind == "ADAPTIVE" else kind
+def _add_scheduler_flags(parser: argparse.ArgumentParser) -> None:
+    """The policy parameters of ``run`` and ``trace`` (one declaration)."""
+    parser.add_argument("--quantum", type=int, default=None,
+                        help="basic quantum / slice in microseconds")
+    parser.add_argument("--source-interval", type=int,
+                        default=QBS_SOURCE_INTERVAL)
+
+
+def _scheduler_spec(args) -> SchedulerSpec:
+    """The spec ``run``/``trace`` arguments name ("adaptive" is ADAPT)."""
+    kind = args.scheduler.upper()
+    return SchedulerSpec(
+        "ADAPT" if kind == "ADAPTIVE" else kind,
+        quantum_us=args.quantum,
+        source_interval=args.source_interval,
+    )
 
 
 def _cmd_run_sharded(config: ExperimentConfig, args) -> int:
     """``repro run --shards N``: partitioned execution, merged report."""
-    from .experiment import run_sharded
+    from ..shard import run_sharded
 
     if len(config.seeds) > 1:
         raise SystemExit(
@@ -250,16 +271,11 @@ def _cmd_run_sharded(config: ExperimentConfig, args) -> int:
 
 
 def _cmd_run(args) -> int:
-    spec = SchedulerSpec(
-        _scheduler_kind(args.scheduler),
-        quantum_us=args.quantum,
-        source_interval=args.source_interval,
-    )
     config = _apply_checkpoint_flags(
-        _tune(ExperimentConfig(spec), args), args
+        _tune(ExperimentConfig(_scheduler_spec(args)), args), args
     )
     if args.shards > 1:
-        return _cmd_run_sharded(config, args)
+        return _cmd_run_sharded(_checked(config, sharded=True), args)
     result = run_experiment(config)
     print(
         render_series_table(
@@ -272,7 +288,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_resume(args) -> int:
     """Resume a crashed run from its checkpoint directory."""
-    from .experiment import resume_run
+    from .experiment import config_from_meta, ExperimentResult, resume_run
 
     result, director, _, manifest = resume_run(
         args.checkpoint_dir,
@@ -283,9 +299,10 @@ def _cmd_resume(args) -> int:
         f"(t={manifest.engine_time_us}us, "
         f"{manifest.payload_bytes} bytes)"
     )
+    config, _ = config_from_meta(manifest.meta, args.checkpoint_dir)
     print(
         render_series_table(
-            [_single_result(args, result, manifest)],
+            [ExperimentResult(config, result.series, [result])],
             "Resumed Linear Road run",
         )
     )
@@ -295,14 +312,6 @@ def _cmd_resume(args) -> int:
         f"{result.dead_letters} dead letters"
     )
     return 0
-
-
-def _single_result(args, run_result, manifest):
-    """Wrap one resumed RunResult in an ExperimentResult for rendering."""
-    from .experiment import config_from_meta, ExperimentResult
-
-    config, _ = config_from_meta(manifest.meta, args.checkpoint_dir)
-    return ExperimentResult(config, run_result.series, [run_result])
 
 
 def _cmd_deadletter(args) -> int:
@@ -334,12 +343,7 @@ def _cmd_trace(args) -> int:
     """Run one Linear Road seed fully traced and export the artifacts."""
     from .experiment import run_traced
 
-    spec = SchedulerSpec(
-        _scheduler_kind(args.scheduler),
-        quantum_us=args.quantum,
-        source_interval=args.source_interval,
-    )
-    config = _tune(ExperimentConfig(spec), args)
+    config = _tune(ExperimentConfig(_scheduler_spec(args)), args)
     tracer = RecordingTracer(capacity=args.capacity)
     result, director, tracer = run_traced(config, seed=1, tracer=tracer)
     events = export_chrome_trace(
@@ -485,9 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
         fn=_cmd_table3
     )
     sub.add_parser("fig5", help="workload ramp").set_defaults(fn=_cmd_fig5)
-    sub.add_parser("fig6", help="RR sensitivity").set_defaults(fn=_cmd_fig6)
-    sub.add_parser("fig7", help="QBS sensitivity").set_defaults(fn=_cmd_fig7)
-    sub.add_parser("fig8", help="all schedulers").set_defaults(fn=_cmd_fig8)
+    for name, (_, _, summary) in _FIGURES.items():
+        sub.add_parser(name, help=summary).set_defaults(fn=_cmd_figure)
     sub.add_parser(
         "dot", help="the Linear Road workflow as Graphviz DOT"
     ).set_defaults(fn=_cmd_dot)
@@ -497,10 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "pncwf", "QBS", "RR", "RB", "FIFO",
                               "ADAPTIVE", "PNCWF"]
     )
-    run.add_argument("--quantum", type=int, default=None,
-                     help="basic quantum / slice in microseconds")
-    run.add_argument("--source-interval", type=int,
-                     default=QBS_SOURCE_INTERVAL)
+    _add_scheduler_flags(run)
     run.add_argument(
         "--shards", type=int, default=1, metavar="N",
         help=(
@@ -570,10 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["qbs", "rr", "rb", "fifo", "adaptive", "QBS", "RR",
                  "RB", "FIFO", "ADAPTIVE"],
     )
-    trace.add_argument("--quantum", type=int, default=None,
-                       help="basic quantum / slice in microseconds")
-    trace.add_argument("--source-interval", type=int,
-                       default=QBS_SOURCE_INTERVAL)
+    _add_scheduler_flags(trace)
     trace.add_argument(
         "--capacity", type=int, default=1_000_000,
         help="ring-buffer capacity in records (default 1e6)",

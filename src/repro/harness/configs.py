@@ -17,9 +17,10 @@ harness does the same with three seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints, Optional, Union
 
+from ..core.exceptions import SimulationError
 from ..linearroad.generator import WorkloadConfig
 from ..overload.qos import QoSPolicy
 from ..simulation.cost_model import CostModel
@@ -132,6 +133,53 @@ class ExperimentConfig:
     #: older than the applied frontier.  Requires ``frontier="close"``.
     lateness: Optional[str] = None
 
+    def validate(self, sharded: bool = False) -> None:
+        """Refuse a combination no engine can be assembled from.
+
+        Every placement asks here before it builds — the single-process
+        builder, the shard coordinator (``sharded=True``) before it
+        spawns workers, and the CLI — so all of them refuse alike.
+        """
+        if self.workload.disorder_s > 0 and self.frontier is None:
+            raise SimulationError(
+                "out-of-order delivery (disorder_s > 0) needs frontier "
+                "progress tracking; set frontier='track' or 'close' "
+                "(--out-of-order on the CLI)"
+            )
+        if self.lateness is not None and self.frontier != "close":
+            raise SimulationError(
+                "a lateness policy only takes effect when the frontier "
+                "closes windows; set frontier='close' (--out-of-order close)"
+            )
+        if self.scheduler.kind != "PNCWF":
+            return
+        for asked, refusal in (
+            (
+                sharded,
+                "sharded execution (--shards) requires an SCWF scheduler; "
+                "the thread-based PNCWF director has no shard-safe loop",
+            ),
+            (
+                self.qos is not None,
+                "QoS overload control requires a STAFiLOS scheduler; "
+                "the thread-based PNCWF director has no shedding hooks",
+            ),
+            (
+                self.fuse,
+                "operator-chain fusion requires the SCWF director; "
+                "the thread-based PNCWF engine fires actors on their "
+                "own threads and has no composed-firing path",
+            ),
+            (
+                self.frontier is not None,
+                "frontier progress tracking requires the SCWF director; "
+                "the thread-based PNCWF engine has no token-accounting "
+                "hooks",
+            ),
+        ):
+            if asked:
+                raise SimulationError(refusal)
+
     def with_seeds(self, seeds: tuple[int, ...]) -> "ExperimentConfig":
         return replace(self, seeds=seeds)
 
@@ -145,6 +193,44 @@ class ExperimentConfig:
     @property
     def label(self) -> str:
         return self.scheduler.label
+
+
+#: The :class:`ExperimentConfig` fields that describe one invocation, not
+#: the engine: which seeds to average, where this process checkpoints,
+#: the caller's recovery-policy object and the output-invariant loop
+#: bound.  A manifest neither records them nor is read for them — the
+#: one place that says so.
+RUN_LOCAL_FIELDS = frozenset(
+    {"seeds", "error_policy", "checkpoint_dir", "train_size"}
+)
+
+
+def from_record(kind, raw):
+    """Rebuild a value of annotated type *kind* from its JSON shape.
+
+    Dataclasses are rebuilt field by field from the type hints: a key
+    the class no longer declares is ignored and a key an older writer
+    did not know yet takes the field's default, so a manifest of any age
+    loads.  Lists turn back into the tuples they were dumped from.
+    """
+    origin = get_origin(kind)
+    if origin is Union:  # Optional[...]
+        if raw is None:
+            return None
+        (kind,) = (arg for arg in get_args(kind) if arg is not type(None))
+        return from_record(kind, raw)
+    if origin is tuple:
+        return tuple(from_record(get_args(kind)[0], item) for item in raw)
+    if is_dataclass(kind):
+        hints = get_type_hints(kind)
+        return kind(
+            **{
+                f.name: from_record(hints[f.name], raw[f.name])
+                for f in fields(kind)
+                if f.name in raw
+            }
+        )
+    return raw
 
 
 def figure6_configs(**overrides) -> list[ExperimentConfig]:

@@ -1,17 +1,27 @@
-"""Experiment runner: one config -> averaged response-time series.
+"""Experiment runner: one config -> one engine -> averaged response times.
 
-Builds the Linear Road workflow over the configured workload, runs it under
-the configured scheduler (SCWF director for the STAFiLOS policies, the
-simulated thread-based director for PNCWF) on a fresh virtual clock per
-seed, and returns the bucketed "Response Time at TollNotification" series
-the paper's figures plot — averaged over the seeds, as the paper averages
-its three runs.
+:func:`build_engine` is the only place an :class:`ExperimentConfig`
+becomes a running thing: the Linear Road workflow over an arrival
+schedule, a director (SCWF under a STAFiLOS policy, or the simulated
+thread-based PNCWF), virtual clock, calibrated cost model, the optional
+QoS controller, frontier tracker, fault injectors and checkpointer, and
+the runtime that drives them.  ``run_once``, ``repro resume``, the shard
+worker, live migration's ``adopt`` and the sharded run's single-process
+oracle all call it, so a configuration is validated
+(:meth:`ExperimentConfig.validate`) and wired the same way wherever the
+engine is placed; what a *logical shard* needs differently is an
+argument of it, not a second builder.
+
+The runners below it simulate a fresh engine per seed and return the
+bucketed "Response Time at TollNotification" series the paper's figures
+plot — averaged over the seeds, as the paper averages its three runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Optional
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from pathlib import Path
+from typing import Any, Optional, Sequence, Union
 
 from ..checkpoint import (
     CheckpointManifest,
@@ -23,12 +33,19 @@ from ..checkpoint import (
 from ..core.exceptions import CheckpointError, SimulationError
 from ..core.timekeeper import US_PER_S
 from ..core.windows import strip_window_timeouts
+from ..frontier import FrontierTracker, LatenessPolicy
 from ..fusion import fuse_workflow
 from ..linearroad.generator import LinearRoadWorkload
 from ..linearroad.metrics import ResponseTimeSeries
-from ..linearroad.workflow import build_linear_road, LinearRoadSystem
+from ..linearroad.workflow import (
+    build_linear_road,
+    LinearRoadSystem,
+    shard_key_fn,
+)
 from ..observability import RecordingTracer, use_tracer
-from ..resilience import FaultPolicy, install_faults
+from ..resilience import FaultPolicy, install_faults, replay_dead_letters
+from ..shard.codec import ColumnarBatch
+from ..shard.routing import canonical_run_traces, shard_salt, shard_seed
 from ..simulation.clock import VirtualClock
 from ..simulation.runtime import SimulationRuntime
 from ..simulation.threaded import ThreadedCWFDirector
@@ -41,7 +58,13 @@ from ..stafilos.schedulers import (
     RoundRobinScheduler,
 )
 from ..stafilos.scwf_director import SCWFDirector
-from .configs import default_cost_model, ExperimentConfig, SchedulerSpec
+from .configs import (
+    default_cost_model,
+    ExperimentConfig,
+    from_record,
+    RUN_LOCAL_FIELDS,
+    SchedulerSpec,
+)
 
 
 @dataclass
@@ -92,6 +115,47 @@ class ExperimentResult:
         return self.series.mean_before(self.thrash_time_s)
 
 
+def checkpoint_meta(config: ExperimentConfig, seed: int) -> dict:
+    """The manifest metadata ``repro resume`` rebuilds an engine from.
+
+    Everything *structural* must be re-derivable from this record: the
+    scheduler spec, the full workload configuration (accident scripts
+    included), the seed pair and the fault configuration.  The snapshot
+    payload carries only data, so a wrong rebuild would diverge — the
+    structure fingerprint check catches gross mismatches, this metadata
+    prevents them.  It is every :class:`ExperimentConfig` field but the
+    :data:`RUN_LOCAL_FIELDS`, plus the run's ``seed``.
+    """
+    meta = {}
+    for f in fields(config):
+        if f.name not in RUN_LOCAL_FIELDS:
+            value = getattr(config, f.name)
+            meta[f.name] = asdict(value) if is_dataclass(value) else value
+    meta["seed"] = seed
+    return meta
+
+
+def config_from_meta(
+    meta: dict, checkpoint_dir: Optional[str] = None
+) -> tuple[ExperimentConfig, int]:
+    """Rebuild ``(ExperimentConfig, seed)`` from manifest metadata."""
+    try:
+        seed = int(meta["seed"])
+        config = from_record(
+            ExperimentConfig,
+            {
+                key: value
+                for key, value in meta.items()
+                if key not in RUN_LOCAL_FIELDS
+            },
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"manifest metadata cannot rebuild an experiment: {exc}"
+        ) from exc
+    return replace(config, seeds=(seed,), checkpoint_dir=checkpoint_dir), seed
+
+
 def make_scheduler(spec: SchedulerSpec) -> AbstractScheduler:
     """Instantiate the STAFiLOS policy described by *spec*."""
     if spec.kind == "QBS":
@@ -115,132 +179,190 @@ def make_scheduler(spec: SchedulerSpec) -> AbstractScheduler:
     raise SimulationError(f"unknown scheduler kind {spec.kind!r}")
 
 
-def checkpoint_meta(config: ExperimentConfig, seed: int) -> dict:
-    """The manifest metadata ``repro resume`` rebuilds an engine from.
+@dataclass
+class Engine:
+    """One assembled engine, and the verbs its drivers use on it."""
 
-    Everything *structural* must be re-derivable from this record: the
-    scheduler spec, the full workload configuration (accident scripts
-    included), the seed pair and the fault configuration.  The snapshot
-    payload carries only data, so a wrong rebuild would diverge — the
-    structure fingerprint check catches gross mismatches, this metadata
-    prevents them.
-    """
-    return {
-        "scheduler": {
-            "kind": config.scheduler.kind,
-            "quantum_us": config.scheduler.quantum_us,
-            "source_interval": config.scheduler.source_interval,
-        },
-        "workload": asdict(config.workload),
-        "seed": seed,
-        "cost_seed": config.cost_seed,
-        "bucket_s": config.bucket_s,
-        "fault_spec": config.fault_spec,
-        "checkpoint_every_s": config.checkpoint_every_s,
-        "checkpoint_retain": config.checkpoint_retain,
-        "qos": None if config.qos is None else asdict(config.qos),
-        "fuse": config.fuse,
-        "frontier": config.frontier,
-        "lateness": config.lateness,
-    }
+    config: ExperimentConfig
+    director: Any
+    system: LinearRoadSystem
+    clock: VirtualClock
+    runtime: SimulationRuntime
+    checkpointer: Optional[EngineCheckpointer]
+    injectors: list
+    #: The logical shard this engine is (``{"key", "group", "groups"}``,
+    #: as its manifests record it); ``None`` for a whole-workload engine.
+    shard: Optional[dict] = None
 
+    # ------------------------------------------------------------------
+    # Driving
+    # ------------------------------------------------------------------
+    def run(self, drain: bool = False) -> None:
+        """Simulate to the configured horizon.
 
-def config_from_meta(
-    meta: dict, checkpoint_dir: Optional[str] = None
-) -> tuple[ExperimentConfig, int]:
-    """Rebuild ``(ExperimentConfig, seed)`` from manifest metadata."""
-    from ..linearroad.generator import AccidentScript, WorkloadConfig
-    from ..overload import QoSPolicy
+        ``drain=True`` processes everything admitted before stopping —
+        what out-of-order comparisons need, since a bounded-disorder
+        source still holds up to ``disorder_us`` of in-transit events
+        when the horizon arrives.
+        """
+        self.runtime.run(self.config.workload.duration_s, drain=drain)
 
-    try:
-        # Older manifests predate QoS: default to uncontrolled.  Ones
-        # written while the firing loop still had a quantum knob carry
-        # two since-removed policy fields steering it (and a top-level
-        # ``train_size``); all three were output-invariant, so resume
-        # drops whatever the policy no longer declares.
-        qos = None
-        if meta.get("qos") is not None:
-            known = {f.name for f in fields(QoSPolicy)}
-            qos = QoSPolicy(
-                **{
-                    key: value
-                    for key, value in dict(meta["qos"]).items()
-                    if key in known
-                }
+    def restore(self, replay_deadletters: bool = False) -> CheckpointManifest:
+        """Apply the store's newest valid snapshot onto the fresh engine.
+
+        The engine then continues to the original horizon bit-identically
+        to an uninterrupted run, checkpointing on the same engine-time
+        grid.  ``replay_deadletters=True`` additionally re-enqueues the
+        restored dead-letter queue.
+        """
+        if self.checkpointer is None:
+            raise CheckpointError(
+                "resume requested but no checkpoint store/dir configured"
             )
-        workload_raw = dict(meta["workload"])
-        # Older manifests predate out-of-order delivery: in order.
-        workload_raw.setdefault("disorder_s", 0.0)
-        workload_raw["accidents"] = tuple(
-            AccidentScript(**dict(script))
-            for script in workload_raw.get("accidents", ())
+        self.director.initialize_all()
+        manifest = restore_latest(self.director, self.checkpointer.store)
+        if manifest is None:
+            raise CheckpointError("no valid snapshot found to resume from")
+        self.checkpointer.note_resumed(manifest)
+        if replay_deadletters:
+            replay_dead_letters(self.director, self.clock.now_us)
+        return manifest
+
+    def feed(
+        self, arrivals: Union[Sequence[tuple[int, Any]], ColumnarBatch]
+    ) -> None:
+        """Append one chunk of arrivals to the source.
+
+        Accepts either the classic row-tuple list or a decoded
+        :class:`~repro.shard.codec.ColumnarBatch`, which is handed to
+        the source column-wise — no intermediate tuple list is built.
+        """
+        if not arrivals:
+            return
+        if isinstance(arrivals, ColumnarBatch):
+            self.system.source.feed_columns(
+                arrivals.ts, arrivals.values, arrivals.event_ts
+            )
+        else:
+            self.system.source.feed(arrivals)
+
+    def run_to(self, watermark_us: int) -> None:
+        """Advance the virtual clock to the watermark."""
+        self.runtime.run(watermark_us / US_PER_S)
+
+    def drain(self, horizon_us: int) -> None:
+        """Process everything admitted, past the horizon if needed."""
+        self.runtime.run(horizon_us / US_PER_S, drain=True)
+
+    def close_frontier(self, up_to_us: int) -> int:
+        """Apply the coordinator's merged frontier to timed windows."""
+        if self.director.frontier is None:
+            return 0
+        return self.director.close_frontier_windows(up_to_us)
+
+    def frontier_bound(self) -> Optional[int]:
+        """This engine's local progress bound for the coordinator merge."""
+        if self.director.frontier is None:
+            return None
+        return self.director.frontier_bound()
+
+    # ------------------------------------------------------------------
+    # Reporting
+    # ------------------------------------------------------------------
+    def counters(self) -> dict[str, int]:
+        """The run counters of :class:`RunResult`, read off the engine."""
+        system, director = self.system, self.director
+        return {
+            "tolls": len(system.toll_out.items),
+            "alerts": len(system.accident_out.items),
+            "accidents_recorded": system.recorder.inserted,
+            "internal_firings": director.total_internal_firings,
+            "backlog_at_end": director.backlog(),
+            "injected_faults": sum(inj.injected for inj in self.injectors),
+            "failures": director.supervisor.total_failures,
+            "dead_letters": len(director.supervisor.dead_letters),
+        }
+
+    def run_result(self) -> RunResult:
+        """The seed's outcome, bucketed response-time series included."""
+        return RunResult(
+            series=ResponseTimeSeries.from_samples(
+                self.system.toll_response_times_us,
+                self.config.bucket_s,
+                self.config.workload.duration_s,
+            ),
+            **self.counters(),
         )
-        workload_raw["congestion_segments"] = tuple(
-            workload_raw.get("congestion_segments", ())
+
+    def result(self) -> dict[str, Any]:
+        """A shard's report to the coordinator: the run counters plus the
+        canonical traces and raw response samples its merge needs."""
+        return dict(
+            self.counters(),
+            group=self.shard["group"],
+            traces=canonical_run_traces(self.system),
+            checkpoints=(
+                0
+                if self.checkpointer is None
+                else self.checkpointer.checkpoints_taken
+            ),
+            toll_response_times_us=list(self.system.toll_response_times_us),
         )
-        spec = SchedulerSpec(
-            kind=meta["scheduler"]["kind"],
-            quantum_us=meta["scheduler"]["quantum_us"],
-            source_interval=meta["scheduler"]["source_interval"],
-        )
-        config = ExperimentConfig(
-            scheduler=spec,
-            workload=WorkloadConfig(**workload_raw),
-            seeds=(int(meta["seed"]),),
-            bucket_s=int(meta["bucket_s"]),
-            cost_seed=int(meta["cost_seed"]),
-            fault_spec=meta.get("fault_spec"),
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every_s=meta.get("checkpoint_every_s"),
-            checkpoint_retain=int(meta.get("checkpoint_retain", 3)),
-            qos=qos,
-            # Older manifests predate fusion: default to unfused.
-            fuse=bool(meta.get("fuse", False)),
-            # Older manifests predate frontiers: default to untracked.
-            frontier=meta.get("frontier"),
-            lateness=meta.get("lateness"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(
-            f"manifest metadata cannot rebuild an experiment: {exc}"
-        ) from exc
-    return config, int(meta["seed"])
 
 
-def _build_engine(
+def build_engine(
     config: ExperimentConfig,
     seed: int,
+    *,
+    shard: Optional[dict] = None,
+    arrivals: Optional[Sequence[tuple[int, Any]]] = None,
+    store: Optional[CheckpointStore] = None,
     window_timeouts: bool = True,
-) -> tuple[object, LinearRoadSystem, VirtualClock, list]:
-    """Rebuild the full engine *structure* for one config + seed.
+) -> Engine:
+    """Assemble the engine for one config + seed (structure only).
 
     This is the deterministic structural rebuild the checkpoint design
-    relies on: the same config + seed always produces a workflow whose
+    relies on: the same arguments always produce a workflow whose
     fingerprint matches the one recorded in a snapshot, so restore can
     apply the data in place.
 
-    ``window_timeouts=False`` strips the window-formation timeouts
-    before the director attaches, running the workflow event-time pure
-    — the mode sharded execution uses, and what its single-process
-    oracle must therefore use too (timeouts fire on engine time, which
-    is placement-dependent).  Timeouts are fingerprint-neutral, so
-    either mode restores snapshots taken in the same mode.
+    *shard* (``{"key", "group", "groups"}``, the record its manifests
+    carry) builds one logical shard: cost-model and fault-injection
+    streams derive from the shard's name, the frontier tracker is
+    externally driven, formation timeouts are stripped and the
+    checkpoint store is a ``shard-<group>`` subdirectory.  *arrivals*
+    replaces the generated schedule — empty for a pipe-fed worker;
+    ``None`` generates the seeded workload, filtered to the shard's key
+    group when *shard* is set (byte-identical to the slice a worker is
+    fed).  *store* overrides the directory ``config.checkpoint_dir``
+    names.  ``window_timeouts=False`` strips the window-formation
+    timeouts (they fire on engine time, which is placement-dependent)
+    before the director attaches; shard engines always run that way, and
+    so must the single-process oracle they are compared with.  Timeouts
+    are fingerprint-neutral: either mode restores its own snapshots.
     """
-    workload = LinearRoadWorkload(replace(config.workload, seed=seed))
+    config.validate(sharded=shard is not None)
+    cost_seed = config.cost_seed + seed
+    fault_salt = 0
+    if shard is not None:
+        # Both streams derive from the shard's *key value*, so a shard
+        # computes the same answer wherever (and beside whatever) it runs.
+        name = f"shard:{shard['key']}={shard['group']}"
+        cost_seed = shard_seed(cost_seed, name)
+        fault_salt = shard_salt(name)
+        window_timeouts = False
+    if arrivals is None:
+        arrivals = LinearRoadWorkload(
+            replace(config.workload, seed=seed)
+        ).arrivals()
+        if shard is not None:
+            key_fn = shard_key_fn(shard["key"])
+            arrivals = [
+                pair for pair in arrivals if key_fn(pair[1]) == shard["group"]
+            ]
     disorder_us = int(config.workload.disorder_s * US_PER_S)
-    if disorder_us > 0 and config.frontier is None:
-        raise SimulationError(
-            "out-of-order delivery (disorder_s > 0) needs frontier "
-            "progress tracking; set frontier='track' or 'close' "
-            "(--out-of-order on the CLI)"
-        )
-    if config.lateness is not None and config.frontier != "close":
-        raise SimulationError(
-            "a lateness policy only takes effect when the frontier "
-            "closes windows; set frontier='close' (--out-of-order close)"
-        )
-    system: LinearRoadSystem = build_linear_road(
-        workload.arrivals(),
+    system = build_linear_road(
+        arrivals,
         # Frontier-closing runs pace the source through the reorder pump
         # even with zero disorder: it releases one event timestamp per
         # pump, so frontier closures interleave between arrivals at
@@ -255,7 +377,7 @@ def _build_engine(
     if not window_timeouts:
         strip_window_timeouts(system.workflow)
     clock = VirtualClock()
-    cost_model = default_cost_model(seed=config.cost_seed + seed)
+    cost_model = default_cost_model(seed=cost_seed)
     error_policy = config.error_policy
     if error_policy is None:
         # Chaos runs default to a keep-running policy; clean runs fail-stop.
@@ -265,23 +387,6 @@ def _build_engine(
             else FaultPolicy(propagate=True)
         )
     if config.scheduler.kind == "PNCWF":
-        if config.qos is not None:
-            raise SimulationError(
-                "QoS overload control requires a STAFiLOS scheduler; "
-                "the thread-based PNCWF director has no shedding hooks"
-            )
-        if config.fuse:
-            raise SimulationError(
-                "operator-chain fusion requires the SCWF director; "
-                "the thread-based PNCWF engine fires actors on their "
-                "own threads and has no composed-firing path"
-            )
-        if config.frontier is not None:
-            raise SimulationError(
-                "frontier progress tracking requires the SCWF director; "
-                "the thread-based PNCWF engine has no token-accounting "
-                "hooks"
-            )
         director = ThreadedCWFDirector(
             clock, cost_model, error_policy=error_policy
         )
@@ -298,28 +403,75 @@ def _build_engine(
             train_size=config.train_size,
         )
         if config.qos is not None:
-            controller = director.apply_qos(config.qos)
             # Observe the paper's headline latency: the 5 s toll
             # notification deadline at the TollNotification sink.
-            controller.attach_latency_probe(
+            director.apply_qos(config.qos).attach_latency_probe(
                 lambda sink=system.toll_out: sink.response_times_us
             )
         if config.frontier is not None:
-            from ..frontier import FrontierTracker, LatenessPolicy
-
             director.enable_frontier(
-                FrontierTracker(mode=config.frontier),
-                LatenessPolicy.parse(config.lateness)
-                if config.lateness is not None
-                else None,
+                # A shard never self-closes on its local frontier:
+                # closure arrives only as the coordinator's merged
+                # minimum, so every placement sees the same sequence.
+                FrontierTracker(
+                    mode=config.frontier, external=shard is not None
+                ),
+                None
+                if config.lateness is None
+                else LatenessPolicy.parse(config.lateness),
             )
     director.attach(system.workflow)
     injectors = (
-        install_faults(system.workflow, config.fault_spec)
+        install_faults(system.workflow, config.fault_spec, fault_salt)
         if config.fault_spec
         else []
     )
-    return director, system, clock, injectors
+    if store is None and config.checkpoint_dir is not None:
+        path = Path(config.checkpoint_dir)
+        if shard is not None:
+            # Each shard owns a subdirectory of the run's checkpoint dir.
+            path /= f"shard-{shard['group']}"
+        store = DirectoryCheckpointStore(path, retain=config.checkpoint_retain)
+    checkpointer = None
+    if store is not None:
+        checkpointer = EngineCheckpointer(
+            director,
+            store,
+            every_us=(
+                None
+                if config.checkpoint_every_s is None
+                else int(config.checkpoint_every_s * US_PER_S)
+            ),
+            meta=checkpoint_meta(config, seed),
+            shard=shard,
+        )
+    runtime = SimulationRuntime(director, clock, checkpointer=checkpointer)
+    return Engine(
+        config, director, system, clock, runtime, checkpointer, injectors,
+        shard,
+    )
+
+
+def _latest_manifest(
+    checkpoint_dir: str,
+) -> tuple:
+    """The directory's ``(store, newest valid manifest, config, seed)`` —
+    the experiment the manifest's metadata describes."""
+    store = DirectoryCheckpointStore(checkpoint_dir)
+    found = store.latest()
+    if found is None:
+        raise CheckpointError(
+            f"no valid snapshot found in {checkpoint_dir!r}"
+        )
+    manifest = found[0]
+    shard = manifest.shard
+    if shard is not None and None in (shard.get("key"), shard.get("group")):
+        raise CheckpointError(
+            f"manifest shard record {shard!r} names no key/group"
+        )
+    config, seed = config_from_meta(manifest.meta, checkpoint_dir)
+    store.retain = config.checkpoint_retain
+    return store, manifest, config, seed
 
 
 def restore_engine(
@@ -330,18 +482,10 @@ def restore_engine(
     Used by ``repro deadletter`` and other inspection paths that need
     the restored engine state without continuing the simulation.
     """
-    store = DirectoryCheckpointStore(checkpoint_dir)
-    found = store.latest()
-    if found is None:
-        raise CheckpointError(
-            f"no valid snapshot found in {checkpoint_dir!r}"
-        )
-    manifest, _ = found
-    config, seed = config_from_meta(manifest.meta, checkpoint_dir)
-    director, system, _, _ = _build_engine(config, seed)
-    director.initialize_all()
-    restore_latest(director, store)
-    return director, system, manifest, config, seed
+    store, manifest, config, seed = _latest_manifest(checkpoint_dir)
+    engine = build_engine(config, seed, shard=manifest.shard, store=store)
+    engine.restore()
+    return engine.director, engine.system, manifest, config, seed
 
 
 def _execute_seed(
@@ -350,182 +494,30 @@ def _execute_seed(
     resume: bool = False,
     store: Optional[CheckpointStore] = None,
     replay_deadletters: bool = False,
-    window_timeouts: bool = True,
     drain: bool = False,
+    shard: Optional[dict] = None,
 ) -> tuple[RunResult, object, LinearRoadSystem]:
     """Build + simulate one seed; returns (result, director, system).
 
     With ``store`` (or ``config.checkpoint_dir``) set, the run publishes
     wave-aligned snapshots every ``config.checkpoint_every_s`` engine
-    seconds.  With ``resume=True`` the engine is rebuilt structurally
-    from the config, the newest valid snapshot is applied in place, and
-    the simulation continues to the original horizon — bit-identical to
-    an uninterrupted run of the same config + seed.
-    ``replay_deadletters=True`` additionally re-enqueues the restored
-    dead-letter queue before continuing.
+    seconds.  With ``resume=True`` the newest valid snapshot is applied
+    onto the rebuilt engine first (:meth:`Engine.restore`) and the
+    simulation continues to the original horizon — bit-identical to an
+    uninterrupted run of the same config + seed.  The remaining
+    arguments are :func:`build_engine`'s and :meth:`Engine.run`'s.
     """
-    director, system, clock, injectors = _build_engine(
-        config, seed, window_timeouts=window_timeouts
-    )
-    checkpointer: Optional[EngineCheckpointer] = None
-    if store is None and config.checkpoint_dir is not None:
-        store = DirectoryCheckpointStore(
-            config.checkpoint_dir, retain=config.checkpoint_retain
-        )
-    if store is not None:
-        every_us = (
-            int(config.checkpoint_every_s * 1_000_000)
-            if config.checkpoint_every_s is not None
-            else None
-        )
-        checkpointer = EngineCheckpointer(
-            director,
-            store,
-            every_us=every_us,
-            meta=checkpoint_meta(config, seed),
-        )
+    engine = build_engine(config, seed, shard=shard, store=store)
     if resume:
-        if store is None:
-            raise CheckpointError(
-                "resume requested but no checkpoint store/dir configured"
-            )
-        director.initialize_all()
-        manifest = restore_latest(director, store)
-        if manifest is None:
-            raise CheckpointError(
-                "no valid snapshot found to resume from"
-            )
-        if checkpointer is not None:
-            checkpointer.note_resumed(manifest)
-        if replay_deadletters:
-            from ..resilience import replay_dead_letters
-
-            replay_dead_letters(director, clock.now_us)
-    runtime = SimulationRuntime(director, clock, checkpointer=checkpointer)
-    # ``drain=True`` processes everything admitted before stopping —
-    # what out-of-order comparisons need, since a bounded-disorder
-    # source still holds up to ``disorder_us`` of in-transit events
-    # when the horizon arrives.
-    runtime.run(config.workload.duration_s, drain=drain)
-    series = ResponseTimeSeries.from_samples(
-        system.toll_response_times_us,
-        config.bucket_s,
-        config.workload.duration_s,
-    )
-    result = RunResult(
-        series=series,
-        tolls=len(system.toll_out.items),
-        alerts=len(system.accident_out.items),
-        accidents_recorded=system.recorder.inserted,
-        internal_firings=director.total_internal_firings,
-        backlog_at_end=director.backlog(),
-        injected_faults=sum(inj.injected for inj in injectors),
-        failures=director.supervisor.total_failures,
-        dead_letters=len(director.supervisor.dead_letters),
-    )
-    return result, director, system
+        engine.restore(replay_deadletters)
+    engine.run(drain=drain)
+    return engine.run_result(), engine.director, engine.system
 
 
 def run_once(config: ExperimentConfig, seed: int) -> RunResult:
     """One seed: build workload + workflow, simulate, collect the series."""
     result, _, _ = _execute_seed(config, seed)
     return result
-
-
-def run_sharded(
-    config: ExperimentConfig,
-    seed: int = 1,
-    shards: int = 2,
-    shard_key: str = "xway",
-    chunk_s: int = 10,
-    migrations=(),
-):
-    """One seed partitioned across *shards* worker processes.
-
-    The harness entry point behind ``repro run --shards N``: delegates
-    to :func:`repro.shard.run_sharded`, which partitions the seeded
-    workload by *shard_key*, streams each logical shard's slice to a
-    worker process over a credit-windowed pipe, and deterministically
-    merges the sink outputs — bit-identical to :func:`run_once` on the
-    same config and seed.  Returns a :class:`repro.shard.ShardedRunResult`.
-    """
-    from ..shard import run_sharded as _run_sharded
-
-    return _run_sharded(
-        config,
-        seed=seed,
-        shards=shards,
-        shard_key=shard_key,
-        chunk_s=chunk_s,
-        migrations=migrations,
-    )
-
-
-def _execute_shard_resume(
-    config: ExperimentConfig,
-    seed: int,
-    manifest: CheckpointManifest,
-    store: CheckpointStore,
-    checkpoint_dir: str,
-) -> tuple[RunResult, object, LinearRoadSystem]:
-    """Resume one *logical shard* from its per-worker checkpoint dir.
-
-    The manifest's ``shard`` record identifies the slice: the engine is
-    rebuilt with the full workload regenerated and *filtered* to the
-    shard's key group (byte-identical to the slice the worker was fed
-    over its pipe), the newest snapshot is applied in place, and the
-    shard runs alone to the original horizon.
-    """
-    from ..shard.worker import build_shard_engine
-
-    shard = manifest.shard or {}
-    key_name = shard.get("key")
-    group = shard.get("group")
-    if key_name is None or group is None:
-        raise CheckpointError(
-            f"manifest shard record {shard!r} names no key/group"
-        )
-    from ..linearroad.workflow import shard_key_fn
-
-    key_fn = shard_key_fn(key_name)
-    workload = LinearRoadWorkload(replace(config.workload, seed=seed))
-    arrivals = [
-        pair for pair in workload.arrivals() if key_fn(pair[1]) == group
-    ]
-    engine = build_shard_engine(
-        config,
-        seed,
-        key_name,
-        group,
-        all_groups=tuple(shard.get("groups", ())),
-        arrivals=arrivals,
-        checkpoint_path=checkpoint_dir,
-    )
-    engine.director.initialize_all()
-    restored = restore_latest(engine.director, store)
-    if restored is None:
-        raise CheckpointError("no valid snapshot found to resume from")
-    if engine.checkpointer is not None:
-        engine.checkpointer.note_resumed(restored)
-    engine.runtime.run(config.workload.duration_s)
-    system = engine.system
-    series = ResponseTimeSeries.from_samples(
-        system.toll_response_times_us,
-        config.bucket_s,
-        config.workload.duration_s,
-    )
-    result = RunResult(
-        series=series,
-        tolls=len(system.toll_out.items),
-        alerts=len(system.accident_out.items),
-        accidents_recorded=system.recorder.inserted,
-        internal_firings=engine.director.total_internal_firings,
-        backlog_at_end=engine.director.backlog(),
-        injected_faults=sum(inj.injected for inj in engine.injectors),
-        failures=engine.director.supervisor.total_failures,
-        dead_letters=len(engine.director.supervisor.dead_letters),
-    )
-    return result, engine.director, system
 
 
 def resume_run(
@@ -541,30 +533,18 @@ def resume_run(
 
     Manifests carrying a ``shard`` record (snapshots published by a
     shard worker under ``<dir>/shard-<group>/``) resume that logical
-    shard alone: the workload is regenerated and filtered to the
-    shard's key group, so the resumed slice matches what the worker
+    shard alone: the builder regenerates the workload and filters it to
+    the shard's key group, so the resumed slice matches what the worker
     was fed over its pipe.
     """
-    store = DirectoryCheckpointStore(checkpoint_dir)
-    found = store.latest()
-    if found is None:
-        raise CheckpointError(
-            f"no valid snapshot found in {checkpoint_dir!r}"
-        )
-    manifest, _ = found
-    config, seed = config_from_meta(manifest.meta, checkpoint_dir)
-    store.retain = config.checkpoint_retain
-    if manifest.shard is not None:
-        result, director, system = _execute_shard_resume(
-            config, seed, manifest, store, checkpoint_dir
-        )
-        return result, director, system, manifest
+    store, manifest, config, seed = _latest_manifest(checkpoint_dir)
     result, director, system = _execute_seed(
         config,
         seed,
         resume=True,
         store=store,
         replay_deadletters=replay_deadletters,
+        shard=manifest.shard,
     )
     return result, director, system, manifest
 
@@ -596,11 +576,7 @@ def result_to_dict(result: ExperimentResult) -> dict:
     """A JSON-serializable record of one experiment (artifact dumps)."""
     return {
         "label": result.label,
-        "scheduler": {
-            "kind": result.config.scheduler.kind,
-            "quantum_us": result.config.scheduler.quantum_us,
-            "source_interval": result.config.scheduler.source_interval,
-        },
+        "scheduler": asdict(result.config.scheduler),
         "workload": {
             "duration_s": result.config.workload.duration_s,
             "peak_rate": result.config.workload.peak_rate,
@@ -616,14 +592,9 @@ def result_to_dict(result: ExperimentResult) -> dict:
         "mean_pre_thrash_s": result.mean_pre_thrash_s(),
         "runs": [
             {
-                "tolls": run.tolls,
-                "alerts": run.alerts,
-                "accidents_recorded": run.accidents_recorded,
-                "internal_firings": run.internal_firings,
-                "backlog_at_end": run.backlog_at_end,
-                "injected_faults": run.injected_faults,
-                "failures": run.failures,
-                "dead_letters": run.dead_letters,
+                name: value
+                for name, value in vars(run).items()
+                if name != "series"
             }
             for run in result.runs
         ],

@@ -137,6 +137,14 @@ class FaultSupervisor:
             for name, record in sorted(self._health.items())
         }
 
+    def dead_letter_counts(self) -> dict[str, int]:
+        """``{actor name: items dead-lettered}`` for actors that lost any."""
+        return {
+            name: record.dead_letters
+            for name, record in self._health.items()
+            if record.dead_letters
+        }
+
     @property
     def total_failures(self) -> int:
         """Failed firing attempts across every actor."""

@@ -15,8 +15,8 @@ Layout:
   canonical traces and the deterministic merge;
 * :mod:`repro.shard.codec` — the data plane's wire format: columnar
   struct packing for homogeneous LR chunks, framed pickle-5 fallback;
-* :mod:`repro.shard.worker` — the worker process: engines, the pipe
-  message loop and the per-shard engine builder;
+* :mod:`repro.shard.worker` — the worker process: the pipe message loop
+  over engines the one builder (:mod:`repro.harness.experiment`) assembles;
 * :mod:`repro.shard.coordinator` — the coordinator: credit-based
   pipelined chunk streaming, backlog telemetry, migration
   orchestration and the merge;
@@ -48,7 +48,7 @@ from .routing import (
     shard_seed,
     ShardPlan,
 )
-from .worker import build_shard_engine, ShardEngine, ShardWorkerSpec
+from .worker import build_shard_engine, ShardWorkerSpec
 
 __all__ = [
     "apply_envelope",
@@ -66,7 +66,6 @@ __all__ = [
     "encode_chunk",
     "ShardCoordinator",
     "ShardedRunResult",
-    "ShardEngine",
     "ShardMigration",
     "ShardPlan",
     "ShardWorkerSpec",

@@ -123,6 +123,20 @@ class ShardedRunResult:
         return peak
 
 
+#: The :class:`ShardedRunResult` fields that are the sum of the like-named
+#: entry of every shard's report (``Engine.result()``).
+_SUMMED_COUNTERS = (
+    "tolls",
+    "alerts",
+    "accidents_recorded",
+    "internal_firings",
+    "injected_faults",
+    "failures",
+    "dead_letters",
+    "checkpoints",
+)
+
+
 class ShardCoordinator:
     """Drives one sharded run over worker processes and pipes."""
 
@@ -137,10 +151,9 @@ class ShardCoordinator:
         start_method: Optional[str] = None,
         max_inflight: int = DEFAULT_INFLIGHT,
     ):
-        if config.scheduler.kind == "PNCWF":
-            raise SimulationError(
-                "sharded execution requires an SCWF scheduler"
-            )
+        # Refused here with the error a single-process run would raise,
+        # before a worker is spawned to fail on it.
+        config.validate(sharded=True)
         if shards < 1:
             raise SimulationError("--shards must be >= 1")
         if chunk_s < 1:
@@ -336,10 +349,8 @@ class ShardCoordinator:
         chunk_us = int(self.chunk_s * US_PER_S)
         pending = sorted(self.scripted_migrations, key=lambda m: m.at_s)
         backlog_log: List[Tuple[int, Dict[Hashable, int]]] = []
-        frontier_close = getattr(config, "frontier", None) == "close"
-        disorder_us = int(
-            getattr(config.workload, "disorder_s", 0.0) * US_PER_S
-        )
+        frontier_close = config.frontier == "close"
+        disorder_us = int(config.workload.disorder_s * US_PER_S)
         #: Merged minimum frontier across every logical shard, applied
         #: by the workers at the next chunk boundary.  ``None`` until
         #: the first acks arrive (and always, when closure is off).
@@ -490,24 +501,10 @@ class ShardCoordinator:
             accident_trace=merge_traces(
                 [shard["traces"]["accident"] for shard in ordered]
             ),
-            tolls=sum(shard["tolls"] for shard in ordered),
-            alerts=sum(shard["alerts"] for shard in ordered),
-            accidents_recorded=sum(
-                shard["accidents_recorded"] for shard in ordered
-            ),
-            internal_firings=sum(
-                shard["internal_firings"] for shard in ordered
-            ),
-            injected_faults=sum(
-                shard["injected_faults"] for shard in ordered
-            ),
-            failures=sum(shard["failures"] for shard in ordered),
-            dead_letters=sum(
-                shard["dead_letters"] for shard in ordered
-            ),
-            checkpoints=sum(
-                shard["checkpoints"] for shard in ordered
-            ),
+            **{
+                name: sum(shard[name] for shard in ordered)
+                for name in _SUMMED_COUNTERS
+            },
             workers=plan.workers,
             groups=plan.groups,
             per_shard=per_shard,
@@ -561,8 +558,9 @@ def run_single_canonical(
     exactly as the workers do, so equality against a
     :class:`ShardedRunResult`'s merged traces is a pure list compare.
     """
-    from ..harness.experiment import _execute_seed
+    from ..harness.experiment import build_engine
     from .routing import canonical_run_traces
 
-    _, _, system = _execute_seed(config, seed, window_timeouts=False)
-    return canonical_run_traces(system)
+    engine = build_engine(config, seed, window_timeouts=False)
+    engine.run()
+    return canonical_run_traces(engine.system)

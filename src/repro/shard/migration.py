@@ -82,8 +82,8 @@ def make_envelope(engine: Any) -> Dict[str, Any]:
             pending[name] = list(actor._pending)
     return {
         "format": ENVELOPE_FORMAT,
-        "key": engine.key_name,
-        "group": engine.group,
+        "key": engine.shard["key"],
+        "group": engine.shard["group"],
         "engine_time_us": engine.clock.now_us,
         "pending": pending,
         "payload": serialize_snapshot(capture_snapshot(engine.director)),
@@ -104,15 +104,16 @@ def apply_envelope(engine: Any, envelope: Dict[str, Any]) -> None:
             f"migration envelope format {envelope.get('format')!r} is "
             f"not supported (expected {ENVELOPE_FORMAT})"
         )
+    shard = engine.shard
     if (
-        envelope.get("key") != engine.key_name
-        or envelope.get("group") != engine.group
+        envelope.get("key") != shard["key"]
+        or envelope.get("group") != shard["group"]
     ):
         raise CheckpointError(
             f"migration envelope is for shard "
             f"{envelope.get('key')}={envelope.get('group')!r} but the "
             f"target engine hosts "
-            f"{engine.key_name}={engine.group!r} — refusing to restore "
+            f"{shard['key']}={shard['group']!r} — refusing to restore "
             "another shard's state"
         )
     engine.director.initialize_all()

@@ -30,11 +30,10 @@ from typing import Optional
 from ..core.actors import Actor, SourceActor
 from ..core.director import Director
 from ..core.events import CWEvent
-from ..core.exceptions import DirectorError, ResilienceError
 from ..core.ports import InputPort
 from ..core.receivers import Receiver, WindowedReceiver
 from ..core.windows import Window, WindowSpec
-from ..resilience import FailureAction, FaultPolicy, FaultSupervisor
+from ..resilience import FailureAction, FaultPolicy
 from .clock import VirtualClock
 from .cost_model import CostModel
 
@@ -43,11 +42,7 @@ class _SimReadyReceiver(WindowedReceiver):
     """Windowed receiver that wakes the owning simulated thread."""
 
     def __init__(self, spec: Optional[WindowSpec], director, port=None):
-        self._passthrough = spec is None
-        effective = spec if spec is not None else WindowSpec.tokens(
-            1, 1, delete_used_events=True
-        )
-        super().__init__(effective, port)
+        super().__init__(spec, port)
         self._director = director
 
     def _deliver(self, window: Window) -> None:
@@ -71,19 +66,12 @@ class ThreadedCWFDirector(Director):
         error_policy: FaultPolicy = FaultPolicy(propagate=True),
     ):
         super().__init__()
-        try:
-            policy = FaultPolicy.coerce(error_policy)
-        except ResilienceError as error:
-            raise DirectorError(str(error)) from None
+        # Same recovery semantics as the SCWF director; defaults to
+        # fail-stop so simulation bugs surface loudly.
+        self.supervise(error_policy)
         self.clock = clock
         self.cost_model = cost_model
         self.os_slice_us = os_slice_us
-        #: Recovery configuration (same semantics as the SCWF director;
-        #: defaults to fail-stop so simulation bugs surface loudly).
-        self.fault_policy = policy
-        #: Per-actor failure state + the dead-letter queue.
-        self.supervisor = FaultSupervisor(policy, self.statistics)
-        self.actor_errors: dict[str, int] = {}
         #: name -> deque of (port_name, item) ready for consumption.
         self._ready: dict[str, deque] = {}
         self._rotation: deque[str] = deque()
@@ -91,20 +79,10 @@ class ThreadedCWFDirector(Director):
         self.context_switches = 0
         self.total_internal_firings = 0
 
-    @property
-    def dead_letters(self):
-        """The supervisor's dead-letter queue (convenience alias)."""
-        return self.supervisor.dead_letters
-
     # ------------------------------------------------------------------
     def create_receiver(self, port: InputPort) -> Receiver:
         receiver = _SimReadyReceiver(port.window, self, port)
-        if (
-            port.window is not None
-            and port.window.measure.value == "time"
-            and port.window.timeout is not None
-        ):
-            self._deadline_watch.append(receiver)
+        self._watch_deadline(port, receiver)
         return receiver
 
     def initialize_all(self) -> None:
@@ -202,9 +180,6 @@ class ThreadedCWFDirector(Director):
             supervisor.drop_quarantined(
                 actor, port_name, item, self.clock.now_us
             )
-            self.actor_errors[actor.name] = (
-                self.actor_errors.get(actor.name, 0) + 1
-            )
             cost = self.cost_model.sync_per_event_us  # the wasted get()
             self.clock.advance(cost)
             return cost, False
@@ -253,33 +228,9 @@ class ThreadedCWFDirector(Director):
                     total_cost += decision.backoff_us
                     continue
                 # Dead-lettered by the supervisor.
-                self.actor_errors[actor.name] = (
-                    self.actor_errors.get(actor.name, 0) + 1
-                )
                 fired = False
                 break
         return total_cost, fired
 
-    # ------------------------------------------------------------------
-    # Runtime protocol (shared with the SCWF director)
-    # ------------------------------------------------------------------
-    def next_arrival_time(self) -> Optional[int]:
-        workflow = self._require_attached()
-        times = [
-            arrival
-            for source in workflow.sources
-            if (arrival := source.next_arrival_time()) is not None
-        ]
-        return min(times, default=None)
-
     def backlog(self) -> int:
         return sum(len(queue) for queue in self._ready.values())
-
-    def run_to_quiescence(self, now: int) -> int:
-        self.clock.jump_to(now)
-        total = 0
-        while True:
-            internal, emitted = self.run_iteration()
-            total += internal
-            if internal == 0 and emitted == 0:
-                return total

@@ -61,9 +61,11 @@ class AbstractScheduler(ABC):
     policy_name = "abstract"
 
     #: Whether sources belong in the dispatch index.  Policies that serve
-    #: sources through a separate interval-regulated rotation (QBS, RR,
-    #: EDF) exclude them; policies whose comparator ranks sources together
-    #: with internal actors (FIFO, RB, the default) include them.
+    #: sources through the interval-regulated rotation of
+    #: :meth:`get_next_actor` (QBS, RR, EDF) exclude them and set
+    #: ``source_interval`` (Table 3 uses 5); policies whose comparator
+    #: ranks sources together with internal actors (FIFO, RB, the
+    #: default) include them.
     index_includes_sources = True
 
     #: Names of policy-specific *mutable* attributes the generic
@@ -83,8 +85,17 @@ class AbstractScheduler(ABC):
         #: Per-actor flag: False means the state must be re-evaluated.
         self.state_valid: dict[str, bool] = {}
         self._now = 0
-        #: Count of internal (non-source) invocations, for source pacing.
+        #: Count of internal (non-source) invocations.
         self.internal_firings = 0
+        # ---- source regulation, kept by the fire-end and iteration-end
+        # hooks (policies name what they read of it in
+        # ``checkpoint_attrs``) ------------------------------------------
+        #: Sources that already fired this iteration/period.
+        self._fired_sources: set[str] = set()
+        #: Internal invocations since the last source firing.
+        self._internal_since_source = 0
+        #: Where the next scan for a runnable source starts.
+        self._source_rotation = 0
         #: Optional load-shedding policy (see repro.overload.shedding).
         self.shedder = None
         #: Optional admission gate (see repro.overload.controller): when
@@ -360,14 +371,42 @@ class AbstractScheduler(ABC):
     def get_next_actor(self) -> Optional[Actor]:
         """The next actor to fire, or ``None`` to end the iteration.
 
-        Default: the minimum-comparator-key ACTIVE actor, served from the
-        dispatch index in O(log A).  Policies override or extend this
-        (QBS injects regular source firings, RR rotates).
+        The minimum-comparator-key ACTIVE actor, served from the dispatch
+        index in O(log A).  Where sources stay out of the index, they are
+        "scheduled independently at regular intervals" (the paper): a
+        runnable source preempts once ``source_interval`` internal
+        invocations passed since the last source firing, or when no
+        internal actor is active.
         """
         actor = self._peek_indexed()
-        if actor is None:
-            return self.on_active_queue_empty()
+        if self.index_includes_sources:
+            if actor is None:
+                return self.on_active_queue_empty()
+            return actor
+        if (
+            actor is None
+            or self._internal_since_source >= self.source_interval
+        ):
+            source = self._next_runnable_source()
+            if source is not None:
+                return source
         return actor
+
+    def _next_runnable_source(self) -> Optional[SourceActor]:
+        """The first ACTIVE source with due work, scanning round-robin
+        from the rotation cursor (which moves past the one returned)."""
+        count = len(self.sources)
+        for offset in range(count):
+            source = self.sources[(self._source_rotation + offset) % count]
+            if (
+                self.state_of(source) is ActorState.ACTIVE
+                and self.source_has_work(source, self._now)
+            ):
+                self._source_rotation = (
+                    self._source_rotation + offset + 1
+                ) % count
+                return source
+        return None
 
     def on_active_queue_empty(self) -> Optional[Actor]:
         """Hook: last chance to produce an actor before the iteration ends."""
@@ -406,14 +445,20 @@ class AbstractScheduler(ABC):
     def on_iteration_end(self, now: int) -> None:
         """End of a director iteration (maintenance: re-quantify etc.)."""
         self._now = now
+        self._fired_sources.clear()
+        self._internal_since_source = 0
 
     def on_actor_fire_start(self, actor: Actor, now: int) -> None:
         self._now = now
 
     def on_actor_fire_end(self, actor: Actor, cost_us: int, now: int) -> None:
         self._now = now
-        if not actor.is_source:
+        if actor.is_source:
+            self._fired_sources.add(actor.name)
+            self._internal_since_source = 0
+        else:
             self.internal_firings += 1
+            self._internal_since_source += 1
         self.invalidate_state(actor)
 
     def source_has_work(self, source: SourceActor, now: int) -> bool:

@@ -47,9 +47,6 @@ class EarliestDeadlineScheduler(AbstractScheduler):
         super().__init__()
         self.default_target_us = default_target_us
         self.source_interval = source_interval
-        self._internal_since_source = 0
-        self._fired_sources: set[str] = set()
-        self._source_rotation = 0
 
     # ------------------------------------------------------------------
     def target_us(self, actor: Actor) -> int:
@@ -84,45 +81,9 @@ class EarliestDeadlineScheduler(AbstractScheduler):
         deadline = self.deadline_of(actor)
         return (deadline if deadline is not None else INF_TIME, actor.name)
 
-    def get_next_actor(self) -> Optional[Actor]:
-        internal = self._peek_indexed()
-        source_due = (
-            self._internal_since_source >= self.source_interval
-            or internal is None
-        )
-        if source_due:
-            source = self._next_runnable_source()
-            if source is not None:
-                return source
-        return internal
-
-    def _next_runnable_source(self):
-        count = len(self.sources)
-        for offset in range(count):
-            source = self.sources[(self._source_rotation + offset) % count]
-            if (
-                self.state_of(source) is ActorState.ACTIVE
-                and self.source_has_work(source, self._now)
-            ):
-                self._source_rotation = (
-                    self._source_rotation + offset + 1
-                ) % count
-                return source
-        return None
-
     # ------------------------------------------------------------------
-    def on_actor_fire_end(self, actor: Actor, cost_us: int, now: int) -> None:
-        super().on_actor_fire_end(actor, cost_us, now)
-        if actor.is_source:
-            self._fired_sources.add(actor.name)
-            self._internal_since_source = 0
-        else:
-            self._internal_since_source += 1
-
     def on_iteration_end(self, now: int) -> None:
         super().on_iteration_end(now)
-        self._fired_sources.clear()
-        self._internal_since_source = 0
         for actor in self.actors:
             self.invalidate_state(actor)
 

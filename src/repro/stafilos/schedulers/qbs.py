@@ -25,9 +25,9 @@ the flow of data into the workflow (Table 3 uses an interval of 5).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
-from ...core.actors import Actor, SourceActor
+from ...core.actors import Actor
 from ...observability import tracer as _obs
 from ..abstract_scheduler import AbstractScheduler
 from ..dispatch_index import INF_TIME
@@ -69,9 +69,6 @@ class QuantumPriorityScheduler(AbstractScheduler):
         self.source_interval = source_interval
         self.quantum: dict[str, int] = {}
         self.requantifications = 0
-        self._fired_sources: set[str] = set()
-        self._internal_since_source = 0
-        self._source_rotation = 0
 
     # ------------------------------------------------------------------
     def on_initialize(self) -> None:
@@ -109,34 +106,8 @@ class QuantumPriorityScheduler(AbstractScheduler):
         head_time = head.timestamp if head is not None else INF_TIME
         return (actor.priority, head_time)
 
-    # ------------------------------------------------------------------
-    # Selection: interval-regulated sources + priority-ordered internals
-    # ------------------------------------------------------------------
-    def get_next_actor(self) -> Optional[Actor]:
-        internal = self._peek_indexed()
-        source_due = (
-            self._internal_since_source >= self.source_interval
-            or internal is None
-        )
-        if source_due:
-            source = self._next_runnable_source()
-            if source is not None:
-                return source
-        return internal
-
-    def _next_runnable_source(self) -> Optional[SourceActor]:
-        count = len(self.sources)
-        for offset in range(count):
-            source = self.sources[(self._source_rotation + offset) % count]
-            if (
-                self.state_of(source) is ActorState.ACTIVE
-                and self.source_has_work(source, self._now)
-            ):
-                self._source_rotation = (
-                    self._source_rotation + offset + 1
-                ) % count
-                return source
-        return None
+    # Selection is the base ``get_next_actor``: interval-regulated
+    # sources + priority-ordered internals.
 
     # ------------------------------------------------------------------
     # Accounting
@@ -154,11 +125,6 @@ class QuantumPriorityScheduler(AbstractScheduler):
                     actor.name,
                     remaining_us=remaining,
                 )
-        if actor.is_source:
-            self._fired_sources.add(actor.name)
-            self._internal_since_source = 0
-        else:
-            self._internal_since_source += 1
 
     def on_iteration_end(self, now: int) -> None:
         """Re-quantification: swap active/waiting by re-granting quanta."""
@@ -173,8 +139,6 @@ class QuantumPriorityScheduler(AbstractScheduler):
                 actor.name, 0
             ) + quantum_grant(actor.priority, self.basic_quantum_us)
             self.invalidate_state(actor)
-        self._fired_sources.clear()
-        self._internal_since_source = 0
 
     def describe(self) -> str:
         return f"QBS(b={self.basic_quantum_us}us, src_int={self.source_interval})"

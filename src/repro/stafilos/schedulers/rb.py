@@ -59,7 +59,6 @@ class RateBasedScheduler(AbstractScheduler):
         self.priorities: dict[str, float] = {}
         self._next_period_buffer: list[tuple[Actor, str, Any]] = []
         self._buffered_counts: dict[str, int] = {}
-        self._fired_sources: set[str] = set()
 
     # ------------------------------------------------------------------
     def on_initialize(self) -> None:
@@ -126,11 +125,6 @@ class RateBasedScheduler(AbstractScheduler):
     # sources and internal actors together by dynamic rate.
 
     # ------------------------------------------------------------------
-    def on_actor_fire_end(self, actor: Actor, cost_us: int, now: int) -> None:
-        super().on_actor_fire_end(actor, cost_us, now)
-        if actor.is_source:
-            self._fired_sources.add(actor.name)
-
     def on_iteration_end(self, now: int) -> None:
         """Period roll-over: release the buffer, refresh priorities."""
         super().on_iteration_end(now)
@@ -140,7 +134,6 @@ class RateBasedScheduler(AbstractScheduler):
         for actor, port_name, item in buffered:
             self.ready[actor.name].push(port_name, item)
             self.invalidate_state(actor)
-        self._fired_sources.clear()
         for source in self.sources:
             self.invalidate_state(source)
         self._recompute_priorities()

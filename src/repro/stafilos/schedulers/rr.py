@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Optional
 
-from ...core.actors import Actor, SourceActor
+from ...core.actors import Actor
 from ...core.events import CWEvent
 from ...core.windows import Window
 from ...observability import tracer as _obs
@@ -64,9 +64,6 @@ class RoundRobinScheduler(AbstractScheduler):
         self.periods = 0
         self._rotation = itertools.count()
         self._order: dict[str, int] = {}
-        self._fired_sources: set[str] = set()
-        self._internal_since_source = 0
-        self._source_rotation = 0
         #: Rotation ticket of the actor currently firing, stashed at
         #: fire-start so :meth:`continue_train` can detect re-admission
         #: (a drain-to-empty followed by a self-feeding emission draws a
@@ -150,33 +147,6 @@ class RoundRobinScheduler(AbstractScheduler):
                 self.quantum[actor.name] = self.slice_us
 
     # ------------------------------------------------------------------
-    def get_next_actor(self) -> Optional[Actor]:
-        internal = self._peek_indexed()
-        source_due = (
-            self._internal_since_source >= self.source_interval
-            or internal is None
-        )
-        if source_due:
-            source = self._next_runnable_source()
-            if source is not None:
-                return source
-        return internal
-
-    def _next_runnable_source(self) -> Optional[SourceActor]:
-        count = len(self.sources)
-        for offset in range(count):
-            source = self.sources[(self._source_rotation + offset) % count]
-            if (
-                self.state_of(source) is ActorState.ACTIVE
-                and self.source_has_work(source, self._now)
-            ):
-                self._source_rotation = (
-                    self._source_rotation + offset + 1
-                ) % count
-                return source
-        return None
-
-    # ------------------------------------------------------------------
     # Event-train quantum accounting
     # ------------------------------------------------------------------
     def on_actor_fire_start(self, actor: Actor, now: int) -> None:
@@ -246,8 +216,9 @@ class RoundRobinScheduler(AbstractScheduler):
     # ------------------------------------------------------------------
     def on_actor_fire_end(self, actor: Actor, cost_us: int, now: int) -> None:
         # ``AbstractScheduler.on_actor_fire_end`` inlined (clock stamp,
-        # internal-firing counter, state invalidation) — per-item on the
-        # train path, and the base hook is three plain statements.
+        # internal-firing and source-pacing counters, state
+        # invalidation) — per-item on the train path, and the base hook
+        # is a few plain statements.
         self._now = now
         name = actor.name
         self.quantum[name] = self.quantum.get(name, 0) - cost_us
@@ -272,8 +243,6 @@ class RoundRobinScheduler(AbstractScheduler):
         for actor in self.actors:
             self.quantum[actor.name] = self.slice_us
             self.invalidate_state(actor)
-        self._fired_sources.clear()
-        self._internal_since_source = 0
         self._no_source_until = None
 
     # ------------------------------------------------------------------

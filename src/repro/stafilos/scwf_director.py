@@ -33,12 +33,12 @@ from ..core.actors import Actor, SourceActor
 from ..core.context import FiringContext
 from ..core.director import Director
 from ..core.events import CWEvent
-from ..core.exceptions import DirectorError, ResilienceError
+from ..core.exceptions import DirectorError
 from ..core.ports import InputPort
 from ..core.receivers import Receiver
 from ..core.windows import Window
 from ..observability import tracer as _obs
-from ..resilience import FailureAction, FaultPolicy, FaultSupervisor
+from ..resilience import FailureAction, FaultPolicy
 from .abstract_scheduler import AbstractScheduler
 from .tm_receiver import TMWindowedReceiver
 
@@ -70,10 +70,7 @@ class SCWFDirector(Director):
         train_size: Optional[int] = None,
     ):
         super().__init__()
-        try:
-            policy = FaultPolicy.coerce(error_policy)
-        except ResilienceError as error:
-            raise DirectorError(str(error)) from None
+        self.supervise(error_policy)
         if train_size is not None and (
             not isinstance(train_size, int) or train_size < 1
         ):
@@ -91,11 +88,6 @@ class SCWFDirector(Director):
         self.scheduler = scheduler
         self.clock = clock
         self.cost_model = cost_model
-        #: Optional closed-loop overload controller (see
-        #: ``repro.overload``); installed via :meth:`apply_qos`.  Caps
-        #: source pumping, adjusts idle fast-forward for admission
-        #: tokens, and is checkpointed as its own component.
-        self.overload = None
         #: Optional :class:`repro.frontier.FrontierTracker`; installed
         #: via :meth:`enable_frontier` *before* ``attach`` so receiver
         #: creation can see the closure mode.  ``None`` keeps every hot
@@ -104,20 +96,10 @@ class SCWFDirector(Director):
         #: Lateness policy handed to timed receivers at creation.
         self.frontier_lateness = None
         self.max_firings_per_iteration = max_firings_per_iteration
-        #: The recovery configuration (a
-        #: :class:`~repro.resilience.FaultPolicy`): ``propagate=True``
-        #: re-raises actor exceptions (fail-stop); otherwise a failing
-        #: firing is a fault barrier — the triggering item is consumed,
-        #: partial emissions are discarded, the error counted and the
-        #: item retried or dead-lettered.
-        self.fault_policy = policy
-        #: Per-actor failure state + the dead-letter queue.
-        self.supervisor = FaultSupervisor(policy, self.statistics)
         self.iterations = 0
         self.total_internal_firings = 0
         self.total_source_firings = 0
         self.total_events_admitted = 0
-        self.actor_errors: dict[str, int] = {}
         #: Per-actor firing plans (:meth:`_plan_for`), built on first
         #: dispatch and dropped by ``initialize_all``.
         self._plans: dict[Actor, tuple] = {}
@@ -125,11 +107,6 @@ class SCWFDirector(Director):
         #: half of a hop), resolved on first admission; same lifetime.
         self._record_inputs: dict[Actor, Callable[[int, int], None]] = {}
         self._timed_receivers: list[TMWindowedReceiver] = []
-
-    @property
-    def dead_letters(self):
-        """The supervisor's dead-letter queue (convenience alias)."""
-        return self.supervisor.dead_letters
 
     # ------------------------------------------------------------------
     # Wiring
@@ -147,8 +124,8 @@ class SCWFDirector(Director):
             # event-time frontier passes them — the engine-time
             # formation-timeout watch would race it non-deterministically
             # across placements, so it is not registered.
-            if port.window.timeout is not None and not frontier_closes:
-                self._deadline_watch.append(receiver)
+            if not frontier_closes:
+                self._watch_deadline(port, receiver)
         return receiver
 
     def initialize_all(self) -> None:
@@ -470,9 +447,6 @@ class SCWFDirector(Director):
                 supervisor.drop_quarantined(
                     actor, ready.port_name, ready.item, now
                 )
-                self.actor_errors[actor.name] = (
-                    self.actor_errors.get(actor.name, 0) + 1
-                )
                 if frontier is not None:
                     frontier.retire_item(ready.item)
                 fire_end(actor, 0, now)
@@ -555,9 +529,6 @@ class SCWFDirector(Director):
                             ctx.stage(ready.port_name, ready.item)
                             continue
                         # Dead-lettered by the supervisor.
-                        self.actor_errors[actor.name] = (
-                            self.actor_errors.get(actor.name, 0) + 1
-                        )
                         fired_this = False
                         break
                 if frontier is not None:
@@ -700,28 +671,6 @@ class SCWFDirector(Director):
             )
         return produced
 
-    # ------------------------------------------------------------------
-    # Idle bookkeeping for the runtime
-    # ------------------------------------------------------------------
-    def next_arrival_time(self) -> Optional[int]:
-        """Earliest undelivered external arrival across all sources.
-
-        Under an overload controller, the earliest *admissible* instant
-        per source instead: admission tokens can defer an arrival past
-        its schedule time, and jumping to the raw arrival would leave
-        the source gated and crawl the clock 1 µs at a time.
-        """
-        workflow = self._require_attached()
-        overload = self.overload
-        times = [
-            arrival
-            if overload is None
-            else overload.earliest_admission(source, arrival)
-            for source in workflow.sources
-            if (arrival := source.next_arrival_time()) is not None
-        ]
-        return min(times, default=None)
-
     def backlog(self) -> int:
         return self.scheduler.total_backlog()
 
@@ -744,16 +693,6 @@ class SCWFDirector(Director):
 
         return OverloadController(policy).install(self)
 
-    def run_to_quiescence(self, now: int) -> int:
-        """Composite-boundary entry point: iterate until no progress."""
-        self.clock.jump_to(now)
-        total = 0
-        while True:
-            internal, emitted = self.run_iteration()
-            total += internal
-            if internal == 0 and emitted == 0:
-                return total
-
     # ------------------------------------------------------------------
     # Checkpointable protocol (director-local state only)
     # ------------------------------------------------------------------
@@ -769,13 +708,13 @@ class SCWFDirector(Director):
             "total_internal_firings": self.total_internal_firings,
             "total_source_firings": self.total_source_firings,
             "total_events_admitted": self.total_events_admitted,
-            "actor_errors": dict(self.actor_errors),
         }
 
     def state_restore(self, state: dict) -> None:
-        """Re-apply the director counters."""
+        """Re-apply the director counters.  (Dumps written before
+        ``actor_errors`` became a view of the supervisor's records carry
+        a copy of it; the supervisor's own dump restores the same.)"""
         self.iterations = int(state["iterations"])
         self.total_internal_firings = int(state["total_internal_firings"])
         self.total_source_firings = int(state["total_source_firings"])
         self.total_events_admitted = int(state["total_events_admitted"])
-        self.actor_errors = dict(state["actor_errors"])

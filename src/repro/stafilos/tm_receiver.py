@@ -37,11 +37,7 @@ class TMWindowedReceiver(WindowedReceiver):
         director: "SCWFDirector",
         port=None,
     ):
-        self._passthrough = spec is None
-        effective = spec if spec is not None else WindowSpec.tokens(
-            1, 1, delete_used_events=True
-        )
-        super().__init__(effective, port)
+        super().__init__(spec, port)
         self._director = director
 
     def put(self, event: CWEvent) -> None:

@@ -4,8 +4,9 @@ These subclasses reproduce, verbatim, the historical O(A) selection each
 policy used before the incrementally maintained dispatch index landed:
 scan the actor list, filter ACTIVE via ``state_of`` (lazy re-evaluation
 and all), and pick ``min(candidates, key=self.comparator_key)``.  The
-interval-regulated source rotation of QBS/RR/EDF is inherited unchanged —
-only the *internal* selection is replaced by the scan.
+interval-regulated source rotation of QBS/RR/EDF is kept here as the
+historical copy too, so the oracle shares no selection code with the
+shipped ``AbstractScheduler.get_next_actor``.
 
 They exist solely as the oracle for ``test_dispatch_index.py``: the
 indexed ``get_next_actor()`` must produce the **identical** dispatch
@@ -61,6 +62,22 @@ class _ScanInternalsMixin:
                 return source
         if internals:
             return min(internals, key=self.comparator_key)
+        return None
+
+    def _next_runnable_source(self):
+        """The oracle's own copy of the source rotation (the shipped one
+        lives on ``AbstractScheduler``, beside the selection it serves)."""
+        count = len(self.sources)
+        for offset in range(count):
+            source = self.sources[(self._source_rotation + offset) % count]
+            if (
+                self.state_of(source) is ActorState.ACTIVE
+                and self.source_has_work(source, self._now)
+            ):
+                self._source_rotation = (
+                    self._source_rotation + offset + 1
+                ) % count
+                return source
         return None
 
 

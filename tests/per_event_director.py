@@ -50,9 +50,6 @@ class PerEventSCWFDirector(SCWFDirector):
             supervisor.drop_quarantined(
                 actor, ready.port_name, ready.item, now
             )
-            self.actor_errors[actor.name] = (
-                self.actor_errors.get(actor.name, 0) + 1
-            )
             if self.frontier is not None:
                 self.frontier.retire_item(ready.item)
             scheduler.on_actor_fire_end(actor, 0, now)
@@ -120,9 +117,6 @@ class PerEventSCWFDirector(SCWFDirector):
                     self.clock.advance(decision.backoff_us)
                     continue
                 # Dead-lettered by the supervisor.
-                self.actor_errors[actor.name] = (
-                    self.actor_errors.get(actor.name, 0) + 1
-                )
                 fired = False
                 break
         if self.frontier is not None:

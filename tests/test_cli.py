@@ -122,3 +122,29 @@ class TestExecution:
         out = capsys.readouterr().out
         assert out.startswith('digraph "linear-road"')
         assert "TollNotification" in out
+
+    def test_checkpoint_every_without_a_dir_names_the_missing_flag(self):
+        with pytest.raises(SystemExit, match="--checkpoint-dir"):
+            main(["--duration", "30", "run", "fifo",
+                  "--checkpoint-every", "10"])
+
+    @pytest.mark.parametrize(
+        "argv, said",
+        [
+            (["--watermark-disorder", "3", "run", "fifo"], "--out-of-order"),
+            (["--watermark-disorder", "3", "run", "fifo", "--shards", "2"],
+             "--out-of-order"),
+            (["--out-of-order", "track", "--lateness", "drop", "run", "rr"],
+             "--out-of-order close"),
+            (["run", "pncwf", "--shards", "2"], "--shards"),
+            (["--fuse", "fig8"], "fusion requires the SCWF director"),
+            (["--watermark-disorder", "3", "trace", "/dev/null"],
+             "--out-of-order"),
+        ],
+    )
+    def test_unassemblable_config_is_a_one_line_exit(self, argv, said):
+        """No traceback: the exit message is the validation error."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--duration", "30"] + argv)
+        message = str(exit_info.value)
+        assert said in message and "\n" not in message

@@ -10,8 +10,18 @@ randomly generated workflows, arrival patterns, priorities and policies.
 
 from __future__ import annotations
 
+import pickle
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.checkpoint import (
+    capture_snapshot,
+    deserialize_snapshot,
+    restore_snapshot,
+    serialize_snapshot,
+)
 from repro.core.actors import MapActor, SinkActor, SourceActor
 from repro.core.windows import WindowSpec
 from repro.core.workflow import Workflow
@@ -173,10 +183,15 @@ def _build_workflow(spec):
     return workflow
 
 
-def _run_recorded(policy, spec, indexed):
+#: The policies that keep sources out of the index and serve them
+#: through the interval-regulated rotation (``source_interval``).
+REGULATED = ("EDF", "QBS", "RR")
+
+
+def _run_recorded(policy, spec, indexed, **policy_args):
     """Run the workflow under the policy; record every dispatch decision."""
     indexed_cls, naive_cls = POLICY_PAIRS[policy]
-    scheduler = (indexed_cls if indexed else naive_cls)()
+    scheduler = (indexed_cls if indexed else naive_cls)(**policy_args)
     sequence = []
     original = scheduler.get_next_actor
 
@@ -191,6 +206,19 @@ def _run_recorded(policy, spec, indexed):
     director.attach(_build_workflow(spec))
     SimulationRuntime(director, clock).run(10.0, drain=True)
     return sequence, scheduler
+
+
+def _two_source_spec():
+    """Two busy sources over a shared relay chain: both stay runnable
+    while internal work is queued, so the rotation and the interval —
+    not just "nothing else to do" — decide when a source runs."""
+    return (
+        2,
+        [0, 1, 2, 3],
+        [20, 10, 20, 30],
+        [list(range(0, 4_000, 50)), list(range(25, 4_000, 70))],
+        True,
+    )
 
 
 def _spec_example():
@@ -228,14 +256,38 @@ class TestDispatchOracle:
     @given(
         spec=_spec_strategy,
         policy=st.sampled_from(sorted(POLICY_PAIRS)),
+        source_interval=st.sampled_from([1, 5]),
     )
     @settings(max_examples=60, deadline=None)
     def test_indexed_dispatch_is_bit_identical_to_naive_scan(
-        self, spec, policy
+        self, spec, policy, source_interval
     ):
-        indexed_seq, _ = _run_recorded(policy, spec, indexed=True)
-        naive_seq, _ = _run_recorded(policy, spec, indexed=False)
+        args = (
+            {"source_interval": source_interval}
+            if policy in REGULATED
+            else {}
+        )
+        indexed_seq, _ = _run_recorded(policy, spec, indexed=True, **args)
+        naive_seq, _ = _run_recorded(policy, spec, indexed=False, **args)
         assert indexed_seq == naive_seq
+
+    @pytest.mark.parametrize("policy", REGULATED)
+    def test_source_regulation_matches_the_naive_copy(self, policy):
+        """The one shipped rotation == each policy's historical copy,
+        pick for pick, with two sources competing."""
+        sequences = {}
+        for interval in (1, 5):
+            indexed_seq, _ = _run_recorded(
+                policy, _two_source_spec(), True, source_interval=interval
+            )
+            naive_seq, _ = _run_recorded(
+                policy, _two_source_spec(), False, source_interval=interval
+            )
+            assert indexed_seq == naive_seq, interval
+            assert {"src0", "src1"} <= set(indexed_seq)
+            sequences[interval] = indexed_seq
+        # The interval is really in play: it changes the schedule.
+        assert sequences[1] != sequences[5]
 
     def test_known_workflow_all_policies(self):
         """Cheap smoke form of the oracle, run on every pytest pass."""
@@ -248,3 +300,81 @@ class TestDispatchOracle:
             )
             assert indexed_seq == naive_seq, policy
             assert any(name is not None for name in indexed_seq)
+
+
+# ---------------------------------------------------------------------------
+# Scheduler snapshots from before the regulation state moved to the parent
+# ---------------------------------------------------------------------------
+_PR20_SNAPSHOTS = (
+    Path(__file__).parent / "data" / "pr20_regulated_schedulers.pkl"
+)
+
+
+def _lopsided_spec():
+    """src0 busy, src1 sparse: most iterations serve src0 alone, which
+    leaves the rotation cursor on src1 across the iteration boundary."""
+    return (
+        2,
+        [0, 1, 2, 3],
+        [20, 10, 20, 30],
+        [list(range(0, 600_000, 5_000)), list(range(25, 600_000, 85_000))],
+        True,
+    )
+
+
+def _regulated_run(policy, payload=None, pause_s=0.3):
+    """Two-source run under *policy*, paused once at ``pause_s``.
+
+    With *payload* ``None`` the engine runs to the pause, snapshots, and
+    continues; otherwise it is built fresh and *payload* is restored in
+    place of the first leg.  Returns ``(payload, policy state at the
+    pause, picks after the pause, sink values)``.
+    """
+    scheduler = POLICY_PAIRS[policy][0](source_interval=2)
+    sequence = []
+    original = scheduler.get_next_actor
+
+    def recording():
+        actor = original()
+        sequence.append(actor.name if actor is not None else None)
+        return actor
+
+    scheduler.get_next_actor = recording
+    clock = VirtualClock()
+    director = SCWFDirector(scheduler, clock, CostModel())
+    workflow = _build_workflow(_lopsided_spec())
+    director.attach(workflow)
+    runtime = SimulationRuntime(director, clock)
+    if payload is None:
+        runtime.run(pause_s)
+        payload = serialize_snapshot(capture_snapshot(director))
+    else:
+        director.initialize_all()
+        restore_snapshot(director, deserialize_snapshot(payload))
+    state = scheduler.policy_state_dump()
+    del sequence[:]
+    runtime.run(10.0, drain=True)
+    return payload, state, sequence, workflow.actors["sink"].values
+
+
+@pytest.mark.parametrize("policy", REGULATED)
+def test_pr20_scheduler_snapshot_restores_and_continues(policy):
+    """``tests/data/pr20_regulated_schedulers.pkl`` was written by
+    ``_regulated_run(policy)`` at the commit before the source-regulation
+    attributes moved from QBS/RR/EDF to ``AbstractScheduler``: their
+    ``policy_state_dump`` keys must still restore, and the run must
+    continue pick for pick as it did there."""
+    recorded = pickle.loads(_PR20_SNAPSHOTS.read_bytes())[policy]
+    assert {
+        "_fired_sources", "_internal_since_source", "_source_rotation"
+    } <= set(recorded["state"])
+    assert recorded["state"]["_source_rotation"] == 1  # mid-rotation
+    _, state, picks, values = _regulated_run(policy, recorded["payload"])
+    assert state == recorded["state"]
+    assert picks == recorded["picks"]
+    assert values == recorded["values"]
+    # ...and equally from a snapshot this commit takes itself.
+    payload, state, picks, values = _regulated_run(policy)
+    assert (state, picks, values) == (
+        recorded["state"], recorded["picks"], recorded["values"]
+    )
