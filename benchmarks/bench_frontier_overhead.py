@@ -10,8 +10,9 @@ scheduler twice — once plain, once with ``frontier="track"`` — and
 enforces two gates:
 
 * **overhead**: the wall time tracking adds (tracked minus plain, both
-  measured over the same rounds and compared min-to-min, so transient
-  machine load cannot fail the gate unless it hits every round), divided
+  measured over alternating rounds that each start on a collected heap,
+  compared min-to-min, so transient machine load cannot fail the gate
+  unless it hits every round), divided
   by the run's internal firings, must stay within the baseline file's
   tolerance of the committed ``extra_us_per_firing``.  The gate used to be
   that difference as a share of the plain run (<= 10 %): the tracker's
@@ -28,6 +29,7 @@ bounds the tracked run's absolute wall time via ``check_baseline.py``,
 so per-event tracking cost cannot quietly bloat between sessions.
 """
 
+import gc
 import json
 import time
 from dataclasses import replace
@@ -57,11 +59,18 @@ def test_frontier_tracking_overhead_fig8(benchmark):
     tracked_config = replace(config, frontier="track")
 
     plain_walls = []
-    plain_result = None
-    for _ in range(_ROUNDS):
+    plain_results = []
+
+    def run_plain():
+        # Every round starts on a heap holding no earlier round's garbage:
+        # a dead engine left for the collector slows the next run by ~20 %,
+        # which made whichever side ran first look cheaper.
+        gc.collect()
         started = time.perf_counter()
-        plain_result, _, _ = _execute_seed(config, _SEED)
+        result, _, _ = _execute_seed(config, _SEED)
         plain_walls.append(time.perf_counter() - started)
+        plain_results.append(result)
+        gc.collect()
 
     runs = []
 
@@ -74,8 +83,12 @@ def test_frontier_tracking_overhead_fig8(benchmark):
         )
         return result
 
-    benchmark.pedantic(run, rounds=_ROUNDS, iterations=1)
+    # Plain and tracked rounds alternate (the untimed setup runs a plain
+    # round before each tracked one), so a machine that switches speed
+    # mid-bench slows both sides instead of only the later block.
+    benchmark.pedantic(run, setup=run_plain, rounds=_ROUNDS, iterations=1)
 
+    plain_result = plain_results[0]
     for result, counters, _ in runs:
         # Purity: tracking observes tokens, it never perturbs the run.
         assert result.series.responses_s == plain_result.series.responses_s

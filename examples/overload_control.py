@@ -2,14 +2,13 @@
 
 A pipeline is offered 2x the load it can serve.  Run uncontrolled, the
 ready backlog grows without bound and response times climb all run long.
-Run under a :class:`repro.QoSPolicy` — a latency SLO plus backpressure —
-the elastic controller (``repro.overload.OverloadController``) pauses
-the source when queues cross the watermark and adaptively sheds just
-enough stale work to pull p99 response time back under the objective.
+Run under a :class:`repro.QoSPolicy` with a latency SLO, the elastic
+controller (``repro.overload.OverloadController``) tightens the backlog
+bound every control period and sheds just enough stale work to pull p99
+response time back under the objective.
 
-A bare static bound (``scheduler.shedder = BacklogShedder(...)``) is the
-shedding group alone; ``QoSPolicy.from_legacy(...)`` maps it field for
-field.
+A bare static bound is the policy's shedding group alone:
+``QoSPolicy(max_total_backlog=...)``.
 
 Run:  python examples/overload_control.py
 """
@@ -68,8 +67,8 @@ def main() -> None:
     print(f"uncontrolled: p99 {uncontrolled_p99:.2f}s, "
           f"backlog at end {director.backlog()}")
 
-    # One declarative policy: 500 ms SLO, adaptive shedding, bounded
-    # queues with upstream backpressure, per-source admission smoothing.
+    # One declarative policy: a 500 ms SLO steering the shedding bound
+    # between 16 and 100 000 queued events.
     policy = QoSPolicy(
         latency_slo_s=0.5,
         control_period_s=0.25,

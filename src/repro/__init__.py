@@ -146,7 +146,6 @@ from .simulation import CostModel, SimulationRuntime, VirtualClock, WallClock
 from .stafilos import (
     AbstractScheduler,
     ActorState,
-    AdaptiveScheduler,
     EarliestDeadlineScheduler,
     FIFOScheduler,
     QuantumPriorityScheduler,
@@ -156,7 +155,6 @@ from .stafilos import (
 )
 from .streams import (
     CallbackSink,
-    HTTPStreamSource,
     PoissonSource,
     publish_lines,
     RecordingSink,
@@ -230,7 +228,6 @@ __all__ = [
     # STAFiLOS
     "AbstractScheduler",
     "ActorState",
-    "AdaptiveScheduler",
     "EarliestDeadlineScheduler",
     "EDFScheduler",
     "FIFOScheduler",
@@ -280,7 +277,6 @@ __all__ = [
     "use_tracer",
     # streams
     "CallbackSink",
-    "HTTPStreamSource",
     "PoissonSource",
     "publish_lines",
     "RecordingSink",

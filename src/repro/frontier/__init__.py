@@ -13,9 +13,8 @@ the timestamp-token formulation of Lattuada & McSherry (see PAPERS.md):
   the frontier advances exactly when a wave's derivation tree drains —
   no reliance on mark order.
 * :class:`Watermark` is the punctuation carrying an event-time bound
-  ("no event with timestamp < ``up_to_us`` is still coming");
-  :class:`BoundedDisorderWatermarks` and :class:`ExplicitWatermarks`
-  generate them per source.
+  ("no event with timestamp < ``up_to_us`` is still coming"); a source's
+  own bound is ``SourceActor.progress_watermark``.
 * :class:`LatenessPolicy` decides what happens to events arriving
   behind an already-applied frontier: drop them, side-output them to
   the expired route, or admit them within an allowed-lateness grace.
@@ -26,13 +25,11 @@ observable (``frontier.advance`` / ``event.late`` trace events,
 ``frontier_*`` engine counters).
 """
 
+from ..core.punctuation import Watermark
 from .lateness import LatenessPolicy
 from .tracker import FrontierTracker
-from .watermark import BoundedDisorderWatermarks, ExplicitWatermarks, Watermark
 
 __all__ = [
-    "BoundedDisorderWatermarks",
-    "ExplicitWatermarks",
     "FrontierTracker",
     "LatenessPolicy",
     "Watermark",

@@ -44,6 +44,7 @@ from .configs import (
     QBS_BASIC_QUANTA_US,
     QBS_SOURCE_INTERVAL,
     RR_BASIC_QUANTA_US,
+    SCHEDULER_KINDS,
     SchedulerSpec,
 )
 from .experiment import run_experiment
@@ -200,11 +201,15 @@ def _add_scheduler_flags(parser: argparse.ArgumentParser) -> None:
                         default=QBS_SOURCE_INTERVAL)
 
 
+def _scheduler_choices(kinds) -> list[str]:
+    """A scheduler argument's spellings: each kind lower- and upper-case."""
+    return [kind.lower() for kind in kinds] + list(kinds)
+
+
 def _scheduler_spec(args) -> SchedulerSpec:
-    """The spec ``run``/``trace`` arguments name ("adaptive" is ADAPT)."""
-    kind = args.scheduler.upper()
+    """The spec ``run``/``trace`` arguments name."""
     return SchedulerSpec(
-        "ADAPT" if kind == "ADAPTIVE" else kind,
+        args.scheduler.upper(),
         quantum_us=args.quantum,
         source_interval=args.source_interval,
     )
@@ -290,10 +295,15 @@ def _cmd_resume(args) -> int:
     """Resume a crashed run from its checkpoint directory."""
     from .experiment import config_from_meta, ExperimentResult, resume_run
 
-    result, director, _, manifest = resume_run(
-        args.checkpoint_dir,
-        replay_deadletters=args.replay_deadletters,
-    )
+    try:
+        result, director, _, manifest = resume_run(
+            args.checkpoint_dir,
+            replay_deadletters=args.replay_deadletters,
+        )
+    except SimulationError as exc:
+        # The manifest names an engine ExperimentConfig.validate refuses
+        # (a scheduler kind this build no longer ships, say).
+        raise SystemExit(str(exc)) from None
     print(
         f"resumed from checkpoint {manifest.checkpoint_id} "
         f"(t={manifest.engine_time_us}us, "
@@ -495,11 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dot", help="the Linear Road workflow as Graphviz DOT"
     ).set_defaults(fn=_cmd_dot)
     run = sub.add_parser("run", help="one scheduler configuration")
-    run.add_argument(
-        "scheduler", choices=["qbs", "rr", "rb", "fifo", "adaptive",
-                              "pncwf", "QBS", "RR", "RB", "FIFO",
-                              "ADAPTIVE", "PNCWF"]
-    )
+    run.add_argument("scheduler", choices=_scheduler_choices(SCHEDULER_KINDS))
     _add_scheduler_flags(run)
     run.add_argument(
         "--shards", type=int, default=1, metavar="N",
@@ -567,8 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--scheduler", default="qbs",
-        choices=["qbs", "rr", "rb", "fifo", "adaptive", "QBS", "RR",
-                 "RB", "FIFO", "ADAPTIVE"],
+        choices=_scheduler_choices(
+            [kind for kind in SCHEDULER_KINDS if kind != "PNCWF"]
+        ),
     )
     _add_scheduler_flags(trace)
     trace.add_argument(

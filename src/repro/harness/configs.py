@@ -50,11 +50,16 @@ def default_cost_model(seed: int = 7) -> CostModel:
     )
 
 
+#: The policies an engine can be assembled with: the paper's three
+#: STAFiLOS schedulers, the FIFO reference and the thread-based PNCWF.
+SCHEDULER_KINDS = ("QBS", "RR", "RB", "FIFO", "PNCWF")
+
+
 @dataclass(frozen=True)
 class SchedulerSpec:
     """Which policy to run and with what parameter."""
 
-    kind: str  # "QBS" | "RR" | "RB" | "FIFO" | "ADAPT" | "PNCWF"
+    kind: str  # one of SCHEDULER_KINDS
     quantum_us: Optional[int] = None  # QBS basic quantum / RR slice
     source_interval: int = QBS_SOURCE_INTERVAL
 
@@ -64,8 +69,6 @@ class SchedulerSpec:
             return f"QBS-q{self.quantum_us}"
         if self.kind == "RR":
             return f"RR-q{self.quantum_us}"
-        if self.kind == "ADAPT" and self.quantum_us is not None:
-            return f"ADAPT-q{self.quantum_us}"
         return self.kind
 
 
@@ -140,6 +143,11 @@ class ExperimentConfig:
         builder, the shard coordinator (``sharded=True``) before it
         spawns workers, and the CLI — so all of them refuse alike.
         """
+        if self.scheduler.kind not in SCHEDULER_KINDS:
+            raise SimulationError(
+                f"unknown scheduler kind {self.scheduler.kind!r}; "
+                f"supported kinds: {', '.join(SCHEDULER_KINDS)}"
+            )
         if self.workload.disorder_s > 0 and self.frontier is None:
             raise SimulationError(
                 "out-of-order delivery (disorder_s > 0) needs frontier "

@@ -51,7 +51,6 @@ from ..simulation.runtime import SimulationRuntime
 from ..simulation.threaded import ThreadedCWFDirector
 from ..stafilos.abstract_scheduler import AbstractScheduler
 from ..stafilos.schedulers import (
-    AdaptiveScheduler,
     FIFOScheduler,
     QuantumPriorityScheduler,
     RateBasedScheduler,
@@ -172,10 +171,6 @@ def make_scheduler(spec: SchedulerSpec) -> AbstractScheduler:
         return RateBasedScheduler()
     if spec.kind == "FIFO":
         return FIFOScheduler()
-    if spec.kind == "ADAPT":
-        if spec.quantum_us is not None:
-            return AdaptiveScheduler(initial_quantum_us=spec.quantum_us)
-        return AdaptiveScheduler()
     raise SimulationError(f"unknown scheduler kind {spec.kind!r}")
 
 

@@ -22,8 +22,6 @@ SEGMENT_LENGTH_FT = 5280
 SEGMENTS_PER_XWAY = 100
 #: A car is an accident candidate after this many identical reports.
 STOPPED_REPORT_COUNT = 4
-#: Accident alerts must cover this many segments upstream of the accident.
-ACCIDENT_NOTIFICATION_RANGE = 4
 #: Accident alerts must be produced within 5 seconds of the report.
 ACCIDENT_ALERT_DEADLINE_S = 5
 #: Toll formula thresholds (Linear Road specification).
@@ -140,16 +138,3 @@ class SegmentStat:
 def segment_of(position: int) -> int:
     """Map an absolute position in feet to its segment index."""
     return (position // SEGMENT_LENGTH_FT) % SEGMENTS_PER_XWAY
-
-
-def downstream_segments(direction: int, segment: int) -> list[int]:
-    """Segments whose traffic is approaching *segment* (alert range).
-
-    Direction 0 traffic moves toward increasing positions, so cars in the
-    4 segments *below* the accident approach it; direction 1 is the mirror.
-    """
-    if direction == 0:
-        low = max(segment - ACCIDENT_NOTIFICATION_RANGE, 0)
-        return list(range(low, segment + 1))
-    high = min(segment + ACCIDENT_NOTIFICATION_RANGE, SEGMENTS_PER_XWAY - 1)
-    return list(range(segment, high + 1))

@@ -84,38 +84,6 @@ def shard_key_fn(name: str) -> Callable[[object], Hashable]:
         ) from None
 
 
-def build_linear_road_shard(
-    arrivals,
-    key_name: str,
-    group: Hashable,
-    database: Optional[Database] = None,
-    hierarchical: bool = False,
-    out_of_order: bool = False,
-    disorder_us: int = 0,
-) -> LinearRoadSystem:
-    """The keyed workflow factory: one logical shard's Linear Road.
-
-    Filters the *global* arrival schedule down to the reports whose
-    shard key equals *group* — filtering (never regenerating) preserves
-    each report's arrival timestamp, which encodes its global index, so
-    a shard's slice is byte-identical to the same events' slice of a
-    single-process run.  The workflow structure is the full Linear Road
-    graph (its fingerprint matches every other shard and the
-    single-process build); only the data differs.
-    """
-    key_fn = shard_key_fn(key_name)
-    filtered = [
-        pair for pair in arrivals if key_fn(pair[1]) == group
-    ]
-    return build_linear_road(
-        filtered,
-        database=database,
-        hierarchical=hierarchical,
-        out_of_order=out_of_order,
-        disorder_us=disorder_us,
-    )
-
-
 def build_linear_road(
     arrivals,
     database: Optional[Database] = None,

@@ -396,11 +396,6 @@ class OverloadController:
     # Scheduler-quantum access (QBS basic quantum or RR slice)
     # ------------------------------------------------------------------
     def _read_quantum(self) -> Optional[int]:
-        # A meta-scheduler that declares ``owns_quantum`` (the adaptive
-        # policy) retunes the quantum itself; the AIMD loop must not
-        # fight it, so the controller treats the quantum as absent.
-        if getattr(self._scheduler, "owns_quantum", False):
-            return None
         for attr in ("basic_quantum_us", "slice_us"):
             value = getattr(self._scheduler, attr, None)
             if value is not None:
@@ -408,8 +403,6 @@ class OverloadController:
         return None
 
     def _write_quantum(self, value: int) -> None:
-        if getattr(self._scheduler, "owns_quantum", False):
-            return
         for attr in ("basic_quantum_us", "slice_us"):
             if getattr(self._scheduler, attr, None) is not None:
                 setattr(self._scheduler, attr, value)

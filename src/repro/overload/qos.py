@@ -38,9 +38,8 @@ class QoSPolicy:
     """Declarative overload-control configuration (all knobs, one place).
 
     The four field groups are independent; any subset may be enabled.
-    ``from_legacy`` maps the bare ``BacklogShedder`` constructor onto
-    the shedding group one-to-one, and ``parse`` builds a policy from the
-    CLI's compact ``key=value,...`` spec string.
+    ``parse`` builds a policy from the CLI's compact ``key=value,...``
+    spec string.
     """
 
     # ---- shedding (the BacklogShedder surface) -----------------------
@@ -146,28 +145,6 @@ class QoSPolicy:
         return max(1.0, self.admission_rate)
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_legacy(
-        cls,
-        max_total_backlog: int,
-        strategy: str = "drop-oldest",
-        protect_priority: int = 5,
-        max_source_pending: Optional[int] = None,
-    ) -> "QoSPolicy":
-        """Map the ``BacklogShedder`` constructor, field for field.
-
-        A controller built from this policy sheds identically to
-        ``scheduler.shedder = BacklogShedder(...)`` with the same arguments
-        (the equivalence test in ``tests/test_overload.py`` holds them
-        bit-identical).
-        """
-        return cls(
-            max_total_backlog=max_total_backlog,
-            shed_strategy=strategy,
-            protect_priority=protect_priority,
-            max_source_pending=max_source_pending,
-        )
-
     @classmethod
     def parse(cls, spec: str) -> "QoSPolicy":
         """Build a policy from a compact CLI spec string.

@@ -17,7 +17,6 @@ Policies live in :mod:`repro.stafilos.schedulers`.
 from .abstract_scheduler import AbstractScheduler
 from .ready import ReadyItem, ReadyQueue
 from .schedulers import (
-    AdaptiveScheduler,
     EarliestDeadlineScheduler,
     FIFOScheduler,
     QuantumPriorityScheduler,
@@ -32,7 +31,6 @@ from .tm_receiver import TMWindowedReceiver
 __all__ = [
     "AbstractScheduler",
     "ActorState",
-    "AdaptiveScheduler",
     "EarliestDeadlineScheduler",
     "FIFOScheduler",
     "QuantumPriorityScheduler",

@@ -5,7 +5,6 @@ The paper's three case studies — Quantum Priority Based (QBS), Round Robin
 tests and ablations.
 """
 
-from .adaptive import AdaptiveScheduler
 from .edf import EarliestDeadlineScheduler
 from .fifo import FIFOScheduler
 from .qbs import QuantumPriorityScheduler, quantum_grant
@@ -13,7 +12,6 @@ from .rb import RateBasedScheduler
 from .rr import RoundRobinScheduler
 
 __all__ = [
-    "AdaptiveScheduler",
     "EarliestDeadlineScheduler",
     "FIFOScheduler",
     "QuantumPriorityScheduler",

@@ -335,10 +335,8 @@ class SCWFDirector(Director):
         """Resolve, once per actor, what no dispatch of *actor* can change.
 
         A one-item train (every dispatch under FIFO) then pays for none
-        of it.  Not planned: the scheduler's methods (the adaptive
-        meta-scheduler swaps its hosted policy between iterations) and
-        the actor's bound lifecycle methods (a fault injector shadows
-        ``fire`` on the instance, possibly mid-run).
+        of it.  Not planned: the actor's bound lifecycle methods (a fault
+        injector shadows ``fire`` on the instance, possibly mid-run).
         """
         kind = type(actor)
         # The stateless ``fire_batch`` shortcut may replace the

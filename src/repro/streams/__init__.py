@@ -11,7 +11,6 @@ plus codecs and sink-side adapters.
 
 from .aggregates import IncrementalAggActor, SlidingAggregate
 from .codecs import CodecError, CSVCodec, JSONLinesCodec, position_report_codec
-from .http_source import HTTPStreamSource
 from .sinks import CallbackSink, RecordingSink, ThrottledAlertSink
 from .sources import (
     PoissonSource,
@@ -26,7 +25,6 @@ __all__ = [
     "SlidingAggregate",
     "CodecError",
     "CSVCodec",
-    "HTTPStreamSource",
     "JSONLinesCodec",
     "PoissonSource",
     "position_report_codec",

@@ -7,7 +7,8 @@ from that:
 * placement cannot change structure — the engine built for a single
   process and the one built for a logical shard agree on everything but
   what the builder's ``shard`` argument names;
-* the validation a single-process run gets, a sharded run gets too;
+* the validation a single-process run gets, a sharded run and a resume
+  get too — a checkpoint of a scheduler kind no longer shipped included;
 * ``repro resume`` on a shard directory honours ``replay_deadletters``;
 * the manifest record is derived from the dataclasses and round-trips.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import json
 import re
+import zlib
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro.checkpoint import CheckpointManifest, DirectoryCheckpointStore
 from repro.checkpoint.snapshot import structure_fingerprint
 from repro.core.exceptions import SimulationError
 from repro.harness import (
@@ -36,6 +39,7 @@ from repro.harness import (
     run_sharded,
     SchedulerSpec,
 )
+from repro.harness.cli import main
 from repro.harness.configs import RUN_LOCAL_FIELDS
 from repro.linearroad.generator import AccidentScript, WorkloadConfig
 from repro.overload import QoSPolicy
@@ -224,6 +228,41 @@ def test_sharded_pncwf_is_refused_before_any_worker_spawns():
         build_engine(_config("PNCWF"), 1, shard=_SHARD, arrivals=())
 
 
+def test_checkpoint_of_a_retired_scheduler_kind_is_refused(
+    tmp_path, monkeypatch, capsys
+):
+    """A manifest naming ADAPT (deleted) resumes into a one-line refusal."""
+    meta = checkpoint_meta(_config("QBS", checkpoint_dir=str(tmp_path)), 1)
+    meta["scheduler"]["kind"] = "ADAPT"
+    payload = b"never read"
+    DirectoryCheckpointStore(tmp_path).save(
+        CheckpointManifest(1, 0, len(payload), zlib.crc32(payload), 0.0, meta),
+        payload,
+    )
+
+    def build_linear_road(*args, **kwargs):
+        raise AssertionError("the refusal must come before any building")
+
+    monkeypatch.setattr(
+        "repro.harness.experiment.build_linear_road", build_linear_road
+    )
+    refusal = (
+        "unknown scheduler kind 'ADAPT'; supported kinds: "
+        "QBS, RR, RB, FIFO, PNCWF"
+    )
+    with pytest.raises(SimulationError) as raised:
+        resume_run(str(tmp_path))
+    assert str(raised.value) == refusal
+    with pytest.raises(SystemExit) as exited:
+        main(["resume", str(tmp_path)])
+    assert str(exited.value) == refusal
+
+    with pytest.raises(SystemExit) as rejected:
+        main(["run", "adaptive"])
+    assert rejected.value.code == 2
+    assert "invalid choice: 'adaptive'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Shard resume honours replay_deadletters
 # ---------------------------------------------------------------------------
@@ -266,7 +305,7 @@ def test_shard_resume_replays_dead_letters(tmp_path):
 # ---------------------------------------------------------------------------
 _spec_strategy = st.builds(
     SchedulerSpec,
-    kind=st.sampled_from(["QBS", "RR", "RB", "FIFO", "ADAPT", "PNCWF"]),
+    kind=st.sampled_from(["QBS", "RR", "RB", "FIFO", "PNCWF"]),
     quantum_us=st.none() | st.integers(100, 50_000),
     source_interval=st.integers(1, 10),
 )

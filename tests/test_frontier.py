@@ -3,8 +3,8 @@
 Covers the acceptance criteria of the subsystem:
 
 * unit behaviour of the :class:`FrontierTracker` (token accounting,
-  frontier queries, checkpoint round-trip), the per-source watermark
-  generators and the :class:`LatenessPolicy`;
+  frontier queries, checkpoint round-trip), the :class:`Watermark`
+  punctuation and the :class:`LatenessPolicy`;
 * :class:`~repro.core.receivers.WindowedReceiver` handling of
   :class:`~repro.core.punctuation.Watermark` control items and of late
   events behind an applied frontier;
@@ -32,12 +32,7 @@ from repro.core.punctuation import Punctuation, Watermark
 from repro.core.receivers import WindowedReceiver
 from repro.core.waves import WaveTag
 from repro.core.windows import WindowSpec
-from repro.frontier import (
-    BoundedDisorderWatermarks,
-    ExplicitWatermarks,
-    FrontierTracker,
-    LatenessPolicy,
-)
+from repro.frontier import FrontierTracker, LatenessPolicy
 from repro.harness.cli import build_parser
 from repro.harness.configs import ExperimentConfig, SchedulerSpec
 from repro.harness.experiment import (
@@ -163,53 +158,9 @@ class TestFrontierTracker:
 
 
 # ---------------------------------------------------------------------------
-# Watermark generators
+# Watermark punctuation
 # ---------------------------------------------------------------------------
-class TestWatermarkGenerators:
-    def test_bounded_disorder_trails_newest_delivery(self):
-        marks = BoundedDisorderWatermarks(disorder_us=1_000)
-        assert marks.current() is None
-        assert marks.current_mark() is None
-        marks.observe(5_000)
-        marks.observe(3_000)  # out-of-order delivery: bound holds
-        assert marks.current() == 4_000
-        assert marks.current_mark() == Watermark(4_000)
-        marks.observe(500)
-        assert marks.current() == 4_000
-
-    def test_bounded_disorder_clamps_at_zero(self):
-        marks = BoundedDisorderWatermarks(disorder_us=1_000)
-        marks.observe(200)
-        assert marks.current() == 0
-
-    def test_bounded_disorder_rejects_negative_bound(self):
-        with pytest.raises(ValueError):
-            BoundedDisorderWatermarks(disorder_us=-1)
-
-    def test_bounded_disorder_round_trips(self):
-        marks = BoundedDisorderWatermarks(disorder_us=1_000)
-        marks.observe(5_000)
-        restored = BoundedDisorderWatermarks(disorder_us=1_000)
-        restored.state_restore(marks.state_dump())
-        assert restored.current() == 4_000
-
-    def test_explicit_marks_enforce_monotonicity(self):
-        marks = ExplicitWatermarks()
-        assert marks.current() is None
-        marks.advance_to(100)
-        marks.advance_to(100)  # equal is fine
-        with pytest.raises(ValueError):
-            marks.advance_to(99)
-        assert marks.current() == 100
-        assert marks.current_mark() == Watermark(100)
-
-    def test_explicit_marks_round_trip(self):
-        marks = ExplicitWatermarks()
-        marks.advance_to(250)
-        restored = ExplicitWatermarks()
-        restored.state_restore(marks.state_dump())
-        assert restored.current() == 250
-
+class TestWatermark:
     def test_watermark_rejects_negative_timestamp(self):
         with pytest.raises(ValueError):
             Watermark(-1)

@@ -1,4 +1,4 @@
-"""Operator-chain fusion + the adaptive meta-scheduler (``repro.fusion``).
+"""Operator-chain fusion (``repro.fusion``).
 
 The tentpole invariants:
 
@@ -11,11 +11,7 @@ The tentpole invariants:
   the source's cost batching) may differ;
 * **fused execution is train-size independent** — the fused engine is
   *fully* bit-identical (clock included) across train sizes;
-* fused engines checkpoint and restore like any other;
-* the ADAPT meta-policy switches its hosted policy deterministically,
-  migrates ready work losslessly, round-trips through the checkpoint
-  protocol, and owns the quantum (the overload controller's AIMD loop
-  backs off).
+* fused engines checkpoint and restore like any other.
 """
 
 import pytest
@@ -33,12 +29,10 @@ from repro.core.exceptions import SimulationError
 from repro.core.windows import WindowSpec
 from repro.core.workflow import Workflow
 from repro.fusion import detect_chains, FusedChain, fuse_workflow
-from repro.overload import OverloadController, QoSPolicy
 from repro.simulation.clock import VirtualClock
 from repro.simulation.cost_model import CostModel
 from repro.simulation.runtime import SimulationRuntime
 from repro.stafilos.schedulers import (
-    AdaptiveScheduler,
     FIFOScheduler,
     QuantumPriorityScheduler,
     RateBasedScheduler,
@@ -54,7 +48,6 @@ SCHEDULERS = (
     lambda: RoundRobinScheduler(10_000),
     lambda: RateBasedScheduler(),
     lambda: FIFOScheduler(),
-    lambda: AdaptiveScheduler(control_period_us=200_000),
 )
 
 #: Stats keys that must match fused vs unfused for *every* actor.  The
@@ -362,179 +355,6 @@ class TestFusedCheckpoint:
 
 
 # ----------------------------------------------------------------------
-# The ADAPT meta-policy
-# ----------------------------------------------------------------------
-def _adaptive_engine(arrivals, control_period_us=100_000, train_size=64):
-    workflow, sink = _build_relay(arrivals, fuse=False)
-    clock = VirtualClock()
-    scheduler = AdaptiveScheduler(control_period_us=control_period_us)
-    director = SCWFDirector(
-        scheduler, clock, CostModel(), train_size=train_size
-    )
-    director.attach(workflow)
-    return director, scheduler, clock, sink
-
-
-class TestAdaptiveScheduler:
-    def test_unknown_initial_kind_rejected(self):
-        with pytest.raises(ValueError):
-            AdaptiveScheduler(initial_kind="EDF")
-
-    def test_switches_and_loses_nothing(self):
-        arrivals = [(i * 200, i) for i in range(3_000)]
-        director, scheduler, clock, sink = _adaptive_engine(arrivals)
-        SimulationRuntime(director, clock).run(10.0, drain=True)
-        assert scheduler.switches >= 1
-        # Every event the chain lets through reaches the sink: nothing
-        # is dropped across a policy switch (mixed_fn drops %7==6 of
-        # m1's output and duplicates %3==0).
-        expected = 0
-        for value in range(3_000):
-            v = value + 1
-            if v % 7 == 6:
-                continue
-            expected += 2 if v % 3 == 0 else 1
-        assert len(sink.items) == expected
-
-    def test_deterministic_across_runs(self):
-        arrivals = [(i * 300, i) for i in range(2_000)]
-        results = []
-        for _ in range(2):
-            director, scheduler, clock, sink = _adaptive_engine(arrivals)
-            SimulationRuntime(director, clock).run(10.0, drain=True)
-            results.append(
-                (
-                    [(e.timestamp, repr(e.value)) for _, e in sink.items],
-                    scheduler.switches,
-                    scheduler.hosted_kind,
-                    clock.now_us,
-                )
-            )
-        assert results[0] == results[1]
-
-    def test_decision_bands(self):
-        scheduler = AdaptiveScheduler()
-        assert scheduler._decide(1_000) == ("QBS", 500)
-        assert scheduler._decide(100) == ("QBS", 1_000)
-        assert scheduler._decide(0) == ("RR", scheduler.RR_SLICE_US)
-
-    def test_quantum_retune_in_place(self):
-        """Same hosted kind, different band: no switch, just a retune."""
-        from repro.core.events import CWEvent
-        from repro.core.waves import WaveTag
-
-        director, scheduler, clock, _ = _adaptive_engine(
-            [(0, 0)], control_period_us=1_000
-        )
-        director.initialize_all()
-        hosted = scheduler.hosted
-        assert scheduler.quantum_us == scheduler.DEFAULT_QUANTUM_US
-        m1 = director.workflow.actors["m1"]
-        for serial in range(300):
-            scheduler.enqueue(
-                m1,
-                "in",
-                CWEvent(serial, 0, WaveTag.root(serial)),
-            )
-        # Two control-period boundaries after the dwell: the huge
-        # backlog lands in the tightest QBS band — same kind, so the
-        # hosted policy is retuned in place, not replaced.
-        scheduler.on_iteration_end(10_000)
-        scheduler.on_iteration_end(30_000)
-        scheduler.on_iteration_end(60_000)
-        assert scheduler.hosted_kind == "QBS"
-        assert scheduler.hosted is hosted
-        assert scheduler.switches == 0
-        assert scheduler.quantum_us == 500
-        assert hosted.basic_quantum_us == 500
-
-    def test_state_roundtrip_rebuilds_hosted_kind(self):
-        arrivals = [(i * 200, i) for i in range(2_000)]
-        director, scheduler, clock, _ = _adaptive_engine(arrivals)
-        SimulationRuntime(director, clock).run(10.0, drain=True)
-        assert scheduler.switches >= 1
-        dump = scheduler.state_dump()
-        assert dump["adaptive"]["kind"] == scheduler.hosted_kind
-
-        fresh_director, fresh_scheduler, _, _ = _adaptive_engine(arrivals)
-        fresh_director.initialize_all()
-        fresh_scheduler.state_restore(dump)
-        assert fresh_scheduler.hosted_kind == scheduler.hosted_kind
-        assert fresh_scheduler.switches == scheduler.switches
-        assert fresh_scheduler.quantum_us == scheduler.quantum_us
-        assert type(fresh_scheduler.hosted) is type(scheduler.hosted)
-        assert (
-            fresh_scheduler.total_backlog() == scheduler.total_backlog()
-        )
-
-    def test_full_engine_checkpoint_roundtrip(self):
-        arrivals = [(i * 500, i) for i in range(2_000)]
-
-        def engine():
-            return _adaptive_engine(arrivals, control_period_us=200_000)
-
-        director, _, clock, sink = engine()
-        runtime = SimulationRuntime(director, clock)
-        runtime.run(0.4)
-        payload = serialize_snapshot(capture_snapshot(director))
-        runtime.run(3.0, drain=True)
-        reference = [
-            (event.timestamp, repr(event.value)) for _, event in sink.items
-        ]
-
-        fresh_director, _, fresh_clock, fresh_sink = engine()
-        fresh_director.initialize_all()
-        restore_snapshot(fresh_director, deserialize_snapshot(payload))
-        SimulationRuntime(fresh_director, fresh_clock).run(3.0, drain=True)
-        assert [
-            (event.timestamp, repr(event.value))
-            for _, event in fresh_sink.items
-        ] == reference
-
-    def test_fingerprint_policy_is_adapt(self):
-        director, _, _, _ = _adaptive_engine([(0, 1)])
-        assert structure_fingerprint(director)["policy"] == "ADAPT"
-
-    def test_describe_names_hosted_policy(self):
-        scheduler = AdaptiveScheduler()
-        assert scheduler.describe().startswith("ADAPT[")
-
-
-class TestQuantumOwnershipHandshake:
-    """The overload controller must not fight the meta-policy."""
-
-    def _install(self, scheduler):
-        workflow, sink = _build_relay([(0, 1)], fuse=False)
-        clock = VirtualClock()
-        director = SCWFDirector(scheduler, clock, CostModel())
-        director.attach(workflow)
-        policy = QoSPolicy.parse("slo=5,adapt-quantum=1")
-        return OverloadController(policy).install(director)
-
-    def test_controller_leaves_adaptive_quantum_alone(self):
-        scheduler = AdaptiveScheduler()
-        controller = self._install(scheduler)
-        assert controller._read_quantum() is None
-        before = scheduler.hosted.basic_quantum_us
-        controller._write_quantum(7)
-        assert scheduler.hosted.basic_quantum_us == before
-        assert controller.state_dump()["quantum_us"] is None
-
-    def test_controller_still_tunes_plain_qbs(self):
-        scheduler = QuantumPriorityScheduler(500)
-        controller = self._install(scheduler)
-        assert controller._read_quantum() == 500
-        controller._write_quantum(250)
-        assert scheduler.basic_quantum_us == 250
-
-    def test_shedder_assignment_reaches_hosted_policy(self):
-        scheduler = AdaptiveScheduler()
-        controller = self._install(scheduler)
-        assert scheduler.hosted.shedder is controller
-        assert scheduler.hosted.admission_gate is controller
-
-
-# ----------------------------------------------------------------------
 # Harness integration
 # ----------------------------------------------------------------------
 class TestHarnessFusion:
@@ -555,15 +375,15 @@ class TestHarnessFusion:
         from repro.harness.experiment import checkpoint_meta, config_from_meta
 
         config = ExperimentConfig(
-            SchedulerSpec("ADAPT"), fuse=True
+            SchedulerSpec("RB"), fuse=True
         )
         meta = checkpoint_meta(config, seed=3)
         assert meta["fuse"] is True
-        assert meta["scheduler"]["kind"] == "ADAPT"
+        assert meta["scheduler"]["kind"] == "RB"
         rebuilt, seed = config_from_meta(meta)
         assert seed == 3
         assert rebuilt.fuse is True
-        assert rebuilt.scheduler.kind == "ADAPT"
+        assert rebuilt.scheduler.kind == "RB"
         # Pre-fusion manifests restore unfused.
         del meta["fuse"]
         legacy, _ = config_from_meta(meta)

@@ -115,13 +115,13 @@ class TestTokenBucket:
 
 class TestLegacyEquivalence:
     def test_qos_sheds_identically_to_bare_shedder(self):
-        """from_legacy(...) drops the same events a bare shedder drops."""
+        """A shedding-only policy drops what a bare shedder drops."""
         outcomes = []
         for engine in (
             build_overloaded_engine(
                 legacy_shedder=BacklogShedder(max_total_backlog=20)
             ),
-            build_overloaded_engine(qos=QoSPolicy.from_legacy(20)),
+            build_overloaded_engine(qos=QoSPolicy(max_total_backlog=20)),
         ):
             director, scheduler, clock, sink, _ = engine
             SimulationRuntime(director, clock).run(2.0)
@@ -219,6 +219,14 @@ class TestAdaptiveControlLoop:
         assert first[3].state_dump() == second[3].state_dump()
         assert delivered(first[2]) == delivered(second[2])
         assert first[2].response_times_us == second[2].response_times_us
+
+    def test_controller_tunes_the_qbs_quantum(self):
+        _, scheduler, _, _, controller = build_overloaded_engine(
+            qos=QoSPolicy.parse("slo=5,adapt-quantum=1")
+        )
+        assert controller._read_quantum() == 500
+        controller._write_quantum(250)
+        assert scheduler.basic_quantum_us == 250
 
     def test_counters_reach_the_statistics_snapshot(self):
         director, scheduler, _, controller = self.run_controlled()

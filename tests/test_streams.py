@@ -4,6 +4,12 @@ import time
 
 import pytest
 
+from repro.checkpoint import (
+    capture_snapshot,
+    deserialize_snapshot,
+    restore_snapshot,
+    serialize_snapshot,
+)
 from repro.core import MapActor, SinkActor, WindowSpec, Workflow
 from repro.simulation import CostModel, SimulationRuntime, VirtualClock
 from repro.stafilos import RoundRobinScheduler, SCWFDirector
@@ -152,6 +158,56 @@ class TestTCPStreamSource:
             source.close()
         finally:
             peer.close()
+
+    def test_unpumped_arrivals_survive_a_snapshot(self):
+        """Arrivals a listening source holds but has not pumped yet are
+        checkpointed: a fresh source restored from the snapshot pumps the
+        same ``(timestamp, value)`` sequence the original does."""
+
+        def engine():
+            clock = VirtualClock()
+            source = TCPStreamSource("tcp", codec=JSONLinesCodec(), clock=clock)
+            sink = SinkActor("sink")
+            workflow = Workflow("tcp-ckpt")
+            workflow.add_all([source, sink])
+            workflow.connect(source, sink)
+            director = SCWFDirector(
+                RoundRobinScheduler(10_000), clock, CostModel()
+            )
+            director.attach(workflow)
+            director.initialize_all()
+            return director, clock, source, sink
+
+        def pumped(director, clock, sink):
+            SimulationRuntime(director, clock).run(1.0, drain=True)
+            return [(event.timestamp, event.value) for _, event in sink.items]
+
+        director, clock, source, sink = engine()
+        host, port = source.listen()
+        try:
+            for batch in range(2):
+                publish_lines(
+                    host, port, [{"v": batch * 10 + i} for i in range(5)]
+                )
+                deadline = time.monotonic() + 5.0
+                while (
+                    source.received < 5 * (batch + 1)
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+                clock.advance(1_000)
+            assert source.received == 10
+            payload = serialize_snapshot(capture_snapshot(director))
+        finally:
+            source.stop()
+
+        expected = pumped(director, clock, sink)
+        assert len(expected) == 10
+        assert {timestamp for timestamp, _ in expected} == {0, 1_000}
+
+        fresh_director, fresh_clock, _, fresh_sink = engine()
+        restore_snapshot(fresh_director, deserialize_snapshot(payload))
+        assert pumped(fresh_director, fresh_clock, fresh_sink) == expected
 
     def test_listen_again_after_stop(self):
         source = TCPStreamSource("tcp-again", codec=JSONLinesCodec())

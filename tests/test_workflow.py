@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.actors import Actor, SinkActor, SourceActor
+from repro.core.actors import Actor, MapActor, SinkActor, SourceActor
 from repro.core.exceptions import WorkflowError
+from repro.core.windows import WindowSpec
 from repro.core.workflow import Workflow
 
 
@@ -81,6 +82,28 @@ class TestIntrospection:
         wf, *_ = small_workflow()
         graph = wf.graph()
         assert set(graph.edges) == {("src", "mid"), ("mid", "sink")}
+
+    def test_dot_export(self):
+        workflow = Workflow("dotted")
+        source = SourceActor("src", arrivals=[])
+        source.add_output("out")
+        windowed = MapActor(
+            "win", lambda v: v, window=WindowSpec.tokens(4, 1)
+        )
+        windowed.priority = 5
+        sink = SinkActor("sink")
+        stale = SinkActor("stale")
+        workflow.add_all([source, windowed, sink, stale])
+        workflow.connect(source, windowed)
+        workflow.connect(windowed, sink)
+        workflow.connect_expired(windowed, stale)
+        dot = workflow.to_dot()
+        assert dot.startswith('digraph "dotted"')
+        assert '"src" [shape=invhouse' in dot
+        assert '"sink" [shape=house' in dot
+        assert "{4,1,tokens}" in dot
+        assert 'style=dashed, label="expired"' in dot
+        assert "p=5" in dot
 
     def test_downstream_and_upstream(self):
         wf, src, mid, sink = small_workflow()
