@@ -42,8 +42,9 @@ Top-level layout:
   group-by key across worker processes, routed over pipes, merged
   deterministically, with live shard migration via checkpoints;
 * :mod:`repro.streams` — push sources, sinks and wire codecs;
-* :mod:`repro.sqldb` — the in-memory relational engine the Linear Road
-  workflow stores segment statistics and accidents in;
+* :mod:`repro.sqldb` — the relational database (the standard library's
+  SQLite, in memory, behind a small adapter) the Linear Road workflow
+  stores segment statistics and accidents in;
 * :mod:`repro.linearroad` — the Linear Road benchmark: generator, workflow
   and validator;
 * :mod:`repro.harness` — experiment configurations and figure/table

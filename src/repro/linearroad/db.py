@@ -1,7 +1,14 @@
 """Database schema and statements of the Linear Road workflow.
 
-The toll SELECT below is the paper's query verbatim (Appendix A.3), with
-the hard-coded scenario time ``330`` generalized to a ``$now`` parameter.
+The toll SELECT below is the paper's query (Appendix A.3), with the
+hard-coded scenario time ``330`` generalized to a ``$now`` parameter and
+one correction: the accident subquery matches ``segmentStatistics.xway``.
+The published ``ais.xway = xway`` binds the bare ``xway`` to ``ais`` itself
+(the innermost scope), so an accident on any expressway zeroed the toll of
+the same segment range on every other one.
+
+The tables are ``STRICT``: a value that does not convert losslessly to its
+column's type is refused with a :class:`~repro.sqldb.ConstraintError`.
 """
 
 from __future__ import annotations
@@ -13,10 +20,10 @@ CREATE TABLE IF NOT EXISTS segmentStatistics (
     xway INTEGER NOT NULL,
     seg INTEGER NOT NULL,
     dir INTEGER NOT NULL,
-    LAV FLOAT,
+    LAV REAL,
     numOfCars INTEGER,
     PRIMARY KEY (xway, seg, dir)
-)
+) STRICT
 """
 
 ACCIDENT_TABLE = """
@@ -26,18 +33,19 @@ CREATE TABLE IF NOT EXISTS accidentInSegment (
     segment INTEGER NOT NULL,
     position INTEGER NOT NULL,
     timestamp INTEGER NOT NULL
-)
+) STRICT
 """
 
 ACCIDENT_INDEX = (
     "CREATE INDEX accident_by_road ON accidentInSegment (xway, direction)"
 )
 
-#: Appendix A.3 of the paper, parameterized on the scenario clock.
+#: Appendix A.3 of the paper, parameterized on the scenario clock, with the
+#: accident subquery correlated on the outer row's expressway.
 TOLL_QUERY = """
 SELECT CASE WHEN LAV < 40 AND numOfCars > 50 AND (
     SELECT COUNT(*) FROM accidentInSegment AS ais
-    WHERE ais.xway = xway AND ais.direction = dir
+    WHERE ais.xway = segmentStatistics.xway AND ais.direction = dir
       AND ((dir = 1 AND seg <= ais.segment + 4 AND seg >= ais.segment)
         OR (dir = 0 AND seg >= ais.segment - 4 AND seg <= ais.segment))
       AND ais.timestamp >= $now - 60
@@ -72,11 +80,6 @@ READ_SEGMENT_ROW = """
 SELECT LAV, numOfCars FROM segmentStatistics
 WHERE xway = $xway AND seg = $seg AND dir = $dir
 """
-
-PURGE_OLD_ACCIDENTS = """
-DELETE FROM accidentInSegment WHERE timestamp < $cutoff
-"""
-
 
 def create_linear_road_database(name: str = "linear-road") -> Database:
     """A fresh database with the Linear Road schema installed."""

@@ -17,6 +17,9 @@ carry the per-shard backlog + frontier telemetry of their chunk;
 completed rounds are folded into the logs in watermark order, so the
 telemetry stream reads exactly like the lockstep one
 (``max_inflight=1``, which remains bit-identical by construction).
+An ack has a deadline (:data:`ACK_DEADLINE_FLOOR_S`, scaled up by the
+slowest ack seen): a wedged worker aborts the run with a diagnostic
+instead of hanging it.
 Chunked delivery itself is placement- and pacing-independent — the
 simulation runtime admits arrivals at their stamped times — so *any*
 in-flight depth and chunk grid produces the same merged output.
@@ -50,7 +53,7 @@ from __future__ import annotations
 import multiprocessing
 from collections import deque
 from dataclasses import dataclass, field, replace
-from time import perf_counter_ns
+from time import perf_counter, perf_counter_ns
 from typing import Any, Deque, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..core.exceptions import SimulationError
@@ -73,6 +76,15 @@ from .worker import ShardWorkerSpec, worker_main
 #: before the coordinator waits for an ack.  ``1`` is the lockstep
 #: barrier (what frontier-close runs clamp to, and the tests' oracle).
 DEFAULT_INFLIGHT = 4
+
+#: Ack deadline: a worker that sends no ack for
+#: ``max(ACK_DEADLINE_FLOOR_S, ACK_DEADLINE_FACTOR * slowest ack wait so
+#: far)`` seconds is wedged — the run is aborted instead of hanging.  A
+#: worker's first ack pays its engine's warm-up and may have no measured
+#: wait to scale from: it may take ``ACK_DEADLINE_FIRST_S``.
+ACK_DEADLINE_FLOOR_S = 5.0
+ACK_DEADLINE_FACTOR = 20
+ACK_DEADLINE_FIRST_S = 100.0
 
 
 @dataclass
@@ -182,6 +194,9 @@ class ShardCoordinator:
         self.migrations_done: List[Tuple[int, Hashable, int, int]] = []
         #: Per-worker credit windows: watermarks sent but not yet acked.
         self._outstanding: List[Deque[int]] = []
+        #: Per worker: its longest wait for an ack so far, in seconds
+        #: (None until its first ack).
+        self._ack_waits: List[Optional[float]] = []
         #: Chunk rounds awaiting acks: watermark -> [remaining worker
         #: count, merged backlogs, merged frontier bounds].
         self._rounds: Dict[int, list] = {}
@@ -251,6 +266,7 @@ class ShardCoordinator:
             self._conns.append(parent)
             self._procs.append(process)
         self._outstanding = [deque() for _ in range(plan.workers)]
+        self._ack_waits = [None] * plan.workers
         self._rounds = {}
         self._round_order = deque()
         for worker_id in range(plan.workers):
@@ -267,8 +283,27 @@ class ShardCoordinator:
 
         Acks arrive over a FIFO pipe, so they match the head of the
         worker's credit window; the echoed watermark is checked anyway
-        — a mismatch means the transport invariant broke.
+        — a mismatch means the transport invariant broke.  A worker silent
+        past the ack deadline (stopped, deadlocked...) is killed, so the
+        shutdown path can reap it, and reported with the watermark of its
+        oldest un-acked chunk.
         """
+        own = self._ack_waits[worker]
+        deadline_s = ACK_DEADLINE_FIRST_S if own is None else max(
+            ACK_DEADLINE_FLOOR_S,
+            ACK_DEADLINE_FACTOR * max(w or 0.0 for w in self._ack_waits),
+        )
+        started = perf_counter()
+        if not self._conns[worker].poll(deadline_s):
+            process = self._procs[worker]
+            process.kill()
+            raise SimulationError(
+                f"shard worker {worker} (pid {process.pid}) sent no ack "
+                f"within the {deadline_s:.1f} s deadline; its oldest "
+                f"un-acked chunk has watermark "
+                f"{self._outstanding[worker][0]} us (worker killed)"
+            )
+        self._ack_waits[worker] = max(own or 0.0, perf_counter() - started)
         message = self._recv(worker, "ack")
         _, _, watermark_us, backlogs, frontiers, decode_us = message
         expected = self._outstanding[worker].popleft()

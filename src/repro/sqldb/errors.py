@@ -1,4 +1,8 @@
-"""Errors raised by the in-memory relational engine."""
+"""Errors raised by :class:`~repro.sqldb.Database`, one per failure class.
+
+:func:`repro.sqldb.database._translate` maps every ``sqlite3`` error onto
+them, so callers never import ``sqlite3``.
+"""
 
 from __future__ import annotations
 
@@ -6,26 +10,20 @@ from ..core.exceptions import ConfluenceError
 
 
 class SQLError(ConfluenceError):
-    """Base class for every relational-engine error."""
+    """Base class for every database error."""
 
 
 class SQLSyntaxError(SQLError):
     """The statement text could not be tokenized or parsed."""
 
-    def __init__(self, message: str, position: int = -1):
-        super().__init__(
-            f"{message} (at offset {position})" if position >= 0 else message
-        )
-        self.position = position
-
 
 class SchemaError(SQLError):
-    """Unknown table/column, duplicate definition, or type mismatch."""
+    """Unknown table/column, or a duplicate definition."""
 
 
 class ConstraintError(SQLError):
-    """A primary-key or not-null constraint was violated."""
+    """A primary-key, NOT NULL or column-type constraint was violated."""
 
 
 class QueryError(SQLError):
-    """A semantically invalid query (e.g. bare column with aggregates)."""
+    """Any other rejected statement (bad parameter, unknown function...)."""

@@ -264,6 +264,17 @@ class TestTollPath:
         )
         assert out[0].toll == 0
 
+    def test_accident_on_another_expressway_keeps_the_toll(self):
+        db = self.toll_db(lav=30.0, cars=60)
+        db.execute(
+            "INSERT INTO accidentInSegment VALUES (3, 0, 11, 999, 90)"
+        )
+        actor = lr.TollCalculator(db)
+        out = fire_with_event(
+            actor, SegmentCrossing(report(time=100, seg=11), 10)
+        )
+        assert out[0].toll == 2 * (60 - 50) ** 2
+
     def test_unknown_segment_tolls_zero(self):
         db = create_linear_road_database()
         actor = lr.TollCalculator(db)

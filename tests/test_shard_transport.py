@@ -12,7 +12,11 @@ summary line, and manifests written while the plane still had knobs.
 """
 
 import gc
+import os
 import pickle
+import re
+import signal
+import time
 from dataclasses import astuple, dataclass, replace
 
 import pytest
@@ -55,6 +59,7 @@ from repro.shard import (
     ShardMigration,
     ShardPlan,
 )
+from repro.shard import coordinator as coordinator_module
 from repro.shard.routing import _canonical_payload
 from repro.shard.worker import build_shard_engine
 
@@ -596,6 +601,68 @@ class TestDeadWorker:
                     process.terminate()
             for conn in coordinator._conns:
                 conn.close()
+
+
+    @staticmethod
+    def run_with_worker_1_stopped(when, config):
+        """Run 2 workers, SIGSTOP worker 1 at *when* ("ready": once it
+        is up; "ack": after its first ack); (error message, pid, s)."""
+        stopped = []
+
+        def stop(coordinator):
+            if not stopped:
+                stopped.append(coordinator._procs[1].pid)
+                os.kill(stopped[0], signal.SIGSTOP)
+
+        class Stopping(ShardCoordinator):
+            def _spawn(self, plan):
+                super()._spawn(plan)
+                if when == "ready":
+                    stop(self)
+
+            def _drain_one_ack(self, worker):
+                super()._drain_one_ack(worker)
+                if when == "ack" and worker == 1:
+                    stop(self)
+
+        started = time.monotonic()
+        try:
+            with pytest.raises(SimulationError) as excinfo:
+                Stopping(config, seed=1, shards=2).run()
+        finally:
+            for pid in stopped:
+                for signum in (signal.SIGCONT, signal.SIGKILL):
+                    try:
+                        os.kill(pid, signum)
+                    except ProcessLookupError:
+                        pass
+        assert stopped
+        return str(excinfo.value), stopped[0], time.monotonic() - started
+
+    def test_a_wedged_worker_misses_its_ack_deadline(self):
+        """SIGSTOP one of two workers after its first ack: the run raises
+        within the deadline, naming the worker, its pid and the chunk."""
+        config = small_config()
+        config = replace(
+            config, workload=replace(config.workload, duration_s=120)
+        )
+        message, pid, elapsed = self.run_with_worker_1_stopped("ack", config)
+        assert f"shard worker 1 (pid {pid}) sent no ack" in message
+        assert re.search(r"within the [\d.]+ s deadline", message)
+        assert re.search(r"chunk has watermark \d+0000000 us", message)
+        assert elapsed <= 15
+
+    def test_the_first_ack_has_its_own_deadline(self, monkeypatch):
+        """Before any ack there is no wait to scale from: a worker wedged
+        on its first chunk is held to ACK_DEADLINE_FIRST_S."""
+        monkeypatch.setattr(coordinator_module, "ACK_DEADLINE_FIRST_S", 0.5)
+        message, pid, elapsed = self.run_with_worker_1_stopped(
+            "ready", small_config()
+        )
+        assert f"shard worker 1 (pid {pid})" in message
+        assert "within the 0.5 s deadline" in message
+        assert "chunk has watermark 10000000 us" in message
+        assert elapsed <= 15
 
 
 # ---------------------------------------------------------------------------

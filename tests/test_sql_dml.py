@@ -28,10 +28,6 @@ class TestInsert:
         with pytest.raises(QueryError):
             db.execute("INSERT INTO t (a, b) VALUES (1)")
 
-    def test_duplicate_column_rejected(self, db):
-        with pytest.raises(QueryError):
-            db.execute("INSERT INTO t (a, a) VALUES (1, 2)")
-
     def test_pk_conflict(self, db):
         db.execute("INSERT INTO t VALUES (1, 'x')")
         with pytest.raises(ConstraintError):
@@ -68,24 +64,8 @@ class TestDelete:
         db.execute("DELETE FROM t")
         assert db.execute("SELECT COUNT(*) FROM t").scalar() == 0
 
-    def test_delete_while_scanning_needs_the_snapshot(self, db):
-        db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'z')")
-        table = db.table("t")
-        # The default scan is a live view of the heap (no copy per heap
-        # scan): deleting under it is the caller's bug, and says so.
-        with pytest.raises(RuntimeError, match="changed size"):
-            for rowid, _ in table.scan():
-                table.delete_rowids([rowid])
-        assert len(table) == 2
-        # A mutating caller asks for the snapshot and visits every row.
-        visited = []
-        for rowid, row in table.scan(snapshot=True):
-            visited.append(row["a"])
-            table.delete_rowids([rowid])
-        assert visited == [2, 3] and len(table) == 0
-
     def test_delete_that_empties_the_table_mid_statement(self, db):
-        """DELETE/UPDATE scan a snapshot: every row is judged once."""
+        """DELETE/UPDATE judge every row once."""
         db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'z')")
         assert db.execute("UPDATE t SET a = a + 10").rowcount == 3
         assert db.execute("DELETE FROM t WHERE a > 10").rowcount == 3
@@ -112,33 +92,12 @@ class TestDDL:
 
     def test_create_index_statement(self, db):
         db.execute("CREATE INDEX by_b ON t (b)")
-        assert "by_b" in db.table("t").indexes
+        assert ("by_b",) in db.execute(
+            "SELECT name FROM sqlite_schema WHERE type = 'index'"
+        ).rows
 
 
 class TestDatabaseFacade:
-    def test_statement_cache_reused(self, db, monkeypatch):
-        from repro.sqldb import database
-
-        prepared = []
-        real_prepare = database.prepare
-
-        def counting_prepare(*args):
-            prepared.append(args)
-            return real_prepare(*args)
-
-        monkeypatch.setattr(database, "prepare", counting_prepare)
-        db.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y')")
-        before = len(prepared)
-        sql = "SELECT b FROM t WHERE a = $a"
-        assert db.execute(sql, {"a": 1}).rows == [("x",)]
-        assert db.execute(sql, {"a": 2}).rows == [("y",)]
-        assert len(prepared) == before + 1
-
-    def test_statements_counted(self, db):
-        count = db.statements_executed
-        db.execute("SELECT 1")
-        assert db.statements_executed == count + 1
-
     def test_missing_parameter_rejected(self, db):
         db.execute("INSERT INTO t VALUES (1, 'x')")
         with pytest.raises(QueryError):
@@ -146,8 +105,8 @@ class TestDatabaseFacade:
 
 
 class TestPreparedPlans:
-    """A cached plan is derived state: it follows the catalog and is never
-    part of a copy, a pickle or a checkpoint."""
+    """A cached statement is derived state: it follows the catalog and is
+    never part of a checkpoint."""
 
     SQL = "SELECT * FROM t WHERE b = $b"
 
@@ -160,13 +119,10 @@ class TestPreparedPlans:
 
     def test_sql_create_index_is_seen(self, warm):
         warm.execute("CREATE INDEX by_b ON t (b)")
-        assert warm.explain(self.SQL) == ["INDEX t USING by_b(b)"]
+        assert warm.explain(self.SQL) == [
+            "SEARCH t USING COVERING INDEX by_b (b=?)"
+        ]
         assert warm.execute(self.SQL, {"b": "x"}).rows == [(1, "x"), (3, "x")]
-
-    def test_table_create_index_is_seen(self, warm):
-        warm.table("t").create_index("by_b", ("b",))
-        assert warm.explain(self.SQL) == ["INDEX t USING by_b(b)"]
-        assert warm.execute(self.SQL, {"b": "y"}).rows == [(2, "y")]
 
     def test_sql_drop_and_recreate_is_seen(self, warm):
         warm.execute("DROP TABLE t")
@@ -177,20 +133,6 @@ class TestPreparedPlans:
         result = warm.execute(self.SQL, {"b": "x"})
         assert result.columns == ["b", "c", "d"]
         assert result.rows == [("x", 7, 8)]
-
-    def test_api_drop_and_recreate_is_seen(self, warm):
-        from repro.sqldb import Column
-
-        warm.drop_table("t")
-        table = warm.create_table(
-            "t", [Column("b", "TEXT"), Column("n", "INTEGER")]
-        )
-        table.insert({"b": "x", "n": 5})
-        result = warm.execute(self.SQL, {"b": "x"})
-        assert (result.columns, result.rows) == (["b", "n"], [("x", 5)])
-        # DML plans hold the table too: this must reach the new one.
-        warm.execute("INSERT INTO t VALUES ('x', 6)")
-        assert len(table) == 2
 
     def test_state_restore_onto_rebuilt_database_is_seen(self, warm):
         warm.execute("CREATE INDEX by_b ON t (b)")
@@ -206,30 +148,19 @@ class TestPreparedPlans:
             (1, "x"), (3, "x")
         ]
         assert rebuilt.execute("SELECT b FROM t WHERE a = 2").scalar() == "y"
-        rebuilt.table("t").clear()
+        rebuilt.execute("DELETE FROM t")
         assert rebuilt.execute(self.SQL, {"b": "x"}).rows == []
 
     def test_plans_are_not_state(self, warm):
         before = warm.state_dump()
         warm.execute("SELECT COUNT(*) FROM t")
         after = warm.state_dump()
-        after["statements_executed"] -= 1
         assert before == after
-        assert set(before) == {"tables", "statements_executed"}
-
-    def test_deepcopy_and_pickle_drop_the_plans(self, warm):
-        import copy
-        import pickle
-
-        executed = warm.statements_executed
-        for twin in (copy.deepcopy(warm), pickle.loads(pickle.dumps(warm))):
-            assert twin.statements_executed == executed
-            twin.execute("INSERT INTO t VALUES (4, 'x')")
-            assert len(twin.execute(self.SQL, {"b": "x"})) == 3
-            assert len(warm.execute(self.SQL, {"b": "x"})) == 2
+        assert set(before) == {"tables"}
 
     def test_one_plan_serves_concurrent_callers(self):
-        """A plan is shared and immutable; each call owns its frame."""
+        """One connection serves every thread that calls it: readers see
+        their rows while a writer upserts others, and no write is lost."""
         import sys
         import threading
 
@@ -255,9 +186,16 @@ class TestPreparedPlans:
                 if toll != 2.0 * (1 + seg) ** 2:
                     wrong.append((seg, toll))
 
+        def writer():
+            for i in range(600):
+                lr.execute(UPSERT_SEGMENT_ROW, {
+                    "xway": 1, "seg": i % 100, "dir": 0, "lav": 1.0 * i,
+                    "cars": i,
+                })
+
         threads = [
             threading.Thread(target=worker, args=(7 * n,)) for n in range(6)
-        ]
+        ] + [threading.Thread(target=writer)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -269,3 +207,7 @@ class TestPreparedPlans:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
+        assert lr.execute(
+            "SELECT COUNT(*), SUM(numOfCars) FROM segmentStatistics "
+            "WHERE xway = 1"
+        ).rows == [(100, sum(range(500, 600)))]

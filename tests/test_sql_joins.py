@@ -71,8 +71,9 @@ class TestInnerJoin:
         assert result.scalar() == "south"
 
     def test_duplicate_binding_rejected(self, db):
-        with pytest.raises(QueryError):
-            db.execute("SELECT 1 FROM seg JOIN seg ON 1 = 1")
+        # A table joined to itself without an alias cannot be referenced.
+        with pytest.raises(QueryError, match="ambiguous"):
+            db.execute("SELECT id FROM seg JOIN seg ON 1 = 1")
 
     def test_self_join_with_aliases(self, db):
         result = db.execute(

@@ -1,76 +1,76 @@
-"""SQL tokenizer."""
+"""The SQL dialect's lexical surface, as ``Database.execute`` accepts it.
+
+Keywords, identifiers, literals, parameter markers, operators and comments
+the repository's statements rely on (backticked and double-quoted names,
+``$name`` / ``:name`` parameters), and the text it refuses.
+"""
 
 import pytest
 
+from repro.sqldb import Database
 from repro.sqldb.errors import SQLSyntaxError
-from repro.sqldb.lexer import Token, tokenize, TokenType
 
 
-def kinds(sql):
-    return [(t.type, t.text) for t in tokenize(sql) if t.type != TokenType.EOF]
+@pytest.fixture
+def db():
+    return Database()
 
 
 class TestTokenize:
-    def test_keywords_uppercased(self):
-        assert kinds("select from")[0] == (TokenType.KEYWORD, "SELECT")
+    def test_keywords_uppercased(self, db):
+        assert db.execute("select 1 as one").rows == [(1,)]
 
-    def test_identifiers_keep_case(self):
-        assert (TokenType.IDENT, "segmentStats") in kinds("segmentStats")
-
-    def test_numbers_integer_and_float(self):
-        assert kinds("42 3.14 1e5 2.5E-3") == [
-            (TokenType.NUMBER, "42"),
-            (TokenType.NUMBER, "3.14"),
-            (TokenType.NUMBER, "1e5"),
-            (TokenType.NUMBER, "2.5E-3"),
+    def test_identifiers_keep_case(self, db):
+        db.execute("CREATE TABLE t (segmentStats INTEGER)")
+        assert db.execute("SELECT segmentStats FROM t").columns == [
+            "segmentStats"
         ]
 
-    def test_string_literal_with_escape(self):
-        tokens = tokenize("'it''s'")
-        assert tokens[0].type is TokenType.STRING
-        assert tokens[0].text == "it's"
-
-    def test_unterminated_string_rejected(self):
-        with pytest.raises(SQLSyntaxError):
-            tokenize("'oops")
-
-    def test_backquoted_identifier(self):
-        tokens = tokenize("`segment Statistics`")
-        assert tokens[0] == Token(TokenType.IDENT, "segment Statistics", 0)
-
-    def test_double_quoted_identifier(self):
-        assert tokenize('"Toll"')[0].text == "Toll"
-
-    def test_parameters_both_markers(self):
-        tokens = kinds("$xway :seg")
-        assert tokens == [
-            (TokenType.PARAM, "xway"),
-            (TokenType.PARAM, "seg"),
+    def test_numbers_integer_and_float(self, db):
+        assert db.execute("SELECT 42, 3.14, 1e5, 2.5E-3").rows == [
+            (42, 3.14, 100000.0, 0.0025)
         ]
 
-    def test_dangling_param_marker_rejected(self):
+    def test_string_literal_with_escape(self, db):
+        assert db.execute("SELECT 'it''s'").scalar() == "it's"
+
+    def test_unterminated_string_rejected(self, db):
         with pytest.raises(SQLSyntaxError):
-            tokenize("$ 1")
+            db.execute("SELECT 'oops")
 
-    def test_two_char_operators(self):
-        assert [t for t, _ in kinds("a <> b >= c <= d != e")].count(
-            TokenType.OPERATOR
-        ) == 4
+    def test_backquoted_identifier(self, db):
+        db.execute("CREATE TABLE `segment Statistics` (a INTEGER)")
+        db.execute("INSERT INTO `segment Statistics` VALUES (7)")
+        assert db.execute("SELECT a FROM `segment Statistics`").scalar() == 7
 
-    def test_line_comments_skipped(self):
-        assert kinds("1 -- comment\n2") == [
-            (TokenType.NUMBER, "1"),
-            (TokenType.NUMBER, "2"),
+    def test_double_quoted_identifier(self, db):
+        assert db.execute('SELECT 1 AS "Toll"').columns == ["Toll"]
+
+    def test_parameters_both_markers(self, db):
+        result = db.execute("SELECT $xway, :seg", {"xway": 3, "seg": 40})
+        assert result.rows == [(3, 40)]
+
+    def test_dangling_param_marker_rejected(self, db):
+        with pytest.raises(SQLSyntaxError):
+            db.execute("SELECT $ 1")
+
+    def test_two_char_operators(self, db):
+        assert db.execute("SELECT 1 <> 2, 2 >= 3, 2 <= 3, 1 != 1").rows == [
+            (1, 0, 1, 0)
         ]
 
-    def test_unexpected_character_rejected(self):
+    def test_line_comments_skipped(self, db):
+        assert db.execute("SELECT 1 -- comment\n+ 2").scalar() == 3
+
+    def test_unexpected_character_rejected(self, db):
         with pytest.raises(SQLSyntaxError):
-            tokenize("SELECT ^")
+            db.execute("SELECT ^")
 
-    def test_eof_token_terminates(self):
-        assert tokenize("")[-1].type is TokenType.EOF
+    def test_eof_token_terminates(self, db):
+        # Empty text is no statement: nothing runs, nothing is returned.
+        result = db.execute("")
+        assert (result.columns, result.rows) == ([], [])
 
-    def test_positions_recorded(self):
-        tokens = tokenize("SELECT a")
-        assert tokens[0].position == 0
-        assert tokens[1].position == 7
+    def test_positions_recorded(self, db):
+        with pytest.raises(SQLSyntaxError, match='near "extra"'):
+            db.execute("SELECT 1 FROM t banana extra")

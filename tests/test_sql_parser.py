@@ -1,221 +1,220 @@
-"""SQL parser: statements and expression precedence."""
+"""The SQL dialect's grammar, as ``Database.execute`` evaluates it.
+
+Statement shapes (SELECT clauses, DML, DDL) and expression precedence the
+repository's statements rely on, each checked by what the statement does.
+"""
 
 import pytest
 
-from repro.sqldb import ast
-from repro.sqldb.errors import SQLSyntaxError
-from repro.sqldb.parser import parse, parse_expression
+from repro.sqldb import Database
+from repro.sqldb.errors import ConstraintError, SQLError, SQLSyntaxError
+
+
+@pytest.fixture
+def db():
+    database = Database()
+    database.execute("CREATE TABLE t (a INTEGER, b TEXT)")
+    database.execute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'x')")
+    return database
+
+
+def value(db, expression, params=None):
+    return db.execute(f"SELECT {expression}", params).scalar()
 
 
 class TestSelectParsing:
-    def test_simple_select(self):
-        stmt = parse("SELECT a, b FROM t")
-        assert isinstance(stmt, ast.Select)
-        assert len(stmt.items) == 2
-        assert stmt.table.name == "t"
+    def test_simple_select(self, db):
+        result = db.execute("SELECT a, b FROM t")
+        assert result.columns == ["a", "b"]
+        assert len(result) == 3
 
-    def test_star(self):
-        stmt = parse("SELECT * FROM t")
-        assert stmt.items[0].expression is None
+    def test_star(self, db):
+        assert db.execute("SELECT * FROM t").columns == ["a", "b"]
 
-    def test_table_star(self):
-        stmt = parse("SELECT t.* FROM t")
-        assert stmt.items[0].table_star == "t"
+    def test_table_star(self, db):
+        assert db.execute("SELECT t.* FROM t").columns == ["a", "b"]
 
-    def test_aliases_with_and_without_as(self):
-        stmt = parse("SELECT a AS x, b y FROM t")
-        assert stmt.items[0].alias == "x"
-        assert stmt.items[1].alias == "y"
+    def test_aliases_with_and_without_as(self, db):
+        assert db.execute("SELECT a AS x, b y FROM t").columns == ["x", "y"]
 
-    def test_quoted_alias(self):
-        stmt = parse('SELECT 1 AS "Toll"')
-        assert stmt.items[0].alias == "Toll"
+    def test_quoted_alias(self, db):
+        assert db.execute('SELECT 1 AS "Toll"').columns == ["Toll"]
 
-    def test_table_alias(self):
-        stmt = parse("SELECT 1 FROM accidents AS ais")
-        assert stmt.table.alias == "ais"
-        assert stmt.table.binding == "ais"
+    def test_table_alias(self, db):
+        assert db.execute(
+            "SELECT ais.a FROM t AS ais WHERE ais.a = 2"
+        ).rows == [(2,)]
 
-    def test_where_group_having_order_limit(self):
-        stmt = parse(
-            "SELECT seg, COUNT(*) FROM t WHERE x = 1 GROUP BY seg "
-            "HAVING COUNT(*) > 2 ORDER BY seg DESC LIMIT 10 OFFSET 5"
+    def test_where_group_having_order_limit(self, db):
+        db.execute("INSERT INTO t VALUES (4, 'x'), (5, 'y'), (6, 'z')")
+        result = db.execute(
+            "SELECT b, COUNT(*) FROM t WHERE a > 1 GROUP BY b "
+            "HAVING COUNT(*) > 1 ORDER BY b DESC LIMIT 10 OFFSET 0"
         )
-        assert stmt.where is not None
-        assert len(stmt.group_by) == 1
-        assert stmt.having is not None
-        assert not stmt.order_by[0].ascending
-        assert isinstance(stmt.limit, ast.Literal)
-        assert isinstance(stmt.offset, ast.Literal)
+        assert result.rows == [("y", 2), ("x", 2)]
 
-    def test_distinct(self):
-        assert parse("SELECT DISTINCT a FROM t").distinct
+    def test_distinct(self, db):
+        assert len(db.execute("SELECT DISTINCT b FROM t")) == 2
 
-    def test_trailing_semicolon_ok(self):
-        parse("SELECT 1;")
+    def test_trailing_semicolon_ok(self, db):
+        assert db.execute("SELECT 1;").scalar() == 1
 
-    def test_trailing_garbage_rejected(self):
+    def test_trailing_garbage_rejected(self, db):
         with pytest.raises(SQLSyntaxError):
-            parse("SELECT 1 FROM t banana extra")
+            db.execute("SELECT 1 FROM t banana extra")
 
 
 class TestDMLParsing:
-    def test_insert(self):
-        stmt = parse("INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y')")
-        assert stmt.columns == ("a", "b")
-        assert len(stmt.rows) == 2
-        assert not stmt.or_replace
+    def test_insert(self, db):
+        result = db.execute("INSERT INTO t (a, b) VALUES (7, 'p'), (8, 'q')")
+        assert result.rowcount == 2
 
-    def test_insert_or_replace(self):
-        assert parse("INSERT OR REPLACE INTO t (a) VALUES (1)").or_replace
+    def test_insert_or_replace(self, db):
+        db.execute("CREATE TABLE k (a INTEGER PRIMARY KEY, b TEXT)")
+        db.execute("INSERT INTO k VALUES (1, 'old')")
+        db.execute("INSERT OR REPLACE INTO k (a, b) VALUES (1, 'new')")
+        assert db.execute("SELECT b FROM k").rows == [("new",)]
 
-    def test_replace_into(self):
-        assert parse("REPLACE INTO t (a) VALUES (1)").or_replace
+    def test_replace_into(self, db):
+        db.execute("CREATE TABLE k (a INTEGER PRIMARY KEY, b TEXT)")
+        db.execute("INSERT INTO k VALUES (1, 'old')")
+        db.execute("REPLACE INTO k (a, b) VALUES (1, 'new')")
+        assert db.execute("SELECT b FROM k").rows == [("new",)]
 
-    def test_insert_without_column_list(self):
-        assert parse("INSERT INTO t VALUES (1, 2)").columns == ()
+    def test_insert_without_column_list(self, db):
+        db.execute("INSERT INTO t VALUES (9, 'w')")
+        assert db.execute("SELECT b FROM t WHERE a = 9").scalar() == "w"
 
-    def test_update(self):
-        stmt = parse("UPDATE t SET a = a + 1, b = 2 WHERE c = 3")
-        assert [a.column for a in stmt.assignments] == ["a", "b"]
-        assert stmt.where is not None
+    def test_update(self, db):
+        assert db.execute(
+            "UPDATE t SET a = a + 10, b = 'u' WHERE b = 'x'"
+        ).rowcount == 2
+        assert db.execute("SELECT a FROM t WHERE b = 'u' ORDER BY a").rows == [
+            (11,), (13,)
+        ]
 
-    def test_delete(self):
-        stmt = parse("DELETE FROM t WHERE a = 1")
-        assert stmt.table == "t"
+    def test_delete(self, db):
+        assert db.execute("DELETE FROM t WHERE a = 1").rowcount == 1
 
 
 class TestDDLParsing:
-    def test_create_table(self):
-        stmt = parse(
-            "CREATE TABLE t (a INTEGER NOT NULL, b FLOAT, c TEXT, "
-            "d BOOLEAN, PRIMARY KEY (a, b))"
+    def test_create_table(self, db):
+        db.execute(
+            "CREATE TABLE s (a INTEGER NOT NULL, b REAL, c TEXT, "
+            "PRIMARY KEY (a, b))"
         )
-        assert [c.name for c in stmt.columns] == ["a", "b", "c", "d"]
-        assert stmt.columns[0].not_null
-        assert stmt.primary_key == ("a", "b")
+        assert db.execute("SELECT * FROM s").columns == ["a", "b", "c"]
+        with pytest.raises(ConstraintError):
+            db.execute("INSERT INTO s (b) VALUES (1.0)")
+        db.execute("INSERT INTO s VALUES (1, 1.0, 'x')")
+        with pytest.raises(ConstraintError):
+            db.execute("INSERT INTO s VALUES (1, 1.0, 'y')")
 
-    def test_type_aliases_normalized(self):
-        stmt = parse("CREATE TABLE t (a INT, b REAL, c VARCHAR, d BOOL)")
-        assert [c.type_name for c in stmt.columns] == [
-            "INTEGER",
-            "FLOAT",
-            "TEXT",
-            "BOOLEAN",
+    def test_type_aliases_normalized(self, db):
+        db.execute("CREATE TABLE s (a INT, b REAL, c VARCHAR, d BOOL)")
+        db.execute("INSERT INTO s VALUES ('42', 1, 5, TRUE)")
+        assert db.execute("SELECT * FROM s").rows == [(42, 1.0, "5", 1)]
+
+    def test_if_not_exists(self, db):
+        db.execute("CREATE TABLE IF NOT EXISTS t (z INTEGER)")
+        assert db.execute("SELECT * FROM t").columns == ["a", "b"]
+
+    def test_drop_table(self, db):
+        db.execute("DROP TABLE IF EXISTS t")
+        db.execute("DROP TABLE IF EXISTS t")
+        db.execute("CREATE TABLE t (z INTEGER)")
+
+    def test_create_index(self, db):
+        db.execute("CREATE INDEX idx ON t (a, b)")
+        assert db.explain("SELECT * FROM t WHERE a = 1 AND b = 'x'") == [
+            "SEARCH t USING COVERING INDEX idx (a=? AND b=?)"
         ]
 
-    def test_if_not_exists(self):
-        assert parse("CREATE TABLE IF NOT EXISTS t (a INT)").if_not_exists
-
-    def test_drop_table(self):
-        assert parse("DROP TABLE IF EXISTS t").if_exists
-
-    def test_create_index(self):
-        stmt = parse("CREATE INDEX idx ON t (a, b)")
-        assert stmt.columns == ("a", "b")
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(SQLSyntaxError):
-            parse("CREATE TABLE t (a BLOB)")
+    def test_unknown_type_rejected(self, db):
+        # Column types are checked in STRICT tables (the Linear Road ones).
+        with pytest.raises(SQLError, match="unknown datatype"):
+            db.execute("CREATE TABLE s (a WIBBLE) STRICT")
 
 
 class TestExpressionParsing:
-    def test_precedence_mul_over_add(self):
-        expr = parse_expression("1 + 2 * 3")
-        assert isinstance(expr, ast.Binary)
-        assert expr.op == "+"
-        assert expr.right.op == "*"
+    def test_precedence_mul_over_add(self, db):
+        assert value(db, "1 + 2 * 3") == 7
 
-    def test_parentheses_override(self):
-        expr = parse_expression("(1 + 2) * 3")
-        assert expr.op == "*"
+    def test_parentheses_override(self, db):
+        assert value(db, "(1 + 2) * 3") == 9
 
-    def test_and_binds_tighter_than_or(self):
-        expr = parse_expression("a OR b AND c")
-        assert expr.op == "OR"
-        assert expr.right.op == "AND"
+    def test_and_binds_tighter_than_or(self, db):
+        assert value(db, "1 OR 0 AND 0") == 1
 
-    def test_not_prefix(self):
-        expr = parse_expression("NOT a = 1")
-        assert isinstance(expr, ast.Unary)
-        assert expr.op == "NOT"
+    def test_not_prefix(self, db):
+        # NOT (2 = 1), not (NOT 2) = 1.
+        assert value(db, "NOT 2 = 1") == 1
 
-    def test_comparison_normalizes_neq(self):
-        assert parse_expression("a != 1").op == "<>"
+    def test_comparison_normalizes_neq(self, db):
+        assert db.execute("SELECT 1 != 2, 1 <> 2").rows == [(1, 1)]
 
-    def test_qualified_column(self):
-        expr = parse_expression("ais.segment")
-        assert expr == ast.ColumnRef("segment", table="ais")
+    def test_qualified_column(self, db):
+        assert db.execute(
+            "SELECT ais.b FROM t AS ais WHERE ais.a = 3"
+        ).scalar() == "x"
 
-    def test_case_when_searched(self):
-        expr = parse_expression(
-            "CASE WHEN a > 1 THEN 'big' ELSE 'small' END"
-        )
-        assert isinstance(expr, ast.Case)
-        assert expr.operand is None
-        assert expr.else_result is not None
+    def test_case_when_searched(self, db):
+        assert db.execute(
+            "SELECT CASE WHEN a > 1 THEN 'big' ELSE 'small' END FROM t "
+            "ORDER BY a"
+        ).rows == [("small",), ("big",), ("big",)]
 
-    def test_case_with_operand(self):
-        expr = parse_expression("CASE a WHEN 1 THEN 'one' END")
-        assert expr.operand is not None
-        assert expr.else_result is None
+    def test_case_with_operand(self, db):
+        assert db.execute(
+            "SELECT CASE a WHEN 1 THEN 'one' END FROM t ORDER BY a"
+        ).rows == [("one",), (None,), (None,)]
 
-    def test_case_needs_when(self):
+    def test_case_needs_when(self, db):
         with pytest.raises(SQLSyntaxError):
-            parse_expression("CASE END")
+            value(db, "CASE END")
 
-    def test_in_list_and_negation(self):
-        assert isinstance(parse_expression("a IN (1, 2)"), ast.InList)
-        assert parse_expression("a NOT IN (1)").negated
+    def test_in_list_and_negation(self, db):
+        assert db.execute("SELECT 2 IN (1, 2), 2 NOT IN (1)").rows == [(1, 1)]
 
-    def test_between(self):
-        expr = parse_expression("a BETWEEN 1 AND 5")
-        assert isinstance(expr, ast.Between)
-        expr = parse_expression("a NOT BETWEEN 1 AND 5")
-        assert expr.negated
+    def test_between(self, db):
+        assert db.execute(
+            "SELECT 3 BETWEEN 1 AND 5, 3 NOT BETWEEN 1 AND 5"
+        ).rows == [(1, 0)]
 
-    def test_is_null(self):
-        assert isinstance(parse_expression("a IS NULL"), ast.IsNull)
-        assert parse_expression("a IS NOT NULL").negated
+    def test_is_null(self, db):
+        assert db.execute("SELECT NULL IS NULL, 1 IS NOT NULL").rows == [
+            (1, 1)
+        ]
 
-    def test_like(self):
-        assert isinstance(parse_expression("a LIKE 'x%'"), ast.Like)
-        assert parse_expression("a NOT LIKE 'x%'").negated
+    def test_like(self, db):
+        assert db.execute("SELECT 'xy' LIKE 'x%', 'xy' NOT LIKE 'x%'").rows == [
+            (1, 0)
+        ]
 
-    def test_count_star(self):
-        expr = parse_expression("COUNT(*)")
-        assert expr.star
+    def test_count_star(self, db):
+        assert value(db, "COUNT(*) FROM t") == 3
 
-    def test_count_distinct(self):
-        expr = parse_expression("COUNT(DISTINCT a)")
-        assert expr.distinct
+    def test_count_distinct(self, db):
+        assert value(db, "COUNT(DISTINCT b) FROM t") == 2
 
-    def test_scalar_function(self):
-        expr = parse_expression("POWER(a, 2)")
-        assert expr.name == "POWER"
-        assert len(expr.args) == 2
+    def test_scalar_function(self, db):
+        assert value(db, "POWER(a, 2) FROM t WHERE a = 3") == 9.0
 
-    def test_unary_minus(self):
-        expr = parse_expression("-a + 1")
-        assert expr.op == "+"
-        assert isinstance(expr.left, ast.Unary)
+    def test_unary_minus(self, db):
+        # (-a) + 1, not -(a + 1).
+        assert value(db, "-a + 1 FROM t WHERE a = 3") == -2
 
-    def test_boolean_and_null_literals(self):
-        assert parse_expression("TRUE").value is True
-        assert parse_expression("FALSE").value is False
-        assert parse_expression("NULL").value is None
+    def test_boolean_and_null_literals(self, db):
+        assert db.execute("SELECT TRUE, FALSE, NULL").rows == [(1, 0, None)]
 
-    def test_string_concat(self):
-        assert parse_expression("a || b").op == "||"
+    def test_string_concat(self, db):
+        assert value(db, "'a' || 'b'") == "ab"
 
-    def test_scalar_subquery(self):
-        expr = parse_expression("(SELECT COUNT(*) FROM t) = 0")
-        assert isinstance(expr.left, ast.ScalarSubquery)
+    def test_scalar_subquery(self, db):
+        assert value(db, "(SELECT COUNT(*) FROM t) = 3") == 1
 
-    def test_exists_subquery(self):
-        expr = parse_expression("EXISTS (SELECT 1 FROM t)")
-        assert isinstance(expr, ast.ExistsSubquery)
+    def test_exists_subquery(self, db):
+        assert value(db, "EXISTS (SELECT 1 FROM t WHERE a = 2)") == 1
 
-    def test_in_subquery(self):
-        expr = parse_expression("a IN (SELECT b FROM t)")
-        assert isinstance(expr, ast.InSubquery)
+    def test_in_subquery(self, db):
+        assert value(db, "2 IN (SELECT a FROM t)") == 1

@@ -73,7 +73,7 @@ class TestBasics:
             db.execute("SELECT * FROM nope")
 
     def test_unknown_column_rejected(self, db):
-        with pytest.raises(QueryError):
+        with pytest.raises(SchemaError):
             db.execute("SELECT bogus FROM cars")
 
     def test_distinct(self, db):
@@ -138,9 +138,10 @@ class TestOrderingAndLimits:
 
     def test_order_by_position(self, db):
         result = db.execute("SELECT id, speed FROM cars ORDER BY 2")
-        # NULL speed sorts last ascending.
-        assert result.rows[-1][1] is None
-        assert result.rows[0][1] == 30.0
+        # NULL speed sorts first ascending.
+        assert result.rows[0][1] is None
+        assert result.rows[1][1] == 30.0
+        assert result.rows[-1][1] == 65.0
 
     def test_order_desc_keeps_nulls_last(self, db):
         result = db.execute("SELECT speed FROM cars ORDER BY speed DESC")

@@ -40,10 +40,6 @@ class TestScalarSubqueries:
             "SELECT (SELECT ts FROM acc WHERE seg_id = 99)"
         ).scalar() is None
 
-    def test_multirow_scalar_subquery_rejected(self, db):
-        with pytest.raises(QueryError):
-            db.execute("SELECT (SELECT ts FROM acc)")
-
     def test_multicolumn_scalar_subquery_rejected(self, db):
         with pytest.raises(QueryError):
             db.execute("SELECT (SELECT seg_id, ts FROM acc WHERE ts = 50)")

@@ -1,153 +1,170 @@
-"""Storage layer: tables, coercion, primary keys, hash indexes."""
+"""Storage through SQL: schemas, column types, primary keys, indexes.
+
+The tables are ``STRICT``, as the Linear Road ones are, so a value that
+does not convert losslessly to its column's type is refused.
+"""
 
 import pytest
 
+from repro.sqldb import Database
 from repro.sqldb.errors import ConstraintError, SchemaError
-from repro.sqldb.table import Column, HashIndex, Table
+
+STATS = (
+    "CREATE TABLE stats (xway INTEGER, seg INTEGER, lav REAL, "
+    "PRIMARY KEY (xway, seg)) STRICT"
+)
 
 
-def make_table():
-    return Table(
-        "stats",
-        [
-            Column("xway", "INTEGER"),
-            Column("seg", "INTEGER"),
-            Column("lav", "FLOAT"),
-        ],
-        primary_key=("xway", "seg"),
+@pytest.fixture
+def db():
+    database = Database()
+    database.execute(STATS)
+    return database
+
+
+def insert(db, xway, seg, lav=None, verb="INSERT"):
+    db.execute(
+        f"{verb} INTO stats VALUES ($xway, $seg, $lav)",
+        {"xway": xway, "seg": seg, "lav": lav},
     )
 
 
+def lav_at(db, xway, seg):
+    return db.execute(
+        "SELECT lav FROM stats WHERE xway = $x AND seg = $s",
+        {"x": xway, "s": seg},
+    ).first()
+
+
 class TestSchema:
-    def test_duplicate_column_rejected(self):
+    def test_duplicate_column_rejected(self, db):
         with pytest.raises(SchemaError):
-            Table("t", [Column("a", "INTEGER"), Column("a", "TEXT")])
+            db.execute("CREATE TABLE t (a INTEGER, a TEXT)")
 
-    def test_pk_column_must_exist(self):
+    def test_pk_column_must_exist(self, db):
         with pytest.raises(SchemaError):
-            Table("t", [Column("a", "INTEGER")], primary_key=("b",))
+            db.execute("CREATE TABLE t (a INTEGER, PRIMARY KEY (b))")
 
-    def test_coercion_per_type(self):
-        assert Column("a", "INTEGER").coerce("42") == 42
-        assert Column("a", "FLOAT").coerce(1) == 1.0
-        assert Column("a", "TEXT").coerce(5) == "5"
-        assert Column("a", "BOOLEAN").coerce("true") is True
-        assert Column("a", "BOOLEAN").coerce("no") is False
+    def test_coercion_per_type(self, db):
+        db.execute("CREATE TABLE t (i INTEGER, r REAL, s TEXT) STRICT")
+        db.execute("INSERT INTO t VALUES ('42', 1, 5)")
+        assert db.execute("SELECT * FROM t").rows == [(42, 1.0, "5")]
 
-    def test_not_null_enforced(self):
+    def test_not_null_enforced(self, db):
+        db.execute("CREATE TABLE t (a INTEGER NOT NULL) STRICT")
         with pytest.raises(ConstraintError):
-            Column("a", "INTEGER", not_null=True).coerce(None)
+            db.execute("INSERT INTO t VALUES (NULL)")
 
-    def test_bad_value_rejected(self):
-        with pytest.raises(SchemaError):
-            Column("a", "INTEGER").coerce("not-a-number")
+    def test_bad_value_rejected(self, db):
+        with pytest.raises(ConstraintError, match="cannot store TEXT"):
+            insert(db, "not-a-number", 1)
 
 
 class TestMutation:
-    def test_insert_and_scan(self):
-        table = make_table()
-        table.insert({"xway": 0, "seg": 1, "lav": 40.0})
-        assert len(table) == 1
-        assert table.rows()[0]["lav"] == 40.0
+    def test_insert_and_scan(self, db):
+        insert(db, 0, 1, 40.0)
+        assert db.execute("SELECT * FROM stats").rows == [(0, 1, 40.0)]
 
-    def test_missing_columns_become_null(self):
-        table = make_table()
-        table.insert({"xway": 0, "seg": 1})
-        assert table.rows()[0]["lav"] is None
+    def test_missing_columns_become_null(self, db):
+        db.execute("INSERT INTO stats (xway, seg) VALUES (0, 1)")
+        assert lav_at(db, 0, 1) == {"lav": None}
 
-    def test_unknown_column_rejected(self):
-        table = make_table()
+    def test_unknown_column_rejected(self, db):
         with pytest.raises(SchemaError):
-            table.insert({"xway": 0, "seg": 1, "bogus": 1})
+            db.execute("INSERT INTO stats (xway, seg, bogus) VALUES (0, 1, 1)")
 
-    def test_duplicate_pk_rejected(self):
-        table = make_table()
-        table.insert({"xway": 0, "seg": 1})
+    def test_duplicate_pk_rejected(self, db):
+        insert(db, 0, 1)
         with pytest.raises(ConstraintError):
-            table.insert({"xway": 0, "seg": 1})
+            insert(db, 0, 1)
 
-    def test_or_replace_upserts(self):
-        table = make_table()
-        table.insert({"xway": 0, "seg": 1, "lav": 10.0})
-        table.insert({"xway": 0, "seg": 1, "lav": 99.0}, or_replace=True)
-        assert len(table) == 1
-        assert table.lookup_pk((0, 1))["lav"] == 99.0
+    def test_or_replace_upserts(self, db):
+        insert(db, 0, 1, 10.0)
+        insert(db, 0, 1, 99.0, verb="INSERT OR REPLACE")
+        assert db.execute("SELECT COUNT(*) FROM stats").scalar() == 1
+        assert lav_at(db, 0, 1) == {"lav": 99.0}
 
-    def test_null_pk_rejected(self):
-        table = make_table()
+    def test_null_pk_rejected(self, db):
+        # STRICT makes primary-key columns NOT NULL.
         with pytest.raises(ConstraintError):
-            table.insert({"xway": None, "seg": 1})
+            insert(db, None, 1)
 
-    def test_delete_rowids(self):
-        table = make_table()
-        rowid = table.insert({"xway": 0, "seg": 1})
-        assert table.delete_rowids([rowid, 999]) == 1
-        assert len(table) == 0
-        assert table.lookup_pk((0, 1)) is None
+    def test_delete_rowids(self, db):
+        insert(db, 0, 1)
+        assert db.execute(
+            "DELETE FROM stats WHERE rowid IN (1, 999)"
+        ).rowcount == 1
+        assert db.execute("SELECT COUNT(*) FROM stats").scalar() == 0
+        assert lav_at(db, 0, 1) is None
 
-    def test_update_row_maintains_pk_index(self):
-        table = make_table()
-        rowid = table.insert({"xway": 0, "seg": 1, "lav": 1.0})
-        table.update_row(rowid, {"seg": 2})
-        assert table.lookup_pk((0, 1)) is None
-        assert table.lookup_pk((0, 2))["lav"] == 1.0
+    def test_update_row_maintains_pk_index(self, db):
+        insert(db, 0, 1, 1.0)
+        db.execute("UPDATE stats SET seg = 2 WHERE seg = 1")
+        assert lav_at(db, 0, 1) is None
+        assert lav_at(db, 0, 2) == {"lav": 1.0}
 
-    def test_update_into_pk_conflict_rejected(self):
-        table = make_table()
-        table.insert({"xway": 0, "seg": 1})
-        rowid = table.insert({"xway": 0, "seg": 2})
+    def test_update_into_pk_conflict_rejected(self, db):
+        insert(db, 0, 1)
+        insert(db, 0, 2)
         with pytest.raises(ConstraintError):
-            table.update_row(rowid, {"seg": 1})
+            db.execute("UPDATE stats SET seg = 1 WHERE seg = 2")
 
-    def test_clear_resets_rows_and_indexes(self):
-        table = make_table()
-        table.create_index("by_seg", ("seg",))
-        table.insert({"xway": 0, "seg": 1})
-        table.clear()
-        assert len(table) == 0
-        assert not table.indexes["by_seg"].lookup((1,))
+    def test_clear_resets_rows_and_indexes(self, db):
+        db.execute("CREATE INDEX by_seg ON stats (seg)")
+        insert(db, 0, 1)
+        db.execute("DELETE FROM stats")
+        assert db.execute("SELECT COUNT(*) FROM stats").scalar() == 0
+        assert db.execute("SELECT xway FROM stats WHERE seg = 1").rows == []
 
 
 class TestIndexes:
-    def test_secondary_index_backfilled(self):
-        table = make_table()
-        table.insert({"xway": 0, "seg": 1})
-        table.insert({"xway": 0, "seg": 2})
-        index = table.create_index("by_xway", ("xway",))
-        assert len(index.lookup((0,))) == 2
+    def test_secondary_index_backfilled(self, db):
+        insert(db, 0, 1)
+        insert(db, 0, 2)
+        db.execute("CREATE INDEX by_lav ON stats (lav)")
+        sql = "SELECT seg FROM stats WHERE lav IS NULL"
+        assert db.explain(sql) == [
+            "SEARCH stats USING INDEX by_lav (lav=?)"
+        ]
+        assert len(db.execute(sql)) == 2
 
-    def test_index_maintained_on_insert_delete(self):
-        table = make_table()
-        index = table.create_index("by_seg", ("seg",))
-        rowid = table.insert({"xway": 0, "seg": 7})
-        assert index.lookup((7,)) == {rowid}
-        table.delete_rowids([rowid])
-        assert index.lookup((7,)) == set()
+    def test_index_maintained_on_insert_delete(self, db):
+        db.execute("CREATE INDEX by_seg ON stats (seg)")
+        sql = "SELECT xway FROM stats WHERE seg = 7"
+        insert(db, 0, 7)
+        assert db.execute(sql).rows == [(0,)]
+        db.execute("DELETE FROM stats WHERE seg = 7")
+        assert db.execute(sql).rows == []
 
-    def test_duplicate_index_name_rejected(self):
-        table = make_table()
-        table.create_index("i", ("seg",))
+    def test_duplicate_index_name_rejected(self, db):
+        db.execute("CREATE INDEX i ON stats (seg)")
         with pytest.raises(SchemaError):
-            table.create_index("i", ("xway",))
+            db.execute("CREATE INDEX i ON stats (xway)")
 
-    def test_index_on_unknown_column_rejected(self):
-        table = make_table()
+    def test_index_on_unknown_column_rejected(self, db):
         with pytest.raises(SchemaError):
-            table.create_index("i", ("bogus",))
+            db.execute("CREATE INDEX i ON stats (bogus)")
 
-    def test_best_index_prefers_most_columns(self):
-        table = make_table()
-        table.create_index("by_seg", ("seg",))
-        best = table.best_index({"xway", "seg"})
-        assert best.columns == ("xway", "seg")  # the PK index wins
+    def test_best_index_prefers_most_columns(self, db):
+        db.execute("CREATE INDEX by_seg ON stats (seg)")
+        assert db.explain(
+            "SELECT lav FROM stats WHERE xway = 0 AND seg = 1"
+        ) == [
+            "SEARCH stats USING INDEX sqlite_autoindex_stats_1 "
+            "(xway=? AND seg=?)"
+        ]
 
-    def test_best_index_requires_full_cover(self):
-        table = make_table()
-        assert table.best_index({"xway"}) is None  # PK needs xway AND seg
+    def test_best_index_requires_full_cover(self, db):
+        # The key (xway, seg) serves its leading column, not seg alone.
+        assert db.explain("SELECT lav FROM stats WHERE seg = 1") == [
+            "SCAN stats"
+        ]
 
-    def test_lookup_index_skips_dead_rowids(self):
-        table = make_table()
-        index = table.create_index("by_seg", ("seg",))
-        rowid = table.insert({"xway": 0, "seg": 3})
-        rows = list(table.lookup_index(index, (3,)))
-        assert rows[0][0] == rowid
+    def test_lookup_index_skips_dead_rowids(self, db):
+        db.execute("CREATE INDEX by_seg ON stats (seg)")
+        insert(db, 0, 3)
+        insert(db, 1, 3)
+        db.execute("DELETE FROM stats WHERE xway = 0")
+        assert db.execute(
+            "SELECT rowid, xway FROM stats WHERE seg = 3"
+        ).rows == [(2, 1)]
