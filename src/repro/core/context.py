@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .events import CWEvent
@@ -128,6 +129,10 @@ class FiringContext:
         #: *before* downstream receivers see it, so nothing is delivered
         #: mid-firing.
         self._pending: list[tuple[Any, CWEvent]] = []
+        #: Emissions of sealed firings (:meth:`seal`), kept across
+        #: ``reset`` until :meth:`deliver_held`: per firing, the engine
+        #: time it was sealed at and its ``(route, event)`` pairs.
+        self._held: list[tuple[int, list[tuple[Any, CWEvent]]]] = []
         #: Event-train emission: runs of consecutive emissions on one port
         #: are delivered as a single train of up to ``_emit_chunk`` events
         #: (``None`` = unbounded).  The default of 1 delivers per event.
@@ -152,8 +157,8 @@ class FiringContext:
 
         Equivalent to constructing a fresh context with the same routes:
         staged items, pending emissions, the wave scope and the counters
-        are all cleared.  Used by the train fire loop to avoid one
-        allocation per drained item.
+        are all cleared (emissions already sealed stay held).  Used by
+        the train fire loop to avoid one allocation per drained item.
         """
         self.now = now
         for queue in self._staged.values():
@@ -294,6 +299,56 @@ class FiringContext:
             else:
                 route.deliver_train([event for _, event in pending[i:j]])
             i = j
+
+    def seal(self, now: int) -> None:
+        """End of a firing whose emissions are held for the train.
+
+        The wave marks become final, as at :meth:`close`, but nothing is
+        delivered: the emissions wait for :meth:`deliver_held`, stamped
+        with *now*, the engine time ``close`` would have delivered them
+        at.
+        """
+        if self._scope is not None:
+            self._scope.close()
+            self._scope = None
+        if self._pending:
+            self._held.append((now, self._pending))
+            self._pending = []
+
+    def deliver_held(self) -> list[CWEvent]:
+        """Deliver what the sealed firings emitted; returns those events
+        in production order.
+
+        Each route gets its whole share in one staged delivery, and the
+        receivers are admitted by the position of the event that
+        produced their first item, across all the actor's routes — the
+        order in which per-firing delivery would first have reached
+        each of them (``OutputPort.broadcast_batch`` applies the same
+        rule to one port).  Every item is admitted at the stamp of the
+        firing that produced it.
+        """
+        held = self._held
+        if not held:
+            return []
+        self._held = []
+        events: list[CWEvent] = []
+        shares: dict[Any, tuple[list, list, list]] = {}
+        for stamp, pending in held:
+            for route, event in pending:
+                share = shares.get(route)
+                if share is None:
+                    share = shares[route] = ([], [], [])
+                share[0].append(event)
+                share[1].append(stamp)
+                share[2].append(len(events))
+                events.append(event)
+        staged: list[tuple] = []
+        for route, (share, stamps, positions) in shares.items():
+            route.port.stage_held(share, stamps, positions, staged)
+        staged.sort(key=itemgetter(0))  # stable: channel order among equals
+        for _, receiver, items, stamps in staged:
+            receiver.admit_held(items, stamps)
+        return events
 
     def abort(self) -> None:
         """Discard buffered emissions: the firing failed mid-way."""

@@ -50,10 +50,10 @@ class DeliveryRoute:
     state: rebuilt after ``attach``/``initialize_all``, never dumped.
     """
 
-    __slots__ = ("_port", "_outgoing", "_statistics", "_record_output")
+    __slots__ = ("port", "_outgoing", "_statistics", "_record_output")
 
     def __init__(self, port: OutputPort, statistics: StatisticsRegistry):
-        self._port = port
+        self.port = port
         self._outgoing = port.outgoing
         self._statistics = statistics
         self._record_output = statistics.register(port.actor).record_output
@@ -64,8 +64,8 @@ class DeliveryRoute:
             _obs._TRACER.instant(
                 "actor.emit",
                 timestamp,
-                self._port.actor.name,
-                port=self._port.name,
+                self.port.actor.name,
+                port=self.port.name,
                 wave=str(event.wave),
             )
         for channel in self._outgoing:
@@ -89,11 +89,11 @@ class DeliveryRoute:
             _obs._TRACER.instant(
                 "actor.emit_train",
                 events[0].timestamp,
-                self._port.actor.name,
-                port=self._port.name,
+                self.port.actor.name,
+                port=self.port.name,
                 count=len(events),
             )
-        self._port.broadcast_batch(events)
+        self.port.broadcast_batch(events)
         record_output = self._record_output
         statistics = self._statistics
         newest = statistics._last_now_us

@@ -147,6 +147,51 @@ class OutputPort(Port):
         for _, receiver, items in staged:
             receiver.admit_staged(items)
 
+    def stage_held(
+        self,
+        events: list[CWEvent],
+        stamps: list[int],
+        positions: list[int],
+        staged: list,
+    ) -> None:
+        """Stage a held train in every consumer, admitting nothing.
+
+        The held form of :meth:`broadcast_batch`.  A held route ends in
+        windowless ports only (``SCWFDirector._may_hold``), and each
+        takes the train less its control items, which such a port
+        drops.  The train comes from several firings, so every item
+        carries the engine time it would have been admitted at
+        (*stamps*) and its position in the producer's whole held output
+        (*positions*).  Appends ``(position of the first item, receiver,
+        items, their stamps)`` per consumer to *staged*; the producer
+        admits them once every one of its routes has staged
+        (``FiringContext.deliver_held``).
+        """
+        if _obs.ENABLED:
+            _obs._TRACER.instant(
+                "actor.emit_train",
+                events[0].timestamp,
+                self.actor.name,
+                port=self.name,
+                count=len(events),
+            )
+        if any(isinstance(event.value, CONTROL_ITEMS) for event in events):
+            keep = [
+                index
+                for index, event in enumerate(events)
+                if not isinstance(event.value, CONTROL_ITEMS)
+            ]
+            if not keep:
+                return
+            events = [events[index] for index in keep]
+            stamps = [stamps[index] for index in keep]
+            positions = [positions[index] for index in keep]
+        local: list[tuple] = []
+        for channel in self.outgoing:
+            channel.sink.receiver.put_batch(events, local)
+        for _, receiver, items in local:
+            staged.append((positions[0], receiver, items, stamps))
+
     @property
     def destinations(self) -> list[InputPort]:
         return [channel.sink for channel in self.outgoing]

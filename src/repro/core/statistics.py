@@ -102,6 +102,59 @@ class ActorStats:
         if at[0] < now_us - RATE_HORIZON_US:
             self._output_window -= self._trim(at, self._output_counts, now_us)
 
+    # Series recorders: one call settles what a drained train recorded
+    # item by item.  Each equals the per-item loop it replaces — the
+    # EWMA is folded in the same order, and every rate sample is
+    # appended and trimmed as ``record_input``/``record_output`` would,
+    # except that a run of equal timestamps becomes one sample (the
+    # rates and totals cannot tell the difference).
+    def record_invocations(self, costs: list[int]) -> None:
+        """``record_invocation(cost)`` for every cost, in order."""
+        if not costs:
+            return
+        ewma = self.ewma_cost_us
+        for cost in costs:
+            ewma = float(cost) if ewma is None else ewma + EWMA_ALPHA * (
+                cost - ewma
+            )
+        self.ewma_cost_us = ewma
+        self.invocations += len(costs)
+        self.total_cost_us += sum(costs)
+
+    def record_inputs(self, stamps: list[int]) -> None:
+        """``record_input(1, t)`` for every *t* in *stamps*, in order."""
+        self.inputs_total += len(stamps)
+        self._input_window += len(stamps) - self._append_runs(
+            self._input_at, self._input_counts, stamps
+        )
+
+    def record_outputs(self, stamps: list[int]) -> None:
+        """``record_output(1, t)`` for every *t* in *stamps*, in order."""
+        self.outputs_total += len(stamps)
+        self._output_window += len(stamps) - self._append_runs(
+            self._output_at, self._output_counts, stamps
+        )
+
+    @classmethod
+    def _append_runs(
+        cls, at: deque[int], counts: deque[int], stamps: list[int]
+    ) -> int:
+        """Append one sample per run of equal stamps, trimming after each
+        as a single recording call would; returns evicted tokens."""
+        evicted = 0
+        i, n = 0, len(stamps)
+        while i < n:
+            stamp = stamps[i]
+            j = i + 1
+            while j < n and stamps[j] == stamp:
+                j += 1
+            at.append(stamp)
+            counts.append(j - i)
+            if at[0] < stamp - RATE_HORIZON_US:
+                evicted += cls._trim(at, counts, stamp)
+            i = j
+        return evicted
+
     def record_failure(self) -> None:
         """Count one failed firing attempt (the firing raised)."""
         self.failures += 1
@@ -240,6 +293,22 @@ class StatisticsRegistry:
         if now_us > self._last_now_us:
             self._last_now_us = now_us
         self.get(actor).record_output(count, now_us)
+
+    def record_inputs(self, actor: "Actor", stamps: list[int]) -> None:
+        """``record_input(actor, 1, t)`` for every *t* in *stamps*."""
+        if stamps:
+            newest = max(stamps)
+            if newest > self._last_now_us:
+                self._last_now_us = newest
+            self.get(actor).record_inputs(stamps)
+
+    def record_outputs(self, actor: "Actor", stamps: list[int]) -> None:
+        """``record_output(actor, 1, t)`` for every *t* in *stamps*."""
+        if stamps:
+            newest = max(stamps)
+            if newest > self._last_now_us:
+                self._last_now_us = newest
+            self.get(actor).record_outputs(stamps)
 
     def record_failure(self, actor: "Actor") -> None:
         """Count a failed firing attempt of *actor*."""

@@ -415,18 +415,31 @@ class AbstractScheduler(ABC):
     # ------------------------------------------------------------------
     # Event-train quantum accounting
     # ------------------------------------------------------------------
-    def continue_train(self, actor: Actor) -> bool:
+    def continue_train(
+        self, actor: Actor, spent_us: int, items: int, now: int
+    ) -> bool:
         """May the director re-dispatch *actor* without a fresh decision?
+
+        Asked after every item of a train.  A holding train settles
+        once, not per item, so the answer comes from its running tally:
+        *items* items of *actor* have fired (or been dropped) since the
+        last :meth:`on_actor_fire_end`, costing *spent_us* between them,
+        and the last of them ended at engine time *now* (``items == 0``:
+        everything is settled, and *now* is not read).  The policy must
+        answer as if ``on_actor_fire_end(actor, spent_us, now, items)``
+        had already run.
 
         Exactness contract: return ``True`` **only** when
         :meth:`get_next_actor` would certainly return *actor* — and the
         skipped call would have had no policy side effects.  ``False``
-        merely means "consult me": the director then calls
-        :meth:`get_next_actor` for the authoritative (and possibly
-        identical) decision, so a conservative ``False`` can never change
-        behaviour, only forgo batching.  Policies that can read their
-        quantum accounting in O(1) override this; the default always
-        defers to the full selection path.
+        merely means "consult me": the director settles the train,
+        delivers what it held and calls :meth:`get_next_actor` for the
+        authoritative (and possibly identical) decision, so a
+        conservative ``False`` can never change behaviour, only forgo
+        batching.  Policies that can read their quantum accounting in
+        O(1) override this; the default always defers to the full
+        selection path, and the director then delivers every item's
+        emissions as it ends.
         """
         return False
 
@@ -451,14 +464,27 @@ class AbstractScheduler(ABC):
     def on_actor_fire_start(self, actor: Actor, now: int) -> None:
         self._now = now
 
-    def on_actor_fire_end(self, actor: Actor, cost_us: int, now: int) -> None:
+    def on_actor_fire_end(
+        self, actor: Actor, cost_us: int, now: int, items: int = 1
+    ) -> None:
+        """*actor* finished firing at *now*.
+
+        A source reports each pump.  An internal actor reports each
+        item, or — in a train that holds, which only a policy
+        overriding :meth:`continue_train` sees — once per settlement:
+        *items* items (fired, dead-lettered or dropped by an open
+        circuit) cost *cost_us* between them, the last ending at *now*.
+        Such a policy must treat that as *items* one-item reports with
+        the same total, as this base method does (the
+        ``continue_train`` tally is the same sum).
+        """
         self._now = now
         if actor.is_source:
             self._fired_sources.add(actor.name)
             self._internal_since_source = 0
         else:
-            self.internal_firings += 1
-            self._internal_since_source += 1
+            self.internal_firings += items
+            self._internal_since_source += items
         self.invalidate_state(actor)
 
     def source_has_work(self, source: SourceActor, now: int) -> bool:

@@ -43,8 +43,10 @@ class FIFOScheduler(AbstractScheduler):
     # The default indexed ``get_next_actor`` applies as-is: FIFO ranks
     # sources and internal actors together by earliest timestamp.
 
-    def on_actor_fire_end(self, actor: Actor, cost_us: int, now: int) -> None:
-        super().on_actor_fire_end(actor, cost_us, now)
+    def on_actor_fire_end(
+        self, actor: Actor, cost_us: int, now: int, items: int = 1
+    ) -> None:
+        super().on_actor_fire_end(actor, cost_us, now, items)
         if actor.is_source:
             # Re-check for due arrivals next time around.
             self.invalidate_state(actor)

@@ -78,7 +78,7 @@ class QuantumPriorityScheduler(AbstractScheduler):
             )
 
     # ------------------------------------------------------------------
-    # Table 2: state conditions under QBS
+    # Table 2: state conditions under QBS (RR shares the column)
     # ------------------------------------------------------------------
     def evaluate_state(self, actor: Actor) -> ActorState:
         quantum = self.quantum.get(actor.name, 0)
@@ -112,8 +112,10 @@ class QuantumPriorityScheduler(AbstractScheduler):
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    def on_actor_fire_end(self, actor: Actor, cost_us: int, now: int) -> None:
-        super().on_actor_fire_end(actor, cost_us, now)
+    def on_actor_fire_end(
+        self, actor: Actor, cost_us: int, now: int, items: int = 1
+    ) -> None:
+        super().on_actor_fire_end(actor, cost_us, now, items)
         before = self.quantum.get(actor.name, 0)
         remaining = before - cost_us
         self.quantum[actor.name] = remaining

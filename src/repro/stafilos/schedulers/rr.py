@@ -24,7 +24,7 @@ from ...core.windows import Window
 from ...observability import tracer as _obs
 from ..abstract_scheduler import AbstractScheduler
 from ..ready import ReadyQueue
-from ..states import ActorState
+from .qbs import QuantumPriorityScheduler
 
 
 #: "No source can ever become runnable" horizon sentinel (engine times
@@ -94,17 +94,7 @@ class RoundRobinScheduler(AbstractScheduler):
     # ------------------------------------------------------------------
     # Table 2: the QBS column applies to RR as well
     # ------------------------------------------------------------------
-    def evaluate_state(self, actor: Actor) -> ActorState:
-        quantum = self.quantum.get(actor.name, 0)
-        if actor.is_source:
-            if actor.name in self._fired_sources or quantum <= 0:
-                return ActorState.WAITING
-            return ActorState.ACTIVE
-        if not self.ready[actor.name]:
-            return ActorState.INACTIVE
-        if quantum > 0:
-            return ActorState.ACTIVE
-        return ActorState.WAITING
+    evaluate_state = QuantumPriorityScheduler.evaluate_state
 
     def comparator_key(self, actor: Actor) -> Any:
         return self._order.get(actor.name, 0)
@@ -155,14 +145,18 @@ class RoundRobinScheduler(AbstractScheduler):
         self._now = now
         self._firing_ticket = self._order.get(actor.name)
 
-    def continue_train(self, actor: Actor) -> bool:
+    def continue_train(
+        self, actor: Actor, spent_us: int, items: int, now: int
+    ) -> bool:
         """O(1) exact replica of :meth:`get_next_actor` staying on *actor*.
 
-        ``True`` is returned only when every condition of the full
-        selection provably yields *actor* again:
+        Read against the train's tally (see the base method): the
+        actor's quantum is short by *spent_us* and the source-pacing
+        counter by *items*.  ``True`` is returned only when every
+        condition of the full selection provably yields *actor* again:
 
-        * no source check is due (``_internal_since_source`` below the
-          interval — sources can therefore not preempt, and the skipped
+        * no source check is due (the pacing counter below the interval
+          — sources can therefore not preempt, and the skipped
           ``get_next_actor`` would not have touched the source rotation);
         * the actor still holds quantum and ready work, so its state is
           ACTIVE by the Table 2 rules;
@@ -177,7 +171,7 @@ class RoundRobinScheduler(AbstractScheduler):
         """
         if actor.is_source:
             return False
-        if self._internal_since_source >= self.source_interval:
+        if self._internal_since_source + items >= self.source_interval:
             # A source check is due.  It returns a source iff some source
             # is ACTIVE (not yet fired this iteration, quantum left) and
             # has due work — replicate that exactly; any runnable source
@@ -187,7 +181,8 @@ class RoundRobinScheduler(AbstractScheduler):
             # are fixed, so a failing scan stays failing until the
             # earliest pending arrival comes due — cache that horizon
             # (bounded sources only) and re-check with one comparison.
-            now = self._now
+            if not items:
+                now = self._now
             until = self._no_source_until
             if until is None or now >= until:
                 fired = self._fired_sources
@@ -207,18 +202,19 @@ class RoundRobinScheduler(AbstractScheduler):
                 if self._sources_cacheable:
                     self._no_source_until = horizon
         name = actor.name
-        if self.quantum.get(name, 0) <= 0:
+        if self.quantum.get(name, 0) <= spent_us:
             return False
         if not self.ready[name]:
             return False
         return self._order.get(name) == self._firing_ticket
 
     # ------------------------------------------------------------------
-    def on_actor_fire_end(self, actor: Actor, cost_us: int, now: int) -> None:
+    def on_actor_fire_end(
+        self, actor: Actor, cost_us: int, now: int, items: int = 1
+    ) -> None:
         # ``AbstractScheduler.on_actor_fire_end`` inlined (clock stamp,
         # internal-firing and source-pacing counters, state
-        # invalidation) — per-item on the train path, and the base hook
-        # is a few plain statements.
+        # invalidation) — the base hook is a few plain statements.
         self._now = now
         name = actor.name
         self.quantum[name] = self.quantum.get(name, 0) - cost_us
@@ -229,8 +225,8 @@ class RoundRobinScheduler(AbstractScheduler):
             # no-runnable-source horizon is stale.
             self._no_source_until = None
         else:
-            self.internal_firings += 1
-            self._internal_since_source += 1
+            self.internal_firings += items
+            self._internal_since_source += items
         self.state_valid[name] = False
         self._index_dirty.add(name)
 

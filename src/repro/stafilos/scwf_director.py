@@ -172,7 +172,11 @@ class SCWFDirector(Director):
         return record_input
 
     def schedule_ready_batch(
-        self, actor: Actor, port_name: str, items: "list[Window | CWEvent]"
+        self,
+        actor: Actor,
+        port_name: str,
+        items: "list[Window | CWEvent]",
+        stamps: Optional[list[int]] = None,
     ) -> None:
         """Train intake: admit a burst of ready items in one call.
 
@@ -180,9 +184,17 @@ class SCWFDirector(Director):
         admission counter and input statistics are count-based, and
         ``enqueue_batch`` is admission-order equivalent to an enqueue
         loop (falling back to one when a shedder must see every event).
+        A held train passes *stamps*, each item's admission time
+        (ascending): its input samples are recorded as if every item
+        had been admitted when its firing ended.
         """
         count = len(items)
         if count == 0:
+            return
+        if stamps is not None:
+            self.total_events_admitted += count
+            self.statistics.record_inputs(actor, stamps)
+            self.scheduler.enqueue_batch(actor, port_name, items)
             return
         if count == 1:
             self.schedule_ready(actor, port_name, items[0])
@@ -337,6 +349,8 @@ class SCWFDirector(Director):
         A one-item train (every dispatch under FIFO) then pays for none
         of it.  Not planned: the actor's bound lifecycle methods (a fault
         injector shadows ``fire`` on the instance, possibly mid-run).
+        A plan that holds is rebuilt when the workflow's structure
+        changes.
         """
         kind = type(actor)
         # The stateless ``fire_batch`` shortcut may replace the
@@ -368,8 +382,50 @@ class SCWFDirector(Director):
             # The registry-level ``record_invocation`` is a pure
             # delegation to this bound method.
             self.statistics.register(actor).record_invocation,
+            # A fused chain settles its members once per composed
+            # firing already; with its ~2-item trains, holding measured
+            # no gain.
+            fused_flush is None and self._may_hold(actor),
+            self.workflow._structure_version,
         )
         return plan
+
+    def _may_hold(self, actor: Actor) -> bool:
+        """May *actor*'s trains hold their emissions until the train ends?
+
+        Only where that is exact, and only where it can pay.  It cannot
+        pay under a policy that never continues a train.  It is not
+        exact when a director hook must see every emission, when a
+        frontier tracker would count tokens between retire and observe,
+        when the actor feeds its own input, when two channels lead into
+        one consumer (per-event order between its ports would show), or
+        when a consumer's port has a window: a window insert can raise
+        (a missing group-by field), and the producing item's fault
+        barrier must see that raise while its train is still running.
+        Every held route therefore ends in windowless ports, whose
+        delivery is a queue append.  A load shedder, which may be
+        installed mid-run, is checked per train.
+        """
+        if (
+            self._emit_hooked
+            or self.frontier is not None
+            or type(self.scheduler).continue_train
+            is AbstractScheduler.continue_train
+        ):
+            return False
+        consumers = {actor}
+        for port in actor.output_ports.values():
+            for channel in port.outgoing:
+                consumer = channel.sink.actor
+                receiver = channel.sink.receiver
+                if (
+                    consumer in consumers
+                    or not isinstance(receiver, TMWindowedReceiver)
+                    or not receiver._passthrough
+                ):
+                    return False
+                consumers.add(consumer)
+        return True
 
     def _fire_internal(self, actor: Actor, budget: int):
         """Drain up to *budget* ready items of *actor* in one dispatch.
@@ -385,14 +441,27 @@ class SCWFDirector(Director):
           due source all cut the train exactly where the per-event loop
           would have switched;
         * every item is dequeued, charged (dispatch overhead, invocation
-          or failure cost), recorded and flushed individually, in the
-          same order — only the Python-level bookkeeping (context
-          allocation, receiver staging round-trip, method dispatch) is
-          amortized, plus the tracer fires once per train carrying exact
-          per-event counts;
+          or failure cost) and fired individually, in the same order —
+          only the Python-level bookkeeping (context allocation,
+          receiver staging round-trip, method dispatch) is amortized,
+          plus the tracer fires once per train carrying exact per-event
+          counts;
         * a drawn-but-unusable scheduling decision is *carried* back to
           the caller so it is consumed exactly once (policies like RR
           advance rotation state inside ``get_next_actor``).
+
+        A train of an actor that may hold (:meth:`_may_hold`) *seals*
+        each item instead of closing it: the wave marks become final,
+        but the emissions stay in the context, stamped with the engine
+        time ``close`` would have delivered them at, and the item's cost
+        joins the train's tally instead of reaching the scheduler and
+        the statistics.  Such a train *settles* (:meth:`_settle`) before
+        the scheduler is consulted, when the loop ends, and before an
+        exception leaves it: its emissions cross each route once, the
+        scheduler hears one ``on_actor_fire_end`` with the summed cost
+        and the item count, and ``continue_train`` answers from the
+        running tally meanwhile.  Any other train delivers and reports
+        every item as it ends.
 
         Returns ``(completed_firings, items_dispatched, carried)`` where
         ``carried`` is the next actor decision, ``None`` (iteration
@@ -400,9 +469,23 @@ class SCWFDirector(Director):
         drawn).  Trains never outlive the call, so checkpoints (taken
         between director iterations) have no in-flight train to capture.
         """
-        ctx, batchable, fused_flush, fast_base, record_invocation = (
-            self._plans.get(actor) or self._plan_for(actor)
+        plan = self._plans.get(actor) or self._plan_for(actor)
+        if plan[5] and plan[6] != self.workflow._structure_version:
+            # A channel connected since can make holding inexact.
+            plan = self._plan_for(actor)
+        ctx, batchable, fused_flush, fast_base, record_invocation, hold, _ = (
+            plan
         )
+        scheduler = self.scheduler
+        hold = hold and scheduler.shedder is None
+        # The tally of a holding train: invocation costs not yet
+        # recorded, and the firing cost and count of the items not yet
+        # reported.
+        costs: list[int] = []
+        spent = 0
+        unsettled = 0
+        if hold:
+            record_invocation = costs.append
         # An instance-level ``fire`` (a fault injector's guard) must
         # run: the shortcut would bypass it.
         fire_batch = (
@@ -410,7 +493,6 @@ class SCWFDirector(Director):
             if batchable and "fire" not in actor.__dict__
             else None
         )
-        scheduler = self.scheduler
         supervisor = self.supervisor
         # Empty until some actor fails: only then is there a circuit to
         # find open or a failure streak to close.
@@ -419,6 +501,7 @@ class SCWFDirector(Director):
         clock = self.clock
         fire_start = scheduler.on_actor_fire_start
         fire_end = scheduler.on_actor_fire_end
+        continue_train = scheduler.continue_train
         advance = clock.advance
         # With tracing off, ``dequeue_item`` reduces to a queue pop plus a
         # state invalidation that the per-item ``fire_end`` hook (or the
@@ -428,132 +511,130 @@ class SCWFDirector(Director):
         obs_on = _obs.ENABLED
         queue_pop = scheduler.ready[actor.name].pop
         frontier = self.frontier
-        train_start = clock.now_us
+        train_start = end_now = clock.now_us
         fired = 0
         items = 0
-        while True:
-            ready = scheduler.dequeue_item(actor) if obs_on else queue_pop()
-            items += 1
-            if ready is None:
-                # The policy considered the actor runnable, but its queue
-                # is empty (e.g. state staleness): a no-op dispatch.
-                scheduler.invalidate_state(actor)
-            elif health and supervisor.is_quarantined(actor.name):
-                # Open circuit: the item bypasses execution entirely.
-                now = clock.now_us
-                fire_start(actor, now)
-                supervisor.drop_quarantined(
-                    actor, ready.port_name, ready.item, now
+        try:
+            while True:
+                ready = (
+                    scheduler.dequeue_item(actor) if obs_on else queue_pop()
                 )
-                if frontier is not None:
-                    frontier.retire_item(ready.item)
-                fire_end(actor, 0, now)
-            else:
-                now = clock.now_us
-                fire_start(actor, now)
-                ctx.reset(now)
-                ctx.stage(ready.port_name, ready.item)
-                fired_this = False
-                attempt = 0
-                while True:
-                    try:
-                        if fire_batch is not None:
-                            fire_batch(ctx)
-                            fired_this = True
-                        elif actor.prefire(ctx):
-                            actor.fire(ctx)
-                            actor.postfire(ctx)
-                            fired_this = True
-                        ctx.close()
-                        # Only a completed attempt records an invocation.
-                        if fused_flush is not None:
-                            # Fused chains accrue per-member charges
-                            # internally; advance by the sum, then let
-                            # the chain attribute costs/tokens per member
-                            # and emit its finals.
-                            advance(actor.take_pending_cost())
-                            fused_flush(clock.now_us)
-                        else:
-                            if fast_base is not None:
-                                cost = (
-                                    fast_base
-                                    + cost_model.per_input_us
-                                    * ctx.inputs_consumed
-                                    + cost_model.per_output_us
-                                    * ctx.outputs_produced
-                                )
-                                if cost < 1:
-                                    cost = 1
+                items += 1
+                if ready is None:
+                    # The policy considered the actor runnable, but its
+                    # queue is empty (e.g. state staleness): a no-op
+                    # dispatch.
+                    scheduler.invalidate_state(actor)
+                elif health and supervisor.is_quarantined(actor.name):
+                    # Open circuit: the item bypasses execution entirely.
+                    end_now = clock.now_us
+                    fire_start(actor, end_now)
+                    supervisor.drop_quarantined(
+                        actor, ready.port_name, ready.item, end_now
+                    )
+                    if frontier is not None:
+                        frontier.retire_item(ready.item)
+                    if hold:
+                        unsettled += 1
+                    else:
+                        fire_end(actor, 0, end_now)
+                else:
+                    now = clock.now_us
+                    fire_start(actor, now)
+                    ctx.reset(now)
+                    ctx.stage(ready.port_name, ready.item)
+                    fired_this = False
+                    attempt = 0
+                    while True:
+                        try:
+                            if fire_batch is not None:
+                                fire_batch(ctx)
+                                fired_this = True
+                            elif actor.prefire(ctx):
+                                actor.fire(ctx)
+                                actor.postfire(ctx)
+                                fired_this = True
+                            if hold:
+                                ctx.seal(clock.now_us)
                             else:
-                                cost = cost_model.invocation_cost(actor, ctx)
-                            advance(cost)
-                            record_invocation(cost)
-                        if health:
-                            supervisor.on_success(actor)
-                        break
-                    except Exception as error:
-                        # Fault barrier: discard the failed firing's
-                        # partial emissions, charge the (cheaper) failure
-                        # cost, and let the supervisor decide: retry,
-                        # dead-letter or propagate.
-                        ctx.abort()
-                        ctx.close()
-                        if fused_flush is not None:
-                            actor.discard_fused_charges()
-                        attempt += 1
-                        decision = supervisor.on_failure(
-                            actor,
-                            ready.port_name,
-                            ready.item,
-                            error,
-                            attempt,
-                            clock.now_us,
-                        )
-                        if decision.action is FailureAction.PROPAGATE:
-                            raise
-                        advance(cost_model.failure_cost(actor, ctx))
-                        if _obs.ENABLED:
-                            _obs._TRACER.instant(
-                                "actor.error",
-                                clock.now_us,
-                                actor.name,
-                                error=type(error).__name__,
-                                attempt=attempt,
-                            )
-                        if decision.action is FailureAction.RETRY:
-                            # Exponential backoff charged in engine time.
-                            advance(decision.backoff_us)
-                            ctx.reset(clock.now_us)
-                            ctx.stage(ready.port_name, ready.item)
-                            continue
-                        # Dead-lettered by the supervisor.
-                        fired_this = False
-                        break
-                if frontier is not None:
-                    # The item's token retires only after its firing
-                    # settled — emissions flushed at ctx.close() re-upped
-                    # the root first, so a live wave's count never
-                    # transiently reaches zero.
-                    frontier.retire_item(ready.item)
-                end_now = clock.now_us
-                fire_end(actor, end_now - now, end_now)
-                if fired_this:
-                    fired += 1
-            if items >= budget:
-                carried = _CONSULT
-                break
-            if not scheduler.continue_train(actor):
-                chosen = scheduler.get_next_actor()
-                if chosen is not actor:
-                    carried = chosen
+                                ctx.close()
+                            # Only a completed attempt records an
+                            # invocation.
+                            if fused_flush is not None:
+                                # Fused chains accrue per-member charges
+                                # internally; advance by the sum, then
+                                # let the chain attribute costs/tokens
+                                # per member and emit its finals.
+                                advance(actor.take_pending_cost())
+                                fused_flush(clock.now_us)
+                            else:
+                                if fast_base is not None:
+                                    cost = (
+                                        fast_base
+                                        + cost_model.per_input_us
+                                        * ctx.inputs_consumed
+                                        + cost_model.per_output_us
+                                        * ctx.outputs_produced
+                                    )
+                                    if cost < 1:
+                                        cost = 1
+                                else:
+                                    cost = cost_model.invocation_cost(
+                                        actor, ctx
+                                    )
+                                advance(cost)
+                                record_invocation(cost)
+                            if health:
+                                supervisor.on_success(actor)
+                            break
+                        except Exception as error:
+                            attempt += 1
+                            if self._recover(
+                                actor, ctx, ready, error, attempt
+                            ):
+                                continue
+                            fired_this = False
+                            break
+                    if frontier is not None:
+                        # The item's token retires only after its firing
+                        # settled — emissions flushed at ctx.close()
+                        # re-upped the root first, so a live wave's count
+                        # never transiently reaches zero.
+                        frontier.retire_item(ready.item)
+                    end_now = clock.now_us
+                    if hold:
+                        spent += end_now - now
+                        unsettled += 1
+                    else:
+                        fire_end(actor, end_now - now, end_now)
+                    if fired_this:
+                        fired += 1
+                if items >= budget:
+                    carried = _CONSULT
                     break
-            # The train continues: charge the dispatch the per-event loop
-            # would have paid for re-selecting the same actor.
-            if _obs.ENABLED:
-                _obs._TRACER.instant(
-                    "sched.dispatch", clock.now_us, actor.name, source=False
-                )
-            advance(cost_model.dispatch_overhead_us)
+                if not continue_train(actor, spent, unsettled, end_now):
+                    if hold:
+                        self._settle(
+                            actor, ctx, costs, spent, unsettled, end_now
+                        )
+                        spent = unsettled = 0
+                    chosen = scheduler.get_next_actor()
+                    if chosen is not actor:
+                        carried = chosen
+                        break
+                # The train continues: charge the dispatch the per-event
+                # loop would have paid for re-selecting the same actor.
+                if _obs.ENABLED:
+                    _obs._TRACER.instant(
+                        "sched.dispatch",
+                        clock.now_us,
+                        actor.name,
+                        source=False,
+                    )
+                advance(cost_model.dispatch_overhead_us)
+        finally:
+            if hold:
+                self._settle(actor, ctx, costs, spent, unsettled, end_now)
         if _obs.ENABLED:
             now = clock.now_us
             _obs._TRACER.span(
@@ -565,6 +646,54 @@ class SCWFDirector(Director):
                 fired=fired,
             )
         return fired, items, carried
+
+    def _recover(self, actor, ctx, ready, error, attempt: int) -> bool:
+        """Fault barrier of a failed attempt: discard its partial
+        emissions (and a fused chain's partial charges), charge the
+        (cheaper) failure cost, and let the supervisor decide.  Returns
+        ``True`` to retry (the item staged again after the engine-time
+        backoff), ``False`` when the item was dead-lettered; re-raises
+        under fail-stop."""
+        ctx.abort()
+        ctx.close()
+        if hasattr(actor, "discard_fused_charges"):
+            actor.discard_fused_charges()
+        clock = self.clock
+        decision = self.supervisor.on_failure(
+            actor, ready.port_name, ready.item, error, attempt, clock.now_us
+        )
+        if decision.action is FailureAction.PROPAGATE:
+            raise error
+        clock.advance(self.cost_model.failure_cost(actor, ctx))
+        if _obs.ENABLED:
+            _obs._TRACER.instant(
+                "actor.error",
+                clock.now_us,
+                actor.name,
+                error=type(error).__name__,
+                attempt=attempt,
+            )
+        if decision.action is FailureAction.RETRY:
+            # Exponential backoff charged in engine time.
+            clock.advance(decision.backoff_us)
+            ctx.reset(clock.now_us)
+            ctx.stage(ready.port_name, ready.item)
+            return True
+        return False
+
+    def _settle(self, actor, ctx, costs, spent, unsettled, end_now) -> None:
+        """Settle a holding train: deliver what its items emitted, then
+        report them to the statistics and the scheduler at once."""
+        emitted = ctx.deliver_held()
+        if emitted:
+            self.statistics.record_outputs(
+                actor, [event.timestamp for event in emitted]
+            )
+        if costs:
+            self.statistics.register(actor).record_invocations(costs)
+            costs.clear()
+        if unsettled:
+            self.scheduler.on_actor_fire_end(actor, spent, end_now, unsettled)
 
     # ------------------------------------------------------------------
     # Frontier progress (repro.frontier)

@@ -67,8 +67,9 @@ class TMWindowedReceiver(WindowedReceiver):
         a single ``schedule_ready_batch`` — the per-event path's dominant
         cost.  Windowed ports run the (possibly amortized) operator batch
         insert.  With *staged* (a fan-out port's delivery, granted by
-        :meth:`can_stage`) the items the train produced are appended to
-        it instead of scheduled; :meth:`admit_staged` follows.
+        :meth:`can_stage`, or a held train) the items the train produced
+        are appended to it instead of scheduled; :meth:`admit_staged`
+        (or, held, :meth:`admit_held`) follows.
         """
         if staged is not None:
             if self._passthrough:
@@ -115,6 +116,14 @@ class TMWindowedReceiver(WindowedReceiver):
         """Schedule what a staged ``put_batch`` produced, in one call."""
         port = self.port
         self._director.schedule_ready_batch(port.actor, port.name, items)
+
+    def admit_held(self, items: list, stamps: list[int]) -> None:
+        """Schedule a held train's staged share, in one call, each item
+        at its admission time."""
+        port = self.port
+        self._director.schedule_ready_batch(
+            port.actor, port.name, items, stamps
+        )
 
     def _note_late(self, event: CWEvent) -> None:
         tracker = self._director.frontier

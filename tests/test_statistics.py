@@ -1,11 +1,13 @@
 """Actor statistics and the Rate-Based global metrics."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.actors import Actor, SinkActor, SourceActor
 from repro.core.statistics import (
     ActorStats,
     global_rate_metrics,
+    RATE_HORIZON_US,
     rate_priorities,
     StatisticsRegistry,
 )
@@ -112,6 +114,59 @@ class TestRateWindowRoundTrip:
         past = stats.input_rate_per_s(horizon + 500_000)
         assert restored.input_rate_per_s(horizon + 500_000) == past
         assert past < at_boundary
+
+
+_TRAIN = st.tuples(
+    st.lists(st.integers(min_value=1, max_value=5_000), max_size=12),
+    # Input stamps are engine times: steps >= 0, sometimes past a horizon.
+    st.lists(
+        st.sampled_from([0, 0, 1, 700, 2_500_000, RATE_HORIZON_US + 1]),
+        max_size=12,
+    ),
+    # Output stamps are event times: any order.
+    st.lists(
+        st.integers(min_value=0, max_value=4 * RATE_HORIZON_US), max_size=12
+    ),
+    st.booleans(),  # snapshot (which trims) after this train
+)
+
+
+class TestSeriesRecorders:
+    """One series call per record kind equals the per-item calls it
+    replaces: snapshots (rates included, across the horizon), the EWMA
+    bit for bit and the registry's newest time."""
+
+    @given(st.lists(_TRAIN, min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_series_equal_the_per_item_loop(self, trains):
+        actor = Pass("a")
+        per_item, series = StatisticsRegistry(), StatisticsRegistry()
+        for registry in (per_item, series):
+            registry.register(actor)
+        now = 0
+        for costs, steps, outputs, probe in trains:
+            inputs = []
+            for step in steps:
+                now += step
+                inputs.append(now)
+            for cost in costs:
+                per_item.record_invocation(actor, cost)
+            for stamp in inputs:
+                per_item.record_input(actor, 1, stamp)
+            for stamp in outputs:
+                per_item.record_output(actor, 1, stamp)
+            series.get(actor).record_invocations(costs)
+            series.record_inputs(actor, inputs)
+            series.record_outputs(actor, outputs)
+            if probe:
+                assert series.snapshot() == per_item.snapshot()
+            assert series._last_now_us == per_item._last_now_us
+            held = series.get(actor).ewma_cost_us
+            fed = per_item.get(actor).ewma_cost_us
+            assert held is None is fed or held.hex() == fed.hex()
+        for later in (0, RATE_HORIZON_US // 2, 2 * RATE_HORIZON_US):
+            probe_at = series._last_now_us + later
+            assert series.snapshot(probe_at) == per_item.snapshot(probe_at)
 
 
 class TestRegistry:

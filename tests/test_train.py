@@ -61,7 +61,13 @@ TOPOLOGIES = (
     "fanout",
     "expand",
     "source_fanout",
+    "self_loop",
+    "two_ports",
+    "punctuated",
 )
+
+#: One lap of ``self_loop``: a value leaves for the sink after three.
+_LAP = 1000
 
 
 def _expand_fn(value):
@@ -106,6 +112,32 @@ def _build_source_fanout(workflow, source):
     return workflow, sinks
 
 
+def _lap(ctx):
+    """Feed the value back to the actor's own input until three laps
+    are done, then let it leave."""
+    value = ctx.read_value("in")
+    if value < 3 * _LAP:
+        ctx.send("loop", value + _LAP)
+    else:
+        ctx.send("out", value)
+
+
+def _alternate(ctx):
+    """Even values leave on port ``b``, odd ones on ``a``: consecutive
+    items of a train use different routes, the first one ``b`` although
+    ``a`` is declared first."""
+    value = ctx.read_value("in")
+    ctx.send("b" if value % 2 == 0 else "a", value)
+
+
+def _punctuate(ctx):
+    """Forward the value, then assert that its time pane is complete:
+    a control item inside every firing's output."""
+    item = ctx.read("in")
+    ctx.send("out", item.value)
+    ctx.send("out", Punctuation(item.timestamp))
+
+
 def _build(topology, arrivals):
     """One workflow of the given shape; returns (workflow, sinks)."""
     workflow = Workflow(f"oracle-{topology}")
@@ -113,6 +145,45 @@ def _build(topology, arrivals):
     source.add_output("out")
     if topology == "source_fanout":
         return _build_source_fanout(workflow, source)
+    if topology == "self_loop":
+        lap = FunctionActor("lap", _lap, outputs=("loop", "out"))
+        sink = SinkActor("sink")
+        workflow.add_all([source, lap, sink])
+        workflow.connect(source, lap)
+        workflow.connect(lap, lap, source_port="loop")
+        workflow.connect(lap, sink, source_port="out")
+        return workflow, [sink]
+    if topology == "punctuated":
+        # ``marker`` feeds a windowed port, so it does not hold;
+        # ``tagger`` feeds a windowless one only, so it holds output
+        # that carries control items.
+        marker = FunctionActor("marker", _punctuate)
+        tagger = FunctionActor("tagger", _punctuate)
+        consumers = [
+            MapActor(
+                "pane", lambda vs: len(vs), window=WindowSpec.time(25_000)
+            ),
+            MapActor("pass", lambda v: v),
+            MapActor("tagged", lambda v: v),
+        ]
+        sinks = [SinkActor(f"sink-{actor.name}") for actor in consumers]
+        workflow.add_all([source, marker, tagger] + consumers + sinks)
+        workflow.connect(source, marker)
+        workflow.connect(source, tagger)
+        for producer, consumer, sink in zip(
+            (marker, marker, tagger), consumers, sinks
+        ):
+            workflow.connect(producer, consumer)
+            workflow.connect(consumer, sink)
+        return workflow, sinks
+    if topology == "two_ports":
+        split = FunctionActor("split", _alternate, outputs=("a", "b"))
+        sinks = [SinkActor("sink-a"), SinkActor("sink-b")]
+        workflow.add_all([source, split] + sinks)
+        workflow.connect(source, split)
+        workflow.connect(split, sinks[0], source_port="a")
+        workflow.connect(split, sinks[1], source_port="b")
+        return workflow, sinks
     sinks = [SinkActor("sink")]
     if topology == "relay":
         relay = MapActor("relay", lambda v: v)
@@ -219,6 +290,33 @@ class TestTrainOracle:
         reference = _reference("expand", arrivals, scheduler_index)
         assert len(reference[1]) > 60  # sources and internals both logged
         assert _run("expand", arrivals, scheduler_index, None) == reference
+
+    @pytest.mark.parametrize(
+        "topology", ["self_loop", "two_ports", "punctuated"]
+    )
+    @pytest.mark.parametrize("scheduler_index", range(len(SCHEDULERS)))
+    def test_held_routes_on_every_scheduler(self, scheduler_index, topology):
+        """Directed spot-check of the route shapes a held train must get
+        right: an actor feeding its own input (holding it would delay its
+        own re-admission, so it is not held), two routes used alternately
+        (admission across them decides RR tickets), and control items
+        in a firing's output: a punctuation closes panes where it stands
+        (a windowed consumer, not held), and a windowless port drops it
+        from a held train."""
+        # A dense run, then same-stamp bursts whose punctuations close
+        # the panes behind them.
+        arrivals = [(i * 97, i) for i in range(60)] + [
+            (burst * 30_000, 60 + burst * 8 + slot)
+            for burst in range(1, 9)
+            for slot in range(8)
+        ]
+        reference = _reference(topology, arrivals, scheduler_index)
+        assert all(reference[0].values())
+        for train_size in TRAIN_SIZES:
+            assert (
+                _run(topology, arrivals, scheduler_index, train_size)
+                == reference
+            ), f"train_size={train_size}"
 
     @pytest.mark.parametrize("scheduler_index", range(len(SCHEDULERS)))
     def test_source_fanout_on_every_scheduler(self, scheduler_index):
@@ -343,6 +441,56 @@ class TestFiringPlan:
         assert plain.calls == {"fire": 0, "fire_batch": 40, "prefire": 0}
         assert gated.calls == {"fire": 40, "fire_batch": 0, "prefire": 40}
 
+    @staticmethod
+    def _holding(workflow, scheduler_index):
+        """Which actors' plans hold after a drained run."""
+        clock = VirtualClock()
+        director = SCWFDirector(
+            SCHEDULERS[scheduler_index](), clock, CostModel()
+        )
+        director.attach(workflow)
+        SimulationRuntime(director, clock).run(10.0, drain=True)
+        return {actor.name: plan[5] for actor, plan in director._plans.items()}
+
+    def test_holding_is_derived_from_topology_and_policy(self):
+        """Under RR an actor holds when its routes end in windowless
+        ports of distinct consumers other than itself; feeding a window
+        or its own input, or being a fused chain, keeps it per item; a
+        policy that never continues a train holds nothing."""
+        from repro.fusion import fuse_workflow
+
+        arrivals = [(i * 97, i) for i in range(20)] + [
+            (burst * 30_000, 20 + burst) for burst in range(1, 4)
+        ]
+        def punctuated():
+            return _build("punctuated", arrivals)[0]
+
+        assert self._holding(punctuated(), 1) == {
+            "marker": False,  # feeds the windowed ``pane``
+            "tagger": True,
+            "pane": True,
+            "pass": True,
+            "tagged": True,
+            "sink-pane": True,
+            "sink-pass": True,
+            "sink-tagged": True,
+        }
+        looped = _build("self_loop", arrivals)[0]
+        assert self._holding(looped, 1) == {"lap": False, "sink": True}
+        fused = Workflow("fused")
+        source = SourceActor("src", arrivals=arrivals)
+        source.add_output("out")
+        maps = [MapActor(f"m{hop}", lambda v: v + 1) for hop in range(3)]
+        sink = SinkActor("sink")
+        fused.add_all([source, *maps, sink])
+        for upstream, downstream in zip([source, *maps], [*maps, sink]):
+            fused.connect(upstream, downstream)
+        assert fuse_workflow(fused).fused_actors == 3
+        holding = self._holding(fused, 1)
+        assert holding.pop("sink") and list(holding.values()) == [False]
+        for policy in (0, 2, 3):  # QBS, RB, FIFO
+            assert not any(self._holding(punctuated(), policy).values())
+
     def test_instance_level_fire_is_never_bypassed(self):
         """A fault injector shadows ``fire`` on the instance — mid-run."""
         from repro.resilience import FaultPolicy, install_faults
@@ -446,6 +594,33 @@ class TestDeliveryRoutes:
 
     def test_channel_connected_mid_run_is_followed(self):
         assert self._tapped(SCWFDirector) == self._tapped(
+            PerEventSCWFDirector
+        )
+
+    def _looped_mid_run(self, cls):
+        """``lap.loop`` leads nowhere until it is connected back into
+        ``lap`` mid-run: a train that held before must not hold after."""
+        workflow = Workflow("looped")
+        source = SourceActor("src", arrivals=self.ARRIVALS)
+        source.add_output("out")
+        lap = FunctionActor("lap", _lap, outputs=("loop", "out"))
+        sink = SinkActor("sink")
+        workflow.add_all([source, lap, sink])
+        workflow.connect(source, lap)
+        workflow.connect(lap, sink, source_port="out")
+        clock = VirtualClock()
+        director = cls(RoundRobinScheduler(10_000), clock, CostModel())
+        director.attach(workflow)
+        runtime = SimulationRuntime(director, clock)
+        runtime.run(0.05)
+        assert director.backlog() == 0 and not sink.items
+        workflow.connect(lap, lap, source_port="loop")
+        runtime.run(1.0, drain=True)
+        assert [v - 3 * _LAP for v in sink.values] == list(range(20, 40))
+        return _sink_canon(sink), director.statistics.snapshot(), clock.now_us
+
+    def test_a_loop_connected_mid_run_stops_holding(self):
+        assert self._looped_mid_run(SCWFDirector) == self._looped_mid_run(
             PerEventSCWFDirector
         )
 
@@ -935,6 +1110,144 @@ class TestFaultBarrierThroughTheLoop:
                 _run_faulty(SCWFDirector, train_size, fuse, frontier)
                 == reference
             ), f"train_size={train_size}"
+
+    def _fail_stop(self, cls):
+        """A burst into ``worker``, whose third item raises (fail-stop)."""
+        workflow = Workflow("stop-mid-train")
+        source = SourceActor("src", arrivals=[(0, i) for i in range(6)])
+        source.add_output("out")
+        worker = MapActor("worker", lambda v: v if v != 2 else 1 // 0)
+        relay = MapActor("relay", lambda v: v)
+        sink = SinkActor("sink")
+        workflow.add_all([source, worker, relay, sink])
+        workflow.connect(source, worker)
+        workflow.connect(worker, relay)
+        workflow.connect(relay, sink)
+        clock = VirtualClock()
+        scheduler = RoundRobinScheduler(10_000)
+        director = cls(scheduler, clock, CostModel())
+        director.attach(workflow)
+        with pytest.raises(ZeroDivisionError):
+            SimulationRuntime(director, clock).run(1.0, drain=True)
+        return (
+            [
+                (ready.port_name, ready.item.value, ready.item.timestamp,
+                 tuple(ready.item.wave.path), ready.item.last_in_wave)
+                for ready in scheduler.ready["relay"].snapshot_items()
+            ],
+            dict(scheduler.quantum),
+            dict(scheduler._order),
+            scheduler.internal_firings,
+            director.total_events_admitted,
+            director.statistics.snapshot(),
+            clock.now_us,
+        )
+
+    def test_fail_stop_mid_train_delivers_the_items_before_it(self):
+        """The worker's train held items 1-2 when item 3 raised: they
+        reach the relay's ready queue before the exception leaves."""
+        shipped = self._fail_stop(SCWFDirector)
+        assert [value for _, value, *_ in shipped[0]] == [0, 1]
+        assert shipped == self._fail_stop(PerEventSCWFDirector)
+
+    def _missing_group_key(self, cls):
+        """``worker``'s fourth output lacks the field its consumer's
+        window groups by: the insert raises inside the producing item's
+        firing, and the dead-letter policy consumes that item."""
+        from repro.resilience import FaultPolicy
+
+        workflow = Workflow("missing-key")
+        source = SourceActor("src", arrivals=[(0, i) for i in range(8)])
+        source.add_output("out")
+        worker = MapActor(
+            "worker",
+            lambda v: {"x": v} if v == 3 else {"k": v % 2},
+        )
+        pane = MapActor(
+            "pane",
+            lambda vs: len(vs),
+            window=WindowSpec.tokens(2, 2, group_by="k"),
+        )
+        sink = SinkActor("sink")
+        workflow.add_all([source, worker, pane, sink])
+        workflow.connect(source, worker)
+        workflow.connect(worker, pane)
+        workflow.connect(pane, sink)
+        clock = VirtualClock()
+        scheduler = RoundRobinScheduler(10_000)
+        director = cls(
+            scheduler, clock, CostModel(), error_policy=FaultPolicy()
+        )
+        director.attach(workflow)
+        SimulationRuntime(director, clock).run(1.0, drain=True)
+        return (
+            _sink_canon(sink),
+            [letter.describe() for letter in director.dead_letters],
+            dict(scheduler.quantum),
+            scheduler.internal_firings,
+            director.statistics.snapshot(),
+            clock.now_us,
+        )
+
+    def test_a_consumer_insert_that_raises_fails_the_producing_item(self):
+        """Delivery into a windowed port can raise; per event the raise
+        is the producing item's failure, so such a route is not held
+        and the error reaches the fault barrier, not the caller."""
+        shipped = self._missing_group_key(SCWFDirector)
+        assert len(shipped[1]) == 1 and "KeyError" in shipped[1][0]
+        assert shipped == self._missing_group_key(PerEventSCWFDirector)
+
+    def _fused_burst(self, cls):
+        """One fused chain drains a burst in one train; items 2 and 4
+        fail: 2 once (retried), 4 always (dead-lettered)."""
+        from repro.fusion import fuse_workflow
+        from repro.resilience import FaultPolicy
+
+        attempts = {}
+
+        def flaky(value):
+            attempts[value] = attempts.get(value, 0) + 1
+            if value == 4 or (value == 2 and attempts[value] == 1):
+                raise ValueError(f"boom {value}")
+            return [value, -value] if value % 3 == 0 else value
+
+        workflow = Workflow("fused-burst")
+        source = SourceActor("src", arrivals=[(0, i) for i in range(8)])
+        source.add_output("out")
+        head = MapActor("head", lambda v: v + 0)
+        tail = MapActor("tail", flaky)
+        sink = SinkActor("sink")
+        workflow.add_all([source, head, tail, sink])
+        workflow.connect(source, head)
+        workflow.connect(head, tail)
+        workflow.connect(tail, sink)
+        assert fuse_workflow(workflow).chains == (("head", "tail"),)
+        clock = VirtualClock()
+        director = cls(
+            RoundRobinScheduler(10_000),
+            clock,
+            CostModel(),
+            error_policy=FaultPolicy(max_retries=1, backoff_base_us=300),
+        )
+        director.attach(workflow)
+        SimulationRuntime(director, clock).run(1.0, drain=True)
+        return (
+            _sink_canon(sink),
+            [letter.describe() for letter in director.dead_letters],
+            director.statistics.snapshot(),
+            clock.now_us,
+        )
+
+    def test_fused_failure_discards_only_its_own_item(self):
+        """A failing item inside a fused chain's train discards its own
+        partial charges, never those of the items before it."""
+        shipped = self._fused_burst(SCWFDirector)
+        assert [value for *_, value, _ in shipped[0]] == [
+            0, 0, 1, 2, 3, -3, 5, 6, -6, 7
+        ]
+        assert len(shipped[1]) == 1
+        assert shipped[2]["tail"]["invocations"] == 7
+        assert shipped == self._fused_burst(PerEventSCWFDirector)
 
     def test_fail_stop_propagates_out_of_the_loop(self):
         workflow = Workflow("stop")
