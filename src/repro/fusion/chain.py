@@ -102,7 +102,7 @@ class FusedChain(Actor):
             "_members",
             "_member_names",
             "_hop_fns",
-            "_hop_fast",
+            "_hop_charges",
             "_hop_stats",
             "_hop_inputs",
             "_hop_out_ts",
@@ -114,8 +114,6 @@ class FusedChain(Actor):
             "_bound",
             "_cost_model",
             "_statistics",
-            "_per_input_us",
-            "_per_output_us",
         }
     )
 
@@ -134,10 +132,8 @@ class FusedChain(Actor):
         self._bound = False
         self._cost_model = None
         self._statistics = None
-        self._hop_fast: list[Optional[int]] = []
+        self._hop_charges: list[Optional[tuple]] = []
         self._hop_stats: list = []
-        self._per_input_us = 0
-        self._per_output_us = 0
         # Per-dispatch tallies, flushed or discarded by the director.
         # Interior hops never materialize CWEvents (see ``_process``), so
         # the output tally keeps only what flush needs: timestamps.
@@ -167,35 +163,41 @@ class FusedChain(Actor):
         Called by the SCWF director from ``initialize_all``; registers
         every member in the statistics registry so per-hop attribution
         has a record from the first firing, and resolves each member's
-        fast-path cost base once instead of per event.
+        inline charge (``CostModel.invocation_charge``) once instead of
+        per event.
         """
         cost_model = director.cost_model
         statistics = director.statistics
         self._cost_model = cost_model
         self._statistics = statistics
-        fast_fn = getattr(cost_model, "fast_invocation_base", None)
-        self._hop_fast = [
-            None if fast_fn is None else fast_fn(member)
+        charge_fn = getattr(cost_model, "invocation_charge", None)
+        self._hop_charges = [
+            None if charge_fn is None else charge_fn(member)
             for member in self._members
         ]
         self._hop_stats = [
             statistics.register(member) for member in self._members
         ]
-        self._per_input_us = getattr(cost_model, "per_input_us", 0)
-        self._per_output_us = getattr(cost_model, "per_output_us", 0)
         # Hot-loop plans: one tuple per hop, resolved once.  ``_process``
         # and ``flush_fused_charges`` run per consumed event, so every
         # attribute walk or registry dict lookup hoisted here is paid
-        # once per bind instead of once per hop per event.
-        self._hop_plan = list(
-            zip(
-                self._hop_fns,
-                self._hop_fast,
-                self._members,
-                self._hop_costs,
-                self._hop_out_ts,
-            )
-        )
+        # once per bind instead of once per hop per event.  A hop
+        # consumes one event per firing, so its charge starts from
+        # ``base + per_input_us`` (the charge's first addition); ``None``
+        # there keeps the ``invocation_cost`` call.
+        self._hop_plan = []
+        for fn, charge, member, costs, out_ts in zip(
+            self._hop_fns,
+            self._hop_charges,
+            self._members,
+            self._hop_costs,
+            self._hop_out_ts,
+        ):
+            if charge is None:
+                charge = (None, 0, 0, None, 0.0, 0.0, None)
+            base, per_input, *rest = charge
+            first = None if base is None else base + per_input
+            self._hop_plan.append((fn, first, *rest, member, costs, out_ts))
         self._flush_plan = [
             (
                 stats.record_invocation,
@@ -244,8 +246,6 @@ class FusedChain(Actor):
                 f"fused chain {self.name!r} fired before bind_runtime "
                 "(is the workflow driven by an SCWF director?)"
             )
-        per_input = self._per_input_us
-        per_output = self._per_output_us
         cost_model = self._cost_model
         obs_on = _obs.ENABLED
         hop_inputs = self._hop_inputs
@@ -266,7 +266,10 @@ class FusedChain(Actor):
         # ``path + (i,)`` and the last child carries the last_in_wave
         # mark, exactly as scope close() would set it.
         events = ((item.token.value, item.timestamp, item.wave.path),)
-        for hop, (fn, fast, member, costs, out_ts) in enumerate(plan):
+        for hop, (
+            fn, first, per_output, scale, low, width, draw,
+            member, costs, out_ts,
+        ) in enumerate(plan):
             if not events:
                 break
             hop_inputs[hop] += len(events)
@@ -316,8 +319,15 @@ class FusedChain(Actor):
                         wave=".".join(map(str, path)),
                         produced=n_out,
                     )
-                if fast is not None:
-                    cost = fast + per_input + per_output * n_out
+                if first is not None:
+                    # ``CostModel.invocation_charge``, inline.
+                    cost = first + per_output * n_out
+                    if draw is not None:
+                        cost = round(
+                            cost * scale * (1.0 + (low + width * draw()))
+                        )
+                    elif scale is not None:
+                        cost = round(cost * scale)
                     if cost < 1:
                         cost = 1
                 else:

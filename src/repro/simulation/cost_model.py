@@ -82,28 +82,48 @@ class CostModel:
         )
         return self._jittered(cost)
 
-    def fast_invocation_base(self, actor: "Actor") -> Optional[int]:
-        """Integer base cost when :meth:`invocation_cost` reduces to pure
-        integer arithmetic for *actor*, else ``None``.
+    def invocation_charge(self, actor: "Actor") -> Optional[tuple]:
+        """The constants of *actor*'s :meth:`invocation_cost`, for a firing
+        loop that charges inline, or ``None`` to call the method.
 
-        With ``jitter == 0`` and ``scale == 1.0`` the per-firing charge
-        is exactly ``base + per_input_us·inputs + per_output_us·outputs``
-        (``_jittered`` multiplies by 1.0 and rounds the integer back to
-        itself, with the same ``max(1, ·)`` floor).  The event-train fire
-        loop uses this to charge each item without two method calls per
-        firing; subclasses with different semantics are excluded by the
-        exact-type check and fall back to the full path.
+        Returns ``(base, per_input_us, per_output_us, scale, low, width,
+        draw)``.  The charge of a firing that consumed *i* and produced
+        *o* events is ``c = base + per_input_us·i + per_output_us·o``;
+        then, when ``draw`` is set (jitter on), ``c = round(c · scale ·
+        (1.0 + (low + width · draw())))``, else, when ``scale`` is set,
+        ``c = round(c · scale)``; and at least 1.  That is
+        :meth:`_jittered` operation for operation: ``random.uniform(a,
+        b)`` is ``a + (b - a) · random()``, so one ``draw`` takes the
+        same value from the same generator.  ``scale`` is ``None`` when
+        the charge is pure integer arithmetic (unit scale, no jitter,
+        integer constants).  A subclass, or an instance that shadows
+        :meth:`invocation_cost`, keeps the method path.
         """
-        if (
-            type(self) is not CostModel
-            or self.jitter != 0
-            or self.scale != 1.0
-        ):
+        if type(self) is not CostModel or "invocation_cost" in vars(self):
             return None
-        return (
+        base = (
             actor.nominal_cost_us
             if actor.nominal_cost_us is not None
             else self.default_cost_us
+        )
+        jitter = self.jitter
+        scale = self.scale
+        if jitter <= 0 and scale == 1.0 and all(
+            type(value) is int
+            for value in (base, self.per_input_us, self.per_output_us)
+        ):
+            scale = None
+        # ``uniform(a, b)``'s operands: ``a`` and ``b - a``.
+        low = -jitter
+        width = jitter - low
+        return (
+            base,
+            self.per_input_us,
+            self.per_output_us,
+            scale,
+            low,
+            width,
+            self._rng.random if jitter > 0 else None,
         )
 
     def failure_cost(self, actor: "Actor", ctx: "FiringContext") -> int:

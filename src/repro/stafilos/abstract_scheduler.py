@@ -352,11 +352,13 @@ class AbstractScheduler(ABC):
                 continue
             if actor.is_source and not include_sources:
                 continue
-            index.invalidate(name)
-            if self.state_of(actor) is ActorState.ACTIVE:
-                index.insert(
-                    name, self.comparator_key(actor), self._actor_order[name]
-                )
+            index.update(
+                name,
+                self.comparator_key(actor)
+                if self.state_of(actor) is ActorState.ACTIVE
+                else None,
+                self._actor_order[name],
+            )
 
     def _peek_indexed(self) -> Optional[Actor]:
         """The minimum-key ACTIVE actor per the index, or ``None``."""

@@ -10,10 +10,10 @@ is repaired incrementally at the existing state-transition points
     index every policy uses.  Under RR the key is the rotation ticket,
     making the heap a rotating *ready-ring*; under QBS it is ``(priority,
     head-event time)``, the paper's "ascending priority order, FIFO
-    within a class".  ``insert``/``invalidate`` are ``O(log A)``/``O(1)``;
-    ``peek`` is amortized ``O(log A)``.
+    within a class".  ``update`` is ``O(log A)`` with a key and ``O(1)``
+    without one; ``peek`` is amortized ``O(log A)``.
 
-*Lazy deletion*: invalidating an actor is a version bump (``O(1)``), and
+*Lazy deletion*: dropping or re-keying an actor is a version bump, and
 stale heap entries are discarded when they surface at the top.  A
 compaction pass rebuilds the heap when stale entries outnumber live ones
 by 4x, bounding memory to ``O(A)`` amortized.
@@ -47,8 +47,9 @@ class LazyHeapIndex:
     """Lazy-deletion min-heap of ACTIVE actors keyed by ``(key, order)``.
 
     Entries are ``(key, order, version, name)``; an entry is *live* iff its
-    version matches the actor's current version.  ``invalidate`` bumps the
-    version (O(1)); ``peek`` pops stale tops until a live entry surfaces.
+    version matches the actor's current version.  ``update`` bumps the
+    version and pushes the new entry, if any; ``peek`` pops stale tops
+    until a live entry surfaces.
     """
 
     __slots__ = ("_heap", "_version", "_live")
@@ -59,30 +60,35 @@ class LazyHeapIndex:
         self._live: set[str] = set()
 
     # ------------------------------------------------------------------
-    def invalidate(self, name: str) -> None:
-        """Drop *name*'s entry (if any).  O(1): old entries become stale."""
-        self._version[name] = self._version.get(name, 0) + 1
-        self._live.discard(name)
-
-    def insert(self, name: str, key: Any, order: int) -> None:
-        """(Re)insert *name* as ACTIVE with the given comparator key."""
-        version = self._version.get(name, 0) + 1
-        self._version[name] = version
-        self._live.add(name)
-        heapq.heappush(self._heap, (key, order, version, name))
-        if (
-            len(self._heap) >= _COMPACT_MIN
-            and len(self._heap) > _COMPACT_FACTOR * max(1, len(self._live))
+    def update(self, name: str, key: Any, order: int) -> None:
+        """Re-key *name* as ACTIVE under *key*, or drop it when *key* is
+        ``None`` (the actor is not ACTIVE).  Its older entries go stale."""
+        version = self._version
+        version[name] = version.get(name, 0) + 1
+        if key is None:
+            self._live.discard(name)
+            return
+        live = self._live
+        live.add(name)
+        heap = self._heap
+        heapq.heappush(heap, (key, order, version[name], name))
+        if len(heap) >= _COMPACT_MIN and len(heap) > _COMPACT_FACTOR * max(
+            1, len(live)
         ):
             self._compact()
 
     def peek(self) -> Optional[str]:
-        """Name of the minimum-key live actor, or ``None``."""
+        """Name of the minimum-key live actor, or ``None``.
+
+        An entry whose version is current is live: every version bump
+        but an ``insert``'s (or an ``update``'s with a key) drops the
+        name from the live set and pushes no entry.
+        """
         heap = self._heap
         version = self._version
         while heap:
             _, _, entry_version, name = heap[0]
-            if entry_version == version.get(name, 0) and name in self._live:
+            if entry_version == version[name]:
                 return name
             heapq.heappop(heap)
         return None

@@ -42,14 +42,6 @@ from ..resilience import FailureAction, FaultPolicy
 from .abstract_scheduler import AbstractScheduler
 from .tm_receiver import TMWindowedReceiver
 
-#: Sentinel returned by ``_fire_internal`` when the firing quantum ran out
-#: before a fresh scheduling decision was drawn: the caller must consult
-#: ``get_next_actor`` itself.  Distinct from ``None`` ("the scheduler was
-#: consulted and ended the iteration") — a drawn decision is consumed
-#: exactly once, which matters for policies with stateful selection (the
-#: RR source rotation advances inside ``get_next_actor``).
-_CONSULT = object()
-
 #: Stand-in event-time bound for "the stream has fully drained": far
 #: beyond any admissible timestamp, so every pending pane closes.
 _FAR_FUTURE = 2**62
@@ -82,7 +74,7 @@ class SCWFDirector(Director):
         #: is consulted afresh, and the chunk size emission trains are
         #: flushed in.  ``None`` (the default) drains until the scheduler
         #: switches away.  Not a tuning knob: every value produces the
-        #: same outputs, clock and counters (see ``_fire_internal``); the
+        #: same outputs, clock and counters (see ``run_iteration``); the
         #: benchmark harness and the oracle tests pass it in.
         self.train_size = train_size
         self.scheduler = scheduler
@@ -211,58 +203,271 @@ class SCWFDirector(Director):
     # The director iteration cycle
     # ------------------------------------------------------------------
     def run_iteration(self) -> tuple[int, int]:
-        """One full director iteration.
+        """One full director iteration: the one firing loop.
 
         Returns ``(internal_firings, source_emissions)`` so the runtime can
         detect lack of progress and fast-forward the clock.
+
+        Bit-identical to the paper's Figure 3 read literally
+        (``get_next_actor`` → dispatch overhead → fire one item; kept as
+        the reference oracle in ``tests/per_event_director.py``): every
+        item is dequeued, charged (dispatch overhead, invocation or
+        failure cost) and fired in the per-event order.  What is
+        amortized is set-up: the loop's bindings are made once per
+        iteration, and an actor's plan (:meth:`_plan_for`) is unpacked
+        once per *train*, the items it fires while the scheduler keeps
+        choosing it, up to ``train_size``.  A policy that overrides
+        ``continue_train`` may extend a train without a fresh decision;
+        any other is consulted after every item, and a decision is
+        consumed exactly once (RR advances its source rotation inside
+        ``get_next_actor``).
+
+        A train of an actor that may hold (:meth:`_may_hold`) *seals*
+        each item instead of closing it: the wave marks become final,
+        but the emissions stay in the context, stamped with the engine
+        time ``close`` would have delivered them at, and the item's cost
+        joins the train's tally instead of reaching the scheduler and
+        the statistics.  Such a train *settles* (:meth:`_settle`) before
+        the scheduler is consulted, and before an exception leaves the
+        loop: its emissions cross each route once, the scheduler hears
+        one ``on_actor_fire_end`` with the summed cost and the item
+        count, and ``continue_train`` answers from the running tally
+        meanwhile.  Any other train delivers and reports every item as
+        it ends.  Trains never outlive the iteration, so checkpoints
+        (taken between iterations) have no in-flight train to capture.
         """
         self._require_attached()
         scheduler = self.scheduler
-        self.iterations += 1
-        iteration_start = self.clock.now_us
-        scheduler.on_iteration_start(iteration_start)
-        internal_firings = 0
-        source_emissions = 0
-        fired_total = 0
+        clock = self.clock
+        advance = clock.advance
+        cost_model = self.cost_model
+        dispatch_us = cost_model.dispatch_overhead_us
+        get_next_actor = scheduler.get_next_actor
+        fire_start = scheduler.on_actor_fire_start
+        fire_end = scheduler.on_actor_fire_end
+        continue_train = (
+            None
+            if type(scheduler).continue_train
+            is AbstractScheduler.continue_train
+            else scheduler.continue_train
+        )
+        supervisor = self.supervisor
+        # Empty until some actor fails: only then is there a circuit to
+        # find open or a failure streak to close.
+        health = supervisor.records
+        frontier = self.frontier
+        # With tracing off, ``dequeue_item`` reduces to a queue pop plus a
+        # state invalidation that the per-item ``fire_end`` hook (or the
+        # explicit empty-dequeue branch below) performs anyway — pop the
+        # queue directly.  With tracing on, keep the full call so the
+        # ``sched.queue_depth`` counter fires per dequeue.
+        obs_on = _obs.ENABLED
+        plans = self._plans
         limit = self.max_firings_per_iteration
-        # Drain-all is bounded only by the livelock guard below.
+        # Drain-all is bounded only by the livelock guard.
         budget = self.train_size or limit + 1
-        next_actor = scheduler.get_next_actor()
-        while next_actor is not None:
-            actor = next_actor
-            if _obs.ENABLED:
-                _obs._TRACER.instant(
-                    "sched.dispatch",
-                    self.clock.now_us,
-                    actor.name,
-                    source=actor.is_source,
+        self.iterations += 1
+        iteration_start = clock.now_us
+        scheduler.on_iteration_start(iteration_start)
+        internal_firings = source_emissions = fired_total = 0
+        # The tally of a holding train: invocation costs not yet
+        # recorded, and the firing cost and count of the items not yet
+        # reported.
+        costs: list[int] = []
+        spent = unsettled = 0
+        next_actor = get_next_actor()
+        try:
+            while next_actor is not None and fired_total <= limit:
+                actor = next_actor
+                if obs_on:
+                    _obs._TRACER.instant(
+                        "sched.dispatch",
+                        clock.now_us,
+                        actor.name,
+                        source=actor.is_source,
+                    )
+                advance(dispatch_us)
+                if actor.is_source:
+                    source_emissions += self._fire_source(actor)
+                    fired_total += 1
+                    next_actor = get_next_actor()
+                    continue
+                # A train: *actor*'s items for as long as the scheduler
+                # keeps choosing it, up to ``train_size``.
+                plan = plans.get(actor) or self._plan_for(actor)
+                if plan[5] and plan[6] != self.workflow._structure_version:
+                    # A channel connected since can make holding inexact.
+                    plan = self._plan_for(actor)
+                (
+                    ctx, batchable, fused_flush, queue_pop,
+                    record_invocation, hold, _,
+                    base, per_input, per_output, scale, low, width, draw,
+                ) = plan
+                hold = hold and scheduler.shedder is None
+                if hold:
+                    record_invocation = costs.append
+                # An instance-level ``fire`` (a fault injector's guard)
+                # must run: the shortcut would bypass it.
+                fire_batch = (
+                    actor.fire_batch
+                    if batchable and "fire" not in actor.__dict__
+                    else None
                 )
-            self.clock.advance(self.cost_model.dispatch_overhead_us)
-            if actor.is_source:
-                source_emissions += self._fire_source(actor)
-                fired_total += 1
-                next_actor = scheduler.get_next_actor()
-            else:
-                # Keep draining this actor while the scheduler keeps
-                # choosing it, up to ``budget`` items.
-                fired, items, carried = self._fire_internal(
-                    actor, min(budget, limit + 1 - fired_total)
-                )
+                train_start = end_now = clock.now_us
+                train_budget = min(budget, limit + 1 - fired_total)
+                fired = items = 0
+                while True:
+                    ready = (
+                        scheduler.dequeue_item(actor)
+                        if obs_on
+                        else queue_pop()
+                    )
+                    items += 1
+                    if ready is None:
+                        # The policy considered the actor runnable, but
+                        # its queue is empty (e.g. state staleness): a
+                        # no-op dispatch.
+                        scheduler.invalidate_state(actor)
+                    elif health and supervisor.is_quarantined(actor.name):
+                        # Open circuit: the item bypasses execution.
+                        end_now = clock.now_us
+                        fire_start(actor, end_now)
+                        supervisor.drop_quarantined(
+                            actor, ready.port_name, ready.item, end_now
+                        )
+                        if frontier is not None:
+                            frontier.retire_item(ready.item)
+                        if hold:
+                            unsettled += 1
+                        else:
+                            fire_end(actor, 0, end_now)
+                    else:
+                        now = clock.now_us
+                        fire_start(actor, now)
+                        ctx.reset(now)
+                        ctx.stage(ready.port_name, ready.item)
+                        fired_this = False
+                        attempt = 0
+                        while True:
+                            try:
+                                if fire_batch is not None:
+                                    fire_batch(ctx)
+                                    fired_this = True
+                                elif actor.prefire(ctx):
+                                    actor.fire(ctx)
+                                    actor.postfire(ctx)
+                                    fired_this = True
+                                if hold:
+                                    ctx.seal(clock.now_us)
+                                else:
+                                    ctx.close()
+                                # Only a completed attempt records an
+                                # invocation.
+                                if fused_flush is not None:
+                                    # Fused chains accrue per-member
+                                    # charges internally; advance by the
+                                    # sum, then let the chain attribute
+                                    # costs/tokens per member and emit
+                                    # its finals.
+                                    advance(actor.take_pending_cost())
+                                    fused_flush(clock.now_us)
+                                else:
+                                    if base is not None:
+                                        # ``CostModel.invocation_charge``,
+                                        # inline.
+                                        cost = (
+                                            base
+                                            + per_input * ctx.inputs_consumed
+                                            + per_output
+                                            * ctx.outputs_produced
+                                        )
+                                        if draw is not None:
+                                            jitter = low + width * draw()
+                                            cost = round(
+                                                cost * scale * (1.0 + jitter)
+                                            )
+                                        elif scale is not None:
+                                            cost = round(cost * scale)
+                                        if cost < 1:
+                                            cost = 1
+                                    else:
+                                        cost = cost_model.invocation_cost(
+                                            actor, ctx
+                                        )
+                                    advance(cost)
+                                    record_invocation(cost)
+                                if health:
+                                    supervisor.on_success(actor)
+                                break
+                            except Exception as error:
+                                attempt += 1
+                                if self._recover(
+                                    actor, ctx, ready, error, attempt
+                                ):
+                                    continue
+                                fired_this = False
+                                break
+                        if frontier is not None:
+                            # The item's token retires only after its
+                            # firing settled — emissions flushed at
+                            # ctx.close() re-upped the root first, so a
+                            # live wave's count never transiently
+                            # reaches zero.
+                            frontier.retire_item(ready.item)
+                        end_now = clock.now_us
+                        if hold:
+                            spent += end_now - now
+                            unsettled += 1
+                        else:
+                            fire_end(actor, end_now - now, end_now)
+                        if fired_this:
+                            fired += 1
+                    if (
+                        items >= train_budget
+                        or continue_train is None
+                        or not continue_train(actor, spent, unsettled, end_now)
+                    ):
+                        if unsettled:
+                            self._settle(
+                                actor, ctx, costs, spent, unsettled, end_now
+                            )
+                            spent = unsettled = 0
+                        next_actor = get_next_actor()
+                        if next_actor is not actor or items >= train_budget:
+                            break
+                    # The train continues: charge the dispatch the
+                    # per-event loop would have paid for re-selecting the
+                    # same actor.
+                    if obs_on:
+                        _obs._TRACER.instant(
+                            "sched.dispatch",
+                            clock.now_us,
+                            actor.name,
+                            source=False,
+                        )
+                    advance(dispatch_us)
                 internal_firings += fired
                 fired_total += items
-                next_actor = (
-                    scheduler.get_next_actor()
-                    if carried is _CONSULT
-                    else carried
-                )
-            if fired_total > limit:
-                raise DirectorError(
-                    f"director iteration exceeded {limit} firings; "
-                    "scheduler livelock?"
-                )
-        now = self.clock.now_us
+                if obs_on:
+                    _obs._TRACER.span(
+                        "actor.fire_train",
+                        train_start,
+                        clock.now_us - train_start,
+                        actor.name,
+                        items=items,
+                        fired=fired,
+                    )
+        finally:
+            if unsettled:
+                self._settle(actor, ctx, costs, spent, unsettled, end_now)
+        if fired_total > limit:
+            raise DirectorError(
+                f"director iteration exceeded {limit} firings; "
+                "scheduler livelock?"
+            )
+        now = clock.now_us
         scheduler.on_iteration_end(now)
-        if _obs.ENABLED and fired_total:
+        if obs_on and fired_total:
             _obs._TRACER.span(
                 "director.iteration",
                 iteration_start,
@@ -346,11 +551,11 @@ class SCWFDirector(Director):
     def _plan_for(self, actor: Actor) -> tuple:
         """Resolve, once per actor, what no dispatch of *actor* can change.
 
-        A one-item train (every dispatch under FIFO) then pays for none
-        of it.  Not planned: the actor's bound lifecycle methods (a fault
-        injector shadows ``fire`` on the instance, possibly mid-run).
-        A plan that holds is rebuilt when the workflow's structure
-        changes.
+        A train (under FIFO, nearly every dispatch is a one-item train)
+        then unpacks one tuple.  Not planned: the actor's bound lifecycle
+        methods (a fault injector shadows ``fire`` on the instance,
+        possibly mid-run).  A plan that holds is rebuilt when the
+        workflow's structure changes.
         """
         kind = type(actor)
         # The stateless ``fire_batch`` shortcut may replace the
@@ -364,21 +569,24 @@ class SCWFDirector(Director):
         # Fused chains settle their own per-member charges; the generic
         # cost path must not double-charge them.
         fused_flush = getattr(actor, "flush_fused_charges", None)
-        # Deterministic cost fast path: when the model's charge is pure
-        # integer arithmetic (no jitter, unit scale), the loop inlines it.
-        # Duck typed, so custom cost models silently keep the full path.
-        fast_base_fn = getattr(self.cost_model, "fast_invocation_base", None)
-        fast_base = (
+        # The loop charges inline from the model's constants when it
+        # publishes them (``CostModel.invocation_charge``, the plan's
+        # tail).  Duck typed, so custom cost models silently keep the
+        # ``invocation_cost`` call (a ``None`` base).
+        charge_fn = getattr(self.cost_model, "invocation_charge", None)
+        charge = (
             None
-            if fast_base_fn is None or fused_flush is not None
-            else fast_base_fn(actor)
+            if charge_fn is None or fused_flush is not None
+            else charge_fn(actor)
         )
         plan = self._plans[actor] = (
             # The firing context, recycled by ``reset`` per item.
             self.make_context(actor, self.clock.now_us),
             batchable,
             fused_flush,
-            fast_base,
+            # The ready queue lives as long as the scheduler's
+            # ``initialize``, which drops every plan.
+            self.scheduler.ready[actor.name].pop,
             # The registry-level ``record_invocation`` is a pure
             # delegation to this bound method.
             self.statistics.register(actor).record_invocation,
@@ -387,7 +595,7 @@ class SCWFDirector(Director):
             # no gain.
             fused_flush is None and self._may_hold(actor),
             self.workflow._structure_version,
-        )
+        ) + (charge or (None, 0, 0, None, 0.0, 0.0, None))
         return plan
 
     def _may_hold(self, actor: Actor) -> bool:
@@ -426,226 +634,6 @@ class SCWFDirector(Director):
                     return False
                 consumers.add(consumer)
         return True
-
-    def _fire_internal(self, actor: Actor, budget: int):
-        """Drain up to *budget* ready items of *actor* in one dispatch.
-
-        The director's one internal firing path.  Bit-identical to
-        ``budget`` rounds of the paper's Figure 3 loop
-        (``get_next_actor`` → dispatch overhead → fire one item; kept as
-        the reference oracle in ``tests/per_event_director.py``) for as
-        long as the scheduler would keep choosing *actor*:
-
-        * the scheduler is consulted **between every item** — quantum
-          exhaustion, a window landing on a higher-priority actor, or a
-          due source all cut the train exactly where the per-event loop
-          would have switched;
-        * every item is dequeued, charged (dispatch overhead, invocation
-          or failure cost) and fired individually, in the same order —
-          only the Python-level bookkeeping (context allocation,
-          receiver staging round-trip, method dispatch) is amortized,
-          plus the tracer fires once per train carrying exact per-event
-          counts;
-        * a drawn-but-unusable scheduling decision is *carried* back to
-          the caller so it is consumed exactly once (policies like RR
-          advance rotation state inside ``get_next_actor``).
-
-        A train of an actor that may hold (:meth:`_may_hold`) *seals*
-        each item instead of closing it: the wave marks become final,
-        but the emissions stay in the context, stamped with the engine
-        time ``close`` would have delivered them at, and the item's cost
-        joins the train's tally instead of reaching the scheduler and
-        the statistics.  Such a train *settles* (:meth:`_settle`) before
-        the scheduler is consulted, when the loop ends, and before an
-        exception leaves it: its emissions cross each route once, the
-        scheduler hears one ``on_actor_fire_end`` with the summed cost
-        and the item count, and ``continue_train`` answers from the
-        running tally meanwhile.  Any other train delivers and reports
-        every item as it ends.
-
-        Returns ``(completed_firings, items_dispatched, carried)`` where
-        ``carried`` is the next actor decision, ``None`` (iteration
-        over), or :data:`_CONSULT` (budget exhausted with no decision
-        drawn).  Trains never outlive the call, so checkpoints (taken
-        between director iterations) have no in-flight train to capture.
-        """
-        plan = self._plans.get(actor) or self._plan_for(actor)
-        if plan[5] and plan[6] != self.workflow._structure_version:
-            # A channel connected since can make holding inexact.
-            plan = self._plan_for(actor)
-        ctx, batchable, fused_flush, fast_base, record_invocation, hold, _ = (
-            plan
-        )
-        scheduler = self.scheduler
-        hold = hold and scheduler.shedder is None
-        # The tally of a holding train: invocation costs not yet
-        # recorded, and the firing cost and count of the items not yet
-        # reported.
-        costs: list[int] = []
-        spent = 0
-        unsettled = 0
-        if hold:
-            record_invocation = costs.append
-        # An instance-level ``fire`` (a fault injector's guard) must
-        # run: the shortcut would bypass it.
-        fire_batch = (
-            actor.fire_batch
-            if batchable and "fire" not in actor.__dict__
-            else None
-        )
-        supervisor = self.supervisor
-        # Empty until some actor fails: only then is there a circuit to
-        # find open or a failure streak to close.
-        health = supervisor.records
-        cost_model = self.cost_model
-        clock = self.clock
-        fire_start = scheduler.on_actor_fire_start
-        fire_end = scheduler.on_actor_fire_end
-        continue_train = scheduler.continue_train
-        advance = clock.advance
-        # With tracing off, ``dequeue_item`` reduces to a queue pop plus a
-        # state invalidation that the per-item ``fire_end`` hook (or the
-        # explicit empty-dequeue branch below) performs anyway — pop the
-        # queue directly.  With tracing on, keep the full call so the
-        # ``sched.queue_depth`` counter fires per dequeue.
-        obs_on = _obs.ENABLED
-        queue_pop = scheduler.ready[actor.name].pop
-        frontier = self.frontier
-        train_start = end_now = clock.now_us
-        fired = 0
-        items = 0
-        try:
-            while True:
-                ready = (
-                    scheduler.dequeue_item(actor) if obs_on else queue_pop()
-                )
-                items += 1
-                if ready is None:
-                    # The policy considered the actor runnable, but its
-                    # queue is empty (e.g. state staleness): a no-op
-                    # dispatch.
-                    scheduler.invalidate_state(actor)
-                elif health and supervisor.is_quarantined(actor.name):
-                    # Open circuit: the item bypasses execution entirely.
-                    end_now = clock.now_us
-                    fire_start(actor, end_now)
-                    supervisor.drop_quarantined(
-                        actor, ready.port_name, ready.item, end_now
-                    )
-                    if frontier is not None:
-                        frontier.retire_item(ready.item)
-                    if hold:
-                        unsettled += 1
-                    else:
-                        fire_end(actor, 0, end_now)
-                else:
-                    now = clock.now_us
-                    fire_start(actor, now)
-                    ctx.reset(now)
-                    ctx.stage(ready.port_name, ready.item)
-                    fired_this = False
-                    attempt = 0
-                    while True:
-                        try:
-                            if fire_batch is not None:
-                                fire_batch(ctx)
-                                fired_this = True
-                            elif actor.prefire(ctx):
-                                actor.fire(ctx)
-                                actor.postfire(ctx)
-                                fired_this = True
-                            if hold:
-                                ctx.seal(clock.now_us)
-                            else:
-                                ctx.close()
-                            # Only a completed attempt records an
-                            # invocation.
-                            if fused_flush is not None:
-                                # Fused chains accrue per-member charges
-                                # internally; advance by the sum, then
-                                # let the chain attribute costs/tokens
-                                # per member and emit its finals.
-                                advance(actor.take_pending_cost())
-                                fused_flush(clock.now_us)
-                            else:
-                                if fast_base is not None:
-                                    cost = (
-                                        fast_base
-                                        + cost_model.per_input_us
-                                        * ctx.inputs_consumed
-                                        + cost_model.per_output_us
-                                        * ctx.outputs_produced
-                                    )
-                                    if cost < 1:
-                                        cost = 1
-                                else:
-                                    cost = cost_model.invocation_cost(
-                                        actor, ctx
-                                    )
-                                advance(cost)
-                                record_invocation(cost)
-                            if health:
-                                supervisor.on_success(actor)
-                            break
-                        except Exception as error:
-                            attempt += 1
-                            if self._recover(
-                                actor, ctx, ready, error, attempt
-                            ):
-                                continue
-                            fired_this = False
-                            break
-                    if frontier is not None:
-                        # The item's token retires only after its firing
-                        # settled — emissions flushed at ctx.close()
-                        # re-upped the root first, so a live wave's count
-                        # never transiently reaches zero.
-                        frontier.retire_item(ready.item)
-                    end_now = clock.now_us
-                    if hold:
-                        spent += end_now - now
-                        unsettled += 1
-                    else:
-                        fire_end(actor, end_now - now, end_now)
-                    if fired_this:
-                        fired += 1
-                if items >= budget:
-                    carried = _CONSULT
-                    break
-                if not continue_train(actor, spent, unsettled, end_now):
-                    if hold:
-                        self._settle(
-                            actor, ctx, costs, spent, unsettled, end_now
-                        )
-                        spent = unsettled = 0
-                    chosen = scheduler.get_next_actor()
-                    if chosen is not actor:
-                        carried = chosen
-                        break
-                # The train continues: charge the dispatch the per-event
-                # loop would have paid for re-selecting the same actor.
-                if _obs.ENABLED:
-                    _obs._TRACER.instant(
-                        "sched.dispatch",
-                        clock.now_us,
-                        actor.name,
-                        source=False,
-                    )
-                advance(cost_model.dispatch_overhead_us)
-        finally:
-            if hold:
-                self._settle(actor, ctx, costs, spent, unsettled, end_now)
-        if _obs.ENABLED:
-            now = clock.now_us
-            _obs._TRACER.span(
-                "actor.fire_train",
-                train_start,
-                now - train_start,
-                actor.name,
-                items=items,
-                fired=fired,
-            )
-        return fired, items, carried
 
     def _recover(self, actor, ctx, ready, error, attempt: int) -> bool:
         """Fault barrier of a failed attempt: discard its partial

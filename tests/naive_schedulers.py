@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.actors import Actor
+from repro.stafilos.abstract_scheduler import AbstractScheduler
 from repro.stafilos.schedulers.edf import EarliestDeadlineScheduler
 from repro.stafilos.schedulers.fifo import FIFOScheduler
 from repro.stafilos.schedulers.qbs import QuantumPriorityScheduler
@@ -99,6 +100,9 @@ class NaiveRB(_ScanSelectionMixin, RateBasedScheduler):
 
 class NaiveFIFO(_ScanSelectionMixin, FIFOScheduler):
     policy_name = "FIFO-naive"
+    # The historical fire-end hook: the fired actor's state is left for
+    # the next scan to re-evaluate, not repaired on the spot.
+    on_actor_fire_end = AbstractScheduler.on_actor_fire_end
 
 
 #: (indexed, naive) policy factory pairs for the oracle test and the

@@ -3,23 +3,25 @@
 ``SCWFDirector`` used to ship two internal firing paths: this strictly
 per-event one (the paper's Figure 3 read literally — one scheduling
 decision, one staged item, one fresh firing context per event) beside
-the event-train loop that is now the
-director's only ``_fire_internal``.  The subclass below reproduces the
-historical path verbatim and exists solely as the oracle for
-``test_train.py`` / ``test_fusion.py`` and as the slow side of
-``benchmarks/bench_train_throughput.py``: the shipped loop must produce
-the **identical** sink traces, wave tags, dispatch sequence, counters and
-final clock for every loop bound.  Keep it byte-for-byte dumb; any
-cleverness here defeats the point of the oracle.
+the event-train loop that is now the director's one ``run_iteration``.
+The subclass below reproduces the historical path verbatim and exists
+solely as the oracle for ``test_train.py`` / ``test_fusion.py`` and as
+the slow side of ``benchmarks/bench_train_throughput.py``: the shipped
+loop must produce the **identical** sink traces, wave tags, dispatch
+sequence, counters and final clock for every loop bound.  It overrides
+``run_iteration`` whole, so no part of the shipped loop runs under it
+(``test_train.py::TestPerEventOracle`` counts its decisions).  Keep it
+byte-for-byte dumb; any cleverness here defeats the point of the oracle.
 """
 
 from __future__ import annotations
 
 from repro.core.actors import Actor
 from repro.core.director import Director
+from repro.core.exceptions import DirectorError
 from repro.observability import tracer as _obs
 from repro.resilience import FailureAction
-from repro.stafilos.scwf_director import _CONSULT, SCWFDirector
+from repro.stafilos.scwf_director import SCWFDirector
 from repro.stafilos.tm_receiver import TMWindowedReceiver
 
 
@@ -30,9 +32,55 @@ class PerEventSCWFDirector(SCWFDirector):
         # No emission trains: every event is broadcast on its own.
         return Director.make_context(self, actor, now)
 
-    def _fire_internal(self, actor: Actor, budget=None):
-        """Fire exactly one item, then hand back to the scheduler."""
-        return int(self._fire_one(actor)), 1, _CONSULT
+    def run_iteration(self) -> tuple[int, int]:
+        """Figure 3: ask the scheduler, fire one item (or pump), repeat."""
+        self._require_attached()
+        scheduler = self.scheduler
+        self.iterations += 1
+        iteration_start = self.clock.now_us
+        scheduler.on_iteration_start(iteration_start)
+        internal_firings = 0
+        source_emissions = 0
+        dispatches = 0
+        limit = self.max_firings_per_iteration
+        while True:
+            actor = scheduler.get_next_actor()
+            if actor is None:
+                break
+            if _obs.ENABLED:
+                _obs._TRACER.instant(
+                    "sched.dispatch",
+                    self.clock.now_us,
+                    actor.name,
+                    source=actor.is_source,
+                )
+            self.clock.advance(self.cost_model.dispatch_overhead_us)
+            if actor.is_source:
+                source_emissions += self._fire_source(actor)
+            elif self._fire_one(actor):
+                internal_firings += 1
+            dispatches += 1
+            if dispatches > limit:
+                raise DirectorError(
+                    f"director iteration exceeded {limit} firings; "
+                    "scheduler livelock?"
+                )
+        now = self.clock.now_us
+        scheduler.on_iteration_end(now)
+        if _obs.ENABLED and dispatches:
+            _obs._TRACER.span(
+                "director.iteration",
+                iteration_start,
+                now - iteration_start,
+                internal=internal_firings,
+                sources=source_emissions,
+            )
+            _obs._TRACER.counter(
+                "sched.backlog", now, scheduler.total_backlog()
+            )
+        self.total_internal_firings += internal_firings
+        self.total_source_firings += source_emissions
+        return internal_firings, source_emissions
 
     def _fire_one(self, actor: Actor) -> bool:
         scheduler = self.scheduler

@@ -22,7 +22,12 @@ from repro.checkpoint import (
     restore_snapshot,
     serialize_snapshot,
 )
-from repro.core.actors import MapActor, SinkActor, SourceActor
+from repro.core.actors import (
+    FunctionActor,
+    MapActor,
+    SinkActor,
+    SourceActor,
+)
 from repro.core.windows import WindowSpec
 from repro.core.workflow import Workflow
 from repro.simulation.clock import VirtualClock
@@ -41,37 +46,37 @@ from tests.naive_schedulers import POLICY_PAIRS
 class TestLazyHeapIndex:
     def test_peek_returns_min_key_then_order(self):
         index = LazyHeapIndex()
-        index.insert("b", (5, 0), 1)
-        index.insert("a", (5, 0), 0)
-        index.insert("c", (1, 0), 2)
+        index.update("b", (5, 0), 1)
+        index.update("a", (5, 0), 0)
+        index.update("c", (1, 0), 2)
         assert index.peek() == "c"
-        index.invalidate("c")
+        index.update("c", None, 0)
         assert index.peek() == "a"  # equal keys -> lower actor order
 
     def test_invalidate_then_reinsert_uses_new_key(self):
         index = LazyHeapIndex()
-        index.insert("a", (10,), 0)
-        index.insert("b", (20,), 1)
-        index.invalidate("a")
-        index.insert("a", (30,), 0)
+        index.update("a", (10,), 0)
+        index.update("b", (20,), 1)
+        index.update("a", None, 0)
+        index.update("a", (30,), 0)
         assert index.peek() == "b"
 
     def test_stale_entries_compact_away(self):
         index = LazyHeapIndex()
         # Churn one name far past the compaction threshold while a second
         # name stays live; the heap must not grow without bound.
-        index.insert("keep", (0,), 0)
+        index.update("keep", (0,), 0)
         for i in range(1, 400):
-            index.invalidate("churn")
-            index.insert("churn", (i,), 1)
+            index.update("churn", None, 0)
+            index.update("churn", (i,), 1)
         assert index.peek() == "keep"
         assert index.heap_size() < 400
 
     def test_empty_peek(self):
         index = LazyHeapIndex()
         assert index.peek() is None
-        index.insert("a", (1,), 0)
-        index.invalidate("a")
+        index.update("a", (1,), 0)
+        index.update("a", None, 0)
         assert index.peek() is None
 
 
@@ -144,9 +149,32 @@ class TestIncrementalCounters:
 # ---------------------------------------------------------------------------
 # The oracle: indexed dispatch == naive scan dispatch, bit for bit
 # ---------------------------------------------------------------------------
+#: One lap of the self-loop actor: a value leaves after three.
+_LAP = 1_000
+
+
+def _lap(ctx):
+    """Feed the value back to the actor's own input (an enqueue during
+    its own firing) until three laps are done, then let it leave."""
+    value = ctx.read_value("in")
+    if value < 3 * _LAP:
+        ctx.send("loop", value + _LAP)
+    else:
+        ctx.send("out", value)
+
+
 def _build_workflow(spec):
-    """Deterministically materialize a drawn workflow description."""
-    (n_sources, relay_parents, priorities, arrival_sets, windowed) = spec
+    """Deterministically materialize a drawn workflow description.
+
+    Two optional flags close the spec: ``self_loop`` puts an actor that
+    feeds its own input between the last relay and the sink, and
+    ``cross_edge`` also connects the first source straight to the last
+    relay, so events that skipped the windowed relay0 queue ahead of
+    its (older) windows: an out-of-order push that can become the new
+    head of the queue.
+    """
+    (n_sources, relay_parents, priorities, arrival_sets, windowed) = spec[:5]
+    self_loop, cross_edge = spec[5:] or (False, False)
     # Every source must feed someone: force relay i to hang off source i.
     n_sources = min(n_sources, len(relay_parents))
     relay_parents = list(relay_parents)
@@ -177,6 +205,14 @@ def _build_workflow(spec):
         workflow.connect(nodes[parent_idx % len(nodes)], relay)
         nodes.append(relay)
         sink_feed = relay
+    if cross_edge:
+        workflow.connect(nodes[0], sink_feed)
+    if self_loop:
+        lap = FunctionActor("lap", _lap, outputs=("loop", "out"))
+        workflow.add(lap)
+        workflow.connect(sink_feed, lap)
+        workflow.connect(lap, lap, source_port="loop")
+        sink_feed = lap.output_ports["out"]
     sink = SinkActor("sink")
     workflow.add(sink)
     workflow.connect(sink_feed, sink)
@@ -249,6 +285,8 @@ _spec_strategy = st.tuples(
         max_size=2,
     ),
     st.booleans(),  # put a token window on relay0
+    st.booleans(),  # self_loop
+    st.booleans(),  # cross_edge
 )
 
 
@@ -289,6 +327,60 @@ class TestDispatchOracle:
         # The interval is really in play: it changes the schedule.
         assert sequences[1] != sequences[5]
 
+    def test_fifo_repair_paths_are_exercised(self, monkeypatch):
+        """Directed FIFO case for the repair at fire end: the self-loop
+        actor is dirty when its own firing ends (the lazy fallback), and
+        pushes land ahead of a non-empty queue's head; the dispatch
+        sequence still equals the scan's."""
+        from repro.stafilos.ready import ReadyQueue
+        from repro.stafilos.schedulers.fifo import FIFOScheduler
+
+        seen = {"dirty_at_fire_end": 0, "new_head": 0}
+        fire_end = FIFOScheduler.on_actor_fire_end
+        push = ReadyQueue.push
+        push_batch = ReadyQueue.push_batch
+
+        def spying_fire_end(self, actor, cost_us, now, items=1):
+            if not actor.is_source and actor.name in self._index_dirty:
+                seen["dirty_at_fire_end"] += 1
+            fire_end(self, actor, cost_us, now, items)
+
+        def head_key(queue):
+            head = queue.peek()
+            return None if head is None else head.sort_key
+
+        def spying_push(self, port_name, item):
+            before = head_key(self)
+            ready = push(self, port_name, item)
+            seen["new_head"] += before is not None and ready.sort_key < before
+            return ready
+
+        def spying_push_batch(self, port_name, items):
+            before = head_key(self)
+            push_batch(self, port_name, items)
+            seen["new_head"] += before is not None and head_key(self) < before
+
+        monkeypatch.setattr(FIFOScheduler, "on_actor_fire_end", spying_fire_end)
+        monkeypatch.setattr(ReadyQueue, "push", spying_push)
+        monkeypatch.setattr(ReadyQueue, "push_batch", spying_push_batch)
+        # src1's arrivals fall between src0's and both are due at once:
+        # the clock lags the arrivals, src0 pumps a train into relay1
+        # (the cross edge), and src1's older arrivals then land ahead of
+        # relay1's queued head.
+        spec = (
+            2,
+            [0, 1],
+            [20] * 6,
+            [list(range(0, 3_000, 100)), [0, *range(50, 3_000, 100)]],
+            False,
+            True,
+            True,
+        )
+        indexed_seq, _ = _run_recorded("FIFO", spec, indexed=True)
+        naive_seq, _ = _run_recorded("FIFO", spec, indexed=False)
+        assert indexed_seq == naive_seq
+        assert seen["dirty_at_fire_end"] and seen["new_head"]
+
     def test_known_workflow_all_policies(self):
         """Cheap smoke form of the oracle, run on every pytest pass."""
         for policy in sorted(POLICY_PAIRS):
@@ -322,15 +414,19 @@ def _lopsided_spec():
     )
 
 
-def _regulated_run(policy, payload=None, pause_s=0.3):
+def _regulated_run(policy, payload=None, pause_s=0.3, spec=None):
     """Two-source run under *policy*, paused once at ``pause_s``.
 
     With *payload* ``None`` the engine runs to the pause, snapshots, and
-    continues; otherwise it is built fresh and *payload* is restored in
-    place of the first leg.  Returns ``(payload, policy state at the
-    pause, picks after the pause, sink values)``.
+    continues (``pause_s`` ``None``: it runs without a pause);
+    otherwise it is built fresh and *payload* is restored in place of
+    the first leg.  *spec* defaults to :func:`_lopsided_spec`.  Returns
+    ``(payload, policy state at the pause, picks after the pause, sink
+    values)``.
     """
-    scheduler = POLICY_PAIRS[policy][0](source_interval=2)
+    scheduler = POLICY_PAIRS[policy][0](
+        **({"source_interval": 2} if policy in REGULATED else {})
+    )
     sequence = []
     original = scheduler.get_next_actor
 
@@ -342,12 +438,13 @@ def _regulated_run(policy, payload=None, pause_s=0.3):
     scheduler.get_next_actor = recording
     clock = VirtualClock()
     director = SCWFDirector(scheduler, clock, CostModel())
-    workflow = _build_workflow(_lopsided_spec())
+    workflow = _build_workflow(spec or _lopsided_spec())
     director.attach(workflow)
     runtime = SimulationRuntime(director, clock)
     if payload is None:
-        runtime.run(pause_s)
-        payload = serialize_snapshot(capture_snapshot(director))
+        if pause_s is not None:
+            runtime.run(pause_s)
+            payload = serialize_snapshot(capture_snapshot(director))
     else:
         director.initialize_all()
         restore_snapshot(director, deserialize_snapshot(payload))
@@ -378,3 +475,15 @@ def test_pr20_scheduler_snapshot_restores_and_continues(policy):
     assert (state, picks, values) == (
         recorded["state"], recorded["picks"], recorded["values"]
     )
+
+
+def test_fifo_checkpoint_mid_run_reproduces_the_decisions():
+    """The fire-end repair leaves no index state a snapshot misses: a
+    FIFO engine restored mid-run picks what the uninterrupted run picks
+    from that point on, with the self-loop and the cross edge drawn."""
+    spec = (*_lopsided_spec(), True, True)
+    _, _, whole, whole_values = _regulated_run("FIFO", pause_s=None, spec=spec)
+    payload, _, picks, values = _regulated_run("FIFO", spec=spec)
+    _, _, resumed, resumed_values = _regulated_run("FIFO", payload, spec=spec)
+    assert 0 < len(picks) < len(whole) and whole[-len(picks):] == picks
+    assert resumed == picks and resumed_values == values == whole_values

@@ -343,6 +343,58 @@ class TestTrainOracle:
             ), f"train_size={train_size}"
 
 
+class TestPerEventOracle:
+    """The oracle cannot quietly turn into the shipped loop: it asks the
+    scheduler once per item fired, once per source pump and once per
+    iteration end (the ``None`` that ends it), as Figure 3 does."""
+
+    @staticmethod
+    def _tally(cls, scheduler_index):
+        workflow, _ = _build("expand", [(i * 97, i) for i in range(60)])
+        clock = VirtualClock()
+        scheduler = SCHEDULERS[scheduler_index]()
+        director = cls(scheduler, clock, CostModel())
+        director.attach(workflow)
+        tally = {"picks": 0, "ends": 0, "items": 0, "pumps": 0}
+        pick = scheduler.get_next_actor
+        fire_start = scheduler.on_actor_fire_start
+
+        def counting_pick():
+            actor = pick()
+            tally["picks"] += 1
+            tally["ends"] += actor is None
+            return actor
+
+        def counting_start(actor, now):
+            tally["pumps" if actor.is_source else "items"] += 1
+            fire_start(actor, now)
+
+        scheduler.get_next_actor = counting_pick
+        scheduler.on_actor_fire_start = counting_start
+        SimulationRuntime(director, clock).run(10.0, drain=True)
+        assert tally["ends"] == director.iterations
+        return tally
+
+    @pytest.mark.parametrize("scheduler_index", range(len(SCHEDULERS)))
+    def test_one_decision_per_item_per_pump_per_iteration_end(
+        self, scheduler_index
+    ):
+        tally = self._tally(PerEventSCWFDirector, scheduler_index)
+        assert tally["items"] > 60 and tally["pumps"] > 0
+        assert tally["picks"] == (
+            tally["items"] + tally["pumps"] + tally["ends"]
+        )
+
+    def test_the_count_tells_the_shipped_loop_apart(self):
+        """Under RR the shipped loop continues trains without asking."""
+        oracle = self._tally(PerEventSCWFDirector, 1)
+        shipped = self._tally(SCWFDirector, 1)
+        assert shipped["items"] == oracle["items"]
+        assert shipped["picks"] < (
+            shipped["items"] + shipped["pumps"] + shipped["ends"]
+        )
+
+
 # ----------------------------------------------------------------------
 # Linear Road: the seeded run is byte-for-byte train-size independent
 # ----------------------------------------------------------------------
