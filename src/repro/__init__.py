@@ -41,7 +41,8 @@ Top-level layout:
 * :mod:`repro.shard` — sharded execution: the workload partitioned by a
   group-by key across worker processes, routed over pipes, merged
   deterministically, with live shard migration via checkpoints;
-* :mod:`repro.streams` — push sources, sinks and wire codecs;
+* :mod:`repro.streams` — the TCP push source, its wire codec and
+  incremental sliding aggregates;
 * :mod:`repro.sqldb` — the relational database (the standard library's
   SQLite, in memory, behind a small adapter) the Linear Road workflow
   stores segment statistics and accidents in;
@@ -84,7 +85,6 @@ from .core import (
     FunctionActor,
     MapActor,
     Measure,
-    Punctuation,
     SinkActor,
     SourceActor,
     StatisticsRegistry,
@@ -154,15 +154,7 @@ from .stafilos import (
     RoundRobinScheduler,
     SCWFDirector,
 )
-from .streams import (
-    CallbackSink,
-    PoissonSource,
-    publish_lines,
-    RecordingSink,
-    ReplaySource,
-    TCPStreamSource,
-    ThrottledAlertSink,
-)
+from .streams import publish_lines, TCPStreamSource
 
 #: Policy-name aliases: the paper (and the facade's users) call the
 #: schedulers by their acronyms.
@@ -206,7 +198,6 @@ __all__ = [
     "FunctionActor",
     "MapActor",
     "Measure",
-    "Punctuation",
     "SinkActor",
     "SourceActor",
     "StatisticsRegistry",
@@ -277,13 +268,8 @@ __all__ = [
     "Tracer",
     "use_tracer",
     # streams
-    "CallbackSink",
-    "PoissonSource",
     "publish_lines",
-    "RecordingSink",
-    "ReplaySource",
     "TCPStreamSource",
-    "ThrottledAlertSink",
     # misc
     "__version__",
 ]

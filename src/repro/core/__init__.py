@@ -34,7 +34,6 @@ from .exceptions import (
     WorkflowError,
 )
 from .ports import Channel, InputPort, OutputPort
-from .punctuation import Punctuation
 from .receivers import FIFOReceiver, Receiver, WindowedReceiver
 from .statistics import (
     ActorStats,
@@ -81,7 +80,6 @@ __all__ = [
     "Measure",
     "OutputPort",
     "PortError",
-    "Punctuation",
     "rate_priorities",
     "Receiver",
     "ReceiverError",

@@ -23,7 +23,6 @@ firing is marked ``last_in_wave`` when the context closes.
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -35,10 +34,6 @@ from .windows import Window
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .actors import Actor
     from .ports import OutputPort
-
-EmitHook = Callable[["Actor", str, CWEvent], None]
-EmitBatchHook = Callable[["Actor", str, "list[CWEvent]"], None]
-
 
 class RouteTable(dict):
     """``{port name: route}`` of one actor, each route built on first use.
@@ -66,33 +61,6 @@ class RouteTable(dict):
         return route
 
 
-class HookRoute:
-    """The route protocol over ``(actor, port name, event)`` hooks.
-
-    *hooks* is the owning context's ``[emit hook, train hook or None]``
-    pair (shared, so a train hook set later is seen; not the context
-    itself, which would make every context a reference cycle).
-    """
-
-    __slots__ = ("_hooks", "_actor", "_port_name")
-
-    def __init__(self, hooks: list, port: "OutputPort"):
-        self._hooks = hooks
-        self._actor = port.actor
-        self._port_name = port.name
-
-    def deliver(self, event: CWEvent) -> None:
-        self._hooks[0](self._actor, self._port_name, event)
-
-    def deliver_train(self, events: "list[CWEvent]") -> None:
-        train_hook = self._hooks[1]
-        if train_hook is not None:
-            train_hook(self._actor, self._port_name, events)
-        else:
-            for event in events:
-                self.deliver(event)
-
-
 class FiringContext:
     """Mutable per-invocation staging area and emission gateway."""
 
@@ -100,22 +68,14 @@ class FiringContext:
         self,
         actor: "Actor",
         now: int,
-        emit_hook: Optional[EmitHook] = None,
+        routes: RouteTable,
         wave_generator: Optional[WaveGenerator] = None,
-        routes: Optional[RouteTable] = None,
     ):
         self.actor = actor
         self.now = now
-        self._hooks = [emit_hook, None]  # [emit hook, train hook]
-        #: Where each output port's emissions go.  A director passes the
-        #: actor's resolved *routes*; a context built around a bare
-        #: *emit_hook* (tests, embedders, directors overriding
-        #: ``on_emit``) adapts the hooks to the same protocol.
-        self._routes = (
-            routes
-            if routes is not None
-            else RouteTable(actor, partial(HookRoute, self._hooks))
-        )
+        #: Where each output port's emissions go: the actor's route
+        #: table, the same one for every context of the actor.
+        self._routes = routes
         self._wave_generator = wave_generator
         #: One deque per input port, kept (emptied) across ``reset``.
         self._staged: dict[str, deque] = {}
@@ -141,16 +101,9 @@ class FiringContext:
         self.inputs_consumed = 0
         self.outputs_produced = 0
 
-    def enable_batch_emission(
-        self, chunk: Optional[int], hook: Optional[EmitBatchHook] = None
-    ) -> None:
-        """Deliver same-port emission runs as trains of up to *chunk* events.
-
-        *hook* is the train form of the constructor's *emit_hook*; a
-        context that was given routes does not use it.
-        """
+    def enable_batch_emission(self, chunk: Optional[int]) -> None:
+        """Deliver same-port emission runs as trains of up to *chunk* events."""
         self._emit_chunk = chunk
-        self._hooks[1] = hook
 
     def reset(self, now: int) -> None:
         """Recycle this context for the next firing of the same actor.

@@ -24,7 +24,6 @@ written once, here.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from functools import partial
 from typing import Any, Optional
 
 from ..observability import tracer as _obs
@@ -136,13 +135,6 @@ class Director(ABC):
         #: Optional closed-loop overload controller (``repro.overload``;
         #: only the SCWF director's ``apply_qos`` installs one).
         self.overload = None
-        #: A subclass that overrides the emission hook keeps getting it:
-        #: its contexts adapt the hook instead of taking the routes.
-        cls = type(self)
-        self._emit_hooked = (
-            cls.on_emit is not Director.on_emit
-            or cls.on_emit_batch is not Director.on_emit_batch
-        )
 
     # ------------------------------------------------------------------
     # Binding
@@ -250,44 +242,22 @@ class Director(ABC):
     def make_context(self, actor: Actor, now: int) -> FiringContext:
         workflow = self._require_attached()
         return FiringContext(
-            actor,
-            now,
-            self.on_emit,
-            workflow.wave_generator,
-            routes=None if self._emit_hooked else self._routes_for(actor),
+            actor, now, self._routes_for(actor), workflow.wave_generator
         )
 
     def _routes_for(self, actor: Actor) -> RouteTable:
         routes = self._routes.get(actor)
         if routes is None:
-            routes = self._routes[actor] = RouteTable(
-                actor, partial(DeliveryRoute, statistics=self.statistics)
-            )
+            routes = self._routes[actor] = RouteTable(actor, self._route)
         return routes
 
-    def on_emit(self, actor: Actor, port_name: str, event: CWEvent) -> None:
-        """Route a produced event to the connected receivers.
-
-        The public entry point onto the port's route, and the override
-        point: firing contexts deliver through the route directly unless
-        a subclass overrides this hook.
-        """
-        self._routes_for(actor)[port_name].deliver(event)
-
-    def on_emit_batch(
-        self, actor: Actor, port_name: str, events: "list[CWEvent]"
-    ) -> None:
-        """Route a train of same-port events down the port's route.
-
-        Equivalent to ``for e in events: self.on_emit(actor, port_name,
-        e)`` — literally so when a subclass overrides ``on_emit``, which
-        must see every event.
-        """
-        if type(self).on_emit is not Director.on_emit:
-            for event in events:
-                self.on_emit(actor, port_name, event)
-            return
-        self._routes_for(actor)[port_name].deliver_train(events)
+    def _route(self, port: OutputPort) -> DeliveryRoute:
+        """Build *port*'s delivery route: where every context of the
+        port's actor hands its emissions (the override point for a
+        non-holding director whose deliveries cost something).  A held
+        train bypasses ``deliver``: ``FiringContext.deliver_held`` hands
+        its events to ``route.port.stage_held``."""
+        return DeliveryRoute(port, self.statistics)
 
     @abstractmethod
     def current_time(self) -> int:

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Optional
 from ..observability import tracer as _obs
 from .events import CWEvent
 from .exceptions import PortError
-from .punctuation import CONTROL_ITEMS
 from .receivers import Receiver
 from .windows import WindowSpec
 
@@ -116,26 +115,19 @@ class OutputPort(Port):
         when a ready queue turns non-empty).
 
         Per-event delivery (``broadcast`` per event) stays as the
-        fallback wherever the interleaving itself is observable: the
-        engine tracer is recording, two channels lead into the same
-        consumer actor, a receiver declines to stage, or the train
-        carries a control item.
+        fallback wherever the interleaving itself is observable: two
+        channels lead into the same consumer actor, or a receiver
+        declines to stage.  Whether a tracer is recording does not
+        matter: a traced fan-out stages exactly as an untraced one.
         """
         outgoing = self.outgoing
         if len(outgoing) == 1:
             outgoing[0].sink.receiver.put_batch(events)
             return
         receivers = [channel.sink.receiver for channel in outgoing]
-        if (
-            _obs.ENABLED
-            or len({channel.sink.actor for channel in outgoing})
-            < len(outgoing)
-            or not all(receiver.can_stage() for receiver in receivers)
-            or any(
-                isinstance(event.token.value, CONTROL_ITEMS)
-                for event in events
-            )
-        ):
+        if len({channel.sink.actor for channel in outgoing}) < len(
+            outgoing
+        ) or not all(receiver.can_stage() for receiver in receivers):
             for event in events:
                 for receiver in receivers:
                     receiver.put(event)
@@ -157,15 +149,13 @@ class OutputPort(Port):
         """Stage a held train in every consumer, admitting nothing.
 
         The held form of :meth:`broadcast_batch`.  A held route ends in
-        windowless ports only (``SCWFDirector._may_hold``), and each
-        takes the train less its control items, which such a port
-        drops.  The train comes from several firings, so every item
-        carries the engine time it would have been admitted at
-        (*stamps*) and its position in the producer's whole held output
-        (*positions*).  Appends ``(position of the first item, receiver,
-        items, their stamps)`` per consumer to *staged*; the producer
-        admits them once every one of its routes has staged
-        (``FiringContext.deliver_held``).
+        windowless ports only (``SCWFDirector._may_hold``).  The train
+        comes from several firings, so every item carries the engine
+        time it would have been admitted at (*stamps*) and its position
+        in the producer's whole held output (*positions*).  Appends
+        ``(position of the first item, receiver, items, their stamps)``
+        per consumer to *staged*; the producer admits them once every
+        one of its routes has staged (``FiringContext.deliver_held``).
         """
         if _obs.ENABLED:
             _obs._TRACER.instant(
@@ -175,17 +165,6 @@ class OutputPort(Port):
                 port=self.name,
                 count=len(events),
             )
-        if any(isinstance(event.value, CONTROL_ITEMS) for event in events):
-            keep = [
-                index
-                for index, event in enumerate(events)
-                if not isinstance(event.value, CONTROL_ITEMS)
-            ]
-            if not keep:
-                return
-            events = [events[index] for index in keep]
-            stamps = [stamps[index] for index in keep]
-            positions = [positions[index] for index in keep]
         local: list[tuple] = []
         for channel in self.outgoing:
             channel.sink.receiver.put_batch(events, local)

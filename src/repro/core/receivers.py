@@ -24,8 +24,7 @@ from typing import Any, Optional
 from ..observability import tracer as _obs
 from .events import CWEvent
 from .exceptions import ReceiverError
-from .punctuation import CONTROL_ITEMS, Punctuation, Watermark
-from .windows import Measure, Window, WindowOperator, WindowSpec
+from .windows import Window, WindowOperator, WindowSpec
 
 
 class Receiver(ABC):
@@ -156,10 +155,6 @@ class WindowedReceiver(Receiver):
 
     # ------------------------------------------------------------------
     def put(self, event: CWEvent) -> None:
-        value = event.token.value
-        if isinstance(value, CONTROL_ITEMS):
-            self._put_control(value)
-            return
         if (
             self.lateness is not None
             and self._frontier_us >= 0
@@ -177,37 +172,17 @@ class WindowedReceiver(Receiver):
         if operator.expired:
             self._route_expired()
 
-    def _put_control(self, value: Punctuation | Watermark) -> None:
-        """Consume a control item travelling as an event payload."""
-        if isinstance(value, Watermark):
-            # Frontier assertion: close complete time panes, remember
-            # the bound for lateness classification, consume the item.
-            self.close_on_frontier(value.up_to_us)
-        elif self.spec.measure is Measure.TIME:
-            # Punctuation: close every time window the assertion
-            # completes.  Count/wave windows are unaffected — their
-            # completeness does not depend on timestamps.
-            for window in self.operator.force_timeout(now=value.up_to_us):
-                self._deliver(window)
-            self._route_expired()
-
     def put_batch(self, events: list[CWEvent]) -> None:
         """Insert a train of events through one operator call.
 
         Falls back to per-event :meth:`put` whenever expired routing is
-        configured, the train carries control items, or a lateness
-        policy is armed — all interleave side effects between
-        insertions, so only the plain streaming case is amortized.
-        Window production order is identical either way.
+        configured or a lateness policy is armed — both interleave side
+        effects between insertions, so only the plain streaming case is
+        amortized.  Window production order is identical either way.
         """
         target = self.port.expired_to if self.port is not None else None
-        if (
-            target is not None
-            or (self.lateness is not None and self._frontier_us >= 0)
-            or any(
-                isinstance(event.token.value, CONTROL_ITEMS)
-                for event in events
-            )
+        if target is not None or (
+            self.lateness is not None and self._frontier_us >= 0
         ):
             for event in events:
                 self.put(event)

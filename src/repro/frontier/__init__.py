@@ -12,9 +12,10 @@ the timestamp-token formulation of Lattuada & McSherry (see PAPERS.md):
   consumed, absorbed into window state, dead-lettered or dropped), so
   the frontier advances exactly when a wave's derivation tree drains —
   no reliance on mark order.
-* :class:`Watermark` is the punctuation carrying an event-time bound
-  ("no event with timestamp < ``up_to_us`` is still coming"); a source's
-  own bound is ``SourceActor.progress_watermark``.
+* The event-time bound ("no event with timestamp < ``up_to_us`` is
+  still coming") is a value the engine holds, never an item in the
+  stream: a source's own bound is ``SourceActor.progress_watermark``,
+  and the director applies it with ``close_on_frontier``.
 * :class:`LatenessPolicy` decides what happens to events arriving
   behind an already-applied frontier: drop them, side-output them to
   the expired route, or admit them within an allowed-lateness grace.
@@ -25,12 +26,10 @@ observable (``frontier.advance`` / ``event.late`` trace events,
 ``frontier_*`` engine counters).
 """
 
-from ..core.punctuation import Watermark
 from .lateness import LatenessPolicy
 from .tracker import FrontierTracker
 
 __all__ = [
     "FrontierTracker",
     "LatenessPolicy",
-    "Watermark",
 ]

@@ -357,7 +357,7 @@ class FusedChain(Actor):
         post-charge engine time.  Final-hop events broadcast through the
         fused output port (the tail's re-pointed channels); every hop's
         outputs are recorded under the member's own name, coalesced per
-        run of equal timestamps exactly like ``Director.on_emit_batch``.
+        run of equal timestamps exactly like ``DeliveryRoute.deliver_train``.
         """
         finals = self._finals
         if finals:
@@ -406,7 +406,7 @@ class FusedChain(Actor):
                 out_ts.clear()
             elif n:
                 # Coalesce per run of equal timestamps, exactly like
-                # ``Director.on_emit_batch``.
+                # ``DeliveryRoute.deliver_train``.
                 i = 0
                 while i < n:
                     ts = out_ts[i]

@@ -14,7 +14,7 @@ schedulers in the paper's Figure 8:
   slice, charging ``cost_model.context_switch_us`` on every switch;
 * every event hop through a receiver charges
   ``cost_model.sync_per_event_us`` to the running thread (the lock/notify
-  cost of the blocking queues).
+  cost of the blocking queues), on the director's own delivery route.
 
 These two overheads are the calibrated substitution for "Java threads on an
 8-core Xeon" documented in DESIGN.md: they reduce effective capacity by
@@ -28,9 +28,9 @@ from collections import deque
 from typing import Optional
 
 from ..core.actors import Actor, SourceActor
-from ..core.director import Director
+from ..core.director import DeliveryRoute, Director
 from ..core.events import CWEvent
-from ..core.ports import InputPort
+from ..core.ports import InputPort, OutputPort
 from ..core.receivers import Receiver, WindowedReceiver
 from ..core.windows import Window, WindowSpec
 from ..resilience import FailureAction, FaultPolicy
@@ -50,7 +50,30 @@ class _SimReadyReceiver(WindowedReceiver):
         if self._passthrough:
             item = window.events[0]
         assert self.port is not None
-        self._director._make_ready(self.port.actor, self.port.name, item)
+        self._director.schedule_ready(self.port.actor, self.port.name, item)
+
+
+class _SyncChargedRoute(DeliveryRoute):
+    """A delivery that pays the blocking queues' synchronization.
+
+    Every emitted event costs a lock + notify per destination receiver
+    (at least one), charged to the thread currently holding the
+    (simulated) CPU.  The director's contexts never batch, so every
+    emission arrives here through :meth:`deliver`.
+    """
+
+    __slots__ = ("_director",)
+
+    def __init__(self, port: OutputPort, director: "ThreadedCWFDirector"):
+        super().__init__(port, director.statistics)
+        self._director = director
+
+    def deliver(self, event: CWEvent) -> None:
+        director = self._director
+        director._sync_charge += director.cost_model.sync_per_event_us * max(
+            len(self._outgoing), 1
+        )
+        super().deliver(event)
 
 
 class ThreadedCWFDirector(Director):
@@ -96,19 +119,12 @@ class ThreadedCWFDirector(Director):
         return self.clock.now_us
 
     # ------------------------------------------------------------------
-    def _make_ready(self, actor: Actor, port_name: str, item) -> None:
+    def schedule_ready(self, actor: Actor, port_name: str, item) -> None:
         self._ready[actor.name].append((port_name, item))
         self.statistics.record_input(actor, 1, self.clock.now_us)
 
-    def on_emit(self, actor: Actor, port_name: str, event) -> None:
-        # Every queue put pays the blocking-queue synchronization cost
-        # (lock + notify per destination receiver), charged to the thread
-        # currently holding the (simulated) CPU.
-        destinations = len(actor.output(port_name).outgoing)
-        self._sync_charge += self.cost_model.sync_per_event_us * max(
-            destinations, 1
-        )
-        super().on_emit(actor, port_name, event)
+    def _route(self, port: OutputPort) -> "_SyncChargedRoute":
+        return _SyncChargedRoute(port, self)
 
     # ------------------------------------------------------------------
     def _runnable(self, actor: Actor, now: int) -> bool:

@@ -138,7 +138,7 @@ class SCWFDirector(Director):
 
     def make_context(self, actor: Actor, now: int) -> FiringContext:
         ctx = super().make_context(actor, now)
-        ctx.enable_batch_emission(self.train_size, self.on_emit_batch)
+        ctx.enable_batch_emission(self.train_size)
         return ctx
 
     # ------------------------------------------------------------------
@@ -603,20 +603,18 @@ class SCWFDirector(Director):
 
         Only where that is exact, and only where it can pay.  It cannot
         pay under a policy that never continues a train.  It is not
-        exact when a director hook must see every emission, when a
-        frontier tracker would count tokens between retire and observe,
-        when the actor feeds its own input, when two channels lead into
-        one consumer (per-event order between its ports would show), or
-        when a consumer's port has a window: a window insert can raise
-        (a missing group-by field), and the producing item's fault
-        barrier must see that raise while its train is still running.
-        Every held route therefore ends in windowless ports, whose
-        delivery is a queue append.  A load shedder, which may be
-        installed mid-run, is checked per train.
+        exact when a frontier tracker would count tokens between retire
+        and observe, when the actor feeds its own input, when two
+        channels lead into one consumer (per-event order between its
+        ports would show), or when a consumer's port has a window: a
+        window insert can raise (a missing group-by field), and the
+        producing item's fault barrier must see that raise while its
+        train is still running.  Every held route therefore ends in
+        windowless ports, whose delivery is a queue append.  A load
+        shedder, which may be installed mid-run, is checked per train.
         """
         if (
-            self._emit_hooked
-            or self.frontier is not None
+            self.frontier is not None
             or type(self.scheduler).continue_train
             is AbstractScheduler.continue_train
         ):

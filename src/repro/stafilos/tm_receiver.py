@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from ..core.events import CWEvent
-from ..core.punctuation import CONTROL_ITEMS
 from ..core.receivers import WindowedReceiver
 from ..core.windows import Window, WindowSpec
 from ..observability import tracer as _obs
@@ -48,8 +47,6 @@ class TMWindowedReceiver(WindowedReceiver):
             # passthrough spec never pends, expires, or times out, so
             # the observable behaviour is bit-identical.  (The threaded
             # engine's receiver takes the same shortcut.)
-            if isinstance(event.value, CONTROL_ITEMS):
-                return  # control items never become ready work here
             port = self.port
             director = self._director
             if director.frontier is not None:
@@ -82,19 +79,12 @@ class TMWindowedReceiver(WindowedReceiver):
             self._route_expired()
             return
         if self._passthrough:
-            batch = [
-                event
-                for event in events
-                if not isinstance(event.value, CONTROL_ITEMS)
-            ]
-            if not batch:
-                return
             port = self.port
             tracker = self._director.frontier
             if tracker is not None:
-                for event in batch:
+                for event in events:
                     tracker.observe(event)
-            self._director.schedule_ready_batch(port.actor, port.name, batch)
+            self._director.schedule_ready_batch(port.actor, port.name, events)
             return
         super().put_batch(events)
 
@@ -115,6 +105,9 @@ class TMWindowedReceiver(WindowedReceiver):
     def admit_staged(self, items: list) -> None:
         """Schedule what a staged ``put_batch`` produced, in one call."""
         port = self.port
+        if _obs.ENABLED and not self._passthrough:
+            for window in items:
+                self._trace_ready(window)
         self._director.schedule_ready_batch(port.actor, port.name, items)
 
     def admit_held(self, items: list, stamps: list[int]) -> None:
@@ -143,11 +136,14 @@ class TMWindowedReceiver(WindowedReceiver):
         if _obs.ENABLED and not self._passthrough:
             # Passthrough events are ubiquitous; window completions are
             # the signal worth a record per delivery.
-            _obs._TRACER.instant(
-                "window.ready",
-                window.timestamp if len(window) else 0,
-                self.port.actor.name,
-                port=self.port.name,
-                size=len(window),
-            )
+            self._trace_ready(window)
         self._director.schedule_ready(self.port.actor, self.port.name, item)
+
+    def _trace_ready(self, window: Window) -> None:
+        _obs._TRACER.instant(
+            "window.ready",
+            window.timestamp if len(window) else 0,
+            self.port.actor.name,
+            port=self.port.name,
+            size=len(window),
+        )

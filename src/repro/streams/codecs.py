@@ -1,16 +1,15 @@
 """Wire codecs for push streams.
 
-CONFLuEnCE's push sources receive newline-delimited records over TCP/HTTP;
-these codecs translate between payload objects and wire lines.  The JSON
-codec handles arbitrary dict payloads; the CSV codec handles flat tuples
-with a declared schema (the Linear Road feed format).
+CONFLuEnCE's push sources receive newline-delimited records over TCP;
+the codec translates between payload objects and wire lines: one JSON
+document (a dict, or a dataclass on encode) per line.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, is_dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any
 
 from ..core.exceptions import ConfluenceError
 
@@ -32,51 +31,3 @@ class JSONLinesCodec:
             return json.loads(line)
         except json.JSONDecodeError as exc:
             raise CodecError(f"bad JSON line: {line[:80]!r}") from exc
-
-
-class CSVCodec:
-    """Comma-separated records with a fixed (name, converter) schema."""
-
-    def __init__(self, fields: Sequence[tuple[str, Callable[[str], Any]]]):
-        self.fields = list(fields)
-
-    def encode(self, payload: Any) -> str:
-        if is_dataclass(payload) and not isinstance(payload, type):
-            payload = asdict(payload)
-        try:
-            return ",".join(str(payload[name]) for name, _ in self.fields)
-        except KeyError as exc:
-            raise CodecError(f"payload missing field {exc}") from exc
-
-    def decode(self, line: str) -> dict[str, Any]:
-        parts = line.split(",")
-        if len(parts) != len(self.fields):
-            raise CodecError(
-                f"expected {len(self.fields)} fields, got {len(parts)}: "
-                f"{line[:80]!r}"
-            )
-        record = {}
-        for (name, convert), raw in zip(self.fields, parts):
-            try:
-                record[name] = convert(raw)
-            except (TypeError, ValueError) as exc:
-                raise CodecError(
-                    f"field {name!r}: cannot convert {raw!r}"
-                ) from exc
-        return record
-
-
-def position_report_codec() -> CSVCodec:
-    """The Linear Road position-report wire schema."""
-    return CSVCodec(
-        [
-            ("time", int),
-            ("car_id", int),
-            ("speed", float),
-            ("xway", int),
-            ("lane", int),
-            ("direction", int),
-            ("segment", int),
-            ("position", int),
-        ]
-    )

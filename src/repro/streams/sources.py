@@ -1,68 +1,23 @@
 """Push sources: how external streams enter a continuous workflow.
 
-Three source flavours:
-
-* :class:`ReplaySource` — replays a recorded trace (arrival schedule);
-* :class:`PoissonSource` — synthetic arrivals with a (possibly
-  time-varying) rate, generated lazily from a seed;
-* :class:`TCPStreamSource` — a real push connection: a background thread
-  reads newline-delimited records from a TCP socket and appends them to
-  the pending-arrival queue, which the director drains at the pace its
-  execution model dictates (paper §2.2).
+:class:`TCPStreamSource` is a real push connection: a background thread
+reads newline-delimited records from a TCP socket and appends them to the
+pending-arrival queue, which the director drains at the pace its
+execution model dictates (paper §2.2).  A recorded trace needs no class
+of its own: a :class:`~repro.core.actors.SourceActor` takes its arrival
+schedule directly.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from ..core.actors import SourceActor
 from ..core.timekeeper import US_PER_S
 from ..observability import tracer as _obs
 from .codecs import JSONLinesCodec
-
-
-class ReplaySource(SourceActor):
-    """A named, single-output trace replay source."""
-
-    def __init__(
-        self,
-        name: str,
-        arrivals: Iterable[tuple[int, Any]],
-        output: str = "out",
-    ):
-        super().__init__(name, arrivals)
-        self.add_output(output)
-
-
-class PoissonSource(SourceActor):
-    """Synthetic arrivals: exponential gaps around ``rate_fn(t_s)``/s."""
-
-    def __init__(
-        self,
-        name: str,
-        rate_fn: Callable[[float], float],
-        payload_fn: Callable[[int], Any],
-        duration_s: float,
-        seed: int = 1,
-        output: str = "out",
-    ):
-        import random
-
-        rng = random.Random(seed)
-        arrivals: list[tuple[int, Any]] = []
-        t_s = 0.0
-        index = 0
-        while t_s < duration_s:
-            rate = max(rate_fn(t_s), 1e-9)
-            t_s += rng.expovariate(rate)
-            if t_s >= duration_s:
-                break
-            arrivals.append((int(t_s * US_PER_S), payload_fn(index)))
-            index += 1
-        super().__init__(name, arrivals)
-        self.add_output(output)
 
 
 class TCPStreamSource(SourceActor):

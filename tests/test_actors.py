@@ -16,14 +16,13 @@ from repro.core.waves import WaveGenerator
 from repro.core.windows import WindowSpec
 from repro.core.workflow import Workflow
 from repro.directors.ddf import DDFDirector
+from tests.capture_routes import CaptureRoutes
 
 
 def make_context(actor, now=0):
-    emitted = []
-    ctx = FiringContext(
-        actor, now, lambda a, p, e: emitted.append((p, e)), WaveGenerator()
-    )
-    return ctx, emitted
+    routes = CaptureRoutes(actor)
+    ctx = FiringContext(actor, now, routes, WaveGenerator())
+    return ctx, routes.emitted
 
 
 class TestActorBasics:

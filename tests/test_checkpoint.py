@@ -52,7 +52,12 @@ from repro.harness.experiment import (
 )
 from repro.observability import RecordingTracer, use_tracer
 from repro.resilience import FaultPolicy, replay_dead_letters
-from repro.simulation import CostModel, SimulationRuntime, VirtualClock
+from repro.simulation import (
+    CostModel,
+    SimulationRuntime,
+    ThreadedCWFDirector,
+    VirtualClock,
+)
 from repro.stafilos import RoundRobinScheduler, SCWFDirector
 
 
@@ -812,6 +817,99 @@ class TestDeadLetterReplay:
         assert replayed == 1
         fresh_director.run_to_quiescence(fresh_director.current_time())
         assert sorted(fresh_sink.values) == [i * 2 for i in range(20)]
+
+
+    @staticmethod
+    def _grouped_engine(fail=False, frontier=False, threaded=False):
+        """source -> per-key 1 s time windows -> sink; with *fail*, the
+        first window of key 1 raises the first time it fires."""
+        from repro.frontier import FrontierTracker
+
+        workflow = Workflow("grouped")
+        arrivals = [(i * 100_000, {"key": i % 2, "v": i}) for i in range(30)]
+        source = SourceActor("src", arrivals=arrivals)
+        source.add_output("out")
+        failing = [fail]
+
+        def total(values):
+            if failing[0] and values[0]["v"] == 1:
+                failing[0] = False
+                raise ValueError("boom on the first window of key 1")
+            return values[0]["key"], [value["v"] for value in values]
+
+        worker = MapActor(
+            "total",
+            total,
+            window=WindowSpec.time(
+                1_000_000,
+                group_by=lambda event: event.value["key"],
+                timeout=500_000,
+            ),
+        )
+        sink = SinkActor("sink")
+        workflow.add_all([source, worker, sink])
+        workflow.connect(source, worker)
+        workflow.connect(worker, sink)
+        clock = VirtualClock()
+        if threaded:
+            director = ThreadedCWFDirector(
+                clock, CostModel(seed=5), error_policy=FaultPolicy(max_retries=0)
+            )
+        else:
+            director = SCWFDirector(
+                RoundRobinScheduler(10_000),
+                clock,
+                CostModel(seed=5),
+                error_policy=FaultPolicy(max_retries=0),
+            )
+        if frontier:
+            director.enable_frontier(FrontierTracker("track"))
+        director.attach(workflow)
+        return director, sink
+
+    @pytest.mark.parametrize("frontier", [False, True])
+    def test_a_dead_lettered_window_replays_as_that_window(self, frontier):
+        """A grouped time-windowed port's window is re-admitted as the
+        item it was, not re-inserted as one event holding its values
+        (which the port's group-by could not even read)."""
+        director, sink = self._grouped_engine(fail=True, frontier=frontier)
+        SimulationRuntime(director, director.clock).run(4.0)
+        (letter,) = director.supervisor.dead_letters
+        assert [e.value["v"] for e in letter.item.events] == [1, 3, 5, 7, 9]
+        assert (1, [1, 3, 5, 7, 9]) not in sink.values
+        store = MemoryCheckpointStore()
+        EngineCheckpointer(director, store).checkpoint()
+
+        fresh, fresh_sink = self._grouped_engine(frontier=frontier)
+        fresh.initialize_all()
+        restore_latest(fresh, store)
+        settled = list(fresh_sink.values)
+        assert settled == sink.values
+        tracker = fresh.frontier
+        before = tracker.outstanding_tokens() if frontier else 0
+        assert replay_dead_letters(fresh) == 1
+        if frontier:
+            assert tracker.outstanding_tokens() == before + 1
+        fresh.run_to_quiescence(fresh.current_time())
+        assert fresh_sink.values == settled + [(1, [1, 3, 5, 7, 9])]
+        assert len(fresh.supervisor.dead_letters) == 0
+        if frontier:
+            assert tracker.outstanding_tokens() == before
+
+    def test_threaded_sim_replays_a_dead_lettered_window_as_that_window(self):
+        """The simulated PNCWF director re-admits a dead-lettered window
+        into the actor's ready queue as that window."""
+        director, sink = self._grouped_engine(fail=True, threaded=True)
+        runtime = SimulationRuntime(director, director.clock)
+        runtime.run(4.0)
+        (letter,) = director.supervisor.dead_letters
+        assert [e.value["v"] for e in letter.item.events] == [1, 3, 5, 7, 9]
+        settled = list(sink.values)
+        assert (1, [1, 3, 5, 7, 9]) not in settled
+        assert replay_dead_letters(director) == 1
+        runtime.run(5.0, drain=True)
+        assert sink.values == settled + [(1, [1, 3, 5, 7, 9])]
+        assert len(director.supervisor.dead_letters) == 0
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from repro.core.events import CWEvent
 from repro.core.exceptions import ActorError
 from repro.core.waves import WaveGenerator, WaveTag
 from repro.core.windows import Window
+from tests.capture_routes import CaptureRoutes
 
 
 class Probe(Actor):
@@ -21,12 +22,8 @@ class Probe(Actor):
 
 
 def collecting_context(actor, wave_generator=None):
-    emitted = []
-
-    def hook(owner, port, event):
-        emitted.append((port, event))
-
-    return FiringContext(actor, 50, hook, wave_generator), emitted
+    routes = CaptureRoutes(actor)
+    return FiringContext(actor, 50, routes, wave_generator), routes.emitted
 
 
 class TestStagingAndReads:

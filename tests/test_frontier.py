@@ -3,11 +3,10 @@
 Covers the acceptance criteria of the subsystem:
 
 * unit behaviour of the :class:`FrontierTracker` (token accounting,
-  frontier queries, checkpoint round-trip), the :class:`Watermark`
-  punctuation and the :class:`LatenessPolicy`;
-* :class:`~repro.core.receivers.WindowedReceiver` handling of
-  :class:`~repro.core.punctuation.Watermark` control items and of late
-  events behind an applied frontier;
+  frontier queries, checkpoint round-trip) and the
+  :class:`LatenessPolicy`;
+* :class:`~repro.core.receivers.WindowedReceiver` closing panes on an
+  applied watermark and handling late events behind it;
 * ``SourceActor.feed`` rejecting non-monotone batches in strict mode
   and re-sorting them in out-of-order mode (regression);
 * the headline oracle property: a frontier-closing run over an
@@ -28,7 +27,6 @@ from repro.checkpoint import DirectoryCheckpointStore
 from repro.core.actors import SourceActor
 from repro.core.events import CWEvent
 from repro.core.exceptions import ActorError, SimulationError
-from repro.core.punctuation import Punctuation, Watermark
 from repro.core.receivers import WindowedReceiver
 from repro.core.waves import WaveTag
 from repro.core.windows import WindowSpec
@@ -158,20 +156,6 @@ class TestFrontierTracker:
 
 
 # ---------------------------------------------------------------------------
-# Watermark punctuation
-# ---------------------------------------------------------------------------
-class TestWatermark:
-    def test_watermark_rejects_negative_timestamp(self):
-        with pytest.raises(ValueError):
-            Watermark(-1)
-
-    def test_watermark_is_not_a_punctuation(self):
-        # The receiver routes them through different closure paths.
-        assert not isinstance(Watermark(0), Punctuation)
-        assert not isinstance(Punctuation(0), Watermark)
-
-
-# ---------------------------------------------------------------------------
 # LatenessPolicy
 # ---------------------------------------------------------------------------
 class TestLatenessPolicy:
@@ -213,16 +197,10 @@ class TestReceiverFrontier:
         receiver.put(_event(1, 10))
         receiver.put(_event(2, 60))
         assert not receiver.has_token()  # pane [10, 110) still open
-        receiver.put(CWEvent(Watermark(110), 110, WaveTag.root(3)))
+        assert receiver.close_on_frontier(110) == 1
         assert receiver.has_token()
         window = receiver.get()
         assert [e.timestamp for e in window.events] == [10, 60]
-
-    def test_watermark_is_consumed_not_staged(self):
-        receiver = _timed_receiver()
-        receiver.put(CWEvent(Watermark(50), 50, WaveTag.root(1)))
-        assert not receiver.has_token()
-        assert receiver.pending_events() == 0
 
     def test_late_event_dropped_behind_applied_frontier(self):
         receiver = _timed_receiver()

@@ -16,6 +16,7 @@ from repro.linearroad.types import (
     SegmentStat,
     StoppedCar,
 )
+from tests.capture_routes import CaptureRoutes
 
 
 def report(time=0, car=1, speed=50.0, seg=10, lane=Lane.TRAVEL_1, pos=None,
@@ -28,10 +29,8 @@ def report(time=0, car=1, speed=50.0, seg=10, lane=Lane.TRAVEL_1, pos=None,
 
 def fire_with_window(actor, values, timestamps=None):
     """Fire *actor* with one staged window over the given payloads."""
-    emitted = []
-    ctx = FiringContext(
-        actor, 0, lambda a, p, e: emitted.append(e), WaveGenerator()
-    )
+    routes = CaptureRoutes(actor)
+    ctx = FiringContext(actor, 0, routes, WaveGenerator())
     timestamps = timestamps or [i for i in range(len(values))]
     events = [
         CWEvent(value, ts, WaveTag.root(i + 1))
@@ -40,18 +39,16 @@ def fire_with_window(actor, values, timestamps=None):
     ctx.stage("in", Window(events))
     actor.fire(ctx)
     ctx.close()
-    return [e.value for e in emitted]
+    return routes.values()
 
 
 def fire_with_event(actor, value, port="in", ts=0):
-    emitted = []
-    ctx = FiringContext(
-        actor, 0, lambda a, p, e: emitted.append(e), WaveGenerator()
-    )
+    routes = CaptureRoutes(actor)
+    ctx = FiringContext(actor, 0, routes, WaveGenerator())
     ctx.stage(port, CWEvent(value, ts, WaveTag.root(1)))
     actor.fire(ctx)
     ctx.close()
-    return [e.value for e in emitted]
+    return routes.values()
 
 
 class TestStoppedCarDetector:

@@ -107,6 +107,40 @@ class TestNullTracerFastPath:
         # And the traced run actually captured telemetry.
         assert len(tracer) > 0
 
+    def test_a_traced_linear_road_run_is_the_untraced_run(self):
+        """120 s of Linear Road (L = 0.5, RR): a recording tracer changes
+        no sink record, statistic or clock tick — the fan-outs stage
+        their trains either way."""
+        from repro.harness import ExperimentConfig, SchedulerSpec
+        from repro.harness.experiment import build_engine
+        from repro.linearroad.generator import WorkloadConfig
+
+        config = ExperimentConfig(
+            SchedulerSpec("RR", quantum_us=40_000),
+            workload=WorkloadConfig(duration_s=120),
+            seeds=(1,),
+        )
+
+        def run():
+            engine = build_engine(config, 1)
+            engine.run()
+            system = engine.system
+            return (
+                [
+                    [(now, e.timestamp, e.value) for now, e in sink.items]
+                    for sink in (system.toll_out, system.accident_out)
+                ],
+                engine.director.statistics.snapshot(),
+                engine.clock.now_us,
+            )
+
+        untraced = run()
+        assert untraced[0][0]  # tolls were notified
+        tracer = RecordingTracer()
+        with use_tracer(tracer):
+            assert run() == untraced
+        assert len(tracer) > 0
+
     def test_no_records_emitted_when_disabled(self, pipeline_builder):
         # A RecordingTracer exists but is NOT installed: the engine must
         # not have routed anything into it.

@@ -14,6 +14,7 @@ from repro.simulation.cost_model import CostModel
 from repro.simulation.runtime import SimulationRuntime
 from repro.stafilos.schedulers import RoundRobinScheduler
 from repro.stafilos.scwf_director import SCWFDirector
+from tests.capture_routes import CaptureRoutes
 
 
 class TestVirtualClock:
@@ -52,7 +53,7 @@ class TestWallClock:
 class TestCostModel:
     def actor_and_ctx(self, inputs=0, outputs=0):
         actor = MapActor("m", lambda v: v)
-        ctx = FiringContext(actor, 0, lambda *a: None, WaveGenerator())
+        ctx = FiringContext(actor, 0, CaptureRoutes(actor), WaveGenerator())
         ctx.inputs_consumed = inputs
         ctx.outputs_produced = outputs
         return actor, ctx

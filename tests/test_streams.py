@@ -1,4 +1,4 @@
-"""Push-stream substrate: codecs, sources (including real TCP), sinks."""
+"""Push-stream substrate: the JSON-lines codec and the real TCP source."""
 
 import time
 
@@ -10,21 +10,14 @@ from repro.checkpoint import (
     restore_snapshot,
     serialize_snapshot,
 )
-from repro.core import MapActor, SinkActor, WindowSpec, Workflow
+from repro.core import MapActor, SinkActor, Workflow
 from repro.simulation import CostModel, SimulationRuntime, VirtualClock
 from repro.stafilos import RoundRobinScheduler, SCWFDirector
 from repro.streams import (
-    CallbackSink,
     CodecError,
-    CSVCodec,
     JSONLinesCodec,
-    PoissonSource,
-    position_report_codec,
     publish_lines,
-    RecordingSink,
-    ReplaySource,
     TCPStreamSource,
-    ThrottledAlertSink,
 )
 
 
@@ -43,51 +36,6 @@ class TestCodecs:
     def test_json_bad_line_raises(self):
         with pytest.raises(CodecError):
             JSONLinesCodec().decode("{nope")
-
-    def test_csv_roundtrip(self):
-        codec = CSVCodec([("a", int), ("b", float)])
-        assert codec.decode(codec.encode({"a": 1, "b": 2.5})) == {
-            "a": 1,
-            "b": 2.5,
-        }
-
-    def test_csv_arity_checked(self):
-        codec = CSVCodec([("a", int)])
-        with pytest.raises(CodecError):
-            codec.decode("1,2")
-
-    def test_csv_conversion_checked(self):
-        codec = CSVCodec([("a", int)])
-        with pytest.raises(CodecError):
-            codec.decode("xyz")
-
-    def test_position_report_codec_schema(self):
-        codec = position_report_codec()
-        record = codec.decode("30,17,55.5,0,1,0,10,53100")
-        assert record["car_id"] == 17
-        assert record["speed"] == 55.5
-
-
-class TestPoissonSource:
-    def test_rate_controls_arrival_count(self):
-        source = PoissonSource(
-            "p", lambda t: 50.0, lambda i: i, duration_s=10, seed=3
-        )
-        count = len(source._pending)
-        assert count == pytest.approx(500, rel=0.25)
-
-    def test_deterministic_per_seed(self):
-        a = PoissonSource("a", lambda t: 10, lambda i: i, 5, seed=1)
-        b = PoissonSource("b", lambda t: 10, lambda i: i, 5, seed=1)
-        assert a._pending == b._pending
-
-    def test_time_varying_rate(self):
-        source = PoissonSource(
-            "p", lambda t: 1.0 if t < 5 else 100.0, lambda i: i, 10, seed=2
-        )
-        early = sum(1 for t, _ in source._pending if t < 5_000_000)
-        late = sum(1 for t, _ in source._pending if t >= 5_000_000)
-        assert late > early * 10
 
 
 class TestTCPStreamSource:
@@ -222,41 +170,3 @@ class TestTCPStreamSource:
             assert source.received == 1
         finally:
             source.stop()
-
-
-class TestSinks:
-    def run_pipeline(self, sink):
-        workflow = Workflow("sinks")
-        source = ReplaySource(
-            "src", [(i * 1000, {"key": i % 2, "v": i}) for i in range(6)]
-        )
-        workflow.add_all([source, sink])
-        workflow.connect(source, sink)
-        clock = VirtualClock()
-        director = SCWFDirector(
-            RoundRobinScheduler(10_000), clock, CostModel()
-        )
-        director.attach(workflow)
-        SimulationRuntime(director, clock).run(1.0, drain=True)
-
-    def test_callback_sink(self):
-        seen = []
-        self.run_pipeline(CallbackSink("cb", seen.append))
-        assert [p["v"] for p in seen] == list(range(6))
-
-    def test_recording_sink_jsonl(self):
-        sink = RecordingSink("rec")
-        self.run_pipeline(sink)
-        lines = sink.text.strip().splitlines()
-        assert len(lines) == 6
-        assert sink.records_written == 6
-        assert JSONLinesCodec().decode(lines[0]) == {"key": 0, "v": 0}
-
-    def test_throttled_alert_sink_debounces(self):
-        sink = ThrottledAlertSink(
-            "alerts", key_fn=lambda p: p["key"], cooldown_us=10_000_000
-        )
-        self.run_pipeline(sink)
-        # Six events, two keys, all within the cooldown: one each.
-        assert len(sink.delivered) == 2
-        assert sink.suppressed == 4

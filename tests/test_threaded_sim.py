@@ -1,5 +1,7 @@
 """The simulated thread-based PNCWF director."""
 
+import hashlib
+
 import pytest
 
 from repro.core.actors import MapActor, SinkActor, SourceActor
@@ -85,3 +87,31 @@ class TestThreadedExecution:
         director, clock, sink, runtime = build([(0, 1)])
         director.initialize_all()
         assert director.backlog() == 0
+
+
+class TestLinearRoadPin:
+    def test_a_seeded_run_keeps_its_clock_switches_and_tolls(self):
+        """60 s of Linear Road (L = 0.5, seed 1), drained, on the
+        simulated PNCWF director.  The figures were recorded before the
+        per-event sync charge moved onto the director's delivery route;
+        any change to what a context switch, a queue hop or a firing
+        costs moves them."""
+        from repro.harness import ExperimentConfig, SchedulerSpec
+        from repro.harness.experiment import build_engine
+        from repro.linearroad.generator import WorkloadConfig
+
+        config = ExperimentConfig(
+            SchedulerSpec("PNCWF"),
+            workload=WorkloadConfig(duration_s=60),
+            seeds=(1,),
+        )
+        engine = build_engine(config, 1)
+        engine.run(drain=True)
+        tolls = [
+            (now, e.timestamp, e.value)
+            for now, e in engine.system.toll_out.items
+        ]
+        digest = hashlib.sha256(repr(tolls).encode()).hexdigest()[:16]
+        assert engine.clock.now_us == 160_000_895
+        assert engine.director.context_switches == 11_044
+        assert (len(tolls), digest) == (1_321, "0751ae74a4a1d764")

@@ -27,7 +27,6 @@ from repro.core.actors import (
 )
 from repro.core.context import FiringContext
 from repro.core.exceptions import DirectorError
-from repro.core.punctuation import Punctuation, Watermark
 from repro.core.waves import WaveGenerator, WaveTag
 from repro.core.windows import WindowSpec
 from repro.core.workflow import Workflow
@@ -43,6 +42,7 @@ from repro.stafilos.schedulers import (
     RoundRobinScheduler,
 )
 from repro.stafilos.scwf_director import SCWFDirector
+from tests.capture_routes import CaptureRoutes
 from tests.per_event_director import PerEventSCWFDirector
 
 TRAIN_SIZES = (1, 4, None)
@@ -63,7 +63,7 @@ TOPOLOGIES = (
     "source_fanout",
     "self_loop",
     "two_ports",
-    "punctuated",
+    "pane_and_plain",
 )
 
 #: One lap of ``self_loop``: a value leaves for the sink after three.
@@ -130,12 +130,11 @@ def _alternate(ctx):
     ctx.send("b" if value % 2 == 0 else "a", value)
 
 
-def _punctuate(ctx):
-    """Forward the value, then assert that its time pane is complete:
-    a control item inside every firing's output."""
-    item = ctx.read("in")
-    ctx.send("out", item.value)
-    ctx.send("out", Punctuation(item.timestamp))
+def _twice(ctx):
+    """Two emissions per firing: the value, then its negation."""
+    value = ctx.read_value("in")
+    ctx.send("out", value)
+    ctx.send("out", -value)
 
 
 def _build(topology, arrivals):
@@ -153,12 +152,12 @@ def _build(topology, arrivals):
         workflow.connect(lap, lap, source_port="loop")
         workflow.connect(lap, sink, source_port="out")
         return workflow, [sink]
-    if topology == "punctuated":
+    if topology == "pane_and_plain":
         # ``marker`` feeds a windowed port, so it does not hold;
         # ``tagger`` feeds a windowless one only, so it holds output
-        # that carries control items.
-        marker = FunctionActor("marker", _punctuate)
-        tagger = FunctionActor("tagger", _punctuate)
+        # of two events per firing.
+        marker = FunctionActor("marker", _twice)
+        tagger = FunctionActor("tagger", _twice)
         consumers = [
             MapActor(
                 "pane", lambda vs: len(vs), window=WindowSpec.time(25_000)
@@ -292,19 +291,17 @@ class TestTrainOracle:
         assert _run("expand", arrivals, scheduler_index, None) == reference
 
     @pytest.mark.parametrize(
-        "topology", ["self_loop", "two_ports", "punctuated"]
+        "topology", ["self_loop", "two_ports", "pane_and_plain"]
     )
     @pytest.mark.parametrize("scheduler_index", range(len(SCHEDULERS)))
     def test_held_routes_on_every_scheduler(self, scheduler_index, topology):
         """Directed spot-check of the route shapes a held train must get
         right: an actor feeding its own input (holding it would delay its
         own re-admission, so it is not held), two routes used alternately
-        (admission across them decides RR tickets), and control items
-        in a firing's output: a punctuation closes panes where it stands
-        (a windowed consumer, not held), and a windowless port drops it
-        from a held train."""
-        # A dense run, then same-stamp bursts whose punctuations close
-        # the panes behind them.
+        (admission across them decides RR tickets), and a producer of
+        two events per firing beside one that feeds a window (not held)
+        as well as windowless ports."""
+        # A dense run, then same-stamp bursts.
         arrivals = [(i * 97, i) for i in range(60)] + [
             (burst * 30_000, 60 + burst * 8 + slot)
             for burst in range(1, 9)
@@ -514,10 +511,10 @@ class TestFiringPlan:
         arrivals = [(i * 97, i) for i in range(20)] + [
             (burst * 30_000, 20 + burst) for burst in range(1, 4)
         ]
-        def punctuated():
-            return _build("punctuated", arrivals)[0]
+        def pane_and_plain():
+            return _build("pane_and_plain", arrivals)[0]
 
-        assert self._holding(punctuated(), 1) == {
+        assert self._holding(pane_and_plain(), 1) == {
             "marker": False,  # feeds the windowed ``pane``
             "tagger": True,
             "pane": True,
@@ -541,7 +538,9 @@ class TestFiringPlan:
         holding = self._holding(fused, 1)
         assert holding.pop("sink") and list(holding.values()) == [False]
         for policy in (0, 2, 3):  # QBS, RB, FIFO
-            assert not any(self._holding(punctuated(), policy).values())
+            assert not any(
+                self._holding(pane_and_plain(), policy).values()
+            )
 
     def test_instance_level_fire_is_never_bypassed(self):
         """A fault injector shadows ``fire`` on the instance — mid-run."""
@@ -587,20 +586,8 @@ class TestFiringPlan:
 
 
 # ----------------------------------------------------------------------
-# Delivery routes: they follow the topology and never bypass a hook
+# Delivery routes: they follow the topology
 # ----------------------------------------------------------------------
-class _EmitSpy(SCWFDirector):
-    """Overrides the emission hook: it must see every single event."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.seen = []
-
-    def on_emit(self, actor, port_name, event):
-        self.seen.append((actor.name, port_name, event.value))
-        super().on_emit(actor, port_name, event)
-
-
 def _sink_canon(sink):
     return [
         (now, e.timestamp, tuple(e.wave.path), e.value, e.last_in_wave)
@@ -791,25 +778,6 @@ class TestDeliveryRoutes:
         runtime.run(1.0, drain=True)  # third burst, tracer gone
         assert tracer.emitted == recorded and len(sink.values) == 45
 
-    def test_overridden_on_emit_sees_every_event(self):
-        arrivals = [(i * 40, i) for i in range(30)]
-        reference = _run("expand", arrivals, 1, None)
-        spied = _run("expand", arrivals, 1, None, cls=_EmitSpy)
-        assert spied == reference
-        workflow, sinks = _build("expand", arrivals)
-        clock = VirtualClock()
-        director = _EmitSpy(RoundRobinScheduler(10_000), clock, CostModel())
-        director.attach(workflow)
-        SimulationRuntime(director, clock).run(10.0, drain=True)
-        produced = sum(
-            stats["outputs_total"]
-            for stats in director.statistics.snapshot().values()
-        )
-        assert len(director.seen) == produced > 30
-        assert [v for name, _, v in director.seen if name == "relay"] == (
-            sinks[0].values
-        )
-
     def _flaky(self, cls):
         """A firing that fails before reading, and one mid-emission."""
         from repro.resilience import FaultPolicy
@@ -905,15 +873,6 @@ _BURSTS = [
 ]
 
 
-def _with_control(kind):
-    """The bursts, a control item travelling inside every one of them."""
-    arrivals = list(_BURSTS)
-    for burst in range(12):
-        stamp = burst * 30_000
-        arrivals.insert(burst * 9 + 4, (stamp, kind(stamp)))
-    return arrivals
-
-
 def _expired_handler(workflow, director):
     handler = SinkActor("handler")
     workflow.add(handler)
@@ -952,16 +911,13 @@ def _shedder(workflow, director):
     director.scheduler.shedder = BacklogShedder(max_total_backlog=12)
 
 
-#: name -> (arrivals, set-up before ``attach``, tracer entered mid-run)
+#: name -> set-up before ``attach``
 _INTERLEAVE_CONDITIONS = {
-    "two-channels-one-consumer": (_BURSTS, _second_channel, False),
-    "expired-to-handler": (_BURSTS, _expired_handler, False),
-    "punctuation-in-train": (_with_control(Punctuation), None, False),
-    "watermark-in-train": (_with_control(Watermark), None, False),
-    "frontier-track": (_BURSTS, _frontier("track"), False),
-    "frontier-close": (_BURSTS, _frontier("close"), False),
-    "shedder-installed": (_BURSTS, _shedder, False),
-    "tracer-entered-mid-run": (_BURSTS, None, True),
+    "two-channels-one-consumer": _second_channel,
+    "expired-to-handler": _expired_handler,
+    "frontier-track": _frontier("track"),
+    "frontier-close": _frontier("close"),
+    "shedder-installed": _shedder,
 }
 
 
@@ -1027,14 +983,30 @@ class TestFanoutTrains:
         self, condition
     ):
         """Each fallback condition: nothing is staged, oracle equality."""
-        arrivals, setup, trace_late = _INTERLEAVE_CONDITIONS[condition]
-        canon, staged = _run_fanout(SCWFDirector, arrivals, setup, trace_late)
-        assert staged[1] == 0
-        assert trace_late or staged[0] == 0
-        reference, _ = _run_fanout(
-            PerEventSCWFDirector, arrivals, setup, trace_late
-        )
+        setup = _INTERLEAVE_CONDITIONS[condition]
+        canon, staged = _run_fanout(SCWFDirector, _BURSTS, setup)
+        assert staged == [0, 0]
+        reference, _ = _run_fanout(PerEventSCWFDirector, _BURSTS, setup)
         assert canon == reference
+
+    def test_a_tracer_changes_no_delivery(self):
+        """A tracer is not a fallback condition: a fan-out traced from
+        the start, or entered mid-run, stages its trains in both phases
+        exactly as the untraced run does, and equals the per-event
+        oracle."""
+        from repro.observability import RecordingTracer, use_tracer
+
+        untraced = _run_fanout(SCWFDirector, _BURSTS)
+        canon, staged = untraced
+        assert staged[0] > 0 and staged[1] > 0
+        assert _run_fanout(SCWFDirector, _BURSTS, trace_late=True) == untraced
+        with use_tracer(RecordingTracer()) as tracer:
+            assert _run_fanout(SCWFDirector, _BURSTS) == untraced
+        assert len(tracer) > 0
+        reference, _ = _run_fanout(
+            PerEventSCWFDirector, _BURSTS, trace_late=True
+        )
+        assert reference == canon
 
     def test_one_pump_admits_each_consumer_at_most_once(self):
         """N events into a 5-way fan-out: the director's intake is entered
@@ -1355,19 +1327,12 @@ class TestPumpTrainInteraction:
             batch_limit=batch_limit,
         )
         source.add_output("out")
-        singles, batches = [], []
-        ctx = FiringContext(
-            source,
-            0,
-            lambda actor, port, event: singles.append(event),
-            wave_generator=WaveGenerator(),
-        )
-        ctx.enable_batch_emission(
-            chunk, lambda actor, port, events: batches.append(list(events))
-        )
+        routes = CaptureRoutes(source)
+        ctx = FiringContext(source, 0, routes, wave_generator=WaveGenerator())
+        ctx.enable_batch_emission(chunk)
         emitted = source.pump(ctx)
         ctx.close()
-        return emitted, singles, batches
+        return emitted, routes.events(), [train for _, train in routes.trains]
 
     def test_pump_bounded_by_batch_limit(self):
         """batch_limit < train_size: the source limit wins."""
@@ -1388,7 +1353,7 @@ class TestPumpTrainInteraction:
         assert [len(train) for train in batches] == [4, 4, 2]
 
     def test_per_event_chunk_never_batches(self):
-        """chunk=1 keeps the historical one-call-per-event hook."""
+        """chunk=1 keeps the historical one-call-per-event delivery."""
         emitted, singles, batches = self._pump(
             batch_limit=None, chunk=1, due=5
         )
