@@ -99,7 +99,7 @@ opcount:  # make opcount BASE=HEAD~1 W=lr_xway4_single SCALE=0.25  (executed byt
 gc-profile:  # make gc-profile W=lr_batch  (collections and seconds per generation around one untraced run)
 	$(PYTHON) tools/gc_profile.py --workload $(W)
 
-census:  # public names under src/repro that nothing outside tests/, their own module and __init__ re-exports reads (reports only)
+census:  # public names under src/repro that nothing outside tests/, their own module and __init__ re-exports reads (reports; part 1 is gated empty by tier-1 tests/test_census.py)
 	$(PYTHON) tools/census.py
 
 checkpoint-smoke:  # checkpoint tests + example + cost-per-snapshot-MiB and purity gates on fig-8

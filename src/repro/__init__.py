@@ -22,8 +22,9 @@ Top-level layout:
 
 * :mod:`repro.core` — the continuous-workflow kernel (actors, ports,
   windows, waves, directors, statistics);
-* :mod:`repro.directors` — models of computation (SDF, DDF, DE, PN and the
-  thread-based PNCWF continuous-workflow director);
+* :mod:`repro.directors` — models of computation (SDF, DDF and the
+  thread-based PNCWF continuous-workflow director) and the paper's
+  Table 1 taxonomy as data;
 * :mod:`repro.stafilos` — the scheduled CWF director, TM windowed receiver,
   abstract scheduler and the QBS/RR/RB/FIFO/EDF policies;
 * :mod:`repro.simulation` — the virtual-time runtime and cost model used by
@@ -36,13 +37,13 @@ Top-level layout:
 * :mod:`repro.resilience` — fault policies, supervision, dead-letter
   queues and deterministic fault injection for continuous runs;
 * :mod:`repro.checkpoint` — wave-aligned checkpointing and crash
-  recovery: the ``Checkpointable`` protocol, snapshot stores, the
+  recovery: the ``Checkpointable`` contract, snapshot stores, the
   engine snapshot orchestrator and the periodic/barrier trigger layer;
 * :mod:`repro.shard` — sharded execution: the workload partitioned by a
   group-by key across worker processes, routed over pipes, merged
   deterministically, with live shard migration via checkpoints;
-* :mod:`repro.streams` — the TCP push source, its wire codec and
-  incremental sliding aggregates;
+* :mod:`repro.streams` — incremental sliding aggregates (push sources
+  are :class:`~repro.core.actors.SourceActor` fed mid-run);
 * :mod:`repro.sqldb` — the relational database (the standard library's
   SQLite, in memory, behind a small adapter) the Linear Road workflow
   stores segment statistics and accidents in;
@@ -65,7 +66,6 @@ from . import (
     streams,
 )
 from .checkpoint import (
-    Checkpointable,
     CheckpointManifest,
     CheckpointStore,
     DirectoryCheckpointStore,
@@ -96,9 +96,7 @@ from .core import (
 )
 from .directors import (
     DDFDirector,
-    DEDirector,
     PNCWFDirector,
-    PNDirector,
     SDFDirector,
 )
 from .fusion import (
@@ -111,7 +109,6 @@ from .observability import (
     export_chrome_trace,
     export_jsonl,
     export_prometheus,
-    get_tracer,
     NullTracer,
     RecordingTracer,
     set_tracer,
@@ -154,7 +151,6 @@ from .stafilos import (
     RoundRobinScheduler,
     SCWFDirector,
 )
-from .streams import publish_lines, TCPStreamSource
 
 #: Policy-name aliases: the paper (and the facade's users) call the
 #: schedulers by their acronyms.
@@ -179,7 +175,6 @@ __all__ = [
     "stafilos",
     "streams",
     # checkpointing & recovery
-    "Checkpointable",
     "CheckpointManifest",
     "CheckpointStore",
     "DirectoryCheckpointStore",
@@ -208,9 +203,7 @@ __all__ = [
     "Workflow",
     # directors / models of computation
     "DDFDirector",
-    "DEDirector",
     "PNCWFDirector",
-    "PNDirector",
     "SDFDirector",
     # operator-chain fusion
     "detect_chains",
@@ -260,16 +253,12 @@ __all__ = [
     "export_chrome_trace",
     "export_jsonl",
     "export_prometheus",
-    "get_tracer",
     "NullTracer",
     "RecordingTracer",
     "set_tracer",
     "TraceRecord",
     "Tracer",
     "use_tracer",
-    # streams
-    "publish_lines",
-    "TCPStreamSource",
     # misc
     "__version__",
 ]

@@ -2,8 +2,9 @@
 
 The subsystem has three layers:
 
-* :mod:`~repro.checkpoint.protocol` — the :class:`Checkpointable`
-  structure/data contract every engine component implements;
+* :mod:`~repro.checkpoint.protocol` — the ``Checkpointable``
+  structure/data contract (``state_dump``/``state_restore``) every engine
+  component implements;
 * :mod:`~repro.checkpoint.store` — pluggable snapshot stores: the
   in-memory test store and the atomic, CRC-verified, retention-bounded
   :class:`DirectoryCheckpointStore`;
@@ -23,7 +24,7 @@ Quickstart::
 """
 
 from .checkpointer import EngineCheckpointer, restore_latest
-from .protocol import Checkpointable, dump_component, restore_component
+from .protocol import dump_component, restore_component
 from .snapshot import (
     SNAPSHOT_FORMAT,
     capture_snapshot,
@@ -40,7 +41,6 @@ from .store import (
 )
 
 __all__ = [
-    "Checkpointable",
     "CheckpointManifest",
     "CheckpointStore",
     "DirectoryCheckpointStore",

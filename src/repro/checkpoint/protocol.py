@@ -1,5 +1,6 @@
 """The ``Checkpointable`` protocol — the contract every engine component
-implements to participate in wave-aligned snapshots.
+implements to participate in wave-aligned snapshots: two methods,
+``state_dump()`` and ``state_restore(state)``, found by duck typing.
 
 A checkpoint of a continuous workflow cannot be a naive ``pickle`` of the
 engine: directors, workflows, ports and receivers are laced with lambdas
@@ -12,15 +13,16 @@ which serialize.  Instead the engine splits *structure* from *data*:
   + seed that built the crashed run).
 * **Data** — queue contents, window operator group states, source
   cursors, RNG states, statistics, wave counters — is captured by each
-  component's :meth:`Checkpointable.state_dump` and re-applied **in
-  place** on the freshly rebuilt component by
-  :meth:`Checkpointable.state_restore`.
+  component's ``state_dump()`` and re-applied **in place** on the
+  freshly rebuilt component by ``state_restore(state)``.
 
-``state_dump`` must be a *pure observation*: it may copy containers but
-must never consume counters, draw RNG numbers, or trim rate windows —
-a run that checkpoints must stay bit-identical to one that does not.
-``state_restore`` must be idempotent: applying the same dump twice
-leaves the component in the same state.
+``state_dump`` must be a *pure observation*: it may copy containers and
+read RNG state via ``getstate()``, but must never consume counters, draw
+RNG numbers, or trim rate windows — a run that checkpoints must stay
+bit-identical to one that does not.  ``state_restore`` applies a dump to
+a component already *structurally* rebuilt (same workflow builder, same
+specs) and must be idempotent: applying the same dump twice leaves the
+component in the same state.
 
 The dump value itself must be picklable with the standard library
 ``pickle`` and must never contain live engine objects (actors, ports,
@@ -31,29 +33,7 @@ another process.
 
 from __future__ import annotations
 
-from typing import Any, Protocol, runtime_checkable
-
-
-@runtime_checkable
-class Checkpointable(Protocol):
-    """Structural protocol for components that can snapshot their state."""
-
-    def state_dump(self) -> Any:
-        """Return a picklable, engine-object-free snapshot of mutable state.
-
-        Must not mutate the component (pure observation): copy containers,
-        read RNG state via ``getstate()``, read counters non-destructively.
-        """
-        ...
-
-    def state_restore(self, state: Any) -> None:
-        """Apply a dump produced by :meth:`state_dump` in place.
-
-        The component must already have been *structurally* rebuilt (same
-        workflow builder, same specs); restore only re-applies the data.
-        Must be idempotent.
-        """
-        ...
+from typing import Any
 
 
 def dump_component(obj: Any, label: str | None = None) -> Any:

@@ -6,11 +6,11 @@ configuration; it is rebuilt by re-running the original workflow builder,
 never serialized.  Data — queue contents, window panes, source cursors,
 RNG states, statistics — is what :func:`capture_snapshot` collects by
 walking every engine component that implements the
-:class:`~repro.checkpoint.protocol.Checkpointable` protocol:
+``Checkpointable`` protocol (:mod:`repro.checkpoint.protocol`):
 
 * the virtual clock and the cost model's RNG (scheduled runs);
 * every actor's user state (:meth:`~repro.core.actors.Actor.state_dump`),
-  which transitively covers window operators, timekeepers and the shared
+  which transitively covers window operators and the shared
   in-memory SQL database;
 * every input-port receiver: FIFO queues, or a window operator's group
   panes and counters plus whatever the receiver still owes a reader

@@ -41,8 +41,7 @@ from .statistics import (
     global_rate_metrics,
     rate_priorities,
 )
-from .timekeeper import TimeKeeper, seconds_to_us, us_to_seconds
-from .tokens import RecordToken, Token, as_token
+from .tokens import Token, as_token
 from .waves import WaveGenerator, WaveScope, WaveTag
 from .windows import (
     ConsumptionMode,
@@ -83,17 +82,13 @@ __all__ = [
     "rate_priorities",
     "Receiver",
     "ReceiverError",
-    "RecordToken",
     "ResilienceError",
     "SchedulerError",
-    "seconds_to_us",
     "SimulationError",
     "SinkActor",
     "SourceActor",
     "StatisticsRegistry",
-    "TimeKeeper",
     "Token",
-    "us_to_seconds",
     "WaveGenerator",
     "WaveScope",
     "WaveTag",

@@ -187,7 +187,12 @@ class SourceActor(Actor):
     Directors call :meth:`pump` instead of staging inputs; the source emits
     whatever external arrivals are due at engine time ``ctx.now`` via
     ``ctx.send``.  Sub-classes either override :meth:`pump` or provide an
-    ``arrivals`` iterable of ``(timestamp_us, value)`` pairs.
+    ``arrivals`` iterable of ``(timestamp_us, value)`` pairs.  This is the
+    paper's push source (§2.2): arrivals pushed at it mid-run through
+    :meth:`feed`/:meth:`feed_columns` are pumped into the workflow at the
+    rate the director dictates, and :meth:`feed`'s strict-order check is
+    its timekeeper (a stamp earlier than one already scheduled is
+    refused).  An exhausted schedule is end of stream.
 
     With ``out_of_order=True`` the source models bounded-disorder
     delivery: arrivals are ``(delivery_us, value, event_ts_us)`` triples
@@ -201,9 +206,6 @@ class SourceActor(Actor):
     """
 
     is_source = True
-    #: Unbounded sources (live push connections) are never "done": an
-    #: empty pending queue means "nothing yet", not end-of-stream.
-    unbounded = False
     #: The arrival schedule is structural (reproduced by the workload
     #: builder on recovery); only the replay *cursor* is checkpointed, so
     #: a resumed source re-emits nothing and drops nothing.  The cached

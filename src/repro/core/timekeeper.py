@@ -1,73 +1,10 @@
-"""Timekeepers: timestamp discipline for external and internal events.
+"""The engine's time unit: integral microseconds.
 
-CONFLuEnCE's timing components stamp every token entering the system and
-keep per-actor notions of "the time of the last event seen", which timed
-windows and response-time metrics rely on.  The :class:`TimeKeeper` here
-enforces monotone external timestamps per source and lets runtimes convert
-between seconds (workload descriptions) and the engine's microsecond ticks.
+Every timestamp, deadline and cost in the engine is an ``int`` count of
+microseconds; :data:`US_PER_S` converts workload descriptions given in
+seconds.  The paper's timekeepers — monotone stamping of external
+events — are :meth:`repro.core.actors.SourceActor.feed`'s strict-order
+check.
 """
 
-from __future__ import annotations
-
-from typing import Optional
-
-from .exceptions import ConfluenceError
-
 US_PER_S = 1_000_000
-US_PER_MS = 1_000
-
-
-def seconds_to_us(seconds: float) -> int:
-    """Convert seconds to integral engine microseconds."""
-    return int(round(seconds * US_PER_S))
-
-
-def us_to_seconds(us: int) -> float:
-    """Convert engine microseconds back to seconds."""
-    return us / US_PER_S
-
-
-class TimestampViolation(ConfluenceError):
-    """An external event was stamped earlier than its predecessor."""
-
-
-class TimeKeeper:
-    """Tracks, validates and advances event-time per named stream."""
-
-    def __init__(self, allow_equal: bool = True):
-        self._last: dict[str, int] = {}
-        self._allow_equal = allow_equal
-
-    def stamp(self, stream: str, timestamp_us: int) -> int:
-        """Validate a proposed timestamp on *stream* and record it."""
-        last = self._last.get(stream)
-        if last is not None:
-            if timestamp_us < last or (
-                timestamp_us == last and not self._allow_equal
-            ):
-                raise TimestampViolation(
-                    f"stream {stream!r}: timestamp {timestamp_us} regresses "
-                    f"behind {last}"
-                )
-        self._last[stream] = timestamp_us
-        return timestamp_us
-
-    def last(self, stream: str) -> Optional[int]:
-        return self._last.get(stream)
-
-    def latest(self) -> int:
-        """Most recent timestamp across all streams (0 when none seen)."""
-        if not self._last:
-            return 0
-        return max(self._last.values())
-
-    # ------------------------------------------------------------------
-    # Checkpointable protocol
-    # ------------------------------------------------------------------
-    def state_dump(self) -> dict:
-        """Snapshot the per-stream timestamp map (Checkpointable)."""
-        return {"last": dict(self._last)}
-
-    def state_restore(self, state: dict) -> None:
-        """Re-apply a dumped timestamp map (Checkpointable)."""
-        self._last = dict(state["last"])

@@ -16,8 +16,9 @@ class Token:
     """An immutable value container propagated between ports.
 
     ``Token`` compares and hashes by payload so tests and group-by logic can
-    treat tokens as values.  Use :class:`RecordToken` when the payload has
-    named fields.
+    treat tokens as values; a mapping payload gives it named fields.
+    Pickling goes through the module-level :func:`_revive_token`, which
+    stored snapshots name by reference (see there).
     """
 
     __slots__ = ("_value",)
@@ -70,30 +71,13 @@ class Token:
         return f"Token({self._value!r})"
 
 
-class RecordToken(Token):
-    """A token whose payload is a mapping of field name to value."""
-
-    __slots__ = ()
-
-    def __init__(self, **fields: Any):
-        super().__init__(dict(fields))
-
-    def field(self, name: str) -> Any:
-        return self.value[name]
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in self.value.items())
-        return f"RecordToken({inner})"
-
-    def __hash__(self) -> int:
-        return hash(("RecordToken", tuple(sorted(self.value.items()))))
-
-
 def _revive_token(cls: type, value: Any) -> "Token":
     """Rebuild a (possibly subclassed) token without calling ``__init__``.
 
-    Bypassing ``__init__`` matters for :class:`RecordToken`, whose
-    constructor takes keyword fields rather than the stored payload.
+    Keep this name and signature: every pickled token refers to
+    ``repro.core.tokens._revive_token`` by reference, so checkpoint
+    snapshots already on disk (the recorded fixtures under
+    ``tests/data`` among them) load only while it exists.
     """
     token = cls.__new__(cls)
     object.__setattr__(token, "_value", value)

@@ -1,28 +1,23 @@
 """Models of computation: the director implementations.
 
 This package reproduces the Kepler/PtolemyII directors the Linear Road
-workflow relies on (SDF and DDF for sub-workflows, DE and PN as classic
-references) plus CONFLuEnCE's thread-based PNCWF continuous-workflow
-director.  The full Table 1 taxonomy lives in
-:mod:`repro.directors.taxonomy`.
+workflow relies on (SDF and DDF for sub-workflows) plus CONFLuEnCE's
+thread-based PNCWF continuous-workflow director.  The full Table 1
+taxonomy, PN and DE included, lives in :mod:`repro.directors.taxonomy`
+as data.
 """
 
 from .ddf import DDFDirector
-from .de import DEDirector
-from .pn import BlockingReceiver, PNDirector
 from .pncwf import BlockingWindowedReceiver, PNCWFDirector
 from .sdf import SDFDirector
 from .taxonomy import TAXONOMY, DirectorTaxon, implemented_directors, render_table
 
 __all__ = [
-    "BlockingReceiver",
     "BlockingWindowedReceiver",
     "DDFDirector",
-    "DEDirector",
     "DirectorTaxon",
     "implemented_directors",
     "PNCWFDirector",
-    "PNDirector",
     "render_table",
     "SDFDirector",
     "TAXONOMY",

@@ -153,11 +153,7 @@ class _SourceThread(threading.Thread):
                 return  # stop requested while parked at the barrier
             next_at = source.next_arrival_time()
             if next_at is None:
-                if not source.unbounded:
-                    return  # finite replay: end of stream
-                if director._stopping.wait(timeout=0.01):
-                    return
-                continue
+                return  # end of stream
             delay_s = (next_at - director.current_time()) / US_PER_S
             if delay_s > 0:
                 if director._stopping.wait(

@@ -40,12 +40,10 @@ TAXONOMY: tuple[DirectorTaxon, ...] = (
     ),
     DirectorTaxon(
         "PN", "Kepler", "Push", "Data-driven", "Thread/OS", "N/A", "N/A",
-        implemented_by="repro.directors.pn.PNDirector",
     ),
     DirectorTaxon(
         "DE", "Kepler", "Director: Event Queue", "Event-driven",
         "Event Order", "Yes (global)", "N/A",
-        implemented_by="repro.directors.de.DEDirector",
     ),
     DirectorTaxon(
         "CN", "PtolemyII", "Director: Topology-driven Push/Pull",

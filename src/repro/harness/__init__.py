@@ -26,15 +26,12 @@ from .experiment import (
     ExperimentResult,
     make_scheduler,
     restore_engine,
-    result_to_dict,
     resume_run,
     run_experiment,
     run_once,
     RunResult,
-    save_results,
 )
 from .reporting import (
-    fraction_within,
     latency_percentiles,
     render_comparison_summary,
     render_series_table,
@@ -56,7 +53,6 @@ __all__ = [
     "figure6_configs",
     "figure7_configs",
     "figure8_configs",
-    "fraction_within",
     "latency_percentiles",
     "make_scheduler",
     "QBS_BASIC_QUANTA_US",
@@ -66,9 +62,7 @@ __all__ = [
     "render_statistics",
     "render_workload_figure",
     "restore_engine",
-    "result_to_dict",
     "resume_run",
-    "save_results",
     "RR_BASIC_QUANTA_US",
     "run_experiment",
     "run_once",

@@ -31,8 +31,6 @@ RR_BASIC_QUANTA_US = (5_000, 10_000, 20_000, 40_000)
 QBS_SOURCE_INTERVAL = 5
 EXPERIMENT_DURATION_S = 600
 DEFAULT_SEEDS = (1, 2, 3)
-OUTPUT_ACTOR_PRIORITY = 5
-MAINTENANCE_ACTOR_PRIORITY = 10
 
 #: The calibrated cost model of DESIGN.md: STAFiLOS schedulers saturate
 #: near 160 reports/s; the simulated thread-based PNCWF near 120 (the

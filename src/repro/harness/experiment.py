@@ -565,41 +565,3 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     runs = [run_once(config, seed) for seed in config.seeds]
     merged = runs[0].series.merged_with(*(run.series for run in runs[1:]))
     return ExperimentResult(config, merged, runs)
-
-
-def result_to_dict(result: ExperimentResult) -> dict:
-    """A JSON-serializable record of one experiment (artifact dumps)."""
-    return {
-        "label": result.label,
-        "scheduler": asdict(result.config.scheduler),
-        "workload": {
-            "duration_s": result.config.workload.duration_s,
-            "peak_rate": result.config.workload.peak_rate,
-            "l_rating": result.config.workload.l_rating,
-        },
-        "seeds": list(result.config.seeds),
-        "series": [
-            {"t_s": t, "mean_response_s": r, "samples": n}
-            for t, r, n in result.series.points
-        ],
-        "thrash_time_s": result.thrash_time_s,
-        "thrash_input_rate": result.thrash_input_rate(),
-        "mean_pre_thrash_s": result.mean_pre_thrash_s(),
-        "runs": [
-            {
-                name: value
-                for name, value in vars(run).items()
-                if name != "series"
-            }
-            for run in result.runs
-        ],
-    }
-
-
-def save_results(results: list[ExperimentResult], path) -> None:
-    """Dump experiment results as JSON (regeneratable evaluation record)."""
-    import json
-    from pathlib import Path
-
-    payload = [result_to_dict(result) for result in results]
-    Path(path).write_text(json.dumps(payload, indent=2))

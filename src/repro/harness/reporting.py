@@ -105,16 +105,6 @@ def latency_percentiles(
     return out
 
 
-def fraction_within(
-    samples: Sequence[tuple[int, int]], target_us: int
-) -> float:
-    """QoS metric: the fraction of results under the delay target (§4)."""
-    if not samples:
-        return 0.0
-    hits = sum(1 for _, response in samples if response <= target_us)
-    return hits / len(samples)
-
-
 def render_statistics(registry, top: int = 20) -> str:
     """The runtime statistics module, as an aligned text table.
 

@@ -22,8 +22,6 @@ SEGMENT_LENGTH_FT = 5280
 SEGMENTS_PER_XWAY = 100
 #: A car is an accident candidate after this many identical reports.
 STOPPED_REPORT_COUNT = 4
-#: Accident alerts must be produced within 5 seconds of the report.
-ACCIDENT_ALERT_DEADLINE_S = 5
 #: Toll formula thresholds (Linear Road specification).
 TOLL_LAV_THRESHOLD_MPH = 40
 TOLL_CAR_THRESHOLD = 50

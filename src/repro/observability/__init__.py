@@ -23,7 +23,7 @@ Hook points live in actor firing (:mod:`repro.core.actors`,
 (:mod:`repro.core.windows`, :mod:`repro.core.receivers`), wave lifecycle
 (:mod:`repro.core.waves`), scheduler decisions and state transitions
 (:mod:`repro.stafilos`), load shedding, queue depths, and source/sink
-throughput (:mod:`repro.streams`).
+throughput (:mod:`repro.core.actors`).
 
 Usage::
 
@@ -47,7 +47,6 @@ from .tracer import (
     TraceRecord,
     Tracer,
     current_tracer,
-    get_tracer,
     set_tracer,
     use_tracer,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "export_chrome_trace",
     "export_jsonl",
     "export_prometheus",
-    "get_tracer",
     "NullTracer",
     "RecordingTracer",
     "set_tracer",

@@ -199,11 +199,6 @@ def current_tracer() -> Tracer:
     return _TRACER
 
 
-def get_tracer() -> Tracer:
-    """Alias of :func:`current_tracer` for the public facade."""
-    return _TRACER
-
-
 def set_tracer(tracer: Optional[Tracer]) -> Tracer:
     """Install *tracer* process-wide; ``None`` restores the NullTracer.
 

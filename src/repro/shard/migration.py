@@ -39,7 +39,7 @@ in-flight depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable
 
 from ..checkpoint import (
     capture_snapshot,
@@ -130,13 +130,3 @@ def apply_envelope(engine: Any, envelope: Dict[str, Any]) -> None:
     )
     if engine.checkpointer is not None:
         engine.checkpointer.align_to(int(envelope["engine_time_us"]))
-
-
-def envelope_summary(envelope: Dict[str, Any]) -> str:
-    """One-line human description of an envelope (logs and CLI output)."""
-    payload: Optional[bytes] = envelope.get("payload")
-    return (
-        f"shard {envelope.get('key')}={envelope.get('group')!r} at "
-        f"t={envelope.get('engine_time_us')}us "
-        f"({0 if payload is None else len(payload)} snapshot bytes)"
-    )

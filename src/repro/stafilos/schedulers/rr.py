@@ -71,9 +71,9 @@ class RoundRobinScheduler(AbstractScheduler):
         self._firing_ticket: Optional[int] = None
         #: Earliest engine time any source could become runnable, cached
         #: by :meth:`continue_train` so mid-train source checks are one
-        #: comparison instead of a scan.  Only populated for bounded
-        #: sources with the stock ``source_has_work`` (see
-        #: :meth:`on_initialize`); ``None`` = unknown, rescan.
+        #: comparison instead of a scan.  Only populated with the stock
+        #: ``source_has_work`` (see :meth:`on_initialize`); ``None`` =
+        #: unknown, rescan.
         self._no_source_until: Optional[int] = None
         self._sources_cacheable = False
 
@@ -82,12 +82,10 @@ class RoundRobinScheduler(AbstractScheduler):
         for actor in self.actors:
             self.quantum[actor.name] = self.slice_us
             self._order[actor.name] = next(self._rotation)
-        # The mid-train source-check cache is sound only when arrival
-        # schedules cannot grow behind our back (no live/unbounded
-        # sources) and runnability is the stock pending-arrival check.
-        self._sources_cacheable = all(
-            not source.unbounded for source in self.sources
-        ) and (
+        # The mid-train source-check cache is sound only when runnability
+        # is the stock pending-arrival check (schedules grow only through
+        # ``feed`` between runs, never behind a train's back).
+        self._sources_cacheable = (
             type(self).source_has_work is AbstractScheduler.source_has_work
         )
 
@@ -180,7 +178,7 @@ class RoundRobinScheduler(AbstractScheduler):
             # Within one firing period the fired-set and source quanta
             # are fixed, so a failing scan stays failing until the
             # earliest pending arrival comes due — cache that horizon
-            # (bounded sources only) and re-check with one comparison.
+            # and re-check with one comparison.
             if not items:
                 now = self._now
             until = self._no_source_until

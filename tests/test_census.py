@@ -49,3 +49,31 @@ def test_only_tests_and_reexports_do_not_count_as_readers(tmp_path):
         ("run", "def", 2),
     ]
     assert [d.name for d in own_only] == ["Local"]
+
+
+def test_a_dotted_path_string_reads_every_part(tmp_path):
+    # The importlib / patch-by-name pattern names a class by its dotted
+    # path; the class is read even though no file imports it.
+    _plant(
+        tmp_path,
+        {
+            "src/repro/__init__.py": "",
+            "src/repro/impl.py": (
+                "class ByPath:\n    pass\n\n\n"
+                "class Unnamed:\n    pass\n"
+            ),
+            "src/repro/registry.py": (
+                'PATHS = ("repro.impl.ByPath", "not a.path")\n'
+            ),
+        },
+    )
+    unread, own_only = census.census(tmp_path)
+    assert [d.name for d in unread] == ["Unnamed", "PATHS"]
+    assert own_only == []
+
+
+def test_the_tree_has_no_name_only_tests_read():
+    # Gate: a public name under src/repro that nothing but tests and
+    # re-exports reads is deleted with its tests, not kept for them.
+    unread, _ = census.census(census.ROOT)
+    assert [f"{d.path.name}:{d.line} {d.name}" for d in unread] == []

@@ -25,7 +25,6 @@ from repro.observability import (
     export_chrome_trace,
     export_jsonl,
     export_prometheus,
-    get_tracer,
     NullTracer,
     RecordingTracer,
     set_tracer,
@@ -49,7 +48,6 @@ class TestTracerInstallation:
     def test_default_is_null_tracer(self):
         assert isinstance(current_tracer(), NullTracer)
         assert not current_tracer().enabled
-        assert get_tracer() is current_tracer()
 
     def test_set_tracer_returns_previous(self):
         tracer = RecordingTracer(capacity=10)

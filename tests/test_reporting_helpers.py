@@ -1,14 +1,10 @@
-"""Latency percentiles, QoS fractions, and the statistics renderer."""
+"""Latency percentiles and the statistics renderer."""
 
 import pytest
 
 from repro.core import MapActor, SinkActor, SourceActor, Workflow
 from repro.core.statistics import StatisticsRegistry
-from repro.harness import (
-    fraction_within,
-    latency_percentiles,
-    render_statistics,
-)
+from repro.harness import latency_percentiles, render_statistics
 
 US = 1_000_000
 
@@ -33,19 +29,6 @@ class TestLatencyPercentiles:
     def test_unsorted_input_handled(self):
         result = latency_percentiles(samples([5, 1, 3]), percentiles=(50,))
         assert result[50] == 3.0
-
-
-class TestFractionWithin:
-    def test_empty(self):
-        assert fraction_within([], 1_000) == 0.0
-
-    def test_mixed(self):
-        data = samples([0.5, 1.5, 2.5, 0.1])
-        assert fraction_within(data, 1 * US) == 0.5
-
-    def test_boundary_inclusive(self):
-        data = samples([1.0])
-        assert fraction_within(data, 1 * US) == 1.0
 
 
 class TestRenderStatistics:

@@ -1,19 +1,15 @@
-"""Execution-mode coverage: timed windows under the threaded simulator,
-the wall-clock SCWF engine, and DE simultaneity ordering."""
+"""Execution-mode coverage: timed windows under the threaded simulator
+and the wall-clock SCWF engine."""
 
 import pytest
 
 from repro.core import (
-    FunctionActor,
     MapActor,
     SinkActor,
     SourceActor,
     WindowSpec,
     Workflow,
 )
-from repro.core.events import CWEvent
-from repro.core.waves import WaveTag
-from repro.directors import DEDirector
 from repro.simulation import (
     CostModel,
     SimulationRuntime,
@@ -93,33 +89,3 @@ class TestWallClockSCWF:
         assert sink.values == [i * 2 for i in range(10)]
         # Responses measured in real elapsed microseconds: non-negative.
         assert all(r >= 0 for _, r in sink.response_times_us)
-
-
-class TestDESimultaneity:
-    def test_equal_timestamps_processed_in_post_order(self):
-        workflow = Workflow("de-sim")
-        log = []
-        left = FunctionActor(
-            "left", lambda ctx: log.append(("left", ctx.read("in").value)),
-            outputs=(),
-        )
-        right = FunctionActor(
-            "right", lambda ctx: log.append(("right", ctx.read("in").value)),
-            outputs=(),
-        )
-        left.add_output("done")
-        right.add_output("done")
-        sink = SinkActor("sink")
-        workflow.add_all([left, right, sink])
-        workflow.connect(left.output("done"), sink.input("in"))
-        workflow.connect(right.output("done"), sink.input("in"))
-        left.input("in").boundary = True
-        right.input("in").boundary = True
-        director = DEDirector()
-        director.attach(workflow)
-        director.initialize_all()
-        director.inject(left, "in", CWEvent("a", 10, WaveTag.root(1)), 0)
-        director.inject(right, "in", CWEvent("b", 10, WaveTag.root(2)), 0)
-        director.inject(left, "in", CWEvent("c", 10, WaveTag.root(3)), 0)
-        director.run_to_quiescence(0)
-        assert log == [("left", "a"), ("right", "b"), ("left", "c")]

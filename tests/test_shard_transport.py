@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.actors import SinkActor, SourceActor
 from repro.core.events import CWEvent
 from repro.core.exceptions import ActorError, SimulationError
-from repro.core.tokens import RecordToken
+from repro.core.tokens import Token
 from repro.core.waves import WaveTag
 from repro.core.windows import Window
 from repro.harness.cli import main
@@ -529,7 +529,7 @@ class TestCanonicalPayload:
         # iterable" for any sink that receives records.
         sink = SinkActor("sink")
         sink.items.append((130, CWEvent({"car": 1, "toll": 2.5}, 10, WaveTag.root(1))))
-        sink.items.append((140, RecordToken(car=2, toll=0.0)))
+        sink.items.append((140, Token({"car": 2, "toll": 0.0})))
         records = canonical_trace(sink)
         assert records == [
             (10, (("car", 1), ("toll", 2.5))),

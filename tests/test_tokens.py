@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.tokens import as_token, RecordToken, Token
+from repro.core.tokens import as_token, Token
 
 
 class TestToken:
@@ -40,16 +40,6 @@ class TestToken:
     def test_field_access_missing_attribute(self):
         with pytest.raises(KeyError):
             Token(object()).field("nope")
-
-
-class TestRecordToken:
-    def test_fields(self):
-        token = RecordToken(a=1, b="x")
-        assert token.field("a") == 1
-        assert token.value == {"a": 1, "b": "x"}
-
-    def test_hash_by_sorted_items(self):
-        assert hash(RecordToken(a=1, b=2)) == hash(RecordToken(b=2, a=1))
 
 
 class TestAsToken:

@@ -12,14 +12,17 @@ constant under ``src/repro`` that has no reader outside
 with its file, line and size in lines.  A reader is any other Python
 file of the repository (``src``, ``benchmarks``, ``examples``, ``tools``,
 ``setup.py``) that names it — as an identifier, an attribute, an
-imported name or a string (``getattr`` and patch-by-name count) — or
-``pyproject.toml``.  The list comes in two parts: names nothing reads
+imported name or a string (``getattr``, patch-by-name and dotted
+``importlib`` paths count: each part of ``"pkg.mod.Name"`` is read) —
+or ``pyproject.toml``.  The list comes in two parts: names nothing reads
 at all (the census rule's deletion candidates: each stays only if a
 reader is coming), and names only their own module reads (code that is
 used, under a public name no other module needs).  Name matching is
 by spelling, so a name that shares its spelling with a read attribute
 elsewhere counts as read: the report can miss, never invent, an unread
-name.  It reports and never fails.
+name.  The command only reports; the first part is gated empty by the
+tier-1 suite (``tests/test_census.py``), so a name that loses its last
+reader goes in the change that removes the reader.
 """
 
 from __future__ import annotations
@@ -91,7 +94,8 @@ def names_read(
 ) -> set[str]:
     """Every identifier *tree* reads outside the *skipped* nodes: names,
     attributes, imported names (with *imports*) and identifier-shaped
-    strings."""
+    strings, every part of a dotted path such as ``"pkg.mod.Name"``
+    included."""
     read: set[str] = set()
     for node in ast.walk(tree):
         if id(node) in skipped:
@@ -103,8 +107,9 @@ def names_read(
         elif isinstance(node, ast.ImportFrom) and imports:
             read.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if node.value.isidentifier():
-                read.add(node.value)
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                read.update(parts)
     return read
 
 
