@@ -93,7 +93,7 @@ bench-pair:  # make bench-pair BASE=HEAD~1 W=lr_batch N=10 [CLAIM=events_per_s] 
 	$(PYTHON) tools/bench_pair.py --base $(BASE) --workload $(W) --pairs $(N) $(if $(CLAIM),--claim $(CLAIM))
 
 SCALE ?= 0.25
-opcount:  # make opcount BASE=HEAD~1 W=lr_xway4_single SCALE=0.25  (executed bytecodes of one run, parent vs working tree, fresh processes; both sink digests)
+opcount:  # make opcount BASE=HEAD~1 W=lr_xway4_single SCALE=0.25  (executed bytecodes of one run, parent vs working tree, fresh processes; both sink digests; W=all loops lr_batch relay_chain lr_xway4_single; exits non-zero if any digest differs)
 	$(PYTHON) tools/opcount.py --base $(BASE) --workload $(W) --scale $(SCALE)
 
 gc-profile:  # make gc-profile W=lr_batch  (collections and seconds per generation around one untraced run)

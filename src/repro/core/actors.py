@@ -600,31 +600,6 @@ class MapActor(Actor):
         else:
             ctx.send("out", result)
 
-    def fire_batch(self, ctx: FiringContext) -> None:
-        """Train fast path: drain every staged item with prebound locals.
-
-        Behaviourally identical to calling :meth:`fire` until the staged
-        queue is empty (``MapActor`` keeps the trivial base-class
-        ``prefire``/``postfire``, which is what makes the substitution
-        legal — the director checks that before using this entry point).
-        """
-        fn = self._fn
-        read = ctx.read
-        send = ctx.send
-        while True:
-            item = read("in")
-            if item is None:
-                return
-            payload = item.values if hasattr(item, "values") else item.value
-            result = fn(payload)
-            if result is None:
-                continue
-            if isinstance(result, list):
-                for part in result:
-                    send("out", part)
-            else:
-                send("out", result)
-
 
 class SinkActor(Actor):
     """Collects everything it consumes; the terminal probe of a workflow.
@@ -665,10 +640,6 @@ class SinkActor(Actor):
                     response_us=last_response,
                 )
                 _obs._TRACER.counter("sink.total", ctx.now, len(self.items), self.name)
-
-    #: ``fire`` already drains every staged item, so it doubles as the
-    #: train fast path unchanged.
-    fire_batch = fire
 
     @property
     def values(self) -> list:

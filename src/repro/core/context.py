@@ -23,11 +23,12 @@ firing is marked ``last_in_wave`` when the context closes.
 from __future__ import annotations
 
 from collections import deque
-from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
+from ..observability import tracer as _obs
 from .events import CWEvent
 from .exceptions import ActorError
+from .ports import admit_in_order
 from .waves import WaveGenerator, WaveScope
 from .windows import Window
 
@@ -272,35 +273,38 @@ class FiringContext:
         """Deliver what the sealed firings emitted; returns those events
         in production order.
 
-        Each route gets its whole share in one staged delivery, and the
-        receivers are admitted by the position of the event that
-        produced their first item, across all the actor's routes — the
-        order in which per-firing delivery would first have reached
-        each of them (``OutputPort.broadcast_batch`` applies the same
-        rule to one port).  Every item is admitted at the stamp of the
-        firing that produced it.
+        Each route's whole share is staged in one ``OutputPort.stage``,
+        offset by the share's first position in the actor's output, and
+        the receivers are admitted across all the actor's routes by
+        ``admit_in_order`` — the order in which per-firing delivery
+        would first have reached each of them.  Every item is admitted
+        at the stamp of the firing that produced it.
         """
         held = self._held
         if not held:
             return []
         self._held = []
         events: list[CWEvent] = []
-        shares: dict[Any, tuple[list, list, list]] = {}
+        shares: dict[Any, tuple[list, list, int]] = {}
         for stamp, pending in held:
             for route, event in pending:
                 share = shares.get(route)
                 if share is None:
-                    share = shares[route] = ([], [], [])
+                    share = shares[route] = ([], [], len(events))
                 share[0].append(event)
                 share[1].append(stamp)
-                share[2].append(len(events))
                 events.append(event)
         staged: list[tuple] = []
-        for route, (share, stamps, positions) in shares.items():
-            route.port.stage_held(share, stamps, positions, staged)
-        staged.sort(key=itemgetter(0))  # stable: channel order among equals
-        for _, receiver, items, stamps in staged:
-            receiver.admit_held(items, stamps)
+        for route, (share, stamps, offset) in shares.items():
+            port = route.port
+            if _obs.ENABLED:
+                _obs._TRACER.instant(
+                    "actor.emit_train", share[0].timestamp, port.actor.name,
+                    port=port.name, count=len(share),
+                )
+            # A held route ends in windowless ports: no key to raise.
+            port.stage(share, staged, offset, stamps)
+        admit_in_order(staged)
         return events
 
     def abort(self) -> None:

@@ -76,14 +76,16 @@ class DeliveryRoute:
 
     def deliver_train(self, events: "list[CWEvent]") -> None:
         """``deliver`` per event, amortized: one receiver call per channel
-        per train.  A fan-out port stages the train in every consumer
-        and then admits the consumers in the order per-event delivery
-        would first have reached them, falling back to per-event
-        delivery where the interleaving itself is observable — the rule
-        and the fallback list are ``OutputPort.broadcast_batch``'s.
-        ``record_output`` is count-based; calls are coalesced per run of
-        equal timestamps so the per-timestamp rate samples stay intact.
+        per train (``OutputPort.broadcast_batch``, which also states when
+        a train must go per event instead: then it goes through
+        ``deliver``).  ``record_output`` is count-based; calls are
+        coalesced per run of equal timestamps so the per-timestamp rate
+        samples stay intact.
         """
+        if not self.port.broadcast_batch(events):
+            for event in events:
+                self.deliver(event)
+            return
         if _obs.ENABLED:
             _obs._TRACER.instant(
                 "actor.emit_train",
@@ -92,7 +94,6 @@ class DeliveryRoute:
                 port=self.port.name,
                 count=len(events),
             )
-        self.port.broadcast_batch(events)
         record_output = self._record_output
         statistics = self._statistics
         newest = statistics._last_now_us
@@ -256,7 +257,7 @@ class Director(ABC):
         port's actor hands its emissions (the override point for a
         non-holding director whose deliveries cost something).  A held
         train bypasses ``deliver``: ``FiringContext.deliver_held`` hands
-        its events to ``route.port.stage_held``."""
+        its events to ``route.port.stage``."""
         return DeliveryRoute(port, self.statistics)
 
     @abstractmethod

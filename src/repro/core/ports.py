@@ -13,7 +13,6 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import TYPE_CHECKING, Optional
 
-from ..observability import tracer as _obs
 from .events import CWEvent
 from .exceptions import PortError
 from .receivers import Receiver
@@ -98,82 +97,82 @@ class OutputPort(Port):
         for channel in self.outgoing:
             channel.sink.receiver.put(event)
 
-    def broadcast_batch(self, events: list[CWEvent]) -> None:
+    def broadcast_batch(self, events: list[CWEvent]) -> bool:
         """Deliver a train of events: once per channel, not once per event.
 
-        With a single outgoing channel the whole train moves through one
-        ``put_batch`` chain.  A fan-out port delivers **column-wise**:
-        every consumer's receiver takes the whole train in one staged
-        ``put_batch`` (see :meth:`Receiver.can_stage
-        <repro.core.receivers.Receiver.can_stage>`), then each consumer
-        is admitted once with everything the train produced for it —
-        consumers ordered by the position in the train of the event that
-        produced their first item, channel order among equals.  That is
-        the order in which per-event delivery first reaches each
-        consumer, and first activation is all of the cross-consumer
-        order a scheduler observes (round-robin draws a rotation ticket
-        when a ready queue turns non-empty).
-
-        Per-event delivery (``broadcast`` per event) stays as the
-        fallback wherever the interleaving itself is observable: two
-        channels lead into the same consumer actor, or a receiver
-        declines to stage.  Whether a tracer is recording does not
-        matter: a traced fan-out stages exactly as an untraced one.
+        A single channel takes the whole train in one ``put_batch``; a
+        fan-out port delivers it **column-wise**: :meth:`stage` in every
+        consumer, then :func:`admit_in_order`.  Returns ``False``, having
+        changed nothing, where the per-event interleave is observable —
+        two channels into one consumer actor, a receiver that declines
+        to stage (:meth:`Receiver.can_stage
+        <repro.core.receivers.Receiver.can_stage>`), a consumer's
+        group-by key that raises on the train — and the caller delivers
+        the train per event instead, so a raise comes where per-event
+        delivery meets it.  A recording tracer changes nothing.
         """
         outgoing = self.outgoing
         if len(outgoing) == 1:
-            outgoing[0].sink.receiver.put_batch(events)
-            return
-        receivers = [channel.sink.receiver for channel in outgoing]
-        if len({channel.sink.actor for channel in outgoing}) < len(
-            outgoing
-        ) or not all(receiver.can_stage() for receiver in receivers):
-            for event in events:
-                for receiver in receivers:
-                    receiver.put(event)
-            return
+            receiver = outgoing[0].sink.receiver
+            try:
+                keys = receiver.group_keys(events)
+            except Exception:
+                return False
+            receiver.put_batch(events, keys=keys)
+            return True
         staged: list[tuple] = []
-        for receiver in receivers:
-            receiver.put_batch(events, staged)
-        staged.sort(key=itemgetter(0))  # stable: channel order among equals
-        for _, receiver, items in staged:
-            receiver.admit_staged(items)
+        if (
+            len({channel.sink.actor for channel in outgoing}) < len(outgoing)
+            or not all(each.sink.receiver.can_stage() for each in outgoing)
+            or not self.stage(events, staged)
+        ):
+            return False
+        admit_in_order(staged)
+        return True
 
-    def stage_held(
-        self,
-        events: list[CWEvent],
-        stamps: list[int],
-        positions: list[int],
-        staged: list,
-    ) -> None:
-        """Stage a held train in every consumer, admitting nothing.
+    def stage(
+        self, events: list[CWEvent], staged: list, offset: int = 0,
+        stamps: Optional[list[int]] = None,
+    ) -> bool:
+        """Stage a train in every consumer, admitting nothing.
 
-        The held form of :meth:`broadcast_batch`.  A held route ends in
-        windowless ports only (``SCWFDirector._may_hold``).  The train
-        comes from several firings, so every item carries the engine
-        time it would have been admitted at (*stamps*) and its position
-        in the producer's whole held output (*positions*).  Appends
-        ``(position of the first item, receiver, items, their stamps)``
-        per consumer to *staged*; the producer admits them once every
-        one of its routes has staged (``FiringContext.deliver_held``).
+        Every consumer's group keys are computed first (``False``, with
+        nothing changed, if one raises) and passed into its staged
+        ``put_batch``; ``(offset + position of the event that produced
+        its first item, receiver, items, stamps)`` is appended to
+        *staged* per consumer.  A held train passes its share's *offset*
+        in the producer's output and each event's admission time
+        (*stamps*); its ports are windowless, so its items are events.
         """
-        if _obs.ENABLED:
-            _obs._TRACER.instant(
-                "actor.emit_train",
-                events[0].timestamp,
-                self.actor.name,
-                port=self.name,
-                count=len(events),
-            )
+        receivers = [channel.sink.receiver for channel in self.outgoing]
+        try:
+            keys = [receiver.group_keys(events) for receiver in receivers]
+        except Exception:
+            return False
         local: list[tuple] = []
-        for channel in self.outgoing:
-            channel.sink.receiver.put_batch(events, local)
-        for _, receiver, items in local:
-            staged.append((positions[0], receiver, items, stamps))
+        for receiver, its_keys in zip(receivers, keys):
+            receiver.put_batch(events, local, its_keys)
+        for position, receiver, items in local:
+            staged.append((offset + position, receiver, items, stamps))
+        return True
 
     @property
     def destinations(self) -> list[InputPort]:
         return [channel.sink for channel in self.outgoing]
+
+
+def admit_in_order(staged: list) -> None:
+    """Admit what :meth:`OutputPort.stage` staged, one call per consumer.
+
+    Consumers are admitted by the position of the event that produced
+    their first item, channel order among equals: the order in which
+    per-event delivery first reaches each of them, and first activation
+    is all of the cross-consumer order a scheduler observes (round-robin
+    draws a rotation ticket when a ready queue turns non-empty).
+    """
+    staged.sort(key=itemgetter(0))  # stable: channel order among equals
+    for _, receiver, items, stamps in staged:
+        receiver.admit(items, stamps)
 
 
 class Channel:

@@ -38,25 +38,32 @@ class Receiver(ABC):
     def put(self, event: CWEvent) -> None:
         """Accept an event arriving over the channel."""
 
-    def put_batch(self, events: list[CWEvent]) -> None:
+    def put_batch(self, events: list[CWEvent], keys=None) -> None:
         """Accept a train of events in arrival order.
 
         Semantically identical to ``for event in events: self.put(event)``;
-        subclasses override it to amortize per-event bookkeeping.
+        subclasses override it to amortize per-event bookkeeping, and
+        take the events' :meth:`group_keys` as *keys* when known.
         """
         for event in events:
             self.put(event)
 
+    def group_keys(self, events: list[CWEvent]) -> Optional[list]:
+        """The group-by key of every event in *events*, computed before
+        any state changes, or ``None`` when this queue does not group;
+        raises what the key function raises."""
+        return None
+
     def can_stage(self) -> bool:
         """May a fan-out port deliver its trains to this receiver staged?
 
-        Staged, ``put_batch(events, staged)`` takes the whole train in
-        but hands nothing on: it appends ``(position in the train of the
-        event that produced its first item, self, items)`` to *staged*,
-        and the port calls ``admit_staged(items)`` once every consumer
-        has the train (:meth:`OutputPort.broadcast_batch
-        <repro.core.ports.OutputPort.broadcast_batch>`).  Answered per
-        train; only receivers that feed a scheduler implement it.
+        Staged, ``put_batch(events, staged, keys)`` takes the whole train
+        in but hands nothing on: it appends ``(position in the train of
+        the event that produced its first item, self, items)`` to
+        *staged*, and ``admit(items)`` follows once every consumer has
+        the train (:meth:`OutputPort.stage
+        <repro.core.ports.OutputPort.stage>`).  Answered per train; only
+        receivers that feed a scheduler implement it.
         """
         return False
 
@@ -86,7 +93,7 @@ class FIFOReceiver(Receiver):
     def put(self, event: CWEvent) -> None:
         self._queue.append(event)
 
-    def put_batch(self, events: list[CWEvent]) -> None:
+    def put_batch(self, events: list[CWEvent], keys=None) -> None:
         self._queue.extend(events)
 
     def get(self) -> CWEvent:
@@ -172,7 +179,7 @@ class WindowedReceiver(Receiver):
         if operator.expired:
             self._route_expired()
 
-    def put_batch(self, events: list[CWEvent]) -> None:
+    def put_batch(self, events: list[CWEvent], keys=None) -> None:
         """Insert a train of events through one operator call.
 
         Falls back to per-event :meth:`put` whenever expired routing is
@@ -188,10 +195,14 @@ class WindowedReceiver(Receiver):
                 self.put(event)
             return
         operator = self.operator
-        for window in operator.put_batch(events):
+        for window in operator.put_batch(events, None, keys):
             self._deliver(window)
         if operator.expired:
             self._route_expired()
+
+    def group_keys(self, events: list[CWEvent]) -> Optional[list]:
+        key_fn = self.operator._key_fn
+        return None if key_fn is None else list(map(key_fn, events))
 
     def _dispose_late(self, event: CWEvent, disposition: str) -> None:
         """Drop or side-output one event the lateness policy rejected."""

@@ -475,7 +475,8 @@ class WindowOperator:
         return produced
 
     def put_batch(
-        self, events: list[CWEvent], indices: Optional[list[int]] = None
+        self, events: list[CWEvent], indices: Optional[list[int]] = None,
+        keys: Optional[list] = None,
     ) -> list[Window]:
         """Insert a train of events; returns all windows in production order.
 
@@ -486,6 +487,8 @@ class WindowOperator:
         appended inline, anything else goes through the measure's
         insertion routine.  *indices*, when given, receives for each
         returned window the position in *events* of its producing event.
+        *keys*, when given, are the events' group keys, computed by the
+        caller so that a raising key function changes no state.
         """
         if not events:
             return []
@@ -496,10 +499,9 @@ class WindowOperator:
         size = self.spec.size
         tokens = self.spec.measure is Measure.TOKENS
         timed = self._timed
-        key = None
-        for index, event in enumerate(events):
-            if key_fn is not None:
-                key = key_fn(event)
+        if keys is None:
+            keys = map(key_fn, events) if key_fn else itertools.repeat(None)
+        for index, (event, key) in enumerate(zip(events, keys)):
             state = groups.get(key)
             if state is None:
                 state = self._new_group(key)

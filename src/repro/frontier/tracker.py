@@ -1,8 +1,8 @@
 """The frontier tracker: outstanding-token counts per root wave-tag.
 
 Every event in flight holds one *token* against the root tag of its
-wave.  Tokens are added when an event enters a ready queue (or a window
-is delivered for firing) and retired when the corresponding ready item
+wave.  Tokens are added where an item enters a ready queue, the SCWF
+director's one intake, and retired when the corresponding ready item
 finishes — successfully, dead-lettered, or dropped.  Events absorbed
 into window state are *consumed* from the frontier's perspective: the
 window itself, once delivered, holds a fresh token under its newest
@@ -28,6 +28,8 @@ from ..observability import tracer as _obs
 class FrontierTracker:
     """Counts outstanding wave tokens and derives the timestamp frontier.
 
+    The SCWF director calls :meth:`observe_item` at its intake and
+    :meth:`retire_item` once an item's firing (or held train) settled.
     ``mode`` is ``"track"`` (observe only: counters and traces) or
     ``"close"`` (the director additionally closes timed windows the
     frontier has passed).  ``external`` marks trackers whose closure

@@ -214,22 +214,13 @@ class FusedChain(Actor):
         self._bound = True
 
     # ------------------------------------------------------------------
-    # Firing (both entry points keep the trivial base-class
-    # prefire/postfire, which is what legalizes the director's
-    # fire_batch substitution on the train path).
+    # Firing
     # ------------------------------------------------------------------
     def fire(self, ctx) -> None:
         item = ctx.read("in")
         if item is None:
             return
         self._process(item)
-
-    def fire_batch(self, ctx) -> None:
-        while True:
-            item = ctx.read("in")
-            if item is None:
-                return
-            self._process(item)
 
     def _process(self, item) -> None:
         """Push one consumed event through every hop, in memory.
@@ -370,10 +361,9 @@ class FusedChain(Actor):
                     count=len(finals),
                     hops=len(self._members),
                 )
-            if len(finals) == 1:
-                port.broadcast(finals[0])
-            else:
-                port.broadcast_batch(finals)
+            if len(finals) == 1 or not port.broadcast_batch(finals):
+                for event in finals:
+                    port.broadcast(event)
             finals.clear()
         # Per-hop attribution through the prebound ActorStats methods.
         # The registry-level record_input/record_output wrappers only add

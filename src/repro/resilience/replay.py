@@ -24,8 +24,8 @@ def replay_dead_letters(director: Any, now_us: Optional[int] = None) -> int:
     Letters are drained oldest-first and re-admitted in that order, so a
     replayed stream preserves its original relative ordering.  A
     director with a ready-item intake (``schedule_ready``) takes each
-    item there, a frontier tracker counting it as a receiver's delivery
-    does; any other director takes it through boundary injection.
+    item there, where a frontier tracker counts it like any admitted
+    item; any other director takes it through boundary injection.
     Letters whose actor no longer exists or that have no target port go
     straight back into the dead-letter queue (still inspectable, never
     dropped).
@@ -36,7 +36,6 @@ def replay_dead_letters(director: Any, now_us: Optional[int] = None) -> int:
         return 0
     now = now_us if now_us is not None else director.current_time()
     schedule_ready = getattr(director, "schedule_ready", None)
-    tracker = getattr(director, "frontier", None)
     replayed = 0
     for letter in supervisor.dead_letters.drain():
         actor = workflow.actors.get(letter.actor)
@@ -48,8 +47,6 @@ def replay_dead_letters(director: Any, now_us: Optional[int] = None) -> int:
         if schedule_ready is None:
             director.inject(actor, letter.port, letter.item, now)
         else:
-            if tracker is not None:
-                tracker.observe_item(letter.item)
             schedule_ready(actor, letter.port, letter.item)
         replayed += 1
     return replayed

@@ -490,7 +490,13 @@ class AbstractScheduler(ABC):
         self.invalidate_state(actor)
 
     def source_has_work(self, source: SourceActor, now: int) -> bool:
-        if source.pending_arrivals(now) <= 0:
+        """Is a pump of *source* due at *now*?  Its next emission time
+        (``next_arrival_time``: a due delivery, or an out-of-order
+        source's buffered head once it may release) has come, and no
+        admission gate holds it back.  Buffered but unripe events are
+        not work: the source waits for them instead of spinning."""
+        arrival = source.next_arrival_time()
+        if arrival is None or arrival > now:
             return False
         gate = self.admission_gate
         if gate is not None and gate.pump_allowance(source, now) == 0:

@@ -81,17 +81,24 @@ class FIFOScheduler(AbstractScheduler):
                 states = self.states
                 valid = self.state_valid
                 update = index.update
+                now = self._now
+                gate = self.admission_gate
                 for name in names:
                     actor = by_name[name]
                     key = None
                     if actor.is_source:
-                        if self.source_has_work(actor, self._now):
-                            states[name] = _ACTIVE
-                            arrival = actor.next_arrival_time()
-                            key = (
-                                arrival if arrival is not None else INF_TIME,
-                                0,
+                        # ``source_has_work`` inline; its arrival is the key
+                        arrival = actor.next_arrival_time()
+                        if (
+                            arrival is not None
+                            and arrival <= now
+                            and (
+                                gate is None
+                                or gate.pump_allowance(actor, now) != 0
                             )
+                        ):
+                            states[name] = _ACTIVE
+                            key = (arrival, 0)
                         else:
                             states[name] = _WAITING
                     else:

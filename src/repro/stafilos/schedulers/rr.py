@@ -83,8 +83,9 @@ class RoundRobinScheduler(AbstractScheduler):
             self.quantum[actor.name] = self.slice_us
             self._order[actor.name] = next(self._rotation)
         # The mid-train source-check cache is sound only when runnability
-        # is the stock pending-arrival check (schedules grow only through
-        # ``feed`` between runs, never behind a train's back).
+        # is the stock next-arrival check, whose turning point is the
+        # cached horizon (schedules grow only through ``feed`` between
+        # runs, never behind a train's back).
         self._sources_cacheable = (
             type(self).source_has_work is AbstractScheduler.source_has_work
         )

@@ -147,6 +147,11 @@ class SCWFDirector(Director):
     def schedule_ready(
         self, actor: Actor, port_name: str, item: Window | CWEvent
     ) -> None:
+        # Every item enters a ready queue here or through
+        # ``schedule_ready_batch``: the frontier's one place to count.
+        frontier = self.frontier
+        if frontier is not None:
+            frontier.observe_item(item)
         self.total_events_admitted += 1
         # ``statistics.record_input(actor, 1, now)``, on the consumer's
         # record directly instead of through the by-name registry walk.
@@ -173,25 +178,28 @@ class SCWFDirector(Director):
         """Train intake: admit a burst of ready items in one call.
 
         Same observable effect as ``schedule_ready`` per item — the
-        admission counter and input statistics are count-based, and
-        ``enqueue_batch`` is admission-order equivalent to an enqueue
-        loop (falling back to one when a shedder must see every event).
-        A held train passes *stamps*, each item's admission time
-        (ascending): its input samples are recorded as if every item
-        had been admitted when its firing ended.
+        frontier tokens, the admission counter and input statistics are
+        count-based, and ``enqueue_batch`` is admission-order equivalent
+        to an enqueue loop (falling back to one when a shedder must see
+        every event).  A held train passes *stamps*, each item's
+        admission time (ascending): its input samples are recorded as if
+        every item had been admitted when its firing ended.
         """
         count = len(items)
         if count == 0:
             return
+        if count == 1 and stamps is None:
+            self.schedule_ready(actor, port_name, items[0])
+            return
+        frontier = self.frontier
+        if frontier is not None:
+            for item in items:
+                frontier.observe_item(item)
+        self.total_events_admitted += count
         if stamps is not None:
-            self.total_events_admitted += count
             self.statistics.record_inputs(actor, stamps)
             self.scheduler.enqueue_batch(actor, port_name, items)
             return
-        if count == 1:
-            self.schedule_ready(actor, port_name, items[0])
-            return
-        self.total_events_admitted += count
         now = self.clock.now_us
         statistics = self.statistics
         if now > statistics._last_now_us:
@@ -227,14 +235,15 @@ class SCWFDirector(Director):
         but the emissions stay in the context, stamped with the engine
         time ``close`` would have delivered them at, and the item's cost
         joins the train's tally instead of reaching the scheduler and
-        the statistics.  Such a train *settles* (:meth:`_settle`) before
-        the scheduler is consulted, and before an exception leaves the
-        loop: its emissions cross each route once, the scheduler hears
-        one ``on_actor_fire_end`` with the summed cost and the item
-        count, and ``continue_train`` answers from the running tally
-        meanwhile.  Any other train delivers and reports every item as
-        it ends.  Trains never outlive the iteration, so checkpoints
-        (taken between iterations) have no in-flight train to capture.
+        the statistics (nor, yet, its frontier token to retirement).
+        Such a train *settles* (:meth:`_settle`) before the scheduler is
+        consulted, and before an exception leaves the loop: its
+        emissions cross each route once, the scheduler hears one
+        ``on_actor_fire_end`` with the summed cost and the item count,
+        and ``continue_train`` answers from the running tally meanwhile.
+        Any other train delivers and reports every item as it ends.
+        Trains never outlive the iteration, so checkpoints (taken
+        between iterations) have no in-flight train to capture.
         """
         self._require_attached()
         scheduler = self.scheduler
@@ -271,9 +280,10 @@ class SCWFDirector(Director):
         scheduler.on_iteration_start(iteration_start)
         internal_firings = source_emissions = fired_total = 0
         # The tally of a holding train: invocation costs not yet
-        # recorded, and the firing cost and count of the items not yet
-        # reported.
+        # recorded, items whose frontier tokens are not yet retired, and
+        # the firing cost and count of the items not yet reported.
         costs: list[int] = []
+        retired: list = []
         spent = unsettled = 0
         next_actor = get_next_actor()
         try:
@@ -299,20 +309,17 @@ class SCWFDirector(Director):
                     # A channel connected since can make holding inexact.
                     plan = self._plan_for(actor)
                 (
-                    ctx, batchable, fused_flush, queue_pop,
+                    ctx, bare, fused_flush, queue_pop,
                     record_invocation, hold, _,
                     base, per_input, per_output, scale, low, width, draw,
                 ) = plan
                 hold = hold and scheduler.shedder is None
+                retire = None if frontier is None else frontier.retire_item
                 if hold:
                     record_invocation = costs.append
-                # An instance-level ``fire`` (a fault injector's guard)
-                # must run: the shortcut would bypass it.
-                fire_batch = (
-                    actor.fire_batch
-                    if batchable and "fire" not in actor.__dict__
-                    else None
-                )
+                    if retire is not None:
+                        retire = retired.append
+                fire = actor.fire  # an injector's instance-level guard too
                 train_start = end_now = clock.now_us
                 train_budget = min(budget, limit + 1 - fired_total)
                 fired = items = 0
@@ -335,8 +342,8 @@ class SCWFDirector(Director):
                         supervisor.drop_quarantined(
                             actor, ready.port_name, ready.item, end_now
                         )
-                        if frontier is not None:
-                            frontier.retire_item(ready.item)
+                        if retire is not None:
+                            retire(ready.item)
                         if hold:
                             unsettled += 1
                         else:
@@ -350,11 +357,11 @@ class SCWFDirector(Director):
                         attempt = 0
                         while True:
                             try:
-                                if fire_batch is not None:
-                                    fire_batch(ctx)
+                                if bare:
+                                    fire(ctx)
                                     fired_this = True
                                 elif actor.prefire(ctx):
-                                    actor.fire(ctx)
+                                    fire(ctx)
                                     actor.postfire(ctx)
                                     fired_this = True
                                 if hold:
@@ -407,13 +414,13 @@ class SCWFDirector(Director):
                                     continue
                                 fired_this = False
                                 break
-                        if frontier is not None:
+                        if retire is not None:
                             # The item's token retires only after its
-                            # firing settled — emissions flushed at
-                            # ctx.close() re-upped the root first, so a
-                            # live wave's count never transiently
-                            # reaches zero.
-                            frontier.retire_item(ready.item)
+                            # emissions were admitted (at ctx.close(), or
+                            # held, at the settle) — they re-up the root
+                            # first, so a live wave's count never
+                            # transiently reaches zero.
+                            retire(ready.item)
                         end_now = clock.now_us
                         if hold:
                             spent += end_now - now
@@ -429,7 +436,8 @@ class SCWFDirector(Director):
                     ):
                         if unsettled:
                             self._settle(
-                                actor, ctx, costs, spent, unsettled, end_now
+                                actor, ctx, costs, retired, spent,
+                                unsettled, end_now,
                             )
                             spent = unsettled = 0
                         next_actor = get_next_actor()
@@ -459,7 +467,9 @@ class SCWFDirector(Director):
                     )
         finally:
             if unsettled:
-                self._settle(actor, ctx, costs, spent, unsettled, end_now)
+                self._settle(
+                    actor, ctx, costs, retired, spent, unsettled, end_now
+                )
         if fired_total > limit:
             raise DirectorError(
                 f"director iteration exceeded {limit} firings; "
@@ -552,20 +562,14 @@ class SCWFDirector(Director):
         """Resolve, once per actor, what no dispatch of *actor* can change.
 
         A train (under FIFO, nearly every dispatch is a one-item train)
-        then unpacks one tuple.  Not planned: the actor's bound lifecycle
-        methods (a fault injector shadows ``fire`` on the instance,
-        possibly mid-run).  A plan that holds is rebuilt when the
-        workflow's structure changes.
+        then unpacks one tuple, whose ``bare`` says that the class kept
+        the base ``prefire``/``postfire`` (``fire`` alone is the whole
+        lifecycle).  Not planned: the bound ``fire`` (a fault injector
+        shadows it on the instance, possibly mid-run).  A plan that
+        holds is rebuilt when the workflow's structure changes.
         """
         kind = type(actor)
-        # The stateless ``fire_batch`` shortcut may replace the
-        # prefire/fire/postfire triple only when the class kept the
-        # trivial base-class lifecycle (both default to "always ready").
-        batchable = (
-            hasattr(kind, "fire_batch")
-            and kind.prefire is Actor.prefire
-            and kind.postfire is Actor.postfire
-        )
+        bare = (kind.prefire, kind.postfire) == (Actor.prefire, Actor.postfire)
         # Fused chains settle their own per-member charges; the generic
         # cost path must not double-charge them.
         fused_flush = getattr(actor, "flush_fused_charges", None)
@@ -582,7 +586,7 @@ class SCWFDirector(Director):
         plan = self._plans[actor] = (
             # The firing context, recycled by ``reset`` per item.
             self.make_context(actor, self.clock.now_us),
-            batchable,
+            bare,
             fused_flush,
             # The ready queue lives as long as the scheduler's
             # ``initialize``, which drops every plan.
@@ -603,21 +607,17 @@ class SCWFDirector(Director):
 
         Only where that is exact, and only where it can pay.  It cannot
         pay under a policy that never continues a train.  It is not
-        exact when a frontier tracker would count tokens between retire
-        and observe, when the actor feeds its own input, when two
-        channels lead into one consumer (per-event order between its
-        ports would show), or when a consumer's port has a window: a
-        window insert can raise (a missing group-by field), and the
-        producing item's fault barrier must see that raise while its
-        train is still running.  Every held route therefore ends in
-        windowless ports, whose delivery is a queue append.  A load
-        shedder, which may be installed mid-run, is checked per train.
+        exact when the actor feeds its own input, when two channels lead
+        into one consumer (per-event order between its ports would
+        show), or when a consumer's port has a window: a window insert
+        can raise (a missing group-by field), and the producing item's
+        fault barrier must see that raise while its train is still
+        running.  Every held route therefore ends in windowless ports,
+        whose delivery is a queue append.  A load shedder, which may be
+        installed mid-run, is checked per train.
         """
-        if (
-            self.frontier is not None
-            or type(self.scheduler).continue_train
-            is AbstractScheduler.continue_train
-        ):
+        policy = type(self.scheduler)
+        if policy.continue_train is AbstractScheduler.continue_train:
             return False
         consumers = {actor}
         for port in actor.output_ports.values():
@@ -667,14 +667,23 @@ class SCWFDirector(Director):
             return True
         return False
 
-    def _settle(self, actor, ctx, costs, spent, unsettled, end_now) -> None:
-        """Settle a holding train: deliver what its items emitted, then
-        report them to the statistics and the scheduler at once."""
+    def _settle(
+        self, actor, ctx, costs, retired, spent, unsettled, end_now
+    ) -> None:
+        """Settle a holding train: deliver what its items emitted, retire
+        their frontier tokens (failed and quarantined items' too) now
+        that those emissions are counted, then report them to the
+        statistics and the scheduler at once."""
         emitted = ctx.deliver_held()
         if emitted:
             self.statistics.record_outputs(
                 actor, [event.timestamp for event in emitted]
             )
+        if retired:
+            retire = self.frontier.retire_item
+            for item in retired:
+                retire(item)
+            retired.clear()
         if costs:
             self.statistics.register(actor).record_invocations(costs)
             costs.clear()

@@ -48,72 +48,58 @@ class TMWindowedReceiver(WindowedReceiver):
             # the observable behaviour is bit-identical.  (The threaded
             # engine's receiver takes the same shortcut.)
             port = self.port
-            director = self._director
-            if director.frontier is not None:
-                director.frontier.observe(event)
-            director.schedule_ready(port.actor, port.name, event)
+            self._director.schedule_ready(port.actor, port.name, event)
             return
         super().put(event)
 
     def put_batch(
-        self, events: list[CWEvent], staged: Optional[list] = None
+        self, events: list[CWEvent], staged: Optional[list] = None, keys=None
     ) -> None:
         """Train intake: one scheduler call for a windowless port's train.
 
         Passthrough ports hand the whole event train to the scheduler in
         a single ``schedule_ready_batch`` — the per-event path's dominant
         cost.  Windowed ports run the (possibly amortized) operator batch
-        insert.  With *staged* (a fan-out port's delivery, granted by
-        :meth:`can_stage`, or a held train) the items the train produced
-        are appended to it instead of scheduled; :meth:`admit_staged`
-        (or, held, :meth:`admit_held`) follows.
+        insert, with the events' group *keys* when the port computed
+        them.  With *staged* (``OutputPort.stage``) the items the train
+        produced are appended to it instead of scheduled;
+        :meth:`admit` follows.
         """
         if staged is not None:
             if self._passthrough:
                 staged.append((0, self, events))
                 return
             produced_by: list[int] = []
-            windows = self.operator.put_batch(events, produced_by)
+            windows = self.operator.put_batch(events, produced_by, keys)
             if windows:
                 staged.append((produced_by[0], self, windows))
             self._route_expired()
             return
         if self._passthrough:
             port = self.port
-            tracker = self._director.frontier
-            if tracker is not None:
-                for event in events:
-                    tracker.observe(event)
             self._director.schedule_ready_batch(port.actor, port.name, events)
             return
-        super().put_batch(events)
+        super().put_batch(events, keys)
 
     def can_stage(self) -> bool:
         """Staging defers every side effect of a delivery but the insert,
         so it is granted only while nothing watches single deliveries:
-        no frontier tracker, load shedder, ``expired_to`` handler or
-        armed lateness policy.
+        no load shedder, ``expired_to`` handler or armed lateness
+        policy.  (A frontier tracker counts at the director's intake.)
         """
-        director = self._director
         return (
-            director.frontier is None
-            and director.scheduler.shedder is None
+            self._director.scheduler.shedder is None
             and self.port.expired_to is None
             and (self.lateness is None or self._frontier_us < 0)
         )
 
-    def admit_staged(self, items: list) -> None:
-        """Schedule what a staged ``put_batch`` produced, in one call."""
+    def admit(self, items: list, stamps: Optional[list[int]] = None) -> None:
+        """Schedule what a staged ``put_batch`` produced, in one call; a
+        held train passes each item's admission time (*stamps*)."""
         port = self.port
         if _obs.ENABLED and not self._passthrough:
             for window in items:
                 self._trace_ready(window)
-        self._director.schedule_ready_batch(port.actor, port.name, items)
-
-    def admit_held(self, items: list, stamps: list[int]) -> None:
-        """Schedule a held train's staged share, in one call, each item
-        at its admission time."""
-        port = self.port
         self._director.schedule_ready_batch(
             port.actor, port.name, items, stamps
         )
@@ -130,9 +116,6 @@ class TMWindowedReceiver(WindowedReceiver):
         if self._passthrough:
             item = window.events[0]
         assert self.port is not None
-        tracker = self._director.frontier
-        if tracker is not None:
-            tracker.observe_item(item)
         if _obs.ENABLED and not self._passthrough:
             # Passthrough events are ubiquitous; window completions are
             # the signal worth a record per delivery.

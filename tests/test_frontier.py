@@ -368,6 +368,32 @@ class TestOutOfOrderOracle:
         assert traces["toll"] == inorder_oracle["toll"]
         assert traces["accident"] == inorder_oracle["accident"]
 
+    def test_a_disordered_source_waits_instead_of_spinning(self, monkeypatch):
+        """A source whose reorder buffer holds only unripe events is not
+        runnable: it is pumped once to deposit a delivery and once to
+        release a ripe timestamp, never in between (the engine idles to
+        the release time instead of charging empty pumps)."""
+        tally = {"pumps": 0, "released": 0}
+        stock = SourceActor.pump
+
+        def counting(source, ctx):
+            emitted = stock(source, ctx)
+            tally["pumps"] += 1
+            tally["released"] += emitted
+            return emitted
+
+        monkeypatch.setattr(SourceActor, "pump", counting)
+        config = replace(
+            _lr_config(frontier="track", scheduler=SchedulerSpec("FIFO")),
+            workload=WorkloadConfig(
+                duration_s=30, peak_rate=40, seed=1, l_rating=4.0,
+                disorder_s=3.0,
+            ),
+        )
+        _execute_seed(config, 1)
+        assert tally["released"] > 1000
+        assert tally["pumps"] <= 2 * tally["released"]
+
     def test_track_mode_observes_without_closing(self):
         config = _disordered(_lr_config(frontier="track"), 3.0)
         result, director, _ = _execute_seed(config, 1, drain=True)

@@ -25,3 +25,22 @@ def test_the_same_checkout_counts_the_same(capsys):
     assert opcount.report("HEAD", first, second, top=3) == 0
     assert "sink digests equal" in capsys.readouterr().out
     assert opcount.report("HEAD", first, dict(second, digest="x"), 3) == 1
+
+
+def test_all_counts_every_repeatable_workload(monkeypatch, capsys):
+    """``--workload all`` loops the repeatable workloads and fails when
+    any one of them reads a different digest."""
+    seen = []
+
+    def fake_measure(checkout, workload, scale, seed):
+        seen.append(workload)
+        differs = checkout != opcount.ROOT and workload == "relay_chain"
+        return {"opcodes": 100, "digest": "x" if differs else "d",
+                "by_module": {}}
+
+    monkeypatch.setattr(opcount, "export", lambda rev, target: None)
+    monkeypatch.setattr(opcount, "measure", fake_measure)
+    status = opcount.main(["--base", "HEAD", "--workload", "all"])
+    assert seen == [name for name in opcount.REPEATABLE for _ in (0, 1)]
+    assert status == 1
+    assert capsys.readouterr().out.count("sink digests equal") == 2

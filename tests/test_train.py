@@ -339,6 +339,46 @@ class TestTrainOracle:
                 == reference
             ), f"train_size={train_size}"
 
+    @staticmethod
+    def _closing(cls):
+        """``pane_and_plain`` under RR with a closing frontier tracker."""
+        from repro.frontier import FrontierTracker
+
+        arrivals = [(i * 97, i) for i in range(60)] + [
+            (burst * 30_000, 60 + burst * 8 + slot)
+            for burst in range(1, 9)
+            for slot in range(8)
+        ]
+        workflow, sinks = _build("pane_and_plain", arrivals)
+        clock = VirtualClock()
+        director = cls(RoundRobinScheduler(10_000), clock, CostModel())
+        tracker = FrontierTracker("close")
+        director.enable_frontier(tracker)
+        director.attach(workflow)
+        SimulationRuntime(director, clock).run(10.0, drain=True)
+        assert tracker.outstanding_tokens() == 0
+        holding = {
+            actor.name for actor, plan in director._plans.items() if plan[5]
+        }
+        return (
+            {sink.name: _sink_canon(sink) for sink in sinks},
+            director.statistics.snapshot(),
+            dict(director.statistics.engine_counters),
+            clock.now_us,
+        ), holding
+
+    def test_held_trains_under_frontier_closure(self):
+        """A frontier tracker no longer keeps a train from holding: the
+        held items' tokens retire at the settle, after their emissions
+        are counted, so no wave completes early and the frontier closes
+        the same panes at the same times as the per-event oracle."""
+        shipped, holding = self._closing(SCWFDirector)
+        assert {"tagger", "pass", "tagged", "sink-pass"} <= holding
+        assert "marker" not in holding  # feeds the windowed ``pane``
+        assert shipped[2]["frontier_advances"] > 0
+        assert all(shipped[0].values())
+        assert shipped == self._closing(PerEventSCWFDirector)[0]
+
 
 class TestPerEventOracle:
     """The oracle cannot quietly turn into the shipped loop: it asks the
@@ -435,19 +475,15 @@ class TestLinearRoadTrainEquality:
 # The per-actor firing plan: what it may cache, and when it is dropped
 # ----------------------------------------------------------------------
 class _CountingMap(MapActor):
-    """A MapActor that counts which entry point the director used."""
+    """A MapActor that counts its lifecycle calls."""
 
     def __init__(self, name, fn):
         super().__init__(name, fn)
-        self.calls = {"fire": 0, "fire_batch": 0, "prefire": 0}
+        self.calls = {"fire": 0, "prefire": 0}
 
     def fire(self, ctx):
         self.calls["fire"] += 1
         super().fire(ctx)
-
-    def fire_batch(self, ctx):
-        self.calls["fire_batch"] += 1
-        super().fire_batch(ctx)
 
 
 class _GatedMap(_CountingMap):
@@ -479,7 +515,18 @@ class TestFiringPlan:
     #: Two bursts of 20, so a run to 0.05 s settles exactly the first.
     ARRIVALS = [(i * 50 + (100_000 if i >= 20 else 0), i) for i in range(40)]
 
-    def test_fire_batch_only_with_the_trivial_lifecycle(self):
+    def test_fire_alone_only_with_the_trivial_lifecycle(self, monkeypatch):
+        """A class that keeps the base-class ``prefire``/``postfire`` is
+        fired by ``fire`` alone; one that overrides either gets the whole
+        triple, the inherited half included."""
+        base_calls = []
+        for hook in ("prefire", "postfire"):
+
+            def counted(actor, ctx, hook=hook, stock=getattr(Actor, hook)):
+                base_calls.append((actor.name, hook))
+                return stock(actor, ctx)
+
+            monkeypatch.setattr(Actor, hook, counted)
         plain = _CountingMap("plain", lambda v: v + 1)
         gated = _GatedMap("gated", lambda v: v * 2)
         _, director, clock, sink = _relay_engine(
@@ -487,8 +534,54 @@ class TestFiringPlan:
         )
         SimulationRuntime(director, clock).run(1.0, drain=True)
         assert sink.values == [(i + 1) * 2 for i in range(40)]
-        assert plain.calls == {"fire": 0, "fire_batch": 40, "prefire": 0}
-        assert gated.calls == {"fire": 40, "fire_batch": 0, "prefire": 40}
+        assert plain.calls == {"fire": 40, "prefire": 0}
+        assert gated.calls == {"fire": 40, "prefire": 40}
+        internal = [call for call in base_calls if call[0] != "src"]
+        assert internal == [("gated", "prefire"), ("gated", "postfire")] * 40
+
+    def _overridden(self, cls, scheduler_index):
+        """``MapActor`` and ``SinkActor`` subclasses that override
+        ``fire``: the loop must call the override."""
+
+        class Doubling(MapActor):
+            def fire(self, ctx):
+                item = ctx.read("in")
+                if item is not None:
+                    ctx.send("out", item.value * 2)
+
+        class Counting(SinkActor):
+            fired = 0
+
+            def fire(self, ctx):
+                self.fired += 1
+                super().fire(ctx)
+
+        workflow = Workflow("overridden")
+        source = SourceActor("src", arrivals=[(i * 50, i) for i in range(10)])
+        source.add_output("out")
+        doubling, sink = Doubling("double", lambda v: v), Counting("sink")
+        workflow.add_all([source, doubling, sink])
+        workflow.connect(source, doubling)
+        workflow.connect(doubling, sink)
+        clock = VirtualClock()
+        director = cls(SCHEDULERS[scheduler_index](), clock, CostModel())
+        director.attach(workflow)
+        SimulationRuntime(director, clock).run(1.0, drain=True)
+        return (
+            sink.values,
+            sink.fired,
+            _sink_canon(sink),
+            director.statistics.snapshot(),
+            clock.now_us,
+        )
+
+    @pytest.mark.parametrize("scheduler_index", range(len(SCHEDULERS)))
+    def test_an_overridden_fire_is_called(self, scheduler_index):
+        shipped = self._overridden(SCWFDirector, scheduler_index)
+        assert shipped[:2] == ([2 * i for i in range(10)], 10)
+        assert shipped == self._overridden(
+            PerEventSCWFDirector, scheduler_index
+        )
 
     @staticmethod
     def _holding(workflow, scheduler_index):
@@ -551,11 +644,13 @@ class TestFiringPlan:
             [worker], self.ARRIVALS, error_policy=FaultPolicy()
         )
         SimulationRuntime(director, clock).run(0.05)
-        assert worker.calls["fire_batch"] == len(sink.values) == 20
+        assert worker.calls["fire"] == len(sink.values) == 20
         (injector,) = install_faults(workflow, "worker:every=2")
         SimulationRuntime(director, clock).run(1.0, drain=True)
         assert injector.firings == 20 and injector.injected == 10
         assert len(sink.values) == 30 and len(director.dead_letters) == 10
+        # The guard ran first; it let every other firing reach ``fire``.
+        assert worker.calls == {"fire": 30, "prefire": 0}
 
     def test_refusing_and_reattaching_rebuilds_the_plan(self):
         from repro.fusion import FusedChain, fuse_workflow
@@ -915,8 +1010,6 @@ def _shedder(workflow, director):
 _INTERLEAVE_CONDITIONS = {
     "two-channels-one-consumer": _second_channel,
     "expired-to-handler": _expired_handler,
-    "frontier-track": _frontier("track"),
-    "frontier-close": _frontier("close"),
     "shedder-installed": _shedder,
 }
 
@@ -925,8 +1018,9 @@ def _run_fanout(cls, arrivals, setup=None, trace_late=False):
     """The source fan-out under one condition; canon + staged admissions.
 
     Two phases (to 0.1 s, then drained); the second under a
-    ``RecordingTracer`` when *trace_late*.  Staged admissions are
-    counted per phase.
+    ``RecordingTracer`` when *trace_late*.  Staged admissions (a fan-out
+    port's ``admit`` calls; a held train's carry stamps) are counted per
+    phase.
     """
     from contextlib import nullcontext
 
@@ -941,13 +1035,14 @@ def _run_fanout(cls, arrivals, setup=None, trace_late=False):
     director.attach(workflow)
     staged = [0, 0]
     phase = 0
-    stock = TMWindowedReceiver.admit_staged
+    stock = TMWindowedReceiver.admit
 
-    def counting(receiver, items):
-        staged[phase] += 1
-        stock(receiver, items)
+    def counting(receiver, items, stamps=None):
+        if stamps is None:
+            staged[phase] += 1
+        stock(receiver, items, stamps)
 
-    TMWindowedReceiver.admit_staged = counting
+    TMWindowedReceiver.admit = counting
     try:
         runtime = SimulationRuntime(director, clock)
         runtime.run(0.1)
@@ -955,7 +1050,7 @@ def _run_fanout(cls, arrivals, setup=None, trace_late=False):
         with use_tracer(RecordingTracer()) if trace_late else nullcontext():
             runtime.run(10.0, drain=True)
     finally:
-        TMWindowedReceiver.admit_staged = stock
+        TMWindowedReceiver.admit = stock
     sinks = [
         actor for actor in workflow.actors.values()
         if isinstance(actor, SinkActor)
@@ -986,6 +1081,19 @@ class TestFanoutTrains:
         setup = _INTERLEAVE_CONDITIONS[condition]
         canon, staged = _run_fanout(SCWFDirector, _BURSTS, setup)
         assert staged == [0, 0]
+        reference, _ = _run_fanout(PerEventSCWFDirector, _BURSTS, setup)
+        assert canon == reference
+
+    @pytest.mark.parametrize("mode", ["track", "close"])
+    def test_a_frontier_tracked_fan_out_stages_every_train(self, mode):
+        """A frontier tracker counts at the director's intake, so it is
+        no reason to deliver per event: both phases stage, and the
+        canon — ``frontier_advances`` and the other engine counters
+        included — equals the per-event oracle."""
+        setup = _frontier(mode)
+        canon, staged = _run_fanout(SCWFDirector, _BURSTS, setup)
+        assert staged[0] > 0 and staged[1] > 0
+        assert canon[2]["frontier_advances"] > 0
         reference, _ = _run_fanout(PerEventSCWFDirector, _BURSTS, setup)
         assert canon == reference
 
@@ -1024,7 +1132,7 @@ class TestFanoutTrains:
         depth = [0]
 
         def counted(intake):
-            def enter(actor, port_name, payload):
+            def enter(actor, port_name, payload, *stamps):
                 if depth[0] == 0:  # a one-item batch re-enters as a single
                     entries[actor.name] = entries.get(actor.name, 0) + 1
                     admitted[actor.name] = admitted.get(actor.name, 0) + (
@@ -1032,7 +1140,7 @@ class TestFanoutTrains:
                     )
                 depth[0] += 1
                 try:
-                    intake(actor, port_name, payload)
+                    intake(actor, port_name, payload, *stamps)
                 finally:
                     depth[0] -= 1
 
@@ -1220,6 +1328,83 @@ class TestFaultBarrierThroughTheLoop:
         shipped = self._missing_group_key(SCWFDirector)
         assert len(shipped[1]) == 1 and "KeyError" in shipped[1][0]
         assert shipped == self._missing_group_key(PerEventSCWFDirector)
+
+    def _grouped_train(self, cls, scheduler_index, sibling):
+        """``relay`` emits two dicts per item and every fifth dict lacks
+        the field ``grouped``'s window groups by, so the key raises part
+        way through a two-event train.  With *sibling*, a passthrough
+        ``pass`` shares ``relay``'s port with ``grouped``."""
+        from repro.resilience import FaultPolicy
+
+        def two_dicts(value):
+            return [
+                {"v": 2 * value + j}
+                if (2 * value + j) % 5 == 4
+                else {"k": (2 * value + j) % 3, "v": 2 * value + j}
+                for j in (0, 1)
+            ]
+
+        workflow = Workflow("grouped-train")
+        source = SourceActor("src", arrivals=[(i * 40, i) for i in range(40)])
+        source.add_output("out")
+        relay = MapActor("relay", two_dicts)
+        grouped = MapActor(
+            "grouped",
+            lambda vs: vs[0]["v"],
+            window=WindowSpec.tokens(1, 1, group_by="k"),
+        )
+        consumers = [grouped, MapActor("pass", lambda d: d["v"])]
+        if not sibling:
+            consumers.pop()
+        sinks = [SinkActor(f"sink-{actor.name}") for actor in consumers]
+        workflow.add_all([source, relay] + consumers + sinks)
+        workflow.connect(source, relay)
+        for consumer, sink in zip(consumers, sinks):
+            workflow.connect(relay, consumer)
+            workflow.connect(consumer, sink)
+        clock = VirtualClock()
+        director = cls(
+            SCHEDULERS[scheduler_index](),
+            clock,
+            CostModel(),
+            error_policy=FaultPolicy(max_retries=1, error_budget=None),
+        )
+        director.attach(workflow)
+        SimulationRuntime(director, clock).run(1.0, drain=True)
+        return (
+            {sink.name: _sink_canon(sink) for sink in sinks},
+            [letter.describe() for letter in director.dead_letters],
+            director.statistics.snapshot(),
+            clock.now_us,
+        )
+
+    @pytest.mark.parametrize("scheduler_index", [1, 3])  # RR, FIFO
+    def test_a_raising_group_key_keeps_the_windows_before_it(
+        self, scheduler_index
+    ):
+        """Per event, the windows the events ahead of the raising one
+        formed reach the consumer (on every attempt) before the raise;
+        the train insert must deliver them too."""
+        shipped = self._grouped_train(SCWFDirector, scheduler_index, False)
+        assert len(shipped[0]["sink-grouped"]) == 64
+        assert shipped == self._grouped_train(
+            PerEventSCWFDirector, scheduler_index, False
+        )
+
+    @pytest.mark.parametrize("scheduler_index", [1, 3])  # RR, FIFO
+    def test_a_raising_group_key_on_a_fan_out_delivers_per_event(
+        self, scheduler_index
+    ):
+        """On a fan-out port every grouped consumer's keys are computed
+        before any consumer takes the train; a train whose keys raise is
+        delivered per event, so the sibling gets what per-event delivery
+        gives it before the raise."""
+        shipped = self._grouped_train(SCWFDirector, scheduler_index, True)
+        assert len(shipped[0]["sink-grouped"]) == 64
+        assert len(shipped[0]["sink-pass"]) == 64
+        assert shipped == self._grouped_train(
+            PerEventSCWFDirector, scheduler_index, True
+        )
 
     def _fused_burst(self, cls):
         """One fused chain drains a burst in one train; items 2 and 4

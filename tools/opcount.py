@@ -7,6 +7,8 @@ one run of the workload executes, once on the committed files of
 and once on the working tree this file sits in, each in a fresh process
 with a fixed hash seed.  It prints both totals, both sink digests and a
 per-module breakdown, and exits non-zero when the digests differ.
+``W=all`` counts every repeatable workload (:data:`REPEATABLE`) in turn
+and exits non-zero when any of their digests differ.
 
 A count is a cost figure that does not flip with the host's speed mode:
 on a box whose wall clock moves ~30 % between processes it repeats
@@ -33,6 +35,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: The workloads whose count repeats exactly (``--workload all``).
+REPEATABLE = ("lr_batch", "relay_chain", "lr_xway4_single")
 
 
 def export(rev: str, target: Path) -> None:
@@ -143,7 +148,10 @@ def report(rev: str, base: dict, change: dict, top: int) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", help="parent revision")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload", required=True,
+        help="a workload name, or 'all' for every repeatable one",
+    )
     parser.add_argument("--scale", type=float, default=0.25)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--top", type=int, default=15,
@@ -157,16 +165,22 @@ def main(argv=None) -> int:
         return 0
     if args.base is None:
         parser.error("--base is required")
+    workloads = (
+        REPEATABLE if args.workload == "all" else (args.workload,)
+    )
+    status = 0
     with tempfile.TemporaryDirectory(prefix="opcount-") as scratch:
         checkout = Path(scratch)
         export(args.base, checkout)
-        base = measure(checkout, args.workload, args.scale, args.seed)
-    change = measure(ROOT, args.workload, args.scale, args.seed)
-    print(
-        f"{args.workload} seed {args.seed} scale {args.scale}: "
-        "executed bytecodes"
-    )
-    return report(args.base, base, change, args.top)
+        for workload in workloads:
+            base = measure(checkout, workload, args.scale, args.seed)
+            change = measure(ROOT, workload, args.scale, args.seed)
+            print(
+                f"{workload} seed {args.seed} scale {args.scale}: "
+                "executed bytecodes"
+            )
+            status |= report(args.base, base, change, args.top)
+    return status
 
 
 if __name__ == "__main__":
