@@ -403,14 +403,18 @@ def global_rate_metrics(
         GC(A) = c_A + s_A * sum(GC(d) for d in D)
 
     When an actor is shared among multiple workflow paths the per-path
-    contributions are summed, as the paper specifies.  Actors inside cycles
-    fall back to their local selectivity and cost.  Actors that have never
-    fired use *default_cost_us* so priorities are defined from the start.
+    contributions are summed, as the paper specifies.  Actors on a cycle
+    (those that can reach themselves) fall back to their local
+    selectivity and cost, and contribute that local pair to the actors
+    upstream of them; every other actor aggregates as above.  Actors
+    that have never fired use *default_cost_us* so priorities are
+    defined from the start.
     """
-    # The structural skeleton (topological order + successor map) is
-    # cached on the workflow: RB re-evaluates priorities every period,
-    # and only the statistics change between periods, never the graph.
-    order, successor_map = workflow.topology()
+    # The structural skeleton (topological order of the acyclic actors,
+    # successor map, cyclic set) is cached on the workflow: RB
+    # re-evaluates priorities every period, and only the statistics
+    # change between periods, never the graph.
+    order, successor_map, cyclic = workflow.topology()
     metrics: dict[str, tuple[float, float]] = {}
 
     def local(name: str) -> tuple[float, float]:
@@ -418,12 +422,9 @@ def global_rate_metrics(
         cost = stats.avg_cost_us if stats.invocations else default_cost_us
         return stats.selectivity, max(cost, 1e-9)
 
-    if order is None:
-        # Cyclic workflow: everyone uses local metrics.
-        for name in successor_map:
+    for name in successor_map:
+        if name in cyclic:
             metrics[name] = local(name)
-        return metrics
-
     for name in reversed(order):
         s_local, c_local = local(name)
         successors = successor_map[name]

@@ -11,12 +11,88 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-import networkx as nx
-
 from .actors import Actor, SourceActor
 from .exceptions import WorkflowError
 from .ports import Channel, InputPort, OutputPort
 from .waves import WaveGenerator
+
+
+class _ActorGraph:
+    """A small directed graph of actor names, in insertion order.
+
+    Nodes and de-duplicated edges keep the order they were first added
+    in, and every answer reproduces ``networkx.DiGraph``'s: ``edges``
+    walks each node's successors in that order, ``degree`` counts a
+    self-loop twice, and :meth:`topological_order` is Kahn's algorithm
+    by generations, as ``networkx.topological_sort``.  The orders matter:
+    the SDF schedule fires in topological order and the Rate-Based
+    scheduler sums downstream metrics in successor order.
+    """
+
+    def __init__(self) -> None:
+        self._succ: dict[str, dict[str, None]] = {}
+        self._pred: dict[str, dict[str, None]] = {}
+
+    def add_node(self, name: str) -> None:
+        if name not in self._succ:
+            self._succ[name] = {}
+            self._pred[name] = {}
+
+    def add_edge(self, source: str, sink: str) -> None:
+        self.add_node(source)
+        self.add_node(sink)
+        self._succ[source][sink] = None
+        self._pred[sink][source] = None
+
+    @property
+    def nodes(self) -> list[str]:
+        return list(self._succ)
+
+    @property
+    def edges(self) -> list[tuple[str, str]]:
+        return [(u, v) for u, succ in self._succ.items() for v in succ]
+
+    def successors(self, name: str) -> tuple[str, ...]:
+        return tuple(self._succ[name])
+
+    def degree(self, name: str) -> int:
+        return len(self._succ[name]) + len(self._pred[name])
+
+    def reaches_itself(self, name: str) -> bool:
+        """True when *name* lies on a cycle (a self-loop included)."""
+        stack, seen = list(self._succ[name]), set()
+        while stack:
+            node = stack.pop()
+            if node == name:
+                return True
+            if node not in seen:
+                seen.add(node)
+                stack.extend(self._succ[node])
+        return False
+
+    def topological_order(
+        self, without: frozenset = frozenset()
+    ) -> Optional[list[str]]:
+        """Kahn's order of the nodes not in *without*; ``None`` on a cycle."""
+        indegree = {
+            v: sum(u not in without for u in pred)
+            for v, pred in self._pred.items()
+            if v not in without
+        }
+        generation = [v for v, degree in indegree.items() if degree == 0]
+        order: list[str] = []
+        while generation:
+            order.extend(generation)
+            following = []
+            for node in generation:
+                for child in self._succ[node]:
+                    if child in without:
+                        continue
+                    indegree[child] -= 1
+                    if indegree[child] == 0:
+                        following.append(child)
+            generation = following
+        return order if len(order) == len(indegree) else None
 
 
 class Workflow:
@@ -33,7 +109,7 @@ class Workflow:
         # The RB scheduler re-derives rate priorities every period — with
         # a static structure that must not pay a graph rebuild each time.
         self._structure_version = 0
-        self._graph_cache: Optional[nx.DiGraph] = None
+        self._graph_cache: Optional[_ActorGraph] = None
         self._graph_version = -1
         self._topology_cache = None
         self._topology_version = -1
@@ -163,7 +239,7 @@ class Workflow:
             if not any(port.outgoing for port in actor.output_ports.values())
         ]
 
-    def graph(self) -> nx.DiGraph:
+    def graph(self) -> _ActorGraph:
         """The actor-level connection graph (one node per actor).
 
         Cached against the structure version: repeated queries on a
@@ -176,9 +252,9 @@ class Workflow:
             and self._graph_version == self._structure_version
         ):
             return self._graph_cache
-        g = nx.DiGraph()
+        g = _ActorGraph()
         for actor in self.actors.values():
-            g.add_node(actor.name, actor=actor)
+            g.add_node(actor.name)
         for channel in self.channels:
             g.add_edge(channel.source.actor.name, channel.sink.actor.name)
         self._graph_cache = g
@@ -187,13 +263,15 @@ class Workflow:
 
     def topology(
         self,
-    ) -> tuple[Optional[list[str]], dict[str, tuple[str, ...]]]:
-        """``(topological_order, successors)`` — cached like :meth:`graph`.
+    ) -> tuple[list[str], dict[str, tuple[str, ...]], frozenset]:
+        """``(order, successors, cyclic)`` — cached like :meth:`graph`.
 
-        ``topological_order`` is ``None`` for cyclic workflows.  The
-        successor map covers every actor.  This is the static skeleton
-        the Rate-Based scheduler walks once per period; deriving it per
-        call made rate re-evaluation O(A + E) in graph-build work alone.
+        ``cyclic`` holds the actors on a cycle (those that can reach
+        themselves); ``order`` is the topological order of every other
+        actor.  The successor map covers every actor.  This is the
+        static skeleton the Rate-Based scheduler walks once per period;
+        deriving it per call made rate re-evaluation O(A + E) in
+        graph-build work alone.
         """
         if (
             self._topology_cache is not None
@@ -202,13 +280,13 @@ class Workflow:
             return self._topology_cache
         graph = self.graph()
         successors = {
-            name: tuple(graph.successors(name)) for name in graph.nodes
+            name: graph.successors(name) for name in graph.nodes
         }
-        try:
-            order: Optional[list[str]] = list(nx.topological_sort(graph))
-        except nx.NetworkXUnfeasible:
-            order = None
-        self._topology_cache = (order, successors)
+        cyclic = frozenset(
+            name for name in graph.nodes if graph.reaches_itself(name)
+        )
+        order = graph.topological_order(without=cyclic)
+        self._topology_cache = (order, successors, cyclic)
         self._topology_version = self._structure_version
         return self._topology_cache
 

@@ -19,9 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Optional
-
-import networkx as nx
 
 from ..core.actors import Actor
 from ..core.director import Director
@@ -75,14 +72,12 @@ class SDFDirector(Director):
         self.repetitions = {
             name: int(value * scale) for name, value in ratios.items()
         }
-        graph = workflow.graph()
-        try:
-            order = list(nx.topological_sort(graph))
-        except nx.NetworkXUnfeasible as exc:
+        order = workflow.graph().topological_order()
+        if order is None:
             raise DirectorError(
                 "SDF sub-workflows must be acyclic (no delay tokens "
                 "implemented)"
-            ) from exc
+            )
         self.schedule = []
         for name in order:
             actor = workflow.actors[name]

@@ -250,3 +250,25 @@ class TestGlobalRateMetrics:
         registry = StatisticsRegistry()
         metrics = global_rate_metrics(wf, registry, default_cost_us=50)
         assert metrics["a"] == (1.0, 50)
+
+    def test_a_cycle_elsewhere_keeps_path_aggregation(self):
+        # src -> a -> b -> sink, plus c (fed by src) on a self-loop: only
+        # c is on a cycle, so a and b still aggregate down their path.
+        wf = Workflow("side-loop")
+        src = SourceActor("src")
+        src.add_output("out")
+        a, b, c, sink = Pass("a"), Pass("b"), Pass("c"), SinkActor("sink")
+        wf.add_all([src, a, b, c, sink])
+        wf.connect(src, a)
+        wf.connect(a, b)
+        wf.connect(b, sink)
+        wf.connect(src, c)
+        wf.connect(c, c)
+        metrics = global_rate_metrics(
+            wf, StatisticsRegistry(), default_cost_us=100
+        )
+        assert metrics["a"] == (1.0, 300)
+        assert metrics["b"] == (1.0, 200)
+        assert metrics["c"] == (1.0, 100)
+        # The cyclic successor contributes its local pair to src.
+        assert metrics["src"] == (2.0, 100 + 300 + 100)

@@ -12,7 +12,12 @@ about in any environment:
 * **sorted import runs**: within one contiguous block of top-level
   imports, module names must be non-decreasing (case-insensitive, with
   relative imports compared by their dot-prefix then name, mirroring
-  isort's default ordering closely enough to keep blocks tidy).
+  isort's default ordering closely enough to keep blocks tidy);
+* **a standard-library engine**: every ``import`` and ``from ...
+  import`` under ``src/repro`` — at module level or inside a function —
+  names a module in ``sys.stdlib_module_names`` or ``repro`` itself, so
+  ``pip install`` of the engine pulls in nothing and no engine process
+  pays for a third-party import.
 
 Exit status 0 when clean; 1 with one ``file:line`` diagnostic per
 violation otherwise.
@@ -25,6 +30,24 @@ import sys
 from pathlib import Path
 
 ROOTS = ("src", "tests", "benchmarks", "examples", "tools")
+ENGINE = Path("src", "repro")
+
+
+def _third_party(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, module)`` for every import of a non-stdlib, non-repro module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+        else:
+            continue
+        for module in modules:
+            top = module.partition(".")[0]
+            if top != "repro" and top not in sys.stdlib_module_names:
+                found.append((node.lineno, module))
+    return found
 
 
 def _module_key(node: ast.stmt) -> tuple:
@@ -58,12 +81,18 @@ def _dedupe_key(node: ast.stmt) -> list[tuple]:
     return [("from", node.level, node.module or "")]
 
 
-def check_file(path: Path) -> list[str]:
+def check_file(path: Path, engine: bool = False) -> list[str]:
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"))
     except SyntaxError as exc:  # compileall's job, but report anyway
         return [f"{path}:{exc.lineno}: syntax error: {exc.msg}"]
     problems: list[str] = []
+    if engine:
+        problems.extend(
+            f"{path}:{line}: {module} is not in the standard library "
+            "(the engine imports stdlib and repro only)"
+            for line, module in _third_party(tree)
+        )
     seen: dict[tuple, int] = {}
     previous: ast.stmt | None = None
     for node in tree.body:
@@ -102,7 +131,8 @@ def main(argv: list[str]) -> int:
         for path in sorted(directory.rglob("*.py")):
             if "__pycache__" in path.parts:
                 continue
-            problems.extend(check_file(path))
+            engine = (base / ENGINE) in path.parents
+            problems.extend(check_file(path, engine))
     for problem in problems:
         print(problem)
     if problems:
