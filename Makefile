@@ -19,7 +19,7 @@ lint:  # ruff when available; otherwise a byte-compile syntax pass.
 		echo "lint: ruff not installed; falling back to compileall"; \
 		$(PYTHON) -m compileall -q src tests benchmarks examples; \
 	fi
-	$(PYTHON) tools/check_imports.py  # duplicate/unsorted imports (ruff "I" stand-in)
+	$(PYTHON) tools/check_imports.py  # duplicate/unsorted/unused/non-stdlib imports (ruff "I"/F401 stand-in)
 
 ci: lint test checkpoint-smoke bench-train bench-fusion bench-overload bench-shard bench-shard-transport bench-frontier
 

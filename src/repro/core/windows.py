@@ -33,9 +33,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from ..observability import tracer as _obs
 from .events import CWEvent

@@ -10,8 +10,6 @@ graph is quiescent (data-driven computation, per Table 1 of the paper).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..core.actors import Actor
 from ..core.director import Director
 from ..core.exceptions import DirectorError

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..linearroad.metrics import ResponseTimeSeries
 from .experiment import ExperimentResult
 
 _SPARK_LEVELS = " .:-=+*#%@"

@@ -25,13 +25,12 @@ implementation.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from . import db as lrdb
 from ..core.actors import Actor, SinkActor, SourceActor
 from ..core.context import FiringContext
 from ..core.timekeeper import US_PER_S
-from ..core.windows import Window, WindowSpec
+from ..core.windows import WindowSpec
 from ..sqldb import Database
 from .types import (
     Accident,

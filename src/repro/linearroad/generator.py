@@ -22,20 +22,25 @@ seeds and every figure is bit-reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass, replace
+from itertools import chain
+from typing import Optional
 
 from ..core.timekeeper import US_PER_S
 from .types import (
     Lane,
+    new_report,
     PositionReport,
     REPORT_INTERVAL_S,
     SEGMENT_LENGTH_FT,
     SEGMENTS_PER_XWAY,
-    segment_of,
 )
 
 MPH_TO_FTPS = 5280.0 / 3600.0
+#: Length of one expressway direction; positions wrap around it.
+_ROAD_LENGTH_FT = SEGMENTS_PER_XWAY * SEGMENT_LENGTH_FT
+#: The lanes a car cruises in (drawn once per car, in this order).
+_TRAVEL_LANES = (int(Lane.TRAVEL_1), int(Lane.TRAVEL_2), int(Lane.TRAVEL_3))
 
 
 @dataclass(frozen=True)
@@ -96,32 +101,12 @@ class WorkloadConfig:
 
     def scaled(self, rate_factor: float) -> "WorkloadConfig":
         """A copy with the load envelope scaled (sensitivity sweeps)."""
-        return WorkloadConfig(
-            self.l_rating,
-            self.duration_s,
-            self.peak_rate * rate_factor,
-            self.ramp_fraction,
-            self.seed,
-            self.direction,
-            self.xway,
-            self.accidents,
-            self.congestion_segments,
-            self.congestion_share,
-            self.burst_factor,
-            self.burst_period_s,
-            self.disorder_s,
-        )
+        return replace(self, peak_rate=self.peak_rate * rate_factor)
 
 
-@dataclass
-class _Car:
-    car_id: int
-    entry_s: float
-    speed_mph: float
-    position_ft: float
-    direction: int = 0
-    xway: int = 0
-    stopped_until: Optional[int] = None
+#: One car as drawn: ``(car_id, entry_s, speed_mph, position_ft,
+#: direction, xway)`` — a plain tuple, built once per car.
+_Car = tuple[int, float, float, float, int, int]
 
 
 class LinearRoadWorkload:
@@ -202,53 +187,58 @@ class LinearRoadWorkload:
 
     # ------------------------------------------------------------------
     def _generate(self) -> list[PositionReport]:
+        """The trace, in ``(time, car_id)`` order.
+
+        The draw order is the trace's contract (DESIGN.md): per car, in
+        ``car_id`` order, entry jitter, congestion coin (only with
+        congestion segments), speed, start segment, start offset,
+        direction (``L >= 1``), expressway (``L >= 2``); then per car,
+        again in ``car_id`` order, its lane and one speed jitter per
+        report outside a scripted crash.
+        """
         config = self.config
         rng = random.Random(config.seed)
+        draw = rng.random
+        randrange = rng.randrange
         # Steady car inflow: each car contributes 1/30 reports/s, so to
         # ramp to peak_rate at the end of the ramp we admit
         # peak_rate*30 cars spread uniformly over the ramp.
         ramp_s = max(config.duration_s * config.ramp_fraction, 1.0)
         total_cars = int(config.peak_rate * REPORT_INTERVAL_S)
+        congestion = config.congestion_segments
+        share = config.congestion_share
+        # L-rating semantics: L=0.5 is one direction, L>=1 uses both;
+        # cars spread over int(L) expressways for L>=2.
+        both_directions = config.l_rating >= 1.0
+        expressways = max(1, int(config.l_rating))
         cars: list[_Car] = []
         for car_id in range(total_cars):
-            entry = (car_id + rng.random()) * ramp_s / total_cars
-            congested = (
-                config.congestion_segments
-                and rng.random() < config.congestion_share
-            )
-            if congested:
-                speed = rng.uniform(18.0, 32.0)  # crawling: LAV < 40
-                start_seg = rng.choice(config.congestion_segments)
+            entry = (car_id + draw()) * ramp_s / total_cars
+            # ``a + (b - a) * random()`` is ``rng.uniform(a, b)``.
+            if congestion and draw() < share:
+                speed = 18.0 + 14.0 * draw()  # crawling: LAV < 40
+                start_seg = rng.choice(congestion)
             else:
-                speed = rng.uniform(45.0, 65.0)
-                start_seg = rng.randrange(SEGMENTS_PER_XWAY)
-            start_pos = start_seg * SEGMENT_LENGTH_FT + rng.randrange(
+                speed = 45.0 + 20.0 * draw()
+                start_seg = randrange(SEGMENTS_PER_XWAY)
+            start_pos = start_seg * SEGMENT_LENGTH_FT + randrange(
                 SEGMENT_LENGTH_FT
             )
-            car = _Car(car_id, entry, speed, float(start_pos))
-            car.direction = self._assign_direction(car_id, rng)
-            car.xway = self._assign_xway(car_id, rng)
-            cars.append(car)
+            direction = randrange(2) if both_directions else config.direction
+            xway = randrange(expressways) if expressways > 1 else config.xway
+            cars.append(
+                (car_id, entry, speed, float(start_pos), direction, xway)
+            )
 
         crash_pairs = self._assign_accident_cars(cars)
-        reports: list[PositionReport] = []
+        # One bucket per second: cars are driven in car_id order, so each
+        # bucket fills in (time, car_id) order and needs no sort.
+        buckets: list[list[PositionReport]] = [
+            [] for _ in range(config.duration_s)
+        ]
         for car in cars:
-            reports.extend(self._drive(car, crash_pairs.get(car.car_id), rng))
-        reports.sort(key=lambda r: (r.time, r.car_id))
-        return reports
-
-    def _assign_direction(self, car_id: int, rng: random.Random) -> int:
-        """L-rating semantics: L=0.5 is one direction; L>=1 uses both."""
-        if self.config.l_rating < 1.0:
-            return self.config.direction
-        return rng.randrange(2)
-
-    def _assign_xway(self, car_id: int, rng: random.Random) -> int:
-        """L expressways: cars spread over ceil(L) expressways for L>1."""
-        expressways = max(1, int(self.config.l_rating))
-        if expressways == 1:
-            return self.config.xway
-        return rng.randrange(expressways)
+            self._drive(car, crash_pairs.get(car[0]), rng, buckets)
+        return list(chain.from_iterable(buckets))
 
     def _assign_accident_cars(
         self, cars: list[_Car]
@@ -266,14 +256,11 @@ class LinearRoadWorkload:
             if crash_end - script.at_s < REPORT_INTERVAL_S * 4 + 1:
                 continue
             picked = 0
-            for car in cars:
-                if car.car_id in assignment:
+            for car_id, entry_s, *_ in cars:
+                if car_id in assignment:
                     continue
-                if car.entry_s + REPORT_INTERVAL_S < script.at_s:
-                    assignment[car.car_id] = script
-                    # Both halves of the collision must share a roadway.
-                    car.direction = self.config.direction
-                    car.xway = self.config.xway
+                if entry_s + REPORT_INTERVAL_S < script.at_s:
+                    assignment[car_id] = script
                     picked += 1
                     if picked == 2:
                         break
@@ -284,49 +271,50 @@ class LinearRoadWorkload:
         car: _Car,
         script: Optional[AccidentScript],
         rng: random.Random,
-    ) -> Iterator[PositionReport]:
-        """Yield one car's reports from entry to the horizon."""
-        config = self.config
-        time_s = car.entry_s
-        position = car.position_ft
-        lane = rng.choice(
-            (Lane.TRAVEL_1, Lane.TRAVEL_2, Lane.TRAVEL_3)
-        )
-        crash_position = None
-        if script is not None:
-            crash_position = (
+        buckets: list[list[PositionReport]],
+    ) -> None:
+        """Add one car's reports, entry to horizon, to their seconds."""
+        draw = rng.random
+        car_id, entry_s, cruise_mph, position, direction, xway = car
+        lane = rng.choice(_TRAVEL_LANES)
+        if script is None:
+            crash_from = crash_until = 0  # no report time is in [0, 0)
+        else:
+            crash_from, crash_until = script.at_s, script.clear_s
+            # Both halves of the collision must share a roadway.
+            direction = self.config.direction
+            xway = self.config.xway
+            # The car sits at the scripted spot with speed 0.
+            crash_position = float(
                 script.segment * SEGMENT_LENGTH_FT + SEGMENT_LENGTH_FT // 2
             )
-        report_time = int(time_s) + 1
-        while report_time < config.duration_s:
-            elapsed = report_time - time_s
-            time_s = report_time
-            in_crash = (
-                script is not None
-                and script.at_s <= report_time < script.clear_s
-            )
-            if in_crash:
-                # The car sits at the scripted spot with speed 0.
-                position = float(crash_position)
+            crash_lane = int(script.lane)
+        first = int(entry_s) + 1
+        elapsed = first - entry_s
+        for time in range(first, self.config.duration_s, REPORT_INTERVAL_S):
+            if crash_from <= time < crash_until:
+                position = crash_position
                 speed = 0.0
-                report_lane = script.lane
+                report_lane = crash_lane
             else:
-                speed = max(
-                    5.0, car.speed_mph + rng.uniform(-3.0, 3.0)
-                )
+                # ``-3.0 + 6.0 * random()`` is ``rng.uniform(-3.0, 3.0)``.
+                speed = cruise_mph + (-3.0 + 6.0 * draw())
+                if speed < 5.0:
+                    speed = 5.0
                 position += speed * MPH_TO_FTPS * elapsed
                 report_lane = lane
-            wrapped = int(position) % (
-                SEGMENTS_PER_XWAY * SEGMENT_LENGTH_FT
+            # Wrapped onto one road length, so the segment is < 100.
+            wrapped = int(position) % _ROAD_LENGTH_FT
+            buckets[time].append(
+                new_report(
+                    time,
+                    car_id,
+                    round(speed, 1),
+                    xway,
+                    report_lane,
+                    direction,
+                    wrapped // SEGMENT_LENGTH_FT,
+                    wrapped,
+                )
             )
-            yield PositionReport(
-                time=report_time,
-                car_id=car.car_id,
-                speed=round(speed, 1),
-                xway=car.xway,
-                lane=int(report_lane),
-                direction=car.direction,
-                segment=segment_of(wrapped),
-                position=wrapped,
-            )
-            report_time += REPORT_INTERVAL_S
+            elapsed = REPORT_INTERVAL_S

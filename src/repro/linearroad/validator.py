@@ -14,7 +14,6 @@ Linear Road, not just that it moves tokens:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .types import (
     AccidentAlert,

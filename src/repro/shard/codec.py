@@ -36,7 +36,7 @@ from operator import attrgetter
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..core.exceptions import SimulationError
-from ..linearroad.types import PositionReport
+from ..linearroad.types import new_report, PositionReport
 from ..observability import tracer as _obs
 
 #: Wire-format magic + version; bump on any layout change.
@@ -201,29 +201,15 @@ def _decode_columnar(
 
     ts = next_column(unpack_i64)
     event_ts = next_column(unpack_i64) if kind == _GROUP_TRIPLES else None
-    columns = [next_column(unpack_i32) for _ in _INT_FIELDS]
+    times, car_ids, xways, lanes, directions, segments, positions = [
+        next_column(unpack_i32) for _ in _INT_FIELDS
+    ]
     speeds = next_column(unpack_f64)
-    # Reconstruct reports the way unpickling does — allocate raw and
-    # fill ``__dict__`` in place — skipping the frozen-dataclass
-    # ``__init__``/``__setattr__`` machinery on the per-row hot path.
-    new = PositionReport.__new__
-    values = []
-    append = values.append
-    for time, car_id, xway, lane, direction, segment, position, speed in zip(
-        *columns, speeds
-    ):
-        report = new(PositionReport)
-        report.__dict__.update(
-            time=time,
-            car_id=car_id,
-            speed=speed,
-            xway=xway,
-            lane=lane,
-            direction=direction,
-            segment=segment,
-            position=position,
-        )
-        append(report)
+    # ``new_report`` skips the frozen-dataclass ``__init__`` on the
+    # per-row hot path without giving each report a ``__dict__`` of its
+    # own: a decoded report is as small as a constructed one.
+    values = list(map(new_report, times, car_ids, speeds, xways, lanes,
+                      directions, segments, positions))
     return ColumnarBatch(ts, values, event_ts), offset
 
 

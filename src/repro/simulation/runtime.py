@@ -13,7 +13,6 @@ The runtime is duck-typed over the director: it needs ``run_iteration()``,
 from __future__ import annotations
 
 import gc
-from typing import Optional
 
 from ..core.exceptions import SimulationError
 from ..core.timekeeper import US_PER_S

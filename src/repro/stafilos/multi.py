@@ -14,9 +14,8 @@ instances at runtime by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from ..core.exceptions import SchedulerError
 from ..core.timekeeper import US_PER_S

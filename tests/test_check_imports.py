@@ -1,4 +1,5 @@
-"""``tools/check_imports.py``: the engine imports stdlib and repro only."""
+"""``tools/check_imports.py``: the engine imports stdlib and repro only,
+and reads every name it imports."""
 
 import importlib.util
 from pathlib import Path
@@ -21,6 +22,7 @@ def test_a_third_party_import_in_the_engine_fails(tmp_path, capsys):
         "def build():\n"
         "    import networkx.algorithms\n"
         "    from numpy import array\n"
+        "    return json, other, Workflow, networkx, array\n"
     )
     # Outside the engine (tests, tools) third-party imports are fine.
     (tmp_path / "tests").mkdir()
@@ -36,6 +38,40 @@ def test_a_third_party_import_in_the_engine_fails(tmp_path, capsys):
         "(the engine imports stdlib and repro only)"
     )
     assert lines[2:] == ["check_imports: 2 problem(s)"]
+
+
+def test_an_unused_engine_import_fails(tmp_path, capsys):
+    engine = tmp_path / "src" / "repro"
+    engine.mkdir(parents=True)
+    # A package __init__ re-exports: its imports are exempt.
+    (engine / "__init__.py").write_text("from .mod import build\n")
+    (engine / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "\n"
+        "import os.path\n"
+        "from typing import TYPE_CHECKING, Optional\n"
+        "\n"
+        "from .other import Exported, Unread, Used\n"
+        "\n"
+        "if TYPE_CHECKING:\n"
+        "    from .other import Quoted, Stale\n"
+        "\n"
+        "__all__ = [\"Exported\"]\n"
+        "\n"
+        "\n"
+        "def build(x: \"Quoted\") -> Optional[int]:\n"
+        "    return Used(os.path.join(x))\n"
+    )
+    # Outside the engine an unused import is ruff's business only.
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "tool.py").write_text("import json\n")
+    assert check_imports.main(["check_imports", str(tmp_path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("/")[-1] for line in lines] == [
+        "mod.py:6: Unread is imported and never read (ruff F401)",
+        "mod.py:9: Stale is imported and never read (ruff F401)",
+        "check_imports: 2 problem(s)",
+    ]
 
 
 def test_the_repository_is_clean():

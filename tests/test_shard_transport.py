@@ -62,6 +62,7 @@ from repro.shard import (
 from repro.shard import coordinator as coordinator_module
 from repro.shard.routing import _canonical_payload
 from repro.shard.worker import build_shard_engine
+from tests.retained_bytes import retained_bytes
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -124,6 +125,34 @@ class TestCodec:
         chunk = lr_chunk(config)
         blob = encode_chunk(chunk)
         assert len(blob) < len(pickle.dumps(chunk, protocol=5))
+
+    def test_decoded_reports_are_no_larger_than_constructed(self):
+        rows = [
+            (index, PositionReport(index // 100, index, 50.0 + index % 7,
+                                   0, 1, 0, index % 100, 5280 * index))
+            for index in range(10_000)
+        ]
+        blob = encode_chunk({0: rows})
+        decode_chunk(blob)  # warm every code path
+
+        def decoded():
+            return decode_chunk(blob)[0]
+
+        def constructed():
+            # The same batch and field values, each report rebuilt by the
+            # dataclass constructor.
+            batch = decoded()
+            batch.values[:] = [
+                PositionReport(*astuple(report)) for report in batch.values
+            ]
+            return batch
+
+        assert isinstance(decoded(), ColumnarBatch)
+        # A dict per report would add ~180 B each; 8 B a report absorbs
+        # what other threads of the test process allocate meanwhile.
+        assert retained_bytes(decoded) <= (
+            retained_bytes(constructed) + 8 * len(rows)
+        )
 
     def test_empty_payloads(self):
         assert decode_chunk(encode_chunk({})) == {}

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
-"""Duplicate/unsorted-import check (stdlib-only ruff "I"/F811 stand-in).
+"""Import hygiene check (stdlib-only ruff "I"/F811/F401 stand-in).
 
 ``make lint`` prefers ruff (``select = ["I", ...]`` in pyproject.toml
 catches the full rule set), but the reference container ships without
-it — this checker enforces the two invariants the repo actually cares
+it — this checker enforces the four invariants the repo actually cares
 about in any environment:
 
 * **no duplicate imports**: a module must not be imported twice at the
@@ -17,7 +17,12 @@ about in any environment:
   import`` under ``src/repro`` — at module level or inside a function —
   names a module in ``sys.stdlib_module_names`` or ``repro`` itself, so
   ``pip install`` of the engine pulls in nothing and no engine process
-  pays for a third-party import.
+  pays for a third-party import;
+* **no unused engine imports** (ruff F401): every name a module-level
+  import under ``src/repro`` binds is read somewhere in its module —
+  as a name, an attribute base or inside a string annotation.  Package
+  ``__init__.py`` files (re-exports), names listed in ``__all__`` and
+  ``from __future__`` imports are exempt.
 
 Exit status 0 when clean; 1 with one ``file:line`` diagnostic per
 violation otherwise.
@@ -48,6 +53,92 @@ def _third_party(tree: ast.Module) -> list[tuple[int, str]]:
             if top != "repro" and top not in sys.stdlib_module_names:
                 found.append((node.lineno, module))
     return found
+
+
+def _module_level(body: list[ast.stmt]) -> list[ast.stmt]:
+    """*body*'s statements, module-level ``if`` blocks (``TYPE_CHECKING``)
+    opened."""
+    statements = []
+    for node in body:
+        statements.append(node)
+        if isinstance(node, ast.If):
+            statements.extend(_module_level(node.body + node.orelse))
+    return statements
+
+
+def _annotations(tree: ast.Module) -> list[ast.expr]:
+    """Every annotation expression in *tree*."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                        args.vararg, args.kwarg):
+                if arg is not None and arg.annotation is not None:
+                    found.append(arg.annotation)
+            if node.returns is not None:
+                found.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            found.append(node.annotation)
+    return found
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Names *tree* loads, string annotations (``"Workflow"``) included."""
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                read |= _names_read(parsed)
+    return read
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The string entries of a module-level ``__all__``."""
+    names: set[str] = set()
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            )
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            names.update(
+                element.value
+                for element in node.value.elts
+                if isinstance(element, ast.Constant)
+            )
+    return names
+
+
+def _unused(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, name)`` for every module-level import binding never read."""
+    bound: dict[str, int] = {}
+    for node in _module_level(tree.body):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                bound[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name] = node.lineno
+    read = _names_read(tree) | _exported(tree)
+    return sorted(
+        (line, name) for name, line in bound.items() if name not in read
+    )
 
 
 def _module_key(node: ast.stmt) -> tuple:
@@ -93,6 +184,12 @@ def check_file(path: Path, engine: bool = False) -> list[str]:
             "(the engine imports stdlib and repro only)"
             for line, module in _third_party(tree)
         )
+        if path.name != "__init__.py":
+            problems.extend(
+                f"{path}:{line}: {name} is imported and never read "
+                "(ruff F401)"
+                for line, name in _unused(tree)
+            )
     seen: dict[tuple, int] = {}
     previous: ast.stmt | None = None
     for node in tree.body:
