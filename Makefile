@@ -1,6 +1,9 @@
 # Convenience targets for the CONFLuEnCE/STAFiLOS reproduction.
 
 PYTHON ?= python
+# Every target imports the package from src/, installed or not; an
+# existing PYTHONPATH is kept after it.
+export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: install test lint ci bench bench-quick bench-paper bench-smoke bench-train bench-fusion bench-overload bench-shard bench-shard-transport bench-frontier bench-e2e bench-report bench-compare bench-pair opcount gc-profile census checkpoint-smoke figures examples chaos clean
 

@@ -61,7 +61,7 @@ def run_chain(fuse):
     director.attach(workflow)
     SimulationRuntime(director, clock).run(30.0, drain=True)
     return [
-        (event.timestamp, tuple(event.wave.path), event.value)
+        (event.timestamp, event.path, event.value)
         for _, event in sink.items
     ]
 

@@ -52,7 +52,7 @@ def run_relay(director_cls):
     director.attach(workflow)
     SimulationRuntime(director, clock).run(10.0, drain=True)
     return [
-        (now, event.timestamp, tuple(event.wave.path), event.value)
+        (now, event.timestamp, event.path, event.value)
         for now, event in sink.items
     ]
 

@@ -41,7 +41,7 @@ from .statistics import (
     global_rate_metrics,
     rate_priorities,
 )
-from .tokens import Token, as_token
+from .tokens import Token
 from .waves import WaveGenerator, WaveScope, WaveTag
 from .windows import (
     ConsumptionMode,
@@ -59,7 +59,6 @@ __all__ = [
     "ActorQuarantinedError",
     "ActorRegistry",
     "ActorStats",
-    "as_token",
     "build_workflow",
     "window_from_spec",
     "Channel",

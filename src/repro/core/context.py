@@ -171,16 +171,16 @@ class FiringContext:
             if not item.events:
                 return
             newest = max(item.events)
-            wave, timestamp = newest.wave, newest.timestamp
+            path, timestamp = newest.path, newest.timestamp
         else:
-            wave, timestamp = item.wave, item.timestamp
+            path, timestamp = item.path, item.timestamp
         scope = self._scope
         if scope is not None:
             # Reading a second item: the previous sub-wave is complete.
             scope.close()
         else:
             scope = self._scope = self._spare_scope
-        scope.open(wave)
+        scope.open(path)
         self._trigger_timestamp = timestamp
 
     # ------------------------------------------------------------------

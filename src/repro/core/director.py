@@ -34,7 +34,6 @@ from .exceptions import DirectorError, ResilienceError
 from .ports import InputPort, OutputPort
 from .receivers import FIFOReceiver, Receiver
 from .statistics import StatisticsRegistry
-from .tokens import as_token
 from .windows import Measure, Window
 from .workflow import Workflow
 
@@ -324,13 +323,11 @@ class Director(ABC):
         port = actor.input(port_name)
         if isinstance(item, Window):
             newest = max(item.events)
-            event = CWEvent(
-                as_token(item.values), item.timestamp, newest.wave
-            )
+            event = CWEvent(item.values, item.timestamp, newest.path)
         elif isinstance(item, CWEvent):
             event = item
         else:
-            event = CWEvent(as_token(item), now, self._require_attached()
+            event = CWEvent(item, now, self._require_attached()
                             .wave_generator.next_root())
         port.put(event)
 

@@ -1,10 +1,12 @@
 """Tokens: the data items flowing over workflow channels.
 
 Kepler propagates *tokens* between actor ports.  In this reproduction a
-token is a thin, immutable wrapper around an arbitrary Python payload; the
-wrapper exists so records can be addressed by field (the group-by clauses of
-windowed receivers reference token fields) and so tokens can be compared and
-hashed regardless of payload type.
+token is a thin, immutable wrapper around an arbitrary Python payload that
+compares and hashes by value.  Events carry the raw payload instead
+(:class:`~repro.core.events.CWEvent` unwraps a token it is given), so the
+firing path builds none; the class stays because every checkpoint snapshot
+names it.  :func:`field_of` is the by-name record access the group-by
+clauses of windowed receivers use.
 """
 
 from __future__ import annotations
@@ -45,19 +47,8 @@ class Token:
         return self._value
 
     def field(self, name: str) -> Any:
-        """Return the named field of the payload.
-
-        Works for mappings, dataclass-like objects, and named tuples; raises
-        ``KeyError`` when the payload has no such field.
-        """
-        value = self._value
-        if isinstance(value, Mapping):
-            if name in value:
-                return value[name]
-            raise KeyError(name)
-        if hasattr(value, name):
-            return getattr(value, name)
-        raise KeyError(name)
+        """Return the named field of the payload (see :func:`field_of`)."""
+        return field_of(self._value, name)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Token):
@@ -92,8 +83,16 @@ def _hashable(value: Any) -> bool:
     return True
 
 
-def as_token(value: Any) -> Token:
-    """Coerce *value* into a token (idempotent for existing tokens)."""
-    if isinstance(value, Token):
-        return value
-    return Token(value)
+def field_of(value: Any, name: str) -> Any:
+    """Return the named field of the payload *value*.
+
+    Works for mappings, dataclass-like objects, and named tuples; raises
+    ``KeyError`` when the payload has no such field.
+    """
+    if isinstance(value, Mapping):
+        if name in value:
+            return value[name]
+        raise KeyError(name)
+    if hasattr(value, name):
+        return getattr(value, name)
+    raise KeyError(name)

@@ -10,14 +10,16 @@ belonging to a single wave (wave-based windows).
 
 Wave-tags are therefore paths in a tree rooted at the external event.  We
 represent them as immutable tuples of integers: ``(serial,)`` for a root tag
-and ``(serial, 3, 1)`` for the tag the paper writes as ``t_i.3.1``.
+and ``(serial, 3, 1)`` for the tag the paper writes as ``t_i.3.1``.  Events
+carry the bare path tuple (``CWEvent.path``), and the firing path works on
+paths alone; :class:`WaveTag` is the structured, ordered view of one path
+that tracing and tests read (``CWEvent.wave``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterator, Optional
 
 from ..observability import tracer as _obs
@@ -43,13 +45,8 @@ class WaveTag:
     # ------------------------------------------------------------------
     @classmethod
     def root(cls, serial: int) -> "WaveTag":
-        """The wave-tag of an external event with serial number *serial*.
-
-        Root tags are interned: every event of a wave (and every
-        ``root_tag`` lookup against it) shares one tuple-backed instance,
-        which keeps the hot per-event allocations off the emission path.
-        """
-        return _interned_root(serial)
+        """The wave-tag of an external event with serial number *serial*."""
+        return cls((serial,))
 
     def child(self, index: int) -> "WaveTag":
         """The tag of the *index*-th (1-based) event produced from this one."""
@@ -83,8 +80,8 @@ class WaveTag:
 
     @property
     def root_tag(self) -> "WaveTag":
-        """The root tag of the wave this tag belongs to (interned)."""
-        return _interned_root(self.path[0])
+        """The root tag of the wave this tag belongs to."""
+        return WaveTag((self.path[0],))
 
     def is_root(self) -> bool:
         return len(self.path) == 1
@@ -125,27 +122,14 @@ class WaveTag:
 
 def _revive_wave_tag(path: tuple) -> "WaveTag":
     """Rebuild a tag without re-running dataclass/init machinery."""
-    if len(path) == 1:
-        return _interned_root(path[0])
     tag = WaveTag.__new__(WaveTag)
     object.__setattr__(tag, "path", path)
     return tag
 
 
-@lru_cache(maxsize=8192)
-def _interned_root(serial: int) -> "WaveTag":
-    """One shared :class:`WaveTag` instance per root serial.
-
-    Tags compare and hash by value, so interning is purely an allocation
-    optimization — bounded so long runs cannot grow the cache without
-    limit (old serials simply fall back to fresh instances).
-    """
-    return WaveTag((serial,))
-
-
 @dataclass
 class WaveGenerator:
-    """Allocates root wave-tags for external events entering the system.
+    """Allocates root wave paths for external events entering the system.
 
     One generator is shared per workflow so root serials are globally unique
     and monotone in admission order.
@@ -153,9 +137,9 @@ class WaveGenerator:
 
     _counter: itertools.count = field(default_factory=lambda: itertools.count(1))
 
-    def next_root(self) -> WaveTag:
-        """Allocate the next root wave-tag."""
-        return WaveTag.root(next(self._counter))
+    def next_root(self) -> tuple[int]:
+        """Allocate the next root wave path, ``(serial,)``."""
+        return (next(self._counter),)
 
     # ------------------------------------------------------------------
     # Checkpointable protocol
@@ -176,31 +160,32 @@ class WaveGenerator:
 
 
 class WaveScope:
-    """Tracks child-tag allocation while one actor firing is in progress.
+    """Tracks child-path allocation while one actor firing is in progress.
 
-    A scope is opened by the firing context with the wave-tag of the event
-    (or window) being consumed; every produced event asks the scope for its
-    child tag.  When the firing ends, :meth:`close` marks the most recently
-    produced event as the last of its sub-wave, which is what downstream
-    wave-windows key on.  A firing context keeps one scope and
+    A scope is opened by the firing context with the wave path of the
+    event (or window) being consumed; every produced event asks the scope
+    for its child path, ``consumed + (i,)`` for the *i*-th output.  When
+    the firing ends, :meth:`close` marks the most recently produced event
+    as the last of its sub-wave, which is what downstream wave-windows
+    key on.  A firing context keeps one scope and
     re-opens it (:meth:`open`) for every item it consumes.
     """
 
     __slots__ = ("consumed", "_next_index", "_last_event")
 
-    def __init__(self, consumed: Optional[WaveTag] = None):
+    def __init__(self, consumed: Optional[tuple[int, ...]] = None):
         self.open(consumed)
 
-    def open(self, consumed: Optional[WaveTag]) -> None:
-        """(Re)start the scope on a newly consumed tag."""
+    def open(self, consumed: Optional[tuple[int, ...]]) -> None:
+        """(Re)start the scope on a newly consumed wave path."""
         self.consumed = consumed
         self._next_index = 1
         self._last_event = None  # type: ignore[assignment]
 
-    def tag_for_output(self) -> WaveTag:
-        tag = self.consumed.child(self._next_index)
+    def tag_for_output(self) -> tuple[int, ...]:
+        path = self.consumed + (self._next_index,)
         self._next_index += 1
-        return tag
+        return path
 
     def note_event(self, event) -> None:
         """Remember the most recent event so it can be marked on close."""
@@ -217,6 +202,6 @@ class WaveScope:
                 _obs._TRACER.instant(
                     "wave.subwave_complete",
                     self._last_event.timestamp,
-                    wave=str(self.consumed),
+                    wave=".".join(map(str, self.consumed)),
                     produced=self.produced,
                 )

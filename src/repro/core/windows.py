@@ -639,7 +639,7 @@ class WindowOperator:
     def _put_waves(
         self, state: _WaveGroupState, key: GroupKey, event: CWEvent
     ) -> list[Window]:
-        root = event.wave.serial
+        root = event.path[0]
         if root not in state.events_by_root:
             state.events_by_root[root] = []
         state.events_by_root[root].append(event)

@@ -62,7 +62,7 @@ class FrontierTracker:
     # ------------------------------------------------------------------
     def observe(self, event) -> None:
         """Add one token for *event* entering flight."""
-        serial = event.wave.path[0]
+        serial = event.path[0]
         outstanding = self._outstanding
         count = outstanding.get(serial)
         if count is not None:
@@ -88,9 +88,11 @@ class FrontierTracker:
         elif events:
             self.observe(max(events))
 
-    def retire(self, wave) -> None:
-        """Retire one token of *wave*'s root; trace frontier advances."""
-        serial = wave.path[0]
+    def retire(self, tagged) -> None:
+        """Retire one token of the root of *tagged* (an event or a
+        :class:`~repro.core.waves.WaveTag`: anything with a wave
+        ``path``); trace frontier advances."""
+        serial = tagged.path[0]
         outstanding = self._outstanding
         count = outstanding.get(serial)
         if count is None:
@@ -114,9 +116,9 @@ class FrontierTracker:
         """Retire the token :meth:`observe_item` added for *item*."""
         events = getattr(item, "events", None)
         if events is None:
-            self.retire(item.wave)
+            self.retire(item)
         elif events:
-            self.retire(max(events).wave)
+            self.retire(max(events))
 
     # ------------------------------------------------------------------
     # Frontier queries

@@ -48,7 +48,6 @@ from typing import TYPE_CHECKING, Optional
 from ..core.actors import Actor, MapActor
 from ..core.events import CWEvent
 from ..core.exceptions import ActorError
-from ..core.waves import WaveTag
 from ..observability import tracer as _obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -246,17 +245,16 @@ class FusedChain(Actor):
         total = 0
         # Interior events travel as plain ``(value, timestamp, path)``
         # triples: only the next hop ever reads them, so materializing a
-        # CWEvent (token + tag objects, a global seq draw) per hop is
-        # pure allocation overhead.  ``seq`` exists to tie-break events
-        # with an *identical* (timestamp, wave) key, which distinct
+        # CWEvent (an object and a global seq draw) per hop is pure
+        # allocation overhead.  ``seq`` exists to tie-break events
+        # with an *identical* (timestamp, path) key, which distinct
         # events never share — skipping the interior draws is invisible
         # to ordering, waves, statistics and checkpoints.  Real events
-        # (with real WaveTags) are built only at the final hop, where
-        # they leave the chain.  Wave arithmetic is inlined from
-        # WaveScope: the i-th (1-based) child of ``path`` is
-        # ``path + (i,)`` and the last child carries the last_in_wave
-        # mark, exactly as scope close() would set it.
-        events = ((item.token.value, item.timestamp, item.wave.path),)
+        # are built only at the final hop, where they leave the chain.
+        # Wave arithmetic is inlined from WaveScope: the i-th (1-based)
+        # child of ``path`` is ``path + (i,)`` and the last child carries
+        # the last_in_wave mark, exactly as scope close() would set it.
+        events = ((item.value, item.timestamp, item.path),)
         for hop, (
             fn, first, per_output, scale, low, width, draw,
             member, costs, out_ts,
@@ -282,10 +280,7 @@ class FusedChain(Actor):
                             index += 1
                             append(
                                 CWEvent(
-                                    part,
-                                    ts,
-                                    WaveTag(path + (index,)),
-                                    index == n_out,
+                                    part, ts, path + (index,), index == n_out
                                 )
                             )
                             ts_append(ts)
@@ -296,9 +291,7 @@ class FusedChain(Actor):
                             ts_append(ts)
                 else:
                     if materialize:
-                        append(
-                            CWEvent(result, ts, WaveTag(path + (1,)), True)
-                        )
+                        append(CWEvent(result, ts, path + (1,), True))
                     else:
                         append((result, ts, path + (1,)))
                     ts_append(ts)

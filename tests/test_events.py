@@ -1,6 +1,9 @@
-"""CWEvent ordering and derivation."""
+"""CWEvent layout and ordering."""
+
+import pytest
 
 from repro.core.events import CWEvent
+from repro.core.tokens import Token
 from repro.core.waves import WaveTag
 
 
@@ -25,11 +28,24 @@ class TestCWEvent:
         b = CWEvent("b", 10, WaveTag.root(1))
         assert a < b  # admission order
 
-    def test_derive_inherits_timestamp(self):
-        parent = CWEvent("a", 123, WaveTag.root(1))
-        child = parent.derive("b", parent.wave.child(1))
-        assert child.timestamp == 123
-        assert child.wave.parent == parent.wave
+    def test_token_and_tag_arguments_are_unwrapped(self):
+        event = CWEvent(Token({"seg": 4}), 10, WaveTag((1, 2)))
+        assert event.value == {"seg": 4}
+        assert type(event.path) is tuple and event.path == (1, 2)
+
+    def test_wave_is_a_view_of_the_path(self):
+        event = CWEvent("a", 10, (3, 1, 2))
+        assert event.wave == WaveTag((3, 1, 2))
+        assert event.wave.parent == WaveTag((3, 1))
+        with pytest.raises(AttributeError):
+            event.wave = WaveTag((4,))  # type: ignore[misc]
+
+    def test_path_orders_as_wave_tags_do(self):
+        paths = [(2,), (1, 3), (1,), (1, 2, 1), (1, 2), (1, 10)]
+        events = [CWEvent("x", 5, path) for path in paths]
+        assert [e.path for e in sorted(events)] == [
+            tag.path for tag in sorted(WaveTag(path) for path in paths)
+        ]
 
     def test_repr_mentions_wave_mark(self):
         event = CWEvent("a", 1, WaveTag.root(1), last_in_wave=True)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.tokens import as_token, Token
+from repro.core.tokens import Token
 
 
 class TestToken:
@@ -40,12 +40,3 @@ class TestToken:
     def test_field_access_missing_attribute(self):
         with pytest.raises(KeyError):
             Token(object()).field("nope")
-
-
-class TestAsToken:
-    def test_idempotent(self):
-        token = Token(1)
-        assert as_token(token) is token
-
-    def test_wraps_raw_values(self):
-        assert as_token(5) == Token(5)

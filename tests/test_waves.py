@@ -105,8 +105,9 @@ class TestWaveTag:
 class TestWaveGenerator:
     def test_serials_are_monotone_and_unique(self):
         gen = WaveGenerator()
-        tags = [gen.next_root() for _ in range(10)]
-        serials = [t.serial for t in tags]
+        paths = [gen.next_root() for _ in range(10)]
+        assert all(len(path) == 1 for path in paths)
+        serials = [path[0] for path in paths]
         assert serials == sorted(serials)
         assert len(set(serials)) == 10
 
@@ -159,13 +160,13 @@ class TestFrontierFollowsTagOrder:
 
 class TestWaveScope:
     def test_outputs_get_sequential_child_tags(self):
-        scope = WaveScope(WaveTag.root(1))
-        assert str(scope.tag_for_output()) == "1.1"
-        assert str(scope.tag_for_output()) == "1.2"
+        scope = WaveScope((1,))
+        assert scope.tag_for_output() == (1, 1)
+        assert scope.tag_for_output() == (1, 2)
         assert scope.produced == 2
 
     def test_close_marks_last_event(self):
-        scope = WaveScope(WaveTag.root(1))
+        scope = WaveScope((1,))
         events = []
         for _ in range(3):
             event = CWEvent("x", 0, scope.tag_for_output())
@@ -175,5 +176,5 @@ class TestWaveScope:
         assert [e.last_in_wave for e in events] == [False, False, True]
 
     def test_close_without_events_is_noop(self):
-        scope = WaveScope(WaveTag.root(1))
+        scope = WaveScope((1,))
         scope.close()  # must not raise

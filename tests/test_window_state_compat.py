@@ -20,7 +20,6 @@ from pathlib import Path
 
 from repro.core import windows as windows_module
 from repro.core.events import CWEvent
-from repro.core.waves import WaveTag
 from repro.core.windows import WindowOperator, WindowSpec
 
 FIXTURE = Path(__file__).parent / "data" / "pr17_window_state.pkl"
@@ -29,8 +28,15 @@ FORMAT_1_FIXTURE = Path(__file__).parent / "data" / "pr12_window_state.pkl"
 KEYS = [None, 3, ("x", 1), "car", (None, 2)]
 
 
+#: One root path per serial, shared by every operator's event of that
+#: serial.  The fixtures were pickled while root tags were interned, so
+#: the pickle memo wrote each serial's path once and referenced it after.
+_ROOT_PATHS: dict = {}
+
+
 def make_event(serial, key, ts, last=False):
-    event = CWEvent({"k": key, "n": serial}, ts, WaveTag.root(serial), last)
+    path = _ROOT_PATHS.setdefault(serial, (serial,))
+    event = CWEvent({"k": key, "n": serial}, ts, path, last)
     event.seq = serial  # the global counter's position is not state
     return event
 
