@@ -4,9 +4,10 @@ The data-plane number of the shard transport (``repro.shard.codec`` +
 the credit-window coordinator loop): time to encode, ship and ack a
 fixed stream of Linear Road chunks through a ``multiprocessing`` pipe to
 an echo worker, the way the coordinator ships them — chunks packed by
-:func:`repro.shard.codec.encode_chunk` (columnar ``struct`` frames for
-the homogeneous report stream) with a credit window of 8, so encode and
-pipe I/O overlap the worker's decode of earlier chunks.
+:func:`repro.shard.codec.encode_chunk` (one CRC-checked protocol-5
+pickle per chunk, each report pickled through ``types.new_report``) with
+a credit window of 8, so encode and pipe I/O overlap the worker's decode
+of earlier chunks.
 
 The echo worker acks every chunk with its decoded row count, and the
 bench asserts the full stream arrived intact, so a faster time can never

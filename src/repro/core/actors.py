@@ -189,10 +189,10 @@ class SourceActor(Actor):
     ``ctx.send``.  Sub-classes either override :meth:`pump` or provide an
     ``arrivals`` iterable of ``(timestamp_us, value)`` pairs.  This is the
     paper's push source (§2.2): arrivals pushed at it mid-run through
-    :meth:`feed`/:meth:`feed_columns` are pumped into the workflow at the
-    rate the director dictates, and :meth:`feed`'s strict-order check is
-    its timekeeper (a stamp earlier than one already scheduled is
-    refused).  An exhausted schedule is end of stream.
+    :meth:`feed` are pumped into the workflow at the rate the director
+    dictates, and :meth:`feed`'s strict-order check is its timekeeper (a
+    stamp earlier than one already scheduled is refused).  An exhausted
+    schedule is end of stream.
 
     With ``out_of_order=True`` the source models bounded-disorder
     delivery: arrivals are ``(delivery_us, value, event_ts_us)`` triples
@@ -283,38 +283,6 @@ class SourceActor(Actor):
             )
             return
         self._pending.extend(new)
-
-    def feed_columns(
-        self,
-        ts: Sequence[int],
-        values: Sequence[Any],
-        event_ts: Optional[Sequence[int]] = None,
-    ) -> None:
-        """Append a decoded columnar batch (the shard codec fast path).
-
-        Semantically ``feed(zip(ts, values[, event_ts]))`` without ever
-        materializing an intermediate row list: the delivery column is
-        verified monotone and non-regressing (codec chunks are slices
-        of a delivery-sorted schedule, so this is the common case) and
-        the rows stream straight from ``zip`` into the pending
-        schedule.  A batch that violates the ordering falls back to
-        :meth:`feed`, keeping the strict-mode/out-of-order semantics —
-        and their failure modes — identical to row-wise feeding.
-        """
-        if not ts:
-            return
-        rows = (
-            zip(ts, values)
-            if event_ts is None
-            else zip(ts, values, event_ts)
-        )
-        in_order = all(a <= b for a, b in zip(ts, ts[1:]))
-        if not in_order or (
-            self._pending and ts[0] < self._pending[-1][0]
-        ):
-            self.feed(list(rows))
-            return
-        self._pending.extend(rows)
 
     # ------------------------------------------------------------------
     def next_arrival_time(self) -> Optional[int]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Optional, Sequence
 
 from ..checkpoint import (
     CheckpointManifest,
@@ -44,7 +44,6 @@ from ..linearroad.workflow import (
 )
 from ..observability import RecordingTracer, use_tracer
 from ..resilience import FaultPolicy, install_faults, replay_dead_letters
-from ..shard.codec import ColumnarBatch
 from ..shard.routing import canonical_run_traces, shard_salt, shard_seed
 from ..simulation.clock import VirtualClock
 from ..simulation.runtime import SimulationRuntime
@@ -223,23 +222,9 @@ class Engine:
             replay_dead_letters(self.director, self.clock.now_us)
         return manifest
 
-    def feed(
-        self, arrivals: Union[Sequence[tuple[int, Any]], ColumnarBatch]
-    ) -> None:
-        """Append one chunk of arrivals to the source.
-
-        Accepts either the classic row-tuple list or a decoded
-        :class:`~repro.shard.codec.ColumnarBatch`, which is handed to
-        the source column-wise — no intermediate tuple list is built.
-        """
-        if not arrivals:
-            return
-        if isinstance(arrivals, ColumnarBatch):
-            self.system.source.feed_columns(
-                arrivals.ts, arrivals.values, arrivals.event_ts
-            )
-        else:
-            self.system.source.feed(arrivals)
+    def feed(self, arrivals: Sequence[tuple[int, Any]]) -> None:
+        """Append one chunk of arrivals to the source."""
+        self.system.source.feed(arrivals)
 
     def run_to(self, watermark_us: int) -> None:
         """Advance the virtual clock to the watermark."""

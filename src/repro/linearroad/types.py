@@ -62,6 +62,16 @@ class PositionReport:
         """(xway, direction, lane, position) — the accident-detection key."""
         return (self.xway, self.direction, self.lane, self.position)
 
+    def __reduce__(self):
+        # Pickles (shard chunks, checkpoint snapshots) carry the eight
+        # fields positionally and load through ``new_report``: no field
+        # names on the wire, and no per-report ``__dict__`` on load, as
+        # the default state-dict path would materialize.  Pickles written
+        # with that state dict still load.
+        return (new_report, (self.time, self.car_id, self.speed, self.xway,
+                             self.lane, self.direction, self.segment,
+                             self.position))
+
 
 _new_instance = PositionReport.__new__
 _set_field = object.__setattr__
@@ -80,10 +90,11 @@ def new_report(
     """A :class:`PositionReport` equal to ``PositionReport(time, ...)``.
 
     The hot paths that make reports by the thousand (the trace generator,
-    the shard codec's decoder) skip the frozen dataclass ``__init__`` and
-    its keyword call: the instance is allocated raw and its fields are
-    set through ``object.__setattr__`` in declaration order, as the
-    generated ``__init__`` sets them.  It never reads ``__dict__``: on
+    ``pickle.loads`` through :meth:`PositionReport.__reduce__`) skip the
+    frozen dataclass ``__init__`` and its keyword call: the instance is
+    allocated raw and its fields are set through ``object.__setattr__``
+    in declaration order, as the generated ``__init__`` sets them.  It
+    never reads ``__dict__``: on
     CPython 3.11 that would turn the shared-key inline attribute values
     into a dict of their own, 153 B a report becoming 336 B.
     """

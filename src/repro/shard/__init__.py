@@ -13,8 +13,8 @@ Layout:
 
 * :mod:`repro.shard.routing` — shard plans, per-shard CRC seeds,
   canonical traces and the deterministic merge;
-* :mod:`repro.shard.codec` — the data plane's wire format: columnar
-  struct packing for homogeneous LR chunks, framed pickle-5 fallback;
+* :mod:`repro.shard.codec` — the data plane's wire format: one
+  protocol-5 pickle of the chunk's rows behind a length + CRC-32 header;
 * :mod:`repro.shard.worker` — the worker process: the pipe message loop
   over engines the one builder (:mod:`repro.harness.experiment`) assembles;
 * :mod:`repro.shard.coordinator` — the coordinator: credit-based
@@ -24,11 +24,7 @@ Layout:
   layer as a migration primitive.
 """
 
-from .codec import (
-    ColumnarBatch,
-    decode_chunk,
-    encode_chunk,
-)
+from .codec import decode_chunk, encode_chunk
 from .coordinator import (
     run_sharded,
     run_single_canonical,
@@ -61,7 +57,6 @@ __all__ = [
     "run_single_canonical",
     "shard_salt",
     "shard_seed",
-    "ColumnarBatch",
     "decode_chunk",
     "encode_chunk",
     "ShardCoordinator",

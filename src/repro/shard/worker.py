@@ -29,10 +29,10 @@ frontier passes them).
 The message protocol (coordinator -> worker, replies in parentheses)::
 
     ("chunk", watermark_us, payload, frontier_us)
-        feed + advance every hosted shard; ``payload`` is either a
-        ``repro.shard.codec`` wire blob (bytes) or a raw ``{group:
-        [(ts, value), ...]}`` dict, and ``frontier_us`` (None when
-        frontier closure is off) is the coordinator's merged minimum
+        feed + advance every hosted shard; ``payload`` is a
+        ``repro.shard.codec`` wire blob of ``{group: [(ts, value),
+        ...]}`` (anything else is refused), and ``frontier_us`` (None
+        when frontier closure is off) is the coordinator's merged minimum
         frontier, applied to every shard's timed windows before the
         chunk runs.  The coordinator pipelines chunks — up to its
         credit window may be outstanding before any ack returns
@@ -138,7 +138,7 @@ def worker_main(conn: Any, spec: ShardWorkerSpec) -> None:
                 if not isinstance(payload, (bytes, bytearray, memoryview)):
                     raise SimulationError(
                         f"chunk payload is a {type(payload).__name__}, "
-                        "not an SC1 blob"
+                        "not an encoded chunk blob"
                     )
                 decode_start = perf_counter_ns()
                 slices = decode_chunk(payload, now_us=watermark_us)

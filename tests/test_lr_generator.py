@@ -1,6 +1,7 @@
 """The Linear Road workload generator: schema, envelope, accidents."""
 
 import hashlib
+import pickle
 from dataclasses import astuple, fields, replace
 
 import pytest
@@ -223,8 +224,8 @@ class TestGoldenTraces:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
     def test_field_types_are_exact(self, name):
-        # An IntEnum lane compares equal but changes repr and sends the
-        # chunk off the codec's columnar fast path (exact type checks).
+        # An IntEnum lane compares equal but changes repr, and the shard
+        # merge key compares ``repr``.
         exact = (int, int, float, int, int, int, int, int)  # field order
         for report in _golden_workload(name, 1).reports():
             assert tuple(map(type, astuple(report))) == exact
@@ -253,3 +254,60 @@ class TestReportMemory:
         assert retained_bytes(generated) <= (
             retained_bytes(constructed) + 8 * count
         )
+
+    def test_unpickled_reports_are_no_larger_than_constructed(self):
+        # Checkpoint restores and shard chunks bring reports back through
+        # ``pickle.loads``; that must not give each one a ``__dict__``.
+        reports = [
+            PositionReport(index // 100, index, 50.0 + index % 7, 0, 1, 0,
+                           index % 100, 5280 * index)
+            for index in range(10_000)
+        ]
+        blob = pickle.dumps(reports, protocol=5)
+        pickle.loads(blob)  # warm every code path
+
+        def unpickled():
+            return pickle.loads(blob)
+
+        def constructed():
+            # The same list object and field values, each report rebuilt
+            # by the dataclass constructor.
+            rebuilt = unpickled()
+            rebuilt[:] = [
+                PositionReport(*astuple(report)) for report in rebuilt
+            ]
+            return rebuilt
+
+        assert retained_bytes(unpickled) <= (
+            retained_bytes(constructed) + 8 * len(reports)
+        )
+
+
+#: ``pickle.dumps(PositionReport(3, 7, 55.5, 0, 1, 0, 4, 21_500),
+#: protocol=5)`` as written before reports pickled through
+#: ``types.new_report``: the default state-dict form, which checkpoint
+#: snapshots taken then still hold.
+DICT_STATE_REPORT_PICKLE = (
+    b"\x80\x05\x95\x94\x00\x00\x00\x00\x00\x00\x00\x8c\x16"
+    b"repro.linearroad.types\x94\x8c\x0ePositionReport\x94\x93\x94)"
+    b"\x81\x94}\x94(\x8c\x04time\x94K\x03\x8c\x06car_id\x94K\x07"
+    b"\x8c\x05speed\x94G@K\xc0\x00\x00\x00\x00\x00\x8c\x04xway"
+    b"\x94K\x00\x8c\x04lane\x94K\x01\x8c\tdirection\x94K\x00\x8c"
+    b"\x07segment\x94K\x04\x8c\x08position\x94M\xfcSub."
+)
+
+
+class TestReportPickles:
+    def test_dict_state_pickles_still_load(self):
+        expected = PositionReport(3, 7, 55.5, 0, 1, 0, 4, 21_500)
+        loaded = pickle.loads(DICT_STATE_REPORT_PICKLE)
+        assert loaded == expected
+        assert repr(loaded) == repr(expected)
+
+    def test_reports_pickle_through_new_report(self):
+        report = PositionReport(3, 7, 55.5, 0, 1, 0, 4, 21_500)
+        payload = pickle.dumps(report, protocol=5)
+        assert b"new_report" in payload and b"car_id" not in payload
+        assert len(payload) < len(DICT_STATE_REPORT_PICKLE)
+        loaded = pickle.loads(payload)
+        assert loaded == report and repr(loaded) == repr(report)

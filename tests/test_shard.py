@@ -141,6 +141,20 @@ def test_source_feed_appends_and_rejects_regressions():
     with pytest.raises(ActorError, match="append"):
         source.feed([(5, "late")])
     source.feed([])  # no-op
+    assert [ts for ts, _ in source._pending] == [10, 20, 30]
+
+
+def test_source_feed_sorts_an_unsorted_batch():
+    # A chunk is sorted by delivery time before it is appended.
+    source = SourceActor("src", out_of_order=True)
+    source.feed([(30, "b"), (10, "a")])
+    assert source._pending == [(10, "a"), (30, "b")]
+
+
+def test_source_feed_keeps_disorder_triples():
+    source = SourceActor("src", out_of_order=True, disorder_us=5)
+    source.feed([(20, "b", 18), (30, "c", 27)])
+    assert source._pending == [(20, "b", 18), (30, "c", 27)]
 
 
 # ---------------------------------------------------------------------------

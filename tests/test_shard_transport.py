@@ -1,14 +1,14 @@
 """The pipelined shard data plane (``repro.shard.codec`` + coordinator).
 
-Covers the transport end to end: codec round-trips (columnar fast
-path, per-group pickle-5 fallback, out-of-band buffers, a Hypothesis
-property over arbitrary payloads), credit-based pipelining
-(lockstep-vs-pipelined merged-trace equality at several in-flight
-depths, frontier-close clamping, mid-run migration under a deep
-window), the columnar source fast path (``SourceActor.feed_columns``),
-dead-worker error surfacing in ``ShardCoordinator._recv``, transport
-telemetry (trace events, engine counters, Prometheus export), the CLI
-summary line, and manifests written while the plane still had knobs.
+Covers the transport end to end: codec round-trips (Linear Road
+chunks, mixed and exotic payloads, a Hypothesis property over arbitrary
+payloads) and its fail-closed decoding (every prefix, every flipped
+byte), credit-based pipelining (lockstep-vs-pipelined merged-trace
+equality at several in-flight depths, frontier-close clamping, mid-run
+migration under a deep window), dead-worker error surfacing in
+``ShardCoordinator._recv``, transport telemetry (trace events, engine
+counters, Prometheus export), the CLI summary line, and manifests
+written while the plane still had knobs.
 """
 
 import gc
@@ -22,9 +22,9 @@ from dataclasses import astuple, dataclass, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.actors import SinkActor, SourceActor
+from repro.core.actors import SinkActor
 from repro.core.events import CWEvent
-from repro.core.exceptions import ActorError, SimulationError
+from repro.core.exceptions import SimulationError
 from repro.core.tokens import Token
 from repro.core.waves import WaveTag
 from repro.core.windows import Window
@@ -49,7 +49,6 @@ from repro.linearroad.workflow import shard_key_fn
 from repro.observability import export_prometheus, RecordingTracer, use_tracer
 from repro.shard import (
     canonical_trace,
-    ColumnarBatch,
     decode_chunk,
     encode_chunk,
     partition_arrivals,
@@ -96,121 +95,11 @@ def lr_chunk(config, count=400):
     return {group: items[:count] for group, items in slices.items()}
 
 
-def normalize(decoded):
-    """Decoded payload -> row lists, whatever each group's encoding."""
-    return {
-        group: rows.rows() if isinstance(rows, ColumnarBatch) else rows
-        for group, rows in decoded.items()
-    }
-
-
 # ---------------------------------------------------------------------------
 # Codec round-trips
 # ---------------------------------------------------------------------------
-class TestCodec:
-    def test_struct_roundtrips_lr_chunk_columnar(self, config):
-        chunk = lr_chunk(config)
-        decoded = decode_chunk(encode_chunk(chunk))
-        # The homogeneous LR fast path decodes into columns, and the
-        # round trip is repr-exact (the merge key compares repr).
-        for group, rows in chunk.items():
-            batch = decoded[group]
-            assert isinstance(batch, ColumnarBatch)
-            assert batch.rows() == rows
-            assert list(map(repr, batch.values)) == [
-                repr(value) for _, value in rows
-            ]
-
-    def test_struct_beats_pickle_on_lr_chunks(self, config):
-        chunk = lr_chunk(config)
-        blob = encode_chunk(chunk)
-        assert len(blob) < len(pickle.dumps(chunk, protocol=5))
-
-    def test_decoded_reports_are_no_larger_than_constructed(self):
-        rows = [
-            (index, PositionReport(index // 100, index, 50.0 + index % 7,
-                                   0, 1, 0, index % 100, 5280 * index))
-            for index in range(10_000)
-        ]
-        blob = encode_chunk({0: rows})
-        decode_chunk(blob)  # warm every code path
-
-        def decoded():
-            return decode_chunk(blob)[0]
-
-        def constructed():
-            # The same batch and field values, each report rebuilt by the
-            # dataclass constructor.
-            batch = decoded()
-            batch.values[:] = [
-                PositionReport(*astuple(report)) for report in batch.values
-            ]
-            return batch
-
-        assert isinstance(decoded(), ColumnarBatch)
-        # A dict per report would add ~180 B each; 8 B a report absorbs
-        # what other threads of the test process allocate meanwhile.
-        assert retained_bytes(decoded) <= (
-            retained_bytes(constructed) + 8 * len(rows)
-        )
-
-    def test_empty_payloads(self):
-        assert decode_chunk(encode_chunk({})) == {}
-        assert normalize(decode_chunk(encode_chunk({0: []}))) == {0: []}
-
-    def test_mixed_chunk_takes_fallback_per_group(self, config):
-        report = lr_chunk(config, count=1)[0][0][1]
-        payload = {
-            0: [(1, report), (2, report)],  # homogeneous -> columnar
-            1: [(3, "late"), (4, None)],  # mixed -> pickled rows
-        }
-        decoded = decode_chunk(encode_chunk(payload))
-        assert isinstance(decoded[0], ColumnarBatch)
-        assert isinstance(decoded[1], list)
-        assert normalize(decoded) == payload
-
-    def test_disorder_triples_roundtrip(self, config):
-        rows = lr_chunk(config, count=20)[0]
-        triples = [
-            (ts + 5, value, ts) for ts, value in rows
-        ]
-        decoded = decode_chunk(encode_chunk({2: triples}))
-        assert decoded[2].event_ts is not None
-        assert decoded[2].rows() == triples
-
-    def test_int64_overflow_falls_back_to_pickle(self, config):
-        report = lr_chunk(config, count=1)[0][0][1]
-        payload = {0: [(2 ** 70, report)]}
-        decoded = decode_chunk(encode_chunk(payload))
-        assert isinstance(decoded[0], list)
-        assert decoded[0] == payload[0]
-
-    def test_wide_report_field_falls_back(self):
-        report = PositionReport(
-            time=2 ** 40, car_id=1, speed=1.0, xway=0, lane=0,
-            direction=0, segment=0, position=0,
-        )
-        payload = {0: [(5, report)]}
-        assert normalize(
-            decode_chunk(encode_chunk(payload))
-        ) == payload
-
-    def test_rejects_unknown_codec_and_garbage(self):
-        # Frame kind 0 was the whole-payload pickle codec's.
-        blob = bytearray(encode_chunk({}))
-        blob[3] = 0
-        with pytest.raises(SimulationError, match="frame kind 0"):
-            decode_chunk(bytes(blob))
-        with pytest.raises(SimulationError):
-            decode_chunk(b"not a chunk blob")
-
-    def test_out_of_band_buffers_are_framed(self):
-        payload = {"blob": [(1, _BlobValue(b"\xab" * 4096))]}
-        assert normalize(decode_chunk(encode_chunk(payload))) == payload
-
-
 class _BlobValue:
-    """A payload whose protocol-5 pickling exports out-of-band buffers."""
+    """A payload that pickles its bytes as a protocol-5 ``PickleBuffer``."""
 
     def __init__(self, data):
         self.data = bytes(data)
@@ -227,9 +116,101 @@ class _BlobValue:
         return f"_BlobValue({len(self.data)}B)"
 
 
+#: What the SC1 columnar codec this format replaced framed a 4 x 400-row
+#: ``lr_chunk`` in: the wire never gets fatter than that.
+SC1_LR_CHUNK_BYTES = 70_464
+
+
+def assert_roundtrips(payload):
+    """Decoding an encoded *payload* gives it back, ``repr`` included."""
+    decoded = decode_chunk(encode_chunk(payload))
+    assert decoded == payload
+    # repr-exactness, group by group: the deterministic merge key is
+    # ``(ts, repr(payload))``, so value-equality is not enough.
+    for group, rows in payload.items():
+        assert list(map(repr, decoded[group])) == list(map(repr, rows))
+
+
+_REPORT = PositionReport(3, 7, 55.5, 0, 1, 0, 4, 21_500)
+
+#: Payloads outside the Linear Road report stream's shape.
+ROUNDTRIP_INPUTS = {
+    "mixed": {
+        0: [(1, _REPORT), (2, _REPORT)],
+        1: [(3, "late"), (4, None)],
+    },
+    "int64-overflow": {0: [(2 ** 70, _REPORT)]},
+    "wide-field": {
+        0: [(5, PositionReport(
+            time=2 ** 40, car_id=1, speed=1.0, xway=0, lane=0,
+            direction=0, segment=0, position=0,
+        ))],
+    },
+    "out-of-band-buffer": {"blob": [(1, _BlobValue(b"\xab" * 4096))]},
+}
+
+
+class TestCodec:
+    def test_roundtrips_lr_chunk(self, config):
+        assert_roundtrips(lr_chunk(config))
+
+    def test_lr_chunk_is_no_larger_than_sc1(self, config):
+        chunk = lr_chunk(config)
+        assert [len(rows) for rows in chunk.values()] == [400] * 4
+        assert len(encode_chunk(chunk)) <= SC1_LR_CHUNK_BYTES
+
+    def test_decoded_reports_are_no_larger_than_constructed(self):
+        rows = [
+            (index, PositionReport(index // 100, index, 50.0 + index % 7,
+                                   0, 1, 0, index % 100, 5280 * index))
+            for index in range(10_000)
+        ]
+        blob = encode_chunk({0: rows})
+        decode_chunk(blob)  # warm every code path
+
+        def decoded():
+            return decode_chunk(blob)[0]
+
+        def constructed():
+            # The same rows and field values, each report rebuilt by the
+            # dataclass constructor.
+            rebuilt = decoded()
+            rebuilt[:] = [
+                (ts, PositionReport(*astuple(report)))
+                for ts, report in rebuilt
+            ]
+            return rebuilt
+
+        # A dict per report would add ~180 B each; 8 B a report absorbs
+        # what other threads of the test process allocate meanwhile.
+        assert retained_bytes(decoded) <= (
+            retained_bytes(constructed) + 8 * len(rows)
+        )
+
+    def test_empty_payloads(self):
+        assert_roundtrips({})
+        assert_roundtrips({0: []})
+
+    def test_disorder_triples_roundtrip(self, config):
+        rows = lr_chunk(config, count=20)[0]
+        assert_roundtrips({2: [(ts + 5, value, ts) for ts, value in rows]})
+
+    @pytest.mark.parametrize("name", sorted(ROUNDTRIP_INPUTS))
+    def test_payload_roundtrips(self, name):
+        assert_roundtrips(ROUNDTRIP_INPUTS[name])
+
+    def test_rejects_unknown_codec_and_garbage(self):
+        # ``encode_chunk({})`` under the SC1 columnar codec this format
+        # replaced: its magic reads as a body length far past the end.
+        with pytest.raises(SimulationError, match="truncated"):
+            decode_chunk(b"SC1\x01\x00\x00\x00\x00")
+        with pytest.raises(SimulationError):
+            decode_chunk(b"not a chunk blob")
+
+
 _reports = st.builds(
     PositionReport,
-    time=st.integers(),  # unbounded: exercises the int64/32 fallback
+    time=st.integers(),  # unbounded: wider than any fixed-width field
     car_id=st.integers(min_value=0, max_value=2 ** 31 - 1),
     speed=st.floats(allow_nan=False),
     xway=st.integers(min_value=0, max_value=10),
@@ -265,55 +246,16 @@ class TestCodecProperty:
     @settings(max_examples=120, deadline=None)
     @given(payload=_payloads)
     def test_roundtrip_is_exact(self, payload):
-        decoded = normalize(decode_chunk(encode_chunk(payload)))
-        assert decoded == payload
-        # repr-exactness, group by group: the deterministic merge key
-        # is ``(ts, repr(payload))``, so value-equality is not enough.
-        for group, rows in payload.items():
-            assert list(map(repr, decoded[group])) == list(map(repr, rows))
-
-
-def header_offsets(blob: bytes) -> list:
-    """Byte offsets of every structural header field of a valid blob.
-
-    Magic, frame kind, group / buffer counts, key and body lengths, group
-    kinds and row counts — everything ``decode_chunk`` steers by, as
-    opposed to the pickled or packed data those fields delimit.
-    """
-    offsets = list(range(8))  # magic, frame kind, u32 group count
-
-    def u(at, size):
-        offsets.extend(range(at, at + size))
-        return int.from_bytes(blob[at:at + size], "little")
-
-    def framed_pickle(at):
-        nbuffers = u(at, 4)
-        at += 4
-        for _ in range(nbuffers):
-            at += 8 + u(at, 8)
-        return at + 8 + u(at, 8)
-
-    at = 8
-    for _ in range(int.from_bytes(blob[4:8], "little")):
-        at += 4 + u(at, 4)  # key length, key
-        offsets.append(at)  # group kind
-        if blob[at] == 0:
-            u(at + 1, 8)
-            at = framed_pickle(at + 9)
-        else:
-            count = u(at + 1, 4)
-            at += 5 + count * (52 if blob[at] == 2 else 44)
-    assert at == len(blob)
-    return sorted(set(offsets))
+        assert_roundtrips(payload)
 
 
 class TestCodecFailsClosed:
-    """A malformed SC1 blob is a ``SimulationError``, nothing else."""
+    """A malformed chunk blob is a ``SimulationError``, nothing else."""
 
     @staticmethod
     def decode_or_error(blob):
         try:
-            return normalize(decode_chunk(blob))
+            return decode_chunk(blob)
         except SimulationError as error:
             return error
 
@@ -325,16 +267,18 @@ class TestCodecFailsClosed:
         result = self.decode_or_error(blob[:cut])
         assert isinstance(result, SimulationError), (cut, result)
 
-    @settings(max_examples=250, deadline=None)
-    @given(payload=_payloads, data=st.data())
-    def test_flipped_header_byte_is_caught_or_harmless(self, payload, data):
-        blob = encode_chunk(payload)
-        at = data.draw(st.sampled_from(header_offsets(blob)))
-        flipped = bytearray(blob)
-        flipped[at] ^= data.draw(st.integers(min_value=1, max_value=255))
-        result = self.decode_or_error(bytes(flipped))
-        if not isinstance(result, SimulationError):
-            assert result == payload, (at, result)
+    def test_every_flipped_byte_of_an_lr_chunk_is_caught(self, config):
+        chunk = {
+            group: rows[:5] for group, rows in lr_chunk(config).items()
+        }
+        assert sum(map(len, chunk.values())) == 20
+        blob = encode_chunk(chunk)
+        for at in range(len(blob)):
+            for mask in (0x01, 0x80, 0xFF):
+                flipped = bytearray(blob)
+                flipped[at] ^= mask
+                result = self.decode_or_error(bytes(flipped))
+                assert isinstance(result, SimulationError), (at, mask)
 
     def test_every_prefix_of_an_lr_chunk(self, config):
         chunk = {
@@ -347,7 +291,7 @@ class TestCodecFailsClosed:
 
     def test_error_names_offset_and_field(self, config):
         blob = encode_chunk(lr_chunk(config, count=5))
-        with pytest.raises(SimulationError, match=r"byte 4: group count"):
+        with pytest.raises(SimulationError, match=r"byte 0: the header"):
             decode_chunk(blob[:6])
         with pytest.raises(SimulationError, match=r"byte \d+: .*rows"):
             decode_chunk(blob[:-1])
@@ -356,23 +300,6 @@ class TestCodecFailsClosed:
         chunk = lr_chunk(config, count=5)
         with pytest.raises(SimulationError, match="trailing"):
             decode_chunk(encode_chunk(chunk) + b"\x00")
-
-    def test_overwritten_group_count_cannot_drop_a_group(self, config):
-        chunk = lr_chunk(config, count=5)
-        assert len(chunk) >= 2
-        blob = bytearray(encode_chunk(chunk))
-        blob[4:8] = (1).to_bytes(4, "little")
-        with pytest.raises(SimulationError, match="trailing"):
-            decode_chunk(bytes(blob))
-
-    def test_unknown_group_kind_is_rejected(self, config):
-        report = lr_chunk(config, count=1)[0][0][1]
-        blob = bytearray(encode_chunk({0: [(1, report)]}))
-        kind_at = 8 + 4 + int.from_bytes(blob[8:12], "little")
-        assert blob[kind_at] == 1
-        blob[kind_at] = 9
-        with pytest.raises(SimulationError, match="group kind 9"):
-            decode_chunk(bytes(blob))
 
     def test_worker_error_reply_names_the_chunk(self, config):
         coordinator = ShardCoordinator(config, seed=1, shards=2)
@@ -388,8 +315,8 @@ class TestCodecFailsClosed:
             assert "worker 0" in message
             assert "chunk @7000000" in message
             assert "truncated at byte" in message
-            # The wire carries SC1 blobs only: a decoded mapping is as
-            # malformed as a torn frame, and is refused the same way.
+            # The wire carries encoded blobs only: a decoded mapping is
+            # as malformed as a torn frame, and is refused the same way.
             coordinator._conns[0].send(
                 ("chunk", 8_000_000, lr_chunk(config, count=5), None)
             )
@@ -397,7 +324,7 @@ class TestCodecFailsClosed:
                 coordinator._recv(0, "ack")
             message = str(excinfo.value)
             assert "chunk @8000000" in message
-            assert "not an SC1 blob" in message
+            assert "not an encoded chunk blob" in message
         finally:
             for conn in coordinator._conns:
                 conn.send(("stop",))
@@ -482,37 +409,8 @@ class TestFrontierClosePipelining:
 
 
 # ---------------------------------------------------------------------------
-# Columnar source feeding
+# A worker's engine, fed chunk by chunk
 # ---------------------------------------------------------------------------
-class TestFeedColumns:
-    def test_feeds_without_row_lists(self):
-        source = SourceActor("src")
-        source.feed([(10, "a")])
-        source.feed_columns((20, 30), ("b", "c"))
-        assert source._pending == [(10, "a"), (20, "b"), (30, "c")]
-
-    def test_triple_columns_for_disorder_sources(self):
-        source = SourceActor("src", out_of_order=True, disorder_us=5)
-        source.feed_columns((20, 30), ("b", "c"), (18, 27))
-        assert source._pending == [(20, "b", 18), (30, "c", 27)]
-
-    def test_unsorted_batch_falls_back_to_feed(self):
-        source = SourceActor("src", out_of_order=True)
-        source.feed_columns((30, 10), ("b", "a"))
-        assert source._pending == [(10, "a"), (30, "b")]
-
-    def test_strict_source_still_rejects_regressions(self):
-        source = SourceActor("src")
-        source.feed([(50, "x")])
-        with pytest.raises(ActorError):
-            source.feed_columns((10, 20), ("a", "b"))
-
-    def test_empty_batch_is_a_noop(self):
-        source = SourceActor("src")
-        source.feed_columns((), ())
-        assert source._pending == []
-
-
 class TestWorkerRunTo:
     def test_chunk_by_chunk_run_to_leaves_the_heap_thawed(self, config):
         # Every ``run_to`` is one ``SimulationRuntime.run``: its freeze
