@@ -22,9 +22,9 @@ from dataclasses import astuple, dataclass, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.actors import SinkActor
+from repro.core.actors import SinkActor, SourceActor
 from repro.core.events import CWEvent
-from repro.core.exceptions import SimulationError
+from repro.core.exceptions import ActorError, SimulationError
 from repro.core.tokens import Token
 from repro.core.waves import WaveTag
 from repro.core.windows import Window
@@ -406,6 +406,35 @@ class TestFrontierClosePipelining:
             )
             assert result.transport["shard_window"] == 1
             assert result.frontier_log == oracle.frontier_log
+
+
+# ---------------------------------------------------------------------------
+# A source fed the rows of a decoded chunk, as the worker feeds them
+# ---------------------------------------------------------------------------
+def _decoded_rows(rows, group=0):
+    """``rows`` after a trip over the wire, as ``ShardWorker`` reads them."""
+    return decode_chunk(encode_chunk({group: rows} if rows else {})).get(
+        group, ()
+    )
+
+
+class TestFeedColumns:
+    def test_feeds_without_row_lists(self):
+        source = SourceActor("src")
+        source.feed([(10, "a")])
+        source.feed(_decoded_rows([(20, "b"), (30, "c")]))
+        assert source._pending == [(10, "a"), (20, "b"), (30, "c")]
+
+    def test_strict_source_still_rejects_regressions(self):
+        source = SourceActor("src")
+        source.feed([(50, "x")])
+        with pytest.raises(ActorError):
+            source.feed(_decoded_rows([(10, "a"), (20, "b")]))
+
+    def test_empty_batch_is_a_noop(self):
+        source = SourceActor("src")
+        source.feed(_decoded_rows([]))
+        assert source._pending == []
 
 
 # ---------------------------------------------------------------------------
