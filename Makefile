@@ -5,7 +5,7 @@ PYTHON ?= python
 # existing PYTHONPATH is kept after it.
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test lint ci bench bench-quick bench-paper bench-smoke bench-train bench-fusion bench-overload bench-shard bench-shard-transport bench-frontier bench-e2e bench-report bench-compare bench-pair opcount gc-profile census checkpoint-smoke figures examples chaos clean
+.PHONY: install test lint ci bench bench-quick bench-paper bench-smoke bench-train bench-fusion bench-overload bench-shard bench-shard-transport bench-frontier bench-e2e bench-report bench-compare bench-pair opcount gc-profile mem-profile census checkpoint-smoke figures examples chaos clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -101,6 +101,9 @@ opcount:  # make opcount BASE=HEAD~1 W=lr_xway4_single SCALE=0.25  (executed byt
 
 gc-profile:  # make gc-profile W=lr_batch  (collections and seconds per generation around one untraced run)
 	$(PYTHON) tools/gc_profile.py --workload $(W)
+
+mem-profile:  # make mem-profile W=lr_batch  (live bytes by layer and the top allocation sites at the end of one run, tracemalloc on from before the set-ups)
+	$(PYTHON) tools/mem_profile.py --workload $(W)
 
 census:  # public names under src/repro that nothing outside tests/, their own module and __init__ re-exports reads (reports; part 1 is gated empty by tier-1 tests/test_census.py)
 	$(PYTHON) tools/census.py

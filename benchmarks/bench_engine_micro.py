@@ -107,9 +107,9 @@ def test_windowed_put_cost(benchmark):
 
 
 def test_group_state_footprint(benchmark):
-    """Bytes an idle window group keeps, exact: its state object plus its
-    empty queue, for a token and a time window (Linear Road holds one of
-    each per car for the whole run).  The timed part opens and drains
+    """Bytes an idle window group keeps, exact: its state object, which
+    is its own (empty) queue, for a token and a time window (Linear Road
+    holds one of each per car for the whole run).  The timed part opens and drains
     10 000 groups; the gate is ``extra_info`` against the committed
     bytes — a group that grows by one slot fails, whatever the wall time."""
     committed = json.loads(
@@ -132,10 +132,7 @@ def test_group_state_footprint(benchmark):
     operators = benchmark.pedantic(run, rounds=3, iterations=1)
     for name, operator in operators.items():
         assert operator.pending_count() == 0 and len(operator._groups) == 10_000
-        sizes = {
-            sys.getsizeof(state) + sys.getsizeof(state.queue)
-            for state in operator._groups.values()
-        }
+        sizes = {sys.getsizeof(state) for state in operator._groups.values()}
         assert len(sizes) == 1, sizes
         benchmark.extra_info[name] = sizes.pop()
         assert benchmark.extra_info[name] == committed[name]

@@ -181,6 +181,12 @@ class Actor:
         return f"{type(self).__name__}({self.name!r})"
 
 
+#: A source lets go of delivered arrivals once at least this many (and
+#: half its list) are done with: a short schedule keeps them all, and a
+#: long one is cut in few, large steps.
+_LET_GO_MIN = 64
+
+
 class SourceActor(Actor):
     """An actor that injects external events (push communication).
 
@@ -211,8 +217,10 @@ class SourceActor(Actor):
     #: a resumed source re-emits nothing and drops nothing.  The cached
     #: sole-output-port name is derived from the (structural) port dict,
     #: and the reorder heap is rebuilt from the cursor + release count.
+    #: ``_base`` says how much of the schedule has been let go of, which
+    #: a rebuilt schedule starts over from: the cursor stays absolute.
     checkpoint_exclude = frozenset(
-        {"_pending", "_sole_output_name", "_reorder"}
+        {"_pending", "_sole_output_name", "_reorder", "_base"}
     )
 
     def __init__(
@@ -229,7 +237,11 @@ class SourceActor(Actor):
         self._pending: list[tuple] = (
             sorted(arrivals, key=lambda pair: pair[0]) if arrivals else []
         )
+        #: Absolute schedule position of the next undelivered arrival.
         self._cursor = 0
+        #: Absolute schedule position of ``_pending[0]``: delivered
+        #: arrivals leave the front of the list (:meth:`_let_go`).
+        self._base = 0
         self.batch_limit = batch_limit
         self._out_of_order = out_of_order
         self.disorder_us = disorder_us
@@ -247,6 +259,7 @@ class SourceActor(Actor):
         """Replace the arrival schedule (before the workflow starts)."""
         self._pending = sorted(arrivals, key=lambda pair: pair[0])
         self._cursor = 0
+        self._base = 0
         self._reorder = []
         self._released_count = 0
 
@@ -268,32 +281,64 @@ class SourceActor(Actor):
         new = sorted(arrivals, key=lambda pair: pair[0])
         if not new:
             return
-        if self._pending and new[0][0] < self._pending[-1][0]:
+        pending = self._pending
+        # The last scheduled arrival is never let go of (:meth:`_let_go`),
+        # so the check below sees it even once it has been delivered.
+        if pending and new[0][0] < pending[-1][0]:
             if not self._out_of_order:
                 raise ActorError(
                     f"source {self.name}: fed arrival at t={new[0][0]} is "
                     f"earlier than the already-scheduled "
-                    f"t={self._pending[-1][0]}; feed() only appends — "
+                    f"t={pending[-1][0]}; feed() only appends — "
                     "use an out_of_order source for disordered streams"
                 )
-            tail = self._pending[self._cursor:]
-            del self._pending[self._cursor:]
-            self._pending.extend(
-                sorted(tail + new, key=lambda pair: pair[0])
-            )
+            index = self._cursor - self._base
+            tail = pending[index:]
+            del pending[index:]
+            pending.extend(sorted(tail + new, key=lambda pair: pair[0]))
             return
-        self._pending.extend(new)
+        pending.extend(new)
+
+    def _let_go(self) -> None:
+        """Drop delivered arrivals from the front of the schedule.
+
+        Nothing reads a delivered arrival again, except a reorder heap's
+        rebuild on restore, which reads the delivered arrivals not yet
+        released: an out-of-order source keeps everything from the
+        oldest index still in its heap.  The last scheduled arrival
+        stays for :meth:`feed`'s order check.  Pumps call this once the
+        arrivals done with (delivered; out of order, also released) are
+        at least half the list, so on average each arrival is moved a
+        constant number of times.  Out of order, the heap scan is no
+        longer than that released part; an old entry still in the heap
+        holds the cut back, and each pump rescans until it is released.
+        Nor does an out-of-order source let go of more arrivals than it
+        has released: :meth:`shed_due` and :meth:`skip_current` move the
+        cursor past arrivals that never enter the heap, and a restore
+        refuses a release count below ``_base``.
+        """
+        pending = self._pending
+        keep = self._cursor
+        if self._out_of_order:
+            keep = min(keep, self._released_count)
+            if self._reorder:
+                keep = min(keep, min(entry[1] for entry in self._reorder))
+        cut = min(keep - self._base, len(pending) - 1)
+        if cut > 0:
+            del pending[:cut]
+            self._base += cut
 
     # ------------------------------------------------------------------
     def next_arrival_time(self) -> Optional[int]:
         """Engine time of the next emission this source could make."""
+        index = self._cursor - self._base
         if not self._out_of_order:
-            if self._cursor >= len(self._pending):
+            if index >= len(self._pending):
                 return None
-            return self._pending[self._cursor][0]
+            return self._pending[index][0]
         times = []
-        if self._cursor < len(self._pending):
-            times.append(self._pending[self._cursor][0])
+        if index < len(self._pending):
+            times.append(self._pending[index][0])
             if self._reorder:
                 # A buffered event releases once it is disorder_us old.
                 times.append(self._reorder[0][0] + self.disorder_us)
@@ -311,14 +356,17 @@ class SourceActor(Actor):
         """
         count = len(self._reorder)
         pending = self._pending
-        index = self._cursor
+        index = self._cursor - self._base
         while index < len(pending) and pending[index][0] <= now:
             count += 1
             index += 1
         return count
 
     def exhausted(self) -> bool:
-        return self._cursor >= len(self._pending) and not self._reorder
+        return (
+            self._cursor - self._base >= len(self._pending)
+            and not self._reorder
+        )
 
     def shed_due(self, now: int, max_pending: int) -> int:
         """Drop the oldest due arrivals beyond *max_pending* (shedding).
@@ -337,9 +385,10 @@ class SourceActor(Actor):
 
     def peek_arrival(self) -> Optional[tuple[int, Any]]:
         """The undelivered ``(timestamp, value)`` at the cursor, if any."""
-        if self._cursor >= len(self._pending):
+        index = self._cursor - self._base
+        if index >= len(self._pending):
             return None
-        return self._pending[self._cursor]
+        return self._pending[index]
 
     def skip_current(self) -> Optional[tuple[int, Any]]:
         """Discard and return the arrival at the cursor.
@@ -359,8 +408,10 @@ class SourceActor(Actor):
             return self._pump_out_of_order(ctx)
         emitted = 0
         limit = self.batch_limit
-        while self._cursor < len(self._pending):
-            timestamp, value = self._pending[self._cursor]
+        pending = self._pending
+        base = self._base
+        while self._cursor - base < len(pending):
+            timestamp, value = pending[self._cursor - base]
             if timestamp > ctx.now:
                 break
             self.emit_arrival(ctx, timestamp, value)
@@ -369,6 +420,9 @@ class SourceActor(Actor):
             if limit is not None and emitted >= limit:
                 break
         if emitted:
+            delivered = self._cursor - base
+            if delivered >= _LET_GO_MIN and 2 * delivered >= len(pending):
+                self._let_go()
             if _obs.ENABLED:
                 _obs._TRACER.instant(
                     "source.pump", ctx.now, self.name, emitted=emitted
@@ -389,10 +443,11 @@ class SourceActor(Actor):
         pending = self._pending
         heap = self._reorder
         now = ctx.now
+        base = self._base
         cursor = self._cursor
         deposited = False
-        while cursor < len(pending):
-            entry = pending[cursor]
+        while cursor - base < len(pending):
+            entry = pending[cursor - base]
             if entry[0] > now:
                 break
             event_ts = entry[2] if len(entry) > 2 else entry[0]
@@ -414,7 +469,10 @@ class SourceActor(Actor):
         # in-order oracle.
         if deposited or not heap:
             release_limit = -1
-        elif cursor >= len(pending) or heap[0][0] <= now - self.disorder_us:
+        elif (
+            cursor - base >= len(pending)
+            or heap[0][0] <= now - self.disorder_us
+        ):
             # Ripe (nothing older can still be in transit) or the
             # delivery schedule has drained: flush this timestamp only.
             release_limit = heap[0][0]
@@ -430,6 +488,9 @@ class SourceActor(Actor):
             if limit is not None and emitted >= limit:
                 break
         if emitted:
+            released = self._released_count - base
+            if released >= _LET_GO_MIN and 2 * released >= len(pending):
+                self._let_go()
             if _obs.ENABLED:
                 _obs._TRACER.instant(
                     "source.pump",
@@ -450,13 +511,14 @@ class SourceActor(Actor):
         (``next_delivery - disorder_us``): any future delivery carries
         an event at most ``disorder_us`` older than its delivery time.
         """
-        if self._cursor >= len(self._pending):
+        index = self._cursor - self._base
+        if index >= len(self._pending):
             if self._reorder:
                 return self._reorder[0][0]
             return None
         if not self._out_of_order:
-            return self._pending[self._cursor][0]
-        bound = self._pending[self._cursor][0] - self.disorder_us
+            return self._pending[index][0]
+        bound = self._pending[index][0] - self.disorder_us
         if self._reorder and self._reorder[0][0] < bound:
             bound = self._reorder[0][0]
         return max(0, bound)
@@ -489,8 +551,23 @@ class SourceActor(Actor):
         (``index < cursor``) arrivals minus the ``_released_count``
         oldest in ``(event_ts, index)`` order — the same order
         :meth:`_pump_out_of_order` pops them in — so a resumed source
-        releases the identical remaining sequence.
+        releases the identical remaining sequence.  The ``_base``
+        arrivals this source has let go of were all released, and were
+        the oldest: they are left out of both sides.  A snapshot taken
+        before the source let go of arrivals it still needs (a cursor
+        or release count below ``_base``) is refused.
         """
+        plain = state["plain"]
+        base = self._base
+        cursor = plain.get("_cursor", self._cursor)
+        released = plain.get("_released_count", self._released_count)
+        if cursor < base or (self._out_of_order and released < base):
+            raise CheckpointError(
+                f"source {self.name}: the snapshot resumes at arrival "
+                f"{cursor} ({released} released), but this source has let "
+                f"go of its first {base} arrivals — restore onto a rebuilt "
+                "engine"
+            )
         super().state_restore(state)
         if not self._out_of_order:
             return
@@ -500,9 +577,11 @@ class SourceActor(Actor):
                 index,
                 entry[1],
             )
-            for index, entry in enumerate(self._pending[: self._cursor])
+            for index, entry in enumerate(
+                self._pending[: self._cursor - base], start=base
+            )
         )
-        self._reorder = delivered[self._released_count:]
+        self._reorder = delivered[self._released_count - base:]
         heapq.heapify(self._reorder)
 
 

@@ -273,16 +273,19 @@ def _revive_window(events, group_key, start, end, forced, seq) -> "Window":
     return window
 
 
-class _TokenGroupState:
-    """Per-group formation state for tuple-based windows."""
+class _TokenGroupState(list):
+    """Per-group formation state for tuple-based windows.
 
-    __slots__ = ("queue", "skip_debt")
+    The state *is* the group's queue: a list of its pending events,
+    evicted by one ``del state[:cut]`` per advance.  Linear Road holds
+    one state per car with at most four reports, so a separate queue
+    object (or a block-allocated double-ended queue, 760 bytes empty)
+    would cost more than the events it holds.  An empty state is falsy.
+    """
+
+    __slots__ = ("skip_debt",)
 
     def __init__(self) -> None:
-        #: A plain list, evicted by one ``del queue[:cut]`` per advance:
-        #: Linear Road holds one state per car with at most four reports,
-        #: and a block-allocated double-ended queue is 760 bytes empty.
-        self.queue: list[CWEvent] = []
         #: Events still owed to a past advance (only when step > size).
         self.skip_debt = 0
 
@@ -294,18 +297,15 @@ class _TokenGroupState:
         queue is owned exclusively by this state, so rebuilding a fresh
         list cannot split any shared reference.
         """
-        return (_revive_token_group, (tuple(self.queue), self.skip_debt))
+        return (_revive_token_group, (tuple(self), self.skip_debt))
 
 
-class _TimeGroupState:
-    """Per-group formation state for time-based windows."""
+class _TimeGroupState(list):
+    """Per-group formation state for time-based windows (its own queue)."""
 
-    __slots__ = (
-        "queue", "window_start", "last_ts", "monotone", "ordinal", "indexed"
-    )
+    __slots__ = ("window_start", "last_ts", "monotone", "ordinal", "indexed")
 
     def __init__(self) -> None:
-        self.queue: list[CWEvent] = []
         self.window_start: Optional[int] = None
         #: Timestamp of the most recently appended event and whether the
         #: queue is still in non-decreasing timestamp order — the common
@@ -322,12 +322,7 @@ class _TimeGroupState:
         """Fast pickle path (see :meth:`_TokenGroupState.__reduce__`)."""
         return (
             _revive_time_group,
-            (
-                tuple(self.queue),
-                self.window_start,
-                self.last_ts,
-                self.monotone,
-            ),
+            (tuple(self), self.window_start, self.last_ts, self.monotone),
         )
 
 
@@ -351,7 +346,7 @@ class _WaveGroupState:
 
 def _revive_token_group(queue: tuple, skip_debt: int) -> "_TokenGroupState":
     state = _TokenGroupState.__new__(_TokenGroupState)
-    state.queue = list(queue)
+    state.extend(queue)
     state.skip_debt = skip_debt
     return state
 
@@ -360,7 +355,7 @@ def _revive_time_group(
     queue: tuple, window_start, last_ts, monotone
 ) -> "_TimeGroupState":
     state = _TimeGroupState.__new__(_TimeGroupState)
-    state.queue = list(queue)
+    state.extend(queue)
     state.window_start = window_start
     state.last_ts = last_ts
     state.monotone = monotone
@@ -417,7 +412,9 @@ class WindowOperator:
     def __init__(self, spec: WindowSpec):
         self.spec = spec
         self._key_fn = spec.key_function()
-        self._groups: "OrderedDict[GroupKey, Any]" = OrderedDict()
+        #: Group-by key -> formation state, in creation order (a plain
+        #: dict: ordered iteration is all the operator reads of it).
+        self._groups: dict[GroupKey, Any] = {}
         self.expired: deque[CWEvent] = deque()
         self.total_events = 0
         self.total_windows = 0
@@ -455,7 +452,7 @@ class WindowOperator:
             if isinstance(state, _WaveGroupState):
                 total += sum(len(evts) for evts in state.events_by_root.values())
             else:
-                total += len(state.queue)
+                total += len(state)
         return total
 
     # ------------------------------------------------------------------
@@ -506,16 +503,15 @@ class WindowOperator:
             if state is None:
                 state = self._new_group(key)
             if tokens:
-                queue = state.queue
-                if not state.skip_debt and len(queue) + 1 < size:
-                    queue.append(event)
+                if not state.skip_debt and len(state) + 1 < size:
+                    state.append(event)
                     continue
             elif timed and state.indexed:
                 # Indexed: the group holds events, so both marks are set.
                 timestamp = event.timestamp
                 if state.last_ts <= timestamp < state.window_start + size:
                     state.last_ts = timestamp
-                    state.queue.append(event)
+                    state.append(event)
                     continue
             made = put_one(state, key, event)
             if made:
@@ -549,8 +545,7 @@ class WindowOperator:
             state.skip_debt -= 1
             self.expired.append(event)
             return []
-        queue = state.queue
-        queue.append(event)
+        state.append(event)
         produced: list[Window] = []
         size, step = self.spec.size, self.spec.step
         # Find how far the queue advances, then evict that prefix in one
@@ -558,15 +553,15 @@ class WindowOperator:
         # each time.  Continuous consumption is always tumbling (the spec
         # enforces step == size for tokens), so it never runs up a debt.
         cut = 0
-        while len(queue) - cut >= size:
-            produced.append(Window(queue[cut:cut + size], key))
-            dropped = min(step, len(queue) - cut)
+        while len(state) - cut >= size:
+            produced.append(Window(state[cut:cut + size], key))
+            dropped = min(step, len(state) - cut)
             cut += dropped
             state.skip_debt += step - dropped
         if cut:
             if not self.spec.delete_used_events:
-                self.expired.extend(queue[:cut])
-            del queue[:cut]
+                self.expired.extend(state[:cut])
+            del state[:cut]
         if self.spec.mode is ConsumptionMode.RECENT and len(produced) > 1:
             produced = [produced[-1]]
         return produced
@@ -582,7 +577,7 @@ class WindowOperator:
         size = self.spec.size
         # Close every window whose right boundary the new event has crossed.
         while timestamp >= state.window_start + size:
-            if not state.queue:
+            if not state:
                 # Only barren panes remain: land on the pane that holds
                 # the event in one step, on the same grid the per-pane
                 # loop would walk (a key back from a long idle gap).
@@ -594,7 +589,7 @@ class WindowOperator:
         if state.last_ts is not None and timestamp < state.last_ts:
             state.monotone = False
         state.last_ts = timestamp
-        state.queue.append(event)
+        state.append(event)
         if not state.indexed:
             self._index_group(state, key)
         if self.spec.mode is ConsumptionMode.RECENT and len(produced) > 1:
@@ -608,29 +603,28 @@ class WindowOperator:
         start = state.window_start
         assert start is not None
         end = start + size
-        queue = state.queue
         if state.monotone:
             # In-order stream (the common case): the pane is the slice
             # between two cuts; anything before it is a pre-start
             # straggler the trailing expiry below takes.
-            first, cut = _cut_before(queue, start), _cut_before(queue, end)
-            window_events = queue[first:cut]
+            first, cut = _cut_before(state, start), _cut_before(state, end)
+            window_events = state[first:cut]
             if self.spec.delete_used_events:
-                del queue[first:cut]
+                del state[first:cut]
         else:
-            window_events = [e for e in queue if start <= e.timestamp < end]
+            window_events = [e for e in state if start <= e.timestamp < end]
             if self.spec.delete_used_events:
                 # Out-of-order continuous consumption: the consumed set
                 # is exactly the in-range events.
-                queue[:] = [
-                    e for e in queue if not start <= e.timestamp < end
+                state[:] = [
+                    e for e in state if not start <= e.timestamp < end
                 ]
         state.window_start = start + step
         # Expire events that can no longer belong to any future window.
-        cut = _cut_before(queue, state.window_start)
+        cut = _cut_before(state, state.window_start)
         if cut:
-            self.expired.extend(queue[:cut])
-            del queue[:cut]
+            self.expired.extend(state[:cut])
+            del state[:cut]
         if window_events:
             return [Window(window_events, key, start, end, forced)]
         return []
@@ -683,7 +677,7 @@ class WindowOperator:
         while heap:
             boundary, ordinal, key = heap[0]
             state = groups[key]
-            if not state.queue:
+            if not state:
                 heapq.heappop(heap)
                 state.indexed = False
             elif state.window_start + size != boundary:
@@ -710,7 +704,7 @@ class WindowOperator:
         size = self.spec.size
         for ordinal, (key, state) in enumerate(self._groups.items()):
             state.ordinal = ordinal
-            state.indexed = bool(state.queue)
+            state.indexed = bool(state)
             if state.indexed:
                 heap.append((state.window_start + size, ordinal, key))
         heapq.heapify(heap)
@@ -735,9 +729,9 @@ class WindowOperator:
         size = self.spec.size
         for _, key in due:
             state = self._groups[key]
-            while state.queue and state.window_start + size <= up_to:
+            while state and state.window_start + size <= up_to:
                 produced.extend(self._close_time_window(state, key, forced))
-            if state.queue:
+            if state:
                 self._index_group(state, key)
             else:
                 state.indexed = False
@@ -765,7 +759,7 @@ class WindowOperator:
             else:
                 # Shutdown flush: the one full pass over the groups.
                 for key, state in self._groups.items():
-                    while state.queue:
+                    while state:
                         windows = self._close_time_window(
                             state, key, forced=True
                         )
@@ -775,8 +769,8 @@ class WindowOperator:
                             break
         elif self.spec.measure is Measure.TOKENS:
             for key, state in self._groups.items():
-                if state.queue:
-                    flushed = list(state.queue)
+                if state:
+                    flushed = list(state)
                     produced.append(
                         Window(
                             flushed,
@@ -792,7 +786,7 @@ class WindowOperator:
                         # as a normal advance — a forced flush must not
                         # silently consume them.
                         self.expired.extend(flushed)
-                    state.queue.clear()
+                    state.clear()
                 # A forced flush ends the current formation cycle, so any
                 # positions still owed to a past advance are forgiven.
                 state.skip_debt = 0
@@ -880,15 +874,18 @@ class WindowOperator:
         """Snapshot formation state (Checkpointable protocol).
 
         The per-group state objects (``_TokenGroupState`` /
-        ``_TimeGroupState`` / ``_WaveGroupState``) are plain slotted
-        containers of events and boundaries, so they serialize directly;
-        the ``group_by`` key *function* is structural (rebuilt from the
-        spec) and is deliberately not part of the dump.  The returned
-        dict references live containers — the checkpoint orchestrator
-        pickles it synchronously, before the engine takes another step.
+        ``_TimeGroupState`` / ``_WaveGroupState``) are slotted containers
+        of events and boundaries, so they serialize directly; the
+        ``group_by`` key *function* is structural (rebuilt from the spec)
+        and is deliberately not part of the dump.  The group table is
+        dumped as an ``OrderedDict`` copy, the type the pinned snapshot
+        bytes carry; the copy is made here, at checkpoint time only.
+        Everything else references live containers — the checkpoint
+        orchestrator pickles the dict synchronously, before the engine
+        takes another step.
         """
         return {
-            "groups": self._groups,
+            "groups": OrderedDict(self._groups),
             "expired": self.expired,
             "total_events": self.total_events,
             "total_windows": self.total_windows,
@@ -896,7 +893,7 @@ class WindowOperator:
 
     def state_restore(self, state: dict) -> None:
         """Re-apply dumped formation state (Checkpointable protocol)."""
-        self._groups = OrderedDict(state["groups"])
+        self._groups = dict(state["groups"])
         self.expired = deque(state["expired"])
         self.total_events = int(state["total_events"])
         self.total_windows = int(state["total_windows"])

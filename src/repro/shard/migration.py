@@ -23,8 +23,11 @@ fingerprint check even runs.
 The envelope also carries the source actors' pending arrival schedules:
 arrival lists are structural (``checkpoint_exclude``) and normally
 rebuilt by the workload builder, but a shard worker receives its
-arrivals incrementally over a pipe, so the fed-so-far prefix must travel
-with the snapshot for the restored cursor to be meaningful.
+arrivals incrementally over a pipe, so what it was fed so far must
+travel with the snapshot for the restored cursor to be meaningful.  A
+source lets go of arrivals it has delivered, so that is the part it
+still holds, beside its ``_base``: how many arrivals it let go of, all
+of them before the snapshot's cursor.
 
 With the pipelined data plane that prefix is only well-defined once the
 coordinator *quiesces* both ends: chunks may sit unprocessed in the
@@ -50,8 +53,9 @@ from ..checkpoint import (
 from ..core.actors import SourceActor
 from ..core.exceptions import CheckpointError
 
-#: Envelope layout version — bumped if the dict shape changes.
-ENVELOPE_FORMAT = 1
+#: Envelope layout version — bumped if the dict shape changes.  Envelopes
+#: only travel between the workers of one run.
+ENVELOPE_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -72,14 +76,15 @@ def make_envelope(engine: Any) -> Dict[str, Any]:
     """Snapshot one shard engine into a self-contained migration envelope.
 
     The envelope carries the shard identity (key name + group), every
-    source actor's pending arrival schedule, and the serialized engine
-    snapshot.  It is plain picklable data — safe to send over a
-    ``multiprocessing`` pipe.
+    source actor's arrival schedule as ``(base, arrivals)`` — the count
+    it has let go of and the arrivals it still holds — and the
+    serialized engine snapshot.  It is plain picklable data — safe to
+    send over a ``multiprocessing`` pipe.
     """
-    pending: Dict[str, list] = {}
+    pending: Dict[str, tuple] = {}
     for name, actor in engine.system.workflow.actors.items():
         if isinstance(actor, SourceActor):
-            pending[name] = list(actor._pending)
+            pending[name] = (actor._base, list(actor._pending))
     return {
         "format": ENVELOPE_FORMAT,
         "key": engine.shard["key"],
@@ -117,7 +122,7 @@ def apply_envelope(engine: Any, envelope: Dict[str, Any]) -> None:
             "another shard's state"
         )
     engine.director.initialize_all()
-    for name, arrivals in envelope["pending"].items():
+    for name, (base, arrivals) in envelope["pending"].items():
         actor = engine.system.workflow.actors.get(name)
         if not isinstance(actor, SourceActor):
             raise CheckpointError(
@@ -125,6 +130,7 @@ def apply_envelope(engine: Any, envelope: Dict[str, Any]) -> None:
                 "but the rebuilt engine has no such source"
             )
         actor.load(arrivals)
+        actor._base = base
     restore_snapshot(
         engine.director, deserialize_snapshot(envelope["payload"])
     )

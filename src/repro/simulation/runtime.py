@@ -50,10 +50,11 @@ class SimulationRuntime:
         director = self.director
         if not getattr(director, "_initialized", False):
             director.initialize_all()
-        # What exists by now (arrival schedule, tables, plans) lives as
-        # long as the run: freeze it so full collections walk only what
-        # the run itself allocates.  A caller's own freeze is not ours
-        # to undo.
+        # What exists by now (tables, plans) lives as long as the run:
+        # freeze it so full collections walk only what the run itself
+        # allocates.  Freezing keeps nothing alive: delivered arrivals a
+        # source lets go of are still freed when their count drops to
+        # zero.  A caller's own freeze is not ours to undo.
         frozen_here = gc.get_freeze_count() == 0
         if frozen_here:
             gc.freeze()

@@ -47,7 +47,7 @@ class NaiveScanWindowOperator(WindowOperator):
         if state.last_ts is not None and event.timestamp < state.last_ts:
             state.monotone = False
         state.last_ts = event.timestamp
-        state.queue.append(event)
+        state.append(event)
         if self.spec.mode is ConsumptionMode.RECENT and len(produced) > 1:
             produced = [produced[-1]]
         return produced
@@ -61,7 +61,7 @@ class NaiveScanWindowOperator(WindowOperator):
             for state in self._groups.values()
             if isinstance(state, _TimeGroupState)
             and state.window_start is not None
-            and state.queue
+            and state
         ]
         if not deadlines:
             return None
@@ -71,9 +71,9 @@ class NaiveScanWindowOperator(WindowOperator):
         produced: list[Window] = []
         if self.spec.measure is Measure.TIME:
             for key, state in self._groups.items():
-                if not isinstance(state, _TimeGroupState) or not state.queue:
+                if not isinstance(state, _TimeGroupState) or not state:
                     continue
-                while state.queue and (
+                while state and (
                     now is None or state.window_start + self.spec.size <= now
                 ):
                     windows = self._close_time_window(state, key, forced=True)
@@ -83,8 +83,8 @@ class NaiveScanWindowOperator(WindowOperator):
                         break
         elif self.spec.measure is Measure.TOKENS:
             for key, state in self._groups.items():
-                if state.queue:
-                    flushed = list(state.queue)
+                if state:
+                    flushed = list(state)
                     produced.append(
                         Window(
                             flushed,
@@ -100,7 +100,7 @@ class NaiveScanWindowOperator(WindowOperator):
                         # as a normal advance — a forced flush must not
                         # silently consume them.
                         self.expired.extend(flushed)
-                    state.queue.clear()
+                    state.clear()
                 # A forced flush ends the current formation cycle, so any
                 # positions still owed to a past advance are forgiven.
                 state.skip_debt = 0
@@ -144,7 +144,7 @@ class NaiveScanWindowOperator(WindowOperator):
         size = self.spec.size
         boundary: Optional[int] = None
         for state in self._groups.values():
-            if not isinstance(state, _TimeGroupState) or not state.queue:
+            if not isinstance(state, _TimeGroupState) or not state:
                 continue
             end = state.window_start + size
             if end <= up_to_us and (boundary is None or end < boundary):
@@ -157,9 +157,9 @@ class NaiveScanWindowOperator(WindowOperator):
         produced: list[Window] = []
         size = self.spec.size
         for key, state in self._groups.items():
-            if not isinstance(state, _TimeGroupState) or not state.queue:
+            if not isinstance(state, _TimeGroupState) or not state:
                 continue
-            while state.queue and state.window_start + size <= up_to_us:
+            while state and state.window_start + size <= up_to_us:
                 produced.extend(
                     self._close_time_window(state, key, forced=False)
                 )

@@ -219,7 +219,7 @@ def _replay(operator_cls, spec, events, steps):
                 op.next_deadline(),
                 op.group_keys,
                 [
-                    (state.window_start, len(state.queue))
+                    (state.window_start, len(state))
                     for state in op._groups.values()
                 ],
                 op.total_windows,

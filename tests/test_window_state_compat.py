@@ -150,18 +150,18 @@ def test_restore_rebuilds_the_index_in_one_pass():
     op.state_restore(
         pickle.loads(FORMAT_1_FIXTURE.read_bytes())["time_sliding"]
     )
-    assert not op._groups["gone"].queue
+    assert not op._groups["gone"]
     states = list(op._groups.values())
     assert [state.ordinal for state in states] == list(range(len(states)))
     assert op._next_ordinal == len(states)
     live = [
         (state.window_start + 12, state.ordinal, key)
         for key, state in op._groups.items()
-        if state.queue
+        if state
     ]
     assert 0 < len(live) < len(states)
     assert sorted(op._pane_heap, key=lambda entry: entry[:2]) == sorted(live)
-    assert all(state.indexed == bool(state.queue) for state in states)
+    assert all(state.indexed == bool(state) for state in states)
 
 
 def test_deepcopy_rederives_the_index():
@@ -172,7 +172,7 @@ def test_deepcopy_rederives_the_index():
     timed = copies["time_sliding"]
     states = list(timed._groups.values())
     assert [state.ordinal for state in states] == list(range(len(states)))
-    assert len(timed._pane_heap) == sum(bool(s.queue) for s in states)
+    assert len(timed._pane_heap) == sum(bool(s) for s in states)
     assert phase_two(copies) == phase_two(originals)
 
 
